@@ -30,7 +30,7 @@ from .core import (
     var_set,
 )
 from .limits import enumerate_morphisms
-from .semantics import entails, free_model, is_reflexive_theory_heuristic
+from .semantics import entails, free_model, is_reflexive_theory
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def classify_theory(theory: Theory) -> TheoryClassification:
     axioms additionally gives a quasitopos (a topological universe).
     """
     _require_discrete(theory)
-    reflexive = is_reflexive_theory_heuristic(theory)
+    reflexive = is_reflexive_theory(theory)
     results = tuple(is_safe_axiom(ax, theory) for ax in eligible_axioms(theory))
     all_safe = all(r.safe for r in results)
     all_very = all(r.safe and r.very_safe for r in results)

@@ -1,9 +1,14 @@
 """Deterministic families of small structures used as test objects.
 
-Families enumerate all edge subsets on canonical carriers (e0, e1, ...), can
-reduce to isomorphism-class representatives, and sample with a fixed seed
-once the exhaustive family exceeds a cap.  All output orders are canonical,
-so the same inputs always give the same family.
+Structures are edge subsets of canonical carriers (e0, e1, ...), numbered by
+bitmask over the edge slots (bit 0 is the first slot).  Families of all
+structures enumerate every mask, sampling with a fixed seed once a carrier
+has more masks than a cap.  Families of models are generated, not filtered:
+on a fixed carrier the models of the edge axioms are the closed sets of a
+closure system, listed by Ganter's NextClosure in increasing mask order, and
+the equality axioms then drop some of them.  Either family can be reduced to
+isomorphism-class representatives.  All output orders are canonical, so the
+same inputs always give the same family.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import random
 from typing import Iterator, Optional
 
 from .core import Edge, Signature, Structure, StructureError, Theory
-from .semantics import is_model
+from .semantics import ground_axioms, is_model
 
 DEFAULT_CAP = 512
 
@@ -45,8 +50,13 @@ def structures_on_carrier(
         rng = random.Random(seed)
         chosen = iter(sorted(rng.sample(range(total), cap)))
     for mask in chosen:
-        edges = [e for i, e in enumerate(slots) if mask >> i & 1]
-        yield Structure(sig, carrier, edges)
+        yield _structure_of_mask(sig, carrier, slots, mask)
+
+
+def _structure_of_mask(
+    sig: Signature, carrier: tuple[str, ...], slots: list[Edge], mask: int
+) -> Structure:
+    return Structure(sig, carrier, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
 def all_structures(
@@ -90,10 +100,63 @@ def all_models(
     cap: Optional[int] = DEFAULT_CAP,
     seed: int = 0,
 ) -> list[Structure]:
-    """All models of the theory up to a carrier size, optionally one per iso class."""
-    models = [s for s in all_structures(theory.signature, max_size, cap, seed)
-              if is_model(s, theory)]
+    """All models of the theory up to a carrier size, optionally one per iso class.
+
+    Per carrier size the models are generated as closed edge sets, in the
+    mask order of :func:`structures_on_carrier`.  A size whose 2^slots
+    structures exceed ``cap`` is sampled as structures, as in
+    :func:`all_structures`, and the sample is filtered to its models.
+    """
+    sig = theory.signature
+    models: list[Structure] = []
+    for size in range(max_size + 1):
+        carrier = canonical_carrier(size)
+        slots = edge_slots(sig, carrier)
+        if cap is not None and 2 ** len(slots) > cap:
+            models.extend(s for s in structures_on_carrier(sig, size, cap, seed)
+                          if is_model(s, theory))
+            continue
+        ground = ground_axioms(theory, carrier, slots)
+        for mask in _closed_masks(ground.rules, len(slots)):
+            if not any(mask & f == f for f in ground.forbidden):
+                models.append(_structure_of_mask(sig, carrier, slots, mask))
     return dedup_by_iso(models) if iso else models
+
+
+def _closed_masks(rules: tuple[tuple[int, int], ...], width: int) -> Iterator[int]:
+    """Every mask closed under the rules, in increasing order (Ganter's NextClosure).
+
+    A mask is closed when it holds the conclusion bit of every rule whose
+    premise mask it holds.  The successor of a closed mask ``a`` is the
+    closure of ``a``'s bits above ``i`` plus bit ``i``, for the lowest bit
+    ``i`` not in ``a`` whose closure adds no bit above ``i``.
+    """
+
+    def close(mask: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for premise, head in rules:
+                if mask & premise == premise and not mask & head:
+                    mask |= head
+                    grown = True
+        return mask
+
+    full = (1 << width) - 1
+    mask = close(0)
+    while True:
+        yield mask
+        if mask == full:
+            return
+        for i in range(width):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            upper = full & ~(2 * bit - 1)
+            candidate = close(mask & upper | bit)
+            if candidate & upper == mask & upper:
+                mask = candidate
+                break
 
 
 def sample_family(structures: list[Structure], cap: int, seed: int) -> list[Structure]:

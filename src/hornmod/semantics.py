@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import (
     Edge,
@@ -134,6 +134,51 @@ def is_model(x: Structure, theory: Theory) -> bool:
     return check_model(x, theory) is None
 
 
+@dataclass(frozen=True)
+class GroundTheory:
+    """A theory's axioms instantiated on one carrier, as bitmask clauses.
+
+    Bit ``i`` of a mask stands for the ``i``-th edge slot.  An edge set is a
+    model exactly when it contains the conclusion bit of every rule whose
+    premise mask it contains, and contains no forbidden mask.
+    """
+
+    rules: tuple[tuple[int, int], ...]
+    forbidden: tuple[int, ...]
+
+
+def ground_axioms(
+    theory: Theory, carrier: tuple[str, ...], slots: Sequence[Edge]
+) -> GroundTheory:
+    """Every valuation of every axiom into the carrier, over the given edge slots.
+
+    An edge conclusion gives the rule ``(premise_mask, conclusion_bit)`` unless
+    it is among its own premises; an equality conclusion under a valuation
+    with two distinct values gives the forbidden mask ``premise_mask``.  The
+    slots must cover every edge over the carrier.
+    """
+    bit = {e: 1 << i for i, e in enumerate(slots)}
+    rules: set[tuple[int, int]] = set()
+    forbidden: set[int] = set()
+    for ax in theory.all_axioms():
+        variables = tuple(sorted(ax.variables()))
+        position = {v: i for i, v in enumerate(variables)}
+        premises = [(e.symbol, tuple(position[a] for a in e.args)) for e in ax.premises]
+        concl = ax.conclusion
+        for values in itertools.product(carrier, repeat=len(variables)):
+            mask = 0
+            for symbol, args in premises:
+                mask |= bit[Edge(symbol, tuple(values[i] for i in args))]
+            if isinstance(concl, Equality):
+                if values[position[concl.left]] != values[position[concl.right]]:
+                    forbidden.add(mask)
+            else:
+                head = bit[Edge(concl.symbol, tuple(values[position[a]] for a in concl.args))]
+                if not mask & head:
+                    rules.add((mask, head))
+    return GroundTheory(tuple(sorted(rules)), tuple(sorted(forbidden)))
+
+
 class _UnionFind:
     """Union-find whose representative is the least element in canonical order."""
 
@@ -229,11 +274,11 @@ def is_reflexive(x: Structure) -> bool:
     )
 
 
-def is_reflexive_theory_heuristic(theory: Theory) -> bool:
+def is_reflexive_theory(theory: Theory) -> bool:
     """Whether the theory entails reflexivity of every symbol.
 
-    Despite the name this is exact: it asks :func:`entails` for the formula
-    => R v...v for each symbol R, which is sound and complete.
+    Exact: it asks :func:`entails` for the formula => R v...v for each
+    symbol R, which is sound and complete.
     """
     v = fresh_variables(1)[0]
     return all(

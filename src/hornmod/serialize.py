@@ -2,12 +2,13 @@
 
 Serialization is canonical (all lists sorted) and round-trips: parsing the
 output of ``to_jsonable`` reproduces an equal value.  Every document carries
-``"format": 1``.
+``"format": 1``.  Parsing checks the JSON type of every field it reads, so a
+malformed document raises :class:`ParseError` and nothing else.
 """
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .core import (
     DISCRETE,
@@ -43,13 +44,44 @@ class ParseError(HornmodError):
     pass
 
 
-def _expect(doc: Mapping[str, Any], key: str, what: str) -> Any:
+_JSON_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    bool: "a boolean", float: "a number", type(None): "null",
+}
+
+
+def _shape(value: Any, kind: type, what: str) -> Any:
+    """``value`` itself, if it has the JSON type ``kind``; otherwise a ParseError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise ParseError(f"{what} must be {_JSON_NAMES[kind]}, got {got}")
+    return value
+
+
+def _strings(value: Any, what: str) -> tuple[str, ...]:
+    return tuple(_shape(v, str, f"each entry of {what}") for v in _shape(value, list, what))
+
+
+def _pairs(value: Any, what: str) -> tuple[tuple[str, str], ...]:
+    out = []
+    for pair in _shape(value, list, what):
+        items = _strings(pair, f"each entry of {what}")
+        if len(items) != 2:
+            raise ParseError(f"each entry of {what} must be a pair, got {len(items)} items")
+        out.append((items[0], items[1]))
+    return tuple(out)
+
+
+def _expect(doc: Mapping[str, Any], key: str, what: str, kind: Optional[type] = None) -> Any:
     if key not in doc:
         raise ParseError(f"{what} document is missing the {key!r} field")
-    return doc[key]
+    if kind is None:
+        return doc[key]
+    return _shape(doc[key], kind, f"{what} field {key!r}")
 
 
-def _check_format(doc: Mapping[str, Any], what: str) -> None:
+def _check_format(doc: Any, what: str) -> None:
+    _shape(doc, dict, f"{what} document")
     if doc.get("format", FORMAT) != FORMAT:
         raise ParseError(f"unsupported {what} format {doc.get('format')!r}")
 
@@ -67,16 +99,16 @@ def quantale_to_jsonable(v: Quantale) -> dict:
 def parse_quantale(doc: Mapping[str, Any]) -> Quantale:
     _check_format(doc, "quantale")
     tensor = []
-    for key, value in _expect(doc, "tensor", "quantale").items():
+    for key, value in _expect(doc, "tensor", "quantale", dict).items():
         parts = key.split(",")
         if len(parts) != 2:
             raise ParseError(f"tensor key {key!r} is not of the form 'a,b'")
-        tensor.append((parts[0], parts[1], value))
+        tensor.append((parts[0], parts[1], _shape(value, str, f"tensor entry {key!r}")))
     return Quantale(
-        elements=tuple(_expect(doc, "elements", "quantale")),
-        leq_pairs=tuple((a, b) for a, b in _expect(doc, "leq", "quantale")),
+        elements=_strings(_expect(doc, "elements", "quantale"), "quantale field 'elements'"),
+        leq_pairs=_pairs(_expect(doc, "leq", "quantale"), "quantale field 'leq'"),
         tensor_pairs=tuple(tensor),
-        unit=_expect(doc, "unit", "quantale"),
+        unit=_expect(doc, "unit", "quantale", str),
     )
 
 
@@ -96,23 +128,28 @@ def signature_to_jsonable(sig: Signature) -> dict:
 
 def parse_signature(doc: Mapping[str, Any]) -> Signature:
     _check_format(doc, "signature")
-    symbols = tuple(
-        RelationSymbol(s["name"], s["arity"]) for s in _expect(doc, "symbols", "signature")
-    )
-    order = doc.get("order", {"kind": DISCRETE})
-    kind = order.get("kind", DISCRETE)
+    symbols = []
+    for s in _expect(doc, "symbols", "signature", list):
+        _shape(s, dict, "symbol")
+        symbols.append(RelationSymbol(_expect(s, "name", "symbol", str),
+                                      _expect(s, "arity", "symbol", int)))
+    order = _shape(doc.get("order", {"kind": DISCRETE}), dict, "signature field 'order'")
+    kind = _shape(order.get("kind", DISCRETE), str, "order field 'kind'")
     if kind == QUANTALE:
-        return Signature(symbols, QUANTALE, (), parse_quantale(order["quantale"]))
-    pairs = tuple((a, b) for a, b in order.get("pairs", []))
-    return Signature(symbols, kind, pairs, None)
+        return Signature(tuple(symbols), QUANTALE, (),
+                         parse_quantale(_expect(order, "quantale", "order")))
+    pairs = _pairs(order.get("pairs", []), "order field 'pairs'")
+    return Signature(tuple(symbols), kind, pairs, None)
 
 
 def _edge_to_jsonable(e: Edge) -> dict:
     return {"symbol": e.symbol, "args": list(e.args)}
 
 
-def _parse_edge(doc: Mapping[str, Any]) -> Edge:
-    return Edge(_expect(doc, "symbol", "edge"), tuple(_expect(doc, "args", "edge")))
+def _parse_edge(doc: Any) -> Edge:
+    _shape(doc, dict, "edge")
+    return Edge(_expect(doc, "symbol", "edge", str),
+                _strings(_expect(doc, "args", "edge"), "edge field 'args'"))
 
 
 def structure_to_jsonable(x: Structure) -> dict:
@@ -127,8 +164,8 @@ def structure_to_jsonable(x: Structure) -> dict:
 def parse_structure(doc: Mapping[str, Any]) -> Structure:
     _check_format(doc, "structure")
     sig = parse_signature(_expect(doc, "signature", "structure"))
-    carrier = _expect(doc, "carrier", "structure")
-    edges = [_parse_edge(e) for e in _expect(doc, "edges", "structure")]
+    carrier = _strings(_expect(doc, "carrier", "structure"), "structure field 'carrier'")
+    edges = [_parse_edge(e) for e in _expect(doc, "edges", "structure", list)]
     return Structure(sig, carrier, edges)
 
 
@@ -146,7 +183,8 @@ def parse_morphism(doc: Mapping[str, Any]) -> Morphism:
     return Morphism(
         parse_structure(_expect(doc, "source", "morphism")),
         parse_structure(_expect(doc, "target", "morphism")),
-        dict(_expect(doc, "map", "morphism")),
+        {k: _shape(v, str, f"map entry {k!r}")
+         for k, v in _expect(doc, "map", "morphism", dict).items()},
     )
 
 
@@ -161,12 +199,15 @@ def formula_to_jsonable(f: HornFormula) -> dict:
     }
 
 
-def parse_formula(doc: Mapping[str, Any]) -> HornFormula:
-    premises = [_parse_edge(e) for e in _expect(doc, "premises", "formula")]
-    concl = _expect(doc, "conclusion", "formula")
+def parse_formula(doc: Any) -> HornFormula:
+    _shape(doc, dict, "formula document")
+    premises = [_parse_edge(e) for e in _expect(doc, "premises", "formula", list)]
+    concl = _expect(doc, "conclusion", "formula", dict)
     if "equal" in concl:
-        left, right = concl["equal"]
-        return horn(premises, Equality(left, right))
+        pair = _strings(concl["equal"], "conclusion field 'equal'")
+        if len(pair) != 2:
+            raise ParseError(f"conclusion field 'equal' must name two variables, got {len(pair)}")
+        return horn(premises, Equality(*pair))
     if "edge" in concl:
         return horn(premises, _parse_edge(concl["edge"]))
     raise ParseError("formula conclusion must be an 'edge' or an 'equal' pair")
@@ -196,7 +237,8 @@ def schema_to_jsonable(s: AxiomSchema) -> dict:
     }
 
 
-def parse_schema(doc: Mapping[str, Any]) -> AxiomSchema:
+def parse_schema(doc: Any) -> AxiomSchema:
+    _shape(doc, dict, "schema document")
     body = _expect(doc, "schema", "schema")
     if body == "generalized_transitivity":
         return generalized_transitivity_schema()
@@ -204,28 +246,35 @@ def parse_schema(doc: Mapping[str, Any]) -> AxiomSchema:
         return symmetry_schema()
     if isinstance(body, str):
         raise ParseError(f"unknown builtin schema {body!r}")
-    combine_doc = _expect(body, "combine", "schema")
+    _shape(body, dict, "schema field 'schema'")
+    combine_doc = _expect(body, "combine", "schema", dict)
     if "tensor" in combine_doc:
         combine: Any = TensorComposite()
     elif "projection" in combine_doc:
-        combine = PremiseProjection(combine_doc["projection"])
+        combine = PremiseProjection(_expect(combine_doc, "projection", "combine", int))
     elif "constant" in combine_doc:
-        combine = ConstantSymbol(combine_doc["constant"])
+        combine = ConstantSymbol(_expect(combine_doc, "constant", "combine", str))
     elif "table" in combine_doc:
+        table = _expect(combine_doc, "table", "combine", dict)
         combine = ExplicitTable(
             tuple(
-                (tuple(k.split(",")), v) for k, v in sorted(combine_doc["table"].items())
+                (tuple(k.split(",")), _shape(v, str, f"table entry {k!r}"))
+                for k, v in sorted(table.items())
             )
         )
     else:
         raise ParseError("schema combine must be tensor/projection/constant/table")
+    premises = _expect(body, "premises", "schema", list)
     return AxiomSchema(
-        name=body.get("name", "custom"),
-        arity=_expect(body, "arity", "schema"),
-        premises=tuple(Edge(PLACEHOLDER, tuple(args)) for args in body["premises"]),
-        conclusion=Edge(PLACEHOLDER, tuple(body["conclusion"])),
+        name=_shape(body.get("name", "custom"), str, "schema field 'name'"),
+        arity=_expect(body, "arity", "schema", int),
+        premises=tuple(
+            Edge(PLACEHOLDER, _strings(args, "each schema premise")) for args in premises
+        ),
+        conclusion=Edge(PLACEHOLDER, _strings(_expect(body, "conclusion", "schema"),
+                                              "schema field 'conclusion'")),
         combine=combine,
-        monotone=body.get("monotone", True),
+        monotone=_shape(body.get("monotone", True), bool, "schema field 'monotone'"),
     )
 
 
@@ -242,9 +291,11 @@ def theory_to_jsonable(t: Theory) -> dict:
 def parse_theory(doc: Mapping[str, Any]) -> Theory:
     _check_format(doc, "theory")
     sig = parse_signature(_expect(doc, "signature", "theory"))
-    axioms = tuple(parse_formula(a) for a in _expect(doc, "axioms", "theory"))
-    schemas = tuple(parse_schema(s) for s in doc.get("schemas", []))
-    return Theory(sig, axioms, schemas, doc.get("base", True))
+    axioms = tuple(parse_formula(a) for a in _expect(doc, "axioms", "theory", list))
+    schemas = tuple(
+        parse_schema(s) for s in _shape(doc.get("schemas", []), list, "theory field 'schemas'")
+    )
+    return Theory(sig, axioms, schemas, _shape(doc.get("base", True), bool, "theory field 'base'"))
 
 
 def dumps(payload: Any) -> str:

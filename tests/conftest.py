@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import hornmod as hm
+from hornmod.families import all_models, all_structures
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,25 @@ def boolean_vcat_to_preorder(struct):
     sig = hm.preorder_theory().signature
     edges = [hm.edge("le", *args) for args in struct.tuples("~1")]
     return hm.Structure(sig, struct.carrier, edges)
+
+
+def boolean_bridge_models_agree():
+    """Boolean-quantale V-categories translate onto the preorders, per size up to 3.
+
+    The V-category side is generated; the preorder side filters all
+    structures with ``is_model``, so it stays an independent oracle.
+    """
+    vcat = hm.theory_vcat(hm.boolean_quantale())
+    preord = hm.preorder_theory()
+    vcats = all_models(vcat, 3, iso=False, cap=None)
+    ok = True
+    for n in (0, 1, 2, 3):
+        vb = [s for s in vcats if len(s.carrier) == n]
+        pr = [
+            s
+            for s in all_structures(preord.signature, n, cap=None)
+            if len(s.carrier) == n and hm.is_model(s, preord)
+        ]
+        translated = {boolean_vcat_to_preorder(s) for s in vb}
+        ok &= len(vb) == len(pr) == len(translated) and translated == set(pr)
+    return ok

@@ -16,7 +16,7 @@ from hornmod.cli import main as cli_main
 from hornmod.families import all_models, all_structures, dedup_by_iso, sample_family
 from hornmod.quantale import all_vcategories, all_vfunctors, vfunctor_to_morphism
 
-from conftest import boolean_vcat_to_preorder, dedup_morphisms
+from conftest import boolean_bridge_models_agree, boolean_vcat_to_preorder, dedup_morphisms
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -250,20 +250,7 @@ def test_criterion_10_boolean_quantale_bridge():
     v = hm.boolean_quantale()
     vcat = hm.theory_vcat(v)
     preord = hm.preorder_theory()
-    ok = True
-    for n in (0, 1, 2, 3):
-        vb = [
-            s
-            for s in all_structures(vcat.signature, n, cap=None)
-            if len(s.carrier) == n and hm.is_model(s, vcat)
-        ]
-        pr = [
-            s
-            for s in all_structures(preord.signature, n, cap=None)
-            if len(s.carrier) == n and hm.is_model(s, preord)
-        ]
-        translated = {boolean_vcat_to_preorder(s) for s in vb}
-        ok &= len(vb) == len(pr) == len(translated) and translated == set(pr)
+    ok = boolean_bridge_models_agree()
 
     cats = [g for size in (0, 1, 2) for g in all_vcategories(v, size)]
     checked = 0

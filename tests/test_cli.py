@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import hornmod as hm
 from hornmod.cli import main
@@ -57,6 +62,38 @@ def test_malformed_json_is_input_error(tmp_path):
     code, _ = run_cli("check-model", "--theory", str(bad),
                       "--structure", corpus("chain2.structure.json"))
     assert code == 2
+
+
+MALFORMED_DOCUMENTS = [
+    ("check-model", "--theory", [], "--structure", "chain2.structure.json"),
+    ("limit", "terminal", "--signature",
+     {"format": 1, "symbols": [{"arity": 2}], "order": {"kind": "discrete"}}),
+    ("entails", "--theory", "preord.theory.json", "--formula",
+     {"premises": [], "conclusion": {"equal": ["x"]}}),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_DOCUMENTS, ids=["list-theory", "nameless-symbol",
+                                                           "one-sided-equality"])
+def test_malformed_document_is_one_line_input_error(tmp_path, argv):
+    args = []
+    for arg in argv:
+        if isinstance(arg, (list, dict)):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        elif arg.endswith(".json"):
+            arg = corpus(arg)
+        args.append(arg)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-m", "hornmod.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_free_model(tmp_path):

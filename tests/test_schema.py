@@ -11,7 +11,12 @@ from hornmod.schema import (
     apply_combine,
 )
 
-from conftest import boolean_vcat_to_preorder, interp_fail_morphism, preorder_to_boolean_vcat
+from conftest import (
+    boolean_bridge_models_agree,
+    boolean_vcat_to_preorder,
+    interp_fail_morphism,
+    preorder_to_boolean_vcat,
+)
 
 
 def test_expand_generalized_transitivity_boolean():
@@ -291,25 +296,8 @@ def test_constant_combine():
     assert len(hm.expand_instances(schema, sig)) == 2
 
 
-def test_boolean_bridge_models(preord):
-    v = hm.boolean_quantale()
-    theory = hm.theory_vcat(v)
-    from hornmod.families import all_structures
-
-    for n in (0, 1, 2, 3):
-        vb = [
-            s
-            for s in all_structures(theory.signature, n, cap=None)
-            if len(s.carrier) == n and hm.is_model(s, theory)
-        ]
-        pr = [
-            s
-            for s in all_structures(preord.signature, n, cap=None)
-            if len(s.carrier) == n and hm.is_model(s, preord)
-        ]
-        translated = {boolean_vcat_to_preorder(s) for s in vb}
-        assert len(vb) == len(pr)
-        assert translated == set(pr)
+def test_boolean_bridge_models():
+    assert boolean_bridge_models_agree()
 
 
 def test_boolean_bridge_convexity(preord):

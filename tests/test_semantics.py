@@ -103,9 +103,9 @@ def test_entails_examples(preord):
 
 def test_reflexivity_checks(preord):
     assert hm.is_reflexive(hm.terminal(preord.signature))
-    assert hm.is_reflexive_theory_heuristic(preord)
+    assert hm.is_reflexive_theory(preord)
     bare = hm.Theory(hm.reflexive_theory().signature, (), (), base_flag=False)
-    assert not hm.is_reflexive_theory_heuristic(bare)
+    assert not hm.is_reflexive_theory(bare)
 
 
 def test_transitivity_checks(preord, chain3):
