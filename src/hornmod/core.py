@@ -7,7 +7,7 @@ every enumeration in the package is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, TYPE_CHECKING
 
@@ -83,6 +83,7 @@ class Signature:
     order_kind: str = DISCRETE
     order_pairs: tuple[tuple[str, str], ...] = ()
     quantale: Optional["Quantale"] = None
+    _arities: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(sorted(set(self.symbols))))
@@ -93,6 +94,7 @@ class Signature:
         if len(set(names)) != len(names):
             raise SignatureError("duplicate symbol names in signature")
         arities = {s.name: s.arity for s in self.symbols}
+        object.__setattr__(self, "_arities", arities)
         for low, high in self.order_pairs:
             if low not in arities or high not in arities:
                 raise SignatureError(f"order pair ({low!r}, {high!r}) uses unknown symbols")
@@ -115,13 +117,24 @@ class Signature:
             raise SignatureError("only quantale-induced signatures carry a quantale")
 
     def arity(self, name: str) -> int:
-        for s in self.symbols:
-            if s.name == name:
-                return s.arity
-        raise SignatureError(f"unknown relation symbol {name!r}")
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise SignatureError(f"unknown relation symbol {name!r}") from None
 
     def has_symbol(self, name: str) -> bool:
-        return any(s.name == name for s in self.symbols)
+        return name in self._arities
+
+    def check_formula(self, formula: "HornFormula", role: str) -> None:
+        """Raise TheoryError unless every edge of the formula uses a known symbol at its arity."""
+        edges = [("premise", e) for e in formula.premises]
+        if isinstance(formula.conclusion, Edge):
+            edges.append(("conclusion", formula.conclusion))
+        for part, e in edges:
+            if not self.has_symbol(e.symbol):
+                raise TheoryError(f"{role} {part} uses unknown symbol {e.symbol!r}")
+            if len(e.args) != self.arity(e.symbol):
+                raise TheoryError(f"{role} {part} {e} has wrong arity")
 
     def symbol_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.symbols)
@@ -143,12 +156,18 @@ class Signature:
 class SymbolOrder:
     """The reflexive-transitive closure of a preorder on same-arity symbols.
 
-    Also provides finite-lattice operations (meets, joins, bounds) computed
-    directly from the order relation; they return ``None`` when the required
-    bound does not exist.
+    Also the package's one finite lattice.  The binary meet and join tables,
+    ``bottom`` and ``top`` are built once, each entry by the defining scan for
+    a greatest lower or least upper bound, and are ``None`` where that bound
+    does not exist; ``meet2``, ``join2``, ``bottom`` and ``top`` are lookups.
+    On a complete lattice the join (meet) of a set folds the table from
+    ``bottom`` (``top``).  Any other order keeps the scan, because a finite
+    poset that is not a lattice can have the join of a set some of whose pairs
+    have none.  The Heyting verdict is computed when first asked and kept.
     """
 
-    __slots__ = ("symbols", "_index", "_leq")
+    __slots__ = ("symbols", "_index", "_leq", "_meet", "_join", "_bottom", "_top",
+                 "_lattice", "_heyting")
 
     def __init__(self, symbols: Iterable[str], pairs: Iterable[tuple[str, str]]):
         self.symbols = tuple(sorted(symbols))
@@ -168,6 +187,22 @@ class SymbolOrder:
                         if row_k[j]:
                             row_i[j] = True
         self._leq = leq
+        self._meet: dict[tuple[str, str], Optional[str]] = {}
+        self._join: dict[tuple[str, str], Optional[str]] = {}
+        for a, b in itertools.combinations_with_replacement(self.symbols, 2):
+            self._meet[a, b] = self._meet[b, a] = self._bound((a, b), upper=False)
+            self._join[a, b] = self._join[b, a] = self._bound((a, b), upper=True)
+        self._bottom = self._bound((), upper=True)
+        self._top = self._bound((), upper=False)
+        # A diagonal entry is None exactly when its symbol has an equivalent,
+        # so full tables also mean a partial order.
+        self._lattice = (
+            self._bottom is not None
+            and self._top is not None
+            and None not in self._meet.values()
+            and None not in self._join.values()
+        )
+        self._heyting: Optional[bool] = None
 
     def leq(self, low: str, high: str) -> bool:
         return self._leq[self._index[low]][self._index[high]]
@@ -193,34 +228,35 @@ class SymbolOrder:
         return best[0] if len(best) == 1 else None
 
     def join_of_set(self, elems: Iterable[str]) -> Optional[str]:
-        return self._bound(elems, upper=True)
+        if not self._lattice:
+            return self._bound(elems, upper=True)
+        out, join = self._bottom, self._join
+        for e in elems:
+            out = join[out, e]
+        return out
 
     def meet_of_set(self, elems: Iterable[str]) -> Optional[str]:
-        return self._bound(elems, upper=False)
+        if not self._lattice:
+            return self._bound(elems, upper=False)
+        out, meet = self._top, self._meet
+        for e in elems:
+            out = meet[out, e]
+        return out
 
     def join2(self, a: str, b: str) -> Optional[str]:
-        return self.join_of_set((a, b))
+        return self._join[a, b]
 
     def meet2(self, a: str, b: str) -> Optional[str]:
-        return self.meet_of_set((a, b))
+        return self._meet[a, b]
 
     def bottom(self) -> Optional[str]:
-        return self.join_of_set(())
+        return self._bottom
 
     def top(self) -> Optional[str]:
-        return self.meet_of_set(())
+        return self._top
 
     def is_complete_lattice(self) -> bool:
-        if not self.symbols or not self.is_partial_order():
-            return False
-        return (
-            self.bottom() is not None
-            and self.top() is not None
-            and all(
-                self.meet2(a, b) is not None and self.join2(a, b) is not None
-                for a, b in itertools.combinations(self.symbols, 2)
-            )
-        )
+        return self._lattice
 
     def is_complete_heyting(self) -> bool:
         """Complete lattice in which binary meets distribute over all joins.
@@ -228,19 +264,20 @@ class SymbolOrder:
         Checked in both the binary form a /\\ (b \\/ c) and the arbitrary-join
         form a /\\ \\/S over every subset S of the (finite) carrier.
         """
-        if not self.is_complete_lattice():
-            return False
-        for a, b, c in itertools.product(self.symbols, repeat=3):
-            lhs = self.meet2(a, self.join2(b, c))
-            rhs = self.join2(self.meet2(a, b), self.meet2(a, c))
-            if lhs != rhs:
+        if self._heyting is None:
+            self._heyting = self._lattice and self._distributive()
+        return self._heyting
+
+    def _distributive(self) -> bool:
+        meet, join, symbols = self._meet, self._join, self.symbols
+        for a, b, c in itertools.product(symbols, repeat=3):
+            if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
                 return False
-        for a in self.symbols:
-            for r in range(len(self.symbols) + 1):
-                for subset in itertools.combinations(self.symbols, r):
-                    lhs = self.meet2(a, self.join_of_set(subset))
-                    rhs = self.join_of_set(self.meet2(a, s) for s in subset)
-                    if lhs != rhs:
+        for a in symbols:
+            for r in range(len(symbols) + 1):
+                for subset in itertools.combinations(symbols, r):
+                    lhs = meet[a, self.join_of_set(subset)]
+                    if lhs != self.join_of_set(meet[a, s] for s in subset):
                         return False
         return True
 
@@ -474,18 +511,7 @@ class Theory:
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "schemas", tuple(self.schemas))
         for ax in self.axioms:
-            for e in ax.premises:
-                if not self.signature.has_symbol(e.symbol):
-                    raise TheoryError(f"axiom premise uses unknown symbol {e.symbol!r}")
-                if len(e.args) != self.signature.arity(e.symbol):
-                    raise TheoryError(f"axiom premise {e} has wrong arity")
-            if isinstance(ax.conclusion, Edge):
-                if not self.signature.has_symbol(ax.conclusion.symbol):
-                    raise TheoryError(
-                        f"axiom conclusion uses unknown symbol {ax.conclusion.symbol!r}"
-                    )
-                if len(ax.conclusion.args) != self.signature.arity(ax.conclusion.symbol):
-                    raise TheoryError(f"axiom conclusion {ax.conclusion} has wrong arity")
+            self.signature.check_formula(ax, "axiom")
         if self.schemas:
             heyting = all(
                 self.signature.order(n).is_complete_heyting() for n in self.signature.arities()

@@ -22,6 +22,7 @@ from .core import (
     RelationSymbol,
     Signature,
     Structure,
+    SymbolOrder,
     Theory,
     QUANTALE,
     horn,
@@ -52,29 +53,13 @@ class Quantale:
         object.__setattr__(self, "elements", elements)
         if self.unit not in elements:
             raise QuantaleError(f"unit {self.unit!r} is not an element")
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
         for a, b in self.leq_pairs:
-            if a not in index or b not in index:
+            if a not in elements or b not in elements:
                 raise QuantaleError(f"order pair ({a!r}, {b!r}) uses unknown elements")
-            leq[index[a]][index[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    for j in range(n):
-                        if leq[k][j]:
-                            leq[i][j] = True
-        closed = tuple(
-            sorted((a, b) for a in elements for b in elements if leq[index[a]][index[b]])
-        )
-        object.__setattr__(self, "leq_pairs", closed)
         tensor: dict[tuple[str, str], str] = {}
         for a, b, c in self.tensor_pairs:
             for x in (a, b, c):
-                if x not in index:
+                if x not in elements:
                     raise QuantaleError(f"tensor entry mentions unknown element {x!r}")
             tensor[(a, b)] = c
         missing = [(a, b) for a in elements for b in elements if (a, b) not in tensor]
@@ -83,9 +68,14 @@ class Quantale:
         object.__setattr__(
             self, "tensor_pairs", tuple(sorted((a, b, c) for (a, b), c in tensor.items()))
         )
+        order = SymbolOrder(elements, self.leq_pairs)
+        closed = tuple((a, b) for a in elements for b in elements if order.leq(a, b))
+        object.__setattr__(self, "leq_pairs", closed)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "_leq_set", frozenset(closed))
         object.__setattr__(self, "_tensor", tensor)
 
+    order: SymbolOrder = field(default=None, init=False, compare=False, repr=False)
     _leq_set: frozenset = field(default=frozenset(), compare=False, repr=False)
     _tensor: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -99,38 +89,31 @@ class Quantale:
         return reduce(self.tensor, items, self.unit)
 
     def _bound(self, items: Iterable[str], upper: bool) -> Optional[str]:
-        items = list(items)
-        if upper:
-            cands = [e for e in self.elements if all(self.leq(i, e) for i in items)]
-            best = [c for c in cands if all(self.leq(c, d) for d in cands)]
-        else:
-            cands = [e for e in self.elements if all(self.leq(e, i) for i in items)]
-            best = [c for c in cands if all(self.leq(d, c) for d in cands)]
-        return best[0] if len(best) == 1 else None
+        return self.order.join_of_set(items) if upper else self.order.meet_of_set(items)
+
+    @staticmethod
+    def _exists(bound: Optional[str], what: str) -> str:
+        if bound is None:
+            raise QuantaleError(f"{what} does not exist; not a complete lattice")
+        return bound
 
     def join(self, items: Iterable[str]) -> str:
-        out = self._bound(items, upper=True)
-        if out is None:
-            raise QuantaleError("join does not exist; not a complete lattice")
-        return out
+        return self._exists(self.order.join_of_set(items), "join")
 
     def meet(self, items: Iterable[str]) -> str:
-        out = self._bound(items, upper=False)
-        if out is None:
-            raise QuantaleError("meet does not exist; not a complete lattice")
-        return out
+        return self._exists(self.order.meet_of_set(items), "meet")
 
     def join2(self, a: str, b: str) -> str:
-        return self.join((a, b))
+        return self._exists(self.order.join2(a, b), "join")
 
     def meet2(self, a: str, b: str) -> str:
-        return self.meet((a, b))
+        return self._exists(self.order.meet2(a, b), "meet")
 
     def bottom(self) -> str:
-        return self.join(())
+        return self._exists(self.order.bottom(), "join")
 
     def top(self) -> str:
-        return self.meet(())
+        return self._exists(self.order.top(), "meet")
 
 
 @dataclass(frozen=True)
@@ -188,22 +171,12 @@ def check_quantale_laws(v: Quantale) -> QuantaleLawReport:
 
 
 def is_heyting(v: Quantale) -> bool:
-    """Whether the underlying lattice is a complete Heyting algebra.
+    """Whether the quantale laws hold and the lattice is a complete Heyting algebra.
 
-    Checks binary distributivity and the arbitrary-join form over all subsets.
+    The Heyting check is the order's (:meth:`SymbolOrder.is_complete_heyting`):
+    binary distributivity and the arbitrary-join form over all subsets.
     """
-    if not check_quantale_laws(v).ok:
-        return False
-    els = v.elements
-    for a, b, c in itertools.product(els, repeat=3):
-        if v.meet2(a, v.join2(b, c)) != v.join2(v.meet2(a, b), v.meet2(a, c)):
-            return False
-    for a in els:
-        for r in range(len(els) + 1):
-            for subset in itertools.combinations(els, r):
-                if v.meet2(a, v.join(subset)) != v.join(v.meet2(a, s) for s in subset):
-                    return False
-    return True
+    return check_quantale_laws(v).ok and v.order.is_complete_heyting()
 
 
 def is_total_order(v: Quantale) -> bool:

@@ -20,7 +20,6 @@ from .core import (
     SignatureError,
     Structure,
     Theory,
-    TheoryError,
     fresh_variables,
     horn,
     var_set,
@@ -254,9 +253,7 @@ def entails(theory: Theory, formula: HornFormula) -> bool:
     is the formula's variable set, the edges are its premises, and the
     conclusion is checked on the saturation under the generic valuation.
     """
-    for e in formula.premises:
-        if not theory.signature.has_symbol(e.symbol):
-            raise TheoryError(f"formula premise uses unknown symbol {e.symbol!r}")
+    theory.signature.check_formula(formula, "formula")
     variables = sorted(formula.variables())
     generic = Structure(theory.signature, variables, formula.premises)
     result = free_model(theory, generic)

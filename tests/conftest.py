@@ -1,9 +1,14 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import hornmod as hm
 from hornmod.families import all_models, all_structures
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +40,20 @@ def interp_fail_morphism():
         [hm.edge("le", "a", "a"), hm.edge("le", "c", "c"), hm.edge("le", "a", "c")],
     )
     return hm.Morphism(x, hm.chain(3), {"a": "c0", "c": "c2"})
+
+
+def non_join_preserving_quantale():
+    """The diamond 0 < a, b < 1 whose tensor (a (x) b = 0, unit 1) does not preserve joins."""
+    return hm.Quantale(
+        elements=("0", "a", "b", "1"),
+        leq_pairs=(("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")),
+        tensor_pairs=tuple(
+            (x, y, x if y == "1" else y if x == "1" else "0")
+            for x in ("0", "a", "b", "1")
+            for y in ("0", "a", "b", "1")
+        ),
+        unit="1",
+    )
 
 
 def morphism_iso_key(f):
@@ -106,3 +125,69 @@ def boolean_bridge_models_agree():
         translated = {boolean_vcat_to_preorder(s) for s in vb}
         ok &= len(vb) == len(pr) == len(translated) and translated == set(pr)
     return ok
+
+
+def cli_corpus_commands(tmp_path):
+    """The corpus CLI commands of criterion 14 (writes one signature file to tmp_path)."""
+    def c(name):
+        return str(CORPUS / name)
+
+    sig_path = tmp_path / "sig.json"
+    sig_doc = json.loads((CORPUS / "chain2.structure.json").read_text())["signature"]
+    sig_path.write_text(json.dumps(sig_doc), encoding="utf-8")
+    return [
+        ["check-model", "--theory", c("preord.theory.json"),
+         "--structure", c("chain2.structure.json")],
+        ["free-model", "--theory", c("preord.theory.json"),
+         "--structure", c("chain2.structure.json")],
+        ["limit", "terminal", "--signature", str(sig_path)],
+        ["limit", "product", "--left", c("chain2.structure.json"),
+         "--right", c("chain3.structure.json")],
+        ["limit", "pullback", "--left", c("interp-fail.morphism.json"),
+         "--right", c("chain3-id.morphism.json")],
+        ["limit", "equalizer", "--left", c("interp-fail.morphism.json"),
+         "--right", c("interp-fail.morphism.json")],
+        ["partial-product", "--variant", "str",
+         "--morphism", c("interp-fail.morphism.json"),
+         "--target", c("chain2.structure.json"), "--verify", "--seed", "0"],
+        ["exponential", "--theory", c("preord.theory.json"),
+         "--base", c("chain2.structure.json"), "--target", c("chain2.structure.json"),
+         "--verify", "--max-q", "2", "--seed", "0"],
+        ["partial-product", "--variant", "refl",
+         "--morphism", c("interp-fail.morphism.json"),
+         "--target", c("chain2.structure.json"), "--verify", "--seed", "0"],
+        ["convexity", "--theory", c("preord.theory.json"),
+         "--morphism", c("interp-fail.morphism.json"), "--method", "both"],
+        ["safety", "--theory", c("pos.theory.json")],
+        ["schema-convexity", "--theory", c("boolean-vcat.theory.json"),
+         "--morphism", c("vcat-interp-fail.morphism.json")],
+        ["schema-safety", "--theory", c("chain3-lukasiewicz-pmet.theory.json")],
+        ["classify", "--theory", c("preord.theory.json")],
+        ["classify", "--theory", c("chain3-meet-vcat.theory.json")],
+        ["quantale-check", "--quantale", c("chain3-lukasiewicz.quantale.json")],
+        ["entails", "--theory", c("preord.theory.json"),
+         "--formula", c("refl-entail.formula.json")],
+    ]
+
+
+JSON_VALUES = st.sampled_from([None, 0, 2, "x", [], {}, True, 1.5, ["x"], ["x", "y", "z"]])
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, prefix + (key,))
+
+
+def mutated_document(doc, data):
+    """``doc`` with the value at one drawn path (the root included) replaced by a drawn one."""
+    where = data.draw(st.sampled_from(list(_json_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if not where:
+        return value
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return doc

@@ -16,7 +16,12 @@ from hornmod.cli import main as cli_main
 from hornmod.families import all_models, all_structures, dedup_by_iso, sample_family
 from hornmod.quantale import all_vcategories, all_vfunctors, vfunctor_to_morphism
 
-from conftest import boolean_bridge_models_agree, boolean_vcat_to_preorder, dedup_morphisms
+from conftest import (
+    boolean_bridge_models_agree,
+    boolean_vcat_to_preorder,
+    cli_corpus_commands,
+    dedup_morphisms,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -319,51 +324,9 @@ def test_criterion_13_quantale_law_checker():
                     "fails with a witness")
 
 
-def _cli_corpus_commands(tmp_path):
-    def c(name):
-        return str(CORPUS / name)
-
-    sig_path = tmp_path / "sig.json"
-    sig_doc = json.loads((CORPUS / "chain2.structure.json").read_text())["signature"]
-    sig_path.write_text(json.dumps(sig_doc), encoding="utf-8")
-    return [
-        ["check-model", "--theory", c("preord.theory.json"),
-         "--structure", c("chain2.structure.json")],
-        ["free-model", "--theory", c("preord.theory.json"),
-         "--structure", c("chain2.structure.json")],
-        ["limit", "terminal", "--signature", str(sig_path)],
-        ["limit", "product", "--left", c("chain2.structure.json"),
-         "--right", c("chain3.structure.json")],
-        ["limit", "pullback", "--left", c("interp-fail.morphism.json"),
-         "--right", c("chain3-id.morphism.json")],
-        ["limit", "equalizer", "--left", c("interp-fail.morphism.json"),
-         "--right", c("interp-fail.morphism.json")],
-        ["partial-product", "--variant", "str",
-         "--morphism", c("interp-fail.morphism.json"),
-         "--target", c("chain2.structure.json"), "--verify", "--seed", "0"],
-        ["exponential", "--theory", c("preord.theory.json"),
-         "--base", c("chain2.structure.json"), "--target", c("chain2.structure.json"),
-         "--verify", "--max-q", "2", "--seed", "0"],
-        ["partial-product", "--variant", "refl",
-         "--morphism", c("interp-fail.morphism.json"),
-         "--target", c("chain2.structure.json"), "--verify", "--seed", "0"],
-        ["convexity", "--theory", c("preord.theory.json"),
-         "--morphism", c("interp-fail.morphism.json"), "--method", "both"],
-        ["safety", "--theory", c("pos.theory.json")],
-        ["schema-convexity", "--theory", c("boolean-vcat.theory.json"),
-         "--morphism", c("vcat-interp-fail.morphism.json")],
-        ["schema-safety", "--theory", c("chain3-lukasiewicz-pmet.theory.json")],
-        ["classify", "--theory", c("preord.theory.json")],
-        ["classify", "--theory", c("chain3-meet-vcat.theory.json")],
-        ["quantale-check", "--quantale", c("chain3-lukasiewicz.quantale.json")],
-        ["entails", "--theory", c("preord.theory.json"),
-         "--formula", c("refl-entail.formula.json")],
-    ]
-
-
 def test_criterion_14_cli_determinism(tmp_path):
     ok = True
-    commands = _cli_corpus_commands(tmp_path)
+    commands = cli_corpus_commands(tmp_path)
     for argv in commands:
         outputs = []
         for _ in range(2):

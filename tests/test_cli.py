@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.cli import main
 from hornmod.serialize import dumps, structure_to_jsonable
+
+from conftest import cli_corpus_commands, mutated_document
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -70,11 +74,17 @@ MALFORMED_DOCUMENTS = [
      {"format": 1, "symbols": [{"arity": 2}], "order": {"kind": "discrete"}}),
     ("entails", "--theory", "preord.theory.json", "--formula",
      {"premises": [], "conclusion": {"equal": ["x"]}}),
+    ("entails", "--theory", "preord.theory.json", "--formula",
+     {"premises": [], "conclusion": {"edge": {"symbol": "nope", "args": ["x", "x"]}}}),
+    ("entails", "--theory", "preord.theory.json", "--formula",
+     {"premises": [], "conclusion": {"edge": {"symbol": "le", "args": ["x"]}}}),
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED_DOCUMENTS, ids=["list-theory", "nameless-symbol",
-                                                           "one-sided-equality"])
+@pytest.mark.parametrize("argv", MALFORMED_DOCUMENTS, ids=[
+    "list-theory", "nameless-symbol", "one-sided-equality", "unknown-conclusion-symbol",
+    "conclusion-arity",
+])
 def test_malformed_document_is_one_line_input_error(tmp_path, argv):
     args = []
     for arg in argv:
@@ -94,6 +104,21 @@ def test_malformed_document_is_one_line_input_error(tmp_path, argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_corpus_commands_keep_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(st.sampled_from(cli_corpus_commands(Path(tmp))))
+        where = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a.endswith(".json")]))
+        doc = mutated_document(json.loads(Path(argv[where]).read_text(encoding="utf-8")), data)
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv[where] = str(path)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
 
 
 def test_free_model(tmp_path):

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
-from hornmod.core import base_axioms, is_base_axiom
+from hornmod.core import SymbolOrder, base_axioms, is_base_axiom
 
 from conftest import interp_fail_morphism
 
@@ -148,3 +150,124 @@ def test_composition_of_valid_morphisms_is_valid(x, y, rng):
     g = rng.choice(homs_yx)
     assert hm.validate_morphism(hm.compose(g, f))
     assert hm.validate_morphism(hm.identity_morphism(x))
+
+
+def scan_bound(order, elems, upper):
+    """The defining scan: the unique least upper (greatest lower) bound, else None."""
+    elems = list(elems)
+    if upper:
+        cands = [s for s in order.symbols if all(order.leq(e, s) for e in elems)]
+        best = [c for c in cands if all(order.leq(c, d) for d in cands)]
+    else:
+        cands = [s for s in order.symbols if all(order.leq(s, e) for e in elems)]
+        best = [c for c in cands if all(order.leq(d, c) for d in cands)]
+    return best[0] if len(best) == 1 else None
+
+
+def subsets(symbols):
+    return [s for r in range(len(symbols) + 1) for s in itertools.combinations(symbols, r)]
+
+
+def scan_is_complete_lattice(order):
+    syms = order.symbols
+    return (
+        bool(syms)
+        and all(not (order.leq(a, b) and order.leq(b, a)) for a, b in itertools.combinations(syms, 2))
+        and all(scan_bound(order, s, up) is not None
+                for s in [(), *itertools.combinations(syms, 2)] for up in (True, False))
+    )
+
+
+def scan_is_complete_heyting(order):
+    if not scan_is_complete_lattice(order):
+        return False
+
+    def join(s):
+        return scan_bound(order, s, True)
+
+    def meet(a, b):
+        return scan_bound(order, (a, b), False)
+
+    syms = order.symbols
+    return all(
+        meet(a, join((b, c))) == join((meet(a, b), meet(a, c)))
+        for a, b, c in itertools.product(syms, repeat=3)
+    ) and all(
+        meet(a, join(s)) == join(meet(a, x) for x in s) for a in syms for s in subsets(syms)
+    )
+
+
+def assert_lattice_matches_scan(order):
+    syms = order.symbols
+    for a, b in itertools.product(syms, repeat=2):
+        assert order.meet2(a, b) == scan_bound(order, (a, b), False)
+        assert order.join2(a, b) == scan_bound(order, (a, b), True)
+    for s in subsets(syms):
+        assert order.join_of_set(s) == scan_bound(order, s, True)
+        assert order.meet_of_set(iter(s)) == scan_bound(order, s, False)
+    assert order.bottom() == scan_bound(order, (), True)
+    assert order.top() == scan_bound(order, (), False)
+    assert order.is_complete_lattice() == scan_is_complete_lattice(order)
+    heyting = scan_is_complete_heyting(order)
+    assert order.is_complete_heyting() == heyting
+    assert order.is_complete_heyting() == heyting  # the kept verdict
+
+
+@st.composite
+def small_preorder(draw):
+    """Random preorders on up to 5 symbols: arbitrary, acyclic, or acyclic with bounds."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    syms = "abcde"[:n]
+    shape = draw(st.sampled_from(["any", "acyclic", "bounded"]))
+    slots = [(i, j) for i in range(n) for j in range(n)
+             if i != j and (shape == "any" or i < j)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    pairs = [(syms[i], syms[j]) for (i, j), k in zip(slots, keep) if k]
+    if shape == "bounded" and n:
+        pairs += [(syms[0], s) for s in syms] + [(s, syms[-1]) for s in syms]
+    return SymbolOrder(syms, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_preorder())
+def test_lattice_tables_match_the_defining_scan(order):
+    assert_lattice_matches_scan(order)
+
+
+def test_join_of_a_set_without_pairwise_joins():
+    # a, b lie below both c and d, x only below c: {a, b} has no join, {a, b, x} has c
+    order = SymbolOrder("abcdx", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("x", "c")])
+    assert order.join2("a", "b") is None
+    assert order.join_of_set(("a", "b", "x")) == "c"
+    assert not order.is_complete_lattice()
+    assert_lattice_matches_scan(order)
+
+
+@pytest.mark.parametrize("pairs", [
+    # M3: three atoms between 0 and 1
+    (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")),
+    # N5: 0 < a < b < 1 and 0 < c < 1
+    (("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")),
+], ids=["M3", "N5"])
+def test_non_distributive_lattices_are_not_heyting(pairs):
+    names = sorted({s for pair in pairs for s in pair})
+    sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in names), hm.EXPLICIT, pairs)
+    order = sig.order(2)
+    assert order.is_complete_lattice()
+    assert not order.is_complete_heyting()
+    assert_lattice_matches_scan(order)
+
+
+def test_signature_lookups():
+    sig = hm.Signature((hm.RelationSymbol("P", 1), hm.RelationSymbol("R", 2)))
+    assert sig.arity("P") == 1 and sig.arity("R") == 2
+    assert sig.has_symbol("R") and not sig.has_symbol("Q")
+    with pytest.raises(hm.SignatureError, match="unknown relation symbol 'Q'"):
+        sig.arity("Q")
+    same = hm.Signature((hm.RelationSymbol("R", 2), hm.RelationSymbol("P", 1)))
+    assert sig == same and hash(sig) == hash(same)
+    assert repr(sig) == (
+        "Signature(symbols=(RelationSymbol(name='P', arity=1), "
+        "RelationSymbol(name='R', arity=2)), order_kind='discrete', order_pairs=(), "
+        "quantale=None)"
+    )

@@ -4,7 +4,9 @@ import pytest
 
 import hornmod as hm
 from hornmod.families import all_structures
-from hornmod.quantale import all_vcategories, all_vgraphs
+from hornmod.quantale import LawFailure, all_vcategories, all_vgraphs
+
+from conftest import non_join_preserving_quantale
 
 
 def test_builtin_quantales_pass_laws():
@@ -13,6 +15,31 @@ def test_builtin_quantales_pass_laws():
         assert report.ok, report.failures
         assert hm.is_heyting(v)
         assert hm.is_total_order(v)
+
+
+TENSOR_JOIN_FAILURES = (("a", "a", "b"), ("a", "0", "a", "b"), ("b", "a", "b"),
+                        ("b", "0", "a", "b"))
+
+
+@pytest.mark.parametrize("v, heyting, failures", [
+    (hm.boolean_quantale(), True, ()),
+    *((hm.chain_meet_quantale(n), True, ()) for n in (1, 2, 3, 4)),
+    (hm.lukasiewicz_quantale(), True, ()),
+    (non_join_preserving_quantale(), False,
+     tuple(LawFailure("tensor-join-preservation", w) for w in TENSOR_JOIN_FAILURES)),
+], ids=["boolean", "chain1", "chain2", "chain3", "chain4", "lukasiewicz", "broken"])
+def test_law_and_heyting_verdicts(v, heyting, failures):
+    assert hm.is_heyting(v) is heyting
+    assert hm.check_quantale_laws(v) == hm.QuantaleLawReport(not failures, failures)
+
+
+def test_missing_bounds_raise_quantale_error():
+    v = hm.Quantale(("a", "b"), (), tuple((x, y, x) for x in "ab" for y in "ab"), "a")
+    for op in (lambda: v.join2("a", "b"), lambda: v.meet2("a", "b"), v.bottom, v.top,
+               lambda: v.join("ab"), lambda: v.meet("ab")):
+        with pytest.raises(hm.QuantaleError, match="not a complete lattice"):
+            op()
+    assert not hm.check_quantale_laws(v).ok and not hm.is_heyting(v)
 
 
 def test_lukasiewicz_tensor_is_not_meet():

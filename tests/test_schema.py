@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import hornmod as hm
@@ -8,13 +10,17 @@ from hornmod.schema import (
     ExplicitTable,
     PLACEHOLDER,
     SchemaError,
+    _r_kappa,
+    _r_kappa_enumerated,
     apply_combine,
+    expand_instances,
 )
 
 from conftest import (
     boolean_bridge_models_agree,
     boolean_vcat_to_preorder,
     interp_fail_morphism,
+    non_join_preserving_quantale,
     preorder_to_boolean_vcat,
 )
 
@@ -154,18 +160,32 @@ def test_ch_oracle_agrees_with_schema_convexity_boolean():
                 assert got == expected
 
 
+@pytest.mark.parametrize("v", [hm.boolean_quantale(), hm.chain_meet_quantale(3)],
+                         ids=["boolean", "chain3"])
+def test_r_kappa_fast_path_agrees_with_defining_join(v):
+    theory = hm.theory_vcat(v)
+    sig = theory.signature
+    cats = [g for size in (0, 1, 2) for g in all_vcategories(v, size)]
+    for gx in cats:
+        for gz in cats:
+            for h in all_vfunctors(gx, gz):
+                x = vfunctor_to_morphism(h).source
+                for schema in theory.schemas:
+                    order = sig.order(schema.arity)
+                    variables = sorted(schema.variables())
+                    for inst in expand_instances(schema, sig):
+                        for values in itertools.product(x.sorted_carrier(),
+                                                         repeat=len(variables)):
+                            kappa = dict(zip(variables, values))
+                            args = [tuple(kappa[w] for w in p.args) for p in schema.premises]
+                            fast = _r_kappa(schema, sig, order, inst.labels, x, kappa)
+                            slow = _r_kappa_enumerated(schema, sig, order, inst.labels, x, args)
+                            assert fast == slow
+
+
 def test_ch_oracle_requires_heyting():
     # tables whose tensor is not join-preserving fail the Heyting gate
-    broken = hm.Quantale(
-        elements=("0", "a", "b", "1"),
-        leq_pairs=(("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")),
-        tensor_pairs=tuple(
-            (x, y, x if y == "1" else y if x == "1" else "0")
-            for x in ("0", "a", "b", "1")
-            for y in ("0", "a", "b", "1")
-        ),
-        unit="1",
-    )
+    broken = non_join_preserving_quantale()
     assert not hm.is_heyting(broken)
     g = hm.VGraph(broken, ("p",), (("p", "p", "1"),))
     with pytest.raises(hm.QuantaleError):

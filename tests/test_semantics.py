@@ -145,6 +145,17 @@ def test_satisfaction_invariant_under_renaming(preord, chain2):
         assert hm.satisfies_formula(x, original) == hm.satisfies_formula(x, renamed)
 
 
+@pytest.mark.parametrize("premises, conclusion, message", [
+    ([], hm.edge("nope", "x", "x"), "formula conclusion uses unknown symbol 'nope'"),
+    ([], hm.edge("le", "x"), "formula conclusion .* has wrong arity"),
+    ([hm.edge("nope", "x", "x")], hm.edge("le", "x", "x"), "formula premise uses unknown"),
+    ([hm.edge("le", "x")], hm.edge("le", "x", "x"), "formula premise .* has wrong arity"),
+], ids=["conclusion-symbol", "conclusion-arity", "premise-symbol", "premise-arity"])
+def test_entails_rejects_formulas_outside_the_signature(preord, premises, conclusion, message):
+    with pytest.raises(hm.TheoryError, match=message):
+        hm.entails(preord, hm.horn(premises, conclusion))
+
+
 def test_entails_agrees_with_model_enumeration(preord):
     # sound direction must hold; the converse is a sanity property that holds
     # for these formulas because the generic free models are small

@@ -22,7 +22,7 @@ from hornmod.serialize import (
     theory_to_jsonable,
 )
 
-from conftest import interp_fail_morphism, preorder_to_boolean_vcat
+from conftest import interp_fail_morphism, mutated_document, preorder_to_boolean_vcat
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -136,29 +136,12 @@ def test_corpus_files_all_parse():
 
 PARSERS = {"theory": parse_theory, "structure": parse_structure, "morphism": parse_morphism,
            "quantale": parse_quantale, "formula": parse_formula}
-JSON_VALUES = st.sampled_from([None, 0, 2, "x", [], {}, True, 1.5, ["x"], ["x", "y", "z"]])
-
-
-def _json_paths(doc, prefix=()):
-    yield prefix
-    if isinstance(doc, (dict, list)):
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            yield from _json_paths(value, prefix + (key,))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(CORPUS.glob("*.json"))), st.data())
 def test_mutated_corpus_documents_raise_only_hornmod_errors(path, data):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    where = data.draw(st.sampled_from(list(_json_paths(doc))))
-    value = data.draw(JSON_VALUES)
-    if where:
-        parent = doc
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = value
-    else:
-        doc = value
+    doc = mutated_document(json.loads(path.read_text(encoding="utf-8")), data)
     try:
         PARSERS[path.name.split(".")[-2]](doc)
     except hm.HornmodError:
