@@ -30,7 +30,7 @@ from .convexity import (
 from .core import DISCRETE, HornmodError, Theory
 from .families import DEFAULT_CAP, default_test_family
 from .limits import equalizer, product, pullback, terminal
-from .quantale import check_quantale_laws, is_heyting, is_total_order
+from .quantale import is_heyting, is_total_order
 from .schema import classify_schematic_theory, is_schema_convex, is_schema_safe
 from .semantics import check_model, entails, free_model
 from .serialize import (
@@ -315,7 +315,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def cmd_quantale_check(args) -> tuple[dict, int]:
     v = parse_quantale(_load(args.quantale))
-    report = check_quantale_laws(v)
+    report = v.law_report()
     payload = {
         "ok": report.ok,
         "failures": [{"law": f.law, "witness": list(f.witness)} for f in report.failures],

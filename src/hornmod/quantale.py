@@ -40,7 +40,9 @@ class Quantale:
 
     ``leq_pairs`` may be any generating set; the reflexive-transitive closure
     is taken at construction.  Laws are not enforced here: run
-    :func:`check_quantale_laws` (the theory generators do).
+    :func:`check_quantale_laws` (the theory generators do).  The quantale
+    holds only tuples, so :meth:`law_report` computes that report once and
+    keeps it.
     """
 
     elements: tuple[str, ...]
@@ -78,6 +80,15 @@ class Quantale:
     order: SymbolOrder = field(default=None, init=False, compare=False, repr=False)
     _leq_set: frozenset = field(default=frozenset(), compare=False, repr=False)
     _tensor: dict = field(default_factory=dict, compare=False, repr=False)
+    _laws: Optional["QuantaleLawReport"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def law_report(self) -> "QuantaleLawReport":
+        """The :func:`check_quantale_laws` report, computed on first use and kept."""
+        if self._laws is None:
+            object.__setattr__(self, "_laws", check_quantale_laws(self))
+        return self._laws
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self._leq_set
@@ -176,7 +187,7 @@ def is_heyting(v: Quantale) -> bool:
     The Heyting check is the order's (:meth:`SymbolOrder.is_complete_heyting`):
     binary distributivity and the arbitrary-join form over all subsets.
     """
-    return check_quantale_laws(v).ok and v.order.is_complete_heyting()
+    return v.law_report().ok and v.order.is_complete_heyting()
 
 
 def is_total_order(v: Quantale) -> bool:
@@ -222,7 +233,7 @@ def signature_of(v: Quantale) -> Signature:
 
 
 def _require_laws(v: Quantale) -> None:
-    report = check_quantale_laws(v)
+    report = v.law_report()
     if not report.ok:
         raise QuantaleError(f"quantale law check failed: {report.failures[0]}")
 

@@ -1,10 +1,19 @@
 """Satisfaction of Horn formulas, model checking, free models and entailment.
 
-The free model is computed by a round-based chase: every axiom is matched
-against the current structure, equality conclusions merge elements through a
-union-find (merges apply before edge additions within a round), and edge
-conclusions add edges, until a fixpoint.  Termination holds because the
-carrier only shrinks and the edge set over a fixed carrier only grows.
+Valuations are searched variable by variable in canonical order, checking
+each premise as soon as its variables are bound, so a model check stops at
+its first violation.
+
+The free model is computed by a semi-naive chase over edge indexes that the
+chase keeps itself.  A round matches the axioms against the edges as they
+stand at its start; equality conclusions merge elements through a union-find
+whose representatives are class minima, and edge conclusions add edges.  A
+full round matches every valuation; a delta round matches only valuations
+that use at least one edge added by the previous round.  The first round and
+every round after a merge are full, and only full rounds fire premise-free
+axioms.  The chase ends at a fixpoint, which exists because the carrier only
+shrinks and the edge set over a fixed carrier only grows, and which is the
+least model above the input, so it does not depend on the order of matching.
 """
 from __future__ import annotations
 
@@ -55,47 +64,50 @@ def satisfying_valuations(
 ) -> Iterator[dict[str, str]]:
     """All valuations of ``variables`` into the carrier making every premise hold.
 
-    Premises are matched by backtracking against the structure's edge sets;
-    variables not occurring in any premise range over the whole carrier.
-    Valuations come out in lexicographic order of the variable tuple.
+    Variables are bound in the order of ``variables``, each over the sorted
+    carrier, and a premise is checked as soon as the last of its variables is
+    bound, so valuations come out lazily in lexicographic order of the
+    variable tuple.  Premise variables missing from ``variables`` are bound
+    last, by backtracking over the sorted tuples of the sorted premises that
+    use them: each valuation of ``variables`` comes out once, completed by
+    the first such match.
     """
-    prem = sorted(premises)
     carrier = x.sorted_carrier()
-    prem_vars = var_set(prem)
+    position = {v: i for i, v in enumerate(variables)}
+    checks: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in variables]
+    hidden: list[Edge] = []
+    for e in sorted(premises):
+        if all(a in position for a in e.args):
+            idx = tuple(position[a] for a in e.args)
+            checks[max(idx)].append((x.tuples(e.symbol), idx))
+        else:
+            hidden.append(e)
+    hidden_tuples = [sorted(x.tuples(e.symbol)) for e in hidden]
+    values: list[str] = [""] * len(variables)
 
-    def extend(binding: dict[str, str], remaining: list[Edge]) -> Iterator[dict[str, str]]:
-        if not remaining:
-            yield dict(binding)
+    def complete(binding: dict[str, str], k: int) -> Iterator[dict[str, str]]:
+        if k == len(hidden):
+            yield binding
             return
-        e, rest = remaining[0], remaining[1:]
-        for args in sorted(x.tuples(e.symbol)):
+        for args in hidden_tuples[k]:
             new = dict(binding)
-            ok = True
-            for var, val in zip(e.args, args):
-                if new.setdefault(var, val) != val:
-                    ok = False
-                    break
-            if ok:
-                yield from extend(new, rest)
+            if all(new.setdefault(var, val) == val for var, val in zip(hidden[k].args, args)):
+                yield from complete(new, k + 1)
 
-    free = [v for v in variables if v not in prem_vars]
-    seen = set()
-    partial: list[dict[str, str]] = []
-    for binding in extend({}, prem):
-        key = tuple(binding.get(v) for v in variables)
-        if key in seen:
-            continue
-        seen.add(key)
-        partial.append(binding)
-    # canonical order over the full valuation tuples
-    full: list[dict[str, str]] = []
-    for binding in partial:
-        for values in itertools.product(carrier, repeat=len(free)):
-            val = dict(binding)
-            val.update(zip(free, values))
-            full.append(val)
-    full.sort(key=lambda v: tuple(v[u] for u in variables))
-    yield from full
+    def bind(k: int) -> Iterator[dict[str, str]]:
+        if k == len(values):
+            binding = dict(zip(variables, values))
+            if hidden:
+                binding = next(complete(binding, 0), None)
+            if binding is not None:
+                yield binding
+            return
+        for a in carrier:
+            values[k] = a
+            if all(tuple(values[i] for i in idx) in tuples for tuples, idx in checks[k]):
+                yield from bind(k + 1)
+
+    yield from bind(0)
 
 
 def _conclusion_holds(x: Structure, concl: Edge | Equality, val: Mapping[str, str]) -> bool:
@@ -201,47 +213,172 @@ class _UnionFind:
         return True
 
 
+# Edge tuples grouped by symbol: the chase's delta, and its index per symbol.
+_Tuples = dict[str, set[tuple[str, ...]]]
+
+
+class _EdgeIndex:
+    """The chase's edges: tuples per symbol, and per (symbol, position, value)."""
+
+    def __init__(self, edges) -> None:
+        self.tuples: _Tuples = {}
+        self.by_value: dict[tuple[str, int, str], set[tuple[str, ...]]] = {}
+        self.add(edges)
+
+    def add(self, edges) -> None:
+        tuples, by_value = self.tuples, self.by_value
+        for symbol, args in edges:
+            tuples.setdefault(symbol, set()).add(args)
+            for p, a in enumerate(args):
+                by_value.setdefault((symbol, p, a), set()).add(args)
+
+    def edges(self):
+        return ((symbol, args) for symbol, ts in self.tuples.items() for args in ts)
+
+    def candidates(self, symbol: str, args: tuple[str, ...], binding: Mapping[str, str]):
+        """The smallest indexed tuple set agreeing with one bound argument."""
+        best = None
+        for p, a in enumerate(args):
+            if a in binding:
+                found = self.by_value.get((symbol, p, binding[a]), ())
+                if best is None or len(found) < len(best):
+                    best = found
+        return self.tuples.get(symbol, ()) if best is None else best
+
+
+def _bind(binding: dict[str, str], args: tuple[str, ...], values: tuple[str, ...]):
+    new = dict(binding)
+    for var, val in zip(args, values):
+        if new.setdefault(var, val) != val:
+            return None
+    return new
+
+
+def _extend(index: _EdgeIndex, steps, k: int, binding: dict[str, str]):
+    """Extend ``binding`` over ``steps[k:]``, premises matched against all edges.
+
+    A step is ``(symbol, args, excluded)``; tuples in ``excluded`` are skipped.
+    """
+    if k == len(steps):
+        yield binding
+        return
+    symbol, args, excluded = steps[k]
+    for values in index.candidates(symbol, args, binding):
+        if excluded is None or values not in excluded:
+            new = _bind(binding, args, values)
+            if new is not None:
+                yield from _extend(index, steps, k + 1, new)
+
+
+def _join_order(premises: tuple[Edge, ...], first: int) -> tuple[int, ...]:
+    """Premise positions in matching order: ``first``, then greedily the one
+    sharing the most variables with those already placed."""
+    order, bound = [first], set(premises[first].args)
+    rest = [i for i in range(len(premises)) if i != first]
+    while rest:
+        best = max(rest, key=lambda i: (len(bound & set(premises[i].args)), -i))
+        rest.remove(best)
+        order.append(best)
+        bound.update(premises[best].args)
+    return tuple(order)
+
+
+class _Rule:
+    """An axiom compiled for the chase."""
+
+    def __init__(self, ax: HornFormula) -> None:
+        self.premises = ax.sorted_premises()
+        self.conclusion = ax.conclusion
+        prem_vars = var_set(self.premises)
+        # Conclusion-only variables range over the carrier.
+        self.free = tuple(sorted(ax.variables() - prem_vars))
+        self.orders = [_join_order(self.premises, i) for i in range(len(self.premises))]
+
+    def matches(self, index: _EdgeIndex, delta: Optional[_Tuples]):
+        """Premise matches of a full round (``delta`` None) or of a delta round."""
+        premises = self.premises
+        if delta is None:
+            if not premises:
+                yield {}
+                return
+            steps = [(premises[j].symbol, premises[j].args, None) for j in self.orders[0]]
+            yield from _extend(index, steps, 0, {})
+            return
+        for i, order in enumerate(self.orders):
+            fresh = delta.get(premises[i].symbol)
+            if not fresh:
+                continue
+            # Premises before i match old edges only, so each match is found
+            # at the first premise it takes from the delta.
+            steps = [
+                (premises[j].symbol, premises[j].args,
+                 delta.get(premises[j].symbol) if j < i else None)
+                for j in order[1:]
+            ]
+            for values in fresh:
+                binding = _bind({}, premises[i].args, values)
+                if binding is not None:
+                    yield from _extend(index, steps, 0, binding)
+
+    def fire(self, binding, carrier, index: _EdgeIndex, merges: list, additions: set) -> None:
+        concl = self.conclusion
+        if isinstance(concl, Equality):
+            a, b = binding[concl.left], binding[concl.right]
+            if a != b:
+                merges.append((a, b))
+            return
+        present = index.tuples.get(concl.symbol, ())
+        for values in itertools.product(carrier, repeat=len(self.free)):
+            full = {**binding, **dict(zip(self.free, values))}
+            args = tuple(full[a] for a in concl.args)
+            if args not in present:
+                additions.add((concl.symbol, args))
+
+
 def free_model(theory: Theory, x: Structure) -> FreeModelResult:
-    """The least saturation of ``x`` under the theory, with the projection map."""
+    """The least saturation of ``x`` under the theory, with the projection map.
+
+    A semi-naive chase (see the module docstring).  Each round fires every
+    axiom on the matches of its premises: in a full round all matches, in a
+    delta round only those taking some premise from the edges the previous
+    round added, premises before it from the older edges and premises after
+    it from all edges.  A round is full when it is the first or follows a
+    merge; merges canonicalise every edge and rebuild the indexes.  Premise-free
+    axioms fire only in full rounds, since their matches depend only on the
+    carrier.  Only the final model is built as a ``Structure``.
+    """
     if x.signature != theory.signature:
         raise SignatureError("structure and theory use different signatures")
-    axioms = theory.all_axioms()
+    rules = [_Rule(ax) for ax in theory.all_axioms()]
     uf = _UnionFind(x.sorted_carrier())
-    edges = set(x.edges)
-
-    def canonical(es: set[Edge]) -> set[Edge]:
-        return {Edge(e.symbol, tuple(uf.find(a) for a in e.args)) for e in es}
-
+    carrier = x.sorted_carrier()
+    index = _EdgeIndex(x.edges)
+    delta: Optional[_Tuples] = None
     while True:
-        carrier = sorted({uf.find(a) for a in x.carrier})
-        current = Structure(theory.signature, carrier, edges)
         merges: list[tuple[str, str]] = []
-        additions: set[Edge] = set()
-        for ax in axioms:
-            variables = tuple(sorted(ax.variables()))
-            for val in satisfying_valuations(current, ax.premises, variables):
-                if isinstance(ax.conclusion, Equality):
-                    a, b = val[ax.conclusion.left], val[ax.conclusion.right]
-                    if a != b:
-                        merges.append((a, b))
-                else:
-                    e = Edge(ax.conclusion.symbol, tuple(val[a] for a in ax.conclusion.args))
-                    if not current.holds(e.symbol, e.args):
-                        additions.add(e)
-        changed = False
+        additions: set[tuple[str, tuple[str, ...]]] = set()
+        for rule in rules:
+            for binding in rule.matches(index, delta):
+                rule.fire(binding, carrier, index, merges, additions)
+        merged = False
         for a, b in merges:
-            changed |= uf.union(a, b)
-        if changed or merges:
-            edges = canonical(edges)
-        new_edges = canonical(additions) - edges
-        if new_edges:
-            edges |= new_edges
-            changed = True
-        if not changed:
+            merged |= uf.union(a, b)
+        if merged:
+            carrier = tuple(sorted({uf.find(a) for a in carrier}))
+            edges = itertools.chain(index.edges(), additions)
+            index = _EdgeIndex(
+                {(symbol, tuple(uf.find(a) for a in args)) for symbol, args in edges}
+            )
+            delta = None
+        elif additions:
+            index.add(additions)
+            delta = {}
+            for symbol, args in additions:
+                delta.setdefault(symbol, set()).add(args)
+        else:
             break
 
-    carrier = sorted({uf.find(a) for a in x.carrier})
-    model = Structure(theory.signature, carrier, edges)
+    model = Structure(theory.signature, carrier, index.edges())
     unit = Morphism(x, model, {a: uf.find(a) for a in x.carrier})
     return FreeModelResult(model, unit)
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 import hornmod as hm
+from hornmod.core import Edge, Equality, Morphism, SignatureError, Structure, var_set
 from hornmod.families import all_models, all_structures
+from hornmod.semantics import FreeModelResult
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -191,3 +193,165 @@ def mutated_document(doc, data):
         parent = parent[key]
     parent[where[-1]] = value
     return doc
+
+
+HORN_SYMBOLS = (("P", 1), ("R", 2))
+HORN_SIGNATURE = hm.Signature(tuple(hm.RelationSymbol(n, a) for n, a in HORN_SYMBOLS))
+
+
+def horn_edges(variables):
+    return st.sampled_from(HORN_SYMBOLS).flatmap(
+        lambda sym: st.tuples(*[st.sampled_from(variables)] * sym[1]).map(
+            lambda args: hm.Edge(sym[0], args)))
+
+
+# Conclusions draw from all three variables, so some occur only in the conclusion.
+edge_axioms = st.builds(
+    hm.horn, st.frozensets(horn_edges(("x", "y", "z")), max_size=2), horn_edges(("x", "y", "z")))
+equality_axioms = st.frozensets(horn_edges(("x", "y")), min_size=1, max_size=2).filter(
+    lambda ps: hm.var_set(ps) == {"x", "y"}).map(lambda ps: hm.horn(ps, hm.Equality("x", "y")))
+
+
+@st.composite
+def horn_theories(draw):
+    """Random Horn theories over ``{P/1, R/2}``, with at most one equality axiom."""
+    axioms = draw(st.lists(edge_axioms, max_size=3))
+    axioms += draw(st.lists(equality_axioms, max_size=1))
+    return hm.Theory(HORN_SIGNATURE, tuple(axioms), (), base_flag=draw(st.booleans()))
+
+
+# The reference implementations below are the naive valuation search and
+# chase that the library replaced; the faster ones are tested against them.
+
+def reference_satisfying_valuations(
+    x: Structure,
+    premises: frozenset[Edge] | tuple[Edge, ...],
+    variables: tuple[str, ...],
+):
+    """All valuations of ``variables`` into the carrier making every premise hold.
+
+    Premises are matched by backtracking against the structure's edge sets;
+    variables not occurring in any premise range over the whole carrier.
+    Valuations come out in lexicographic order of the variable tuple.
+    """
+    prem = sorted(premises)
+    carrier = x.sorted_carrier()
+    prem_vars = var_set(prem)
+
+    def extend(binding: dict[str, str], remaining: list[Edge]):
+        if not remaining:
+            yield dict(binding)
+            return
+        e, rest = remaining[0], remaining[1:]
+        for args in sorted(x.tuples(e.symbol)):
+            new = dict(binding)
+            ok = True
+            for var, val in zip(e.args, args):
+                if new.setdefault(var, val) != val:
+                    ok = False
+                    break
+            if ok:
+                yield from extend(new, rest)
+
+    free = [v for v in variables if v not in prem_vars]
+    seen = set()
+    partial: list[dict[str, str]] = []
+    for binding in extend({}, prem):
+        key = tuple(binding.get(v) for v in variables)
+        if key in seen:
+            continue
+        seen.add(key)
+        partial.append(binding)
+    # canonical order over the full valuation tuples
+    full: list[dict[str, str]] = []
+    for binding in partial:
+        for values in itertools.product(carrier, repeat=len(free)):
+            val = dict(binding)
+            val.update(zip(free, values))
+            full.append(val)
+    full.sort(key=lambda v: tuple(v[u] for u in variables))
+    yield from full
+
+
+class _UnionFind:
+    """Union-find whose representative is the least element in canonical order."""
+
+    def __init__(self, items: tuple[str, ...]):
+        self.parent = {i: i for i in items}
+
+    def find(self, a: str) -> str:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: str, b: str) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        lo, hi = min(ra, rb), max(ra, rb)
+        self.parent[hi] = lo
+        return True
+
+
+def reference_free_model(theory, x: Structure) -> FreeModelResult:
+    """The least saturation of ``x`` under the theory, by the naive round-based chase.
+
+    Every axiom is matched against the current structure, equality conclusions
+    merge elements through a union-find (merges apply before edge additions
+    within a round), and edge conclusions add edges, until a fixpoint.
+    """
+    if x.signature != theory.signature:
+        raise SignatureError("structure and theory use different signatures")
+    axioms = theory.all_axioms()
+    uf = _UnionFind(x.sorted_carrier())
+    edges = set(x.edges)
+
+    def canonical(es: set[Edge]) -> set[Edge]:
+        return {Edge(e.symbol, tuple(uf.find(a) for a in e.args)) for e in es}
+
+    while True:
+        carrier = sorted({uf.find(a) for a in x.carrier})
+        current = Structure(theory.signature, carrier, edges)
+        merges: list[tuple[str, str]] = []
+        additions: set[Edge] = set()
+        for ax in axioms:
+            variables = tuple(sorted(ax.variables()))
+            for val in reference_satisfying_valuations(current, ax.premises, variables):
+                if isinstance(ax.conclusion, Equality):
+                    a, b = val[ax.conclusion.left], val[ax.conclusion.right]
+                    if a != b:
+                        merges.append((a, b))
+                else:
+                    e = Edge(ax.conclusion.symbol, tuple(val[a] for a in ax.conclusion.args))
+                    if not current.holds(e.symbol, e.args):
+                        additions.add(e)
+        changed = False
+        for a, b in merges:
+            changed |= uf.union(a, b)
+        if changed or merges:
+            edges = canonical(edges)
+        new_edges = canonical(additions) - edges
+        if new_edges:
+            edges |= new_edges
+            changed = True
+        if not changed:
+            break
+
+    carrier = sorted({uf.find(a) for a in x.carrier})
+    model = Structure(theory.signature, carrier, edges)
+    unit = Morphism(x, model, {a: uf.find(a) for a in x.carrier})
+    return FreeModelResult(model, unit)
+
+
+def reference_entails(theory, formula) -> bool:
+    """``entails`` decided on the reference chase."""
+    variables = sorted(formula.variables())
+    result = reference_free_model(theory, Structure(theory.signature, variables, formula.premises))
+    unit = result.unit_map
+    if isinstance(formula.conclusion, Equality):
+        return unit(formula.conclusion.left) == unit(formula.conclusion.right)
+    concl = formula.conclusion
+    return result.model.holds(concl.symbol, tuple(unit(a) for a in concl.args))

@@ -5,10 +5,12 @@ the plain filter ``is_model`` over ``all_structures``, which must give the
 same list in the same order.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import hornmod as hm
 from hornmod.families import all_models, all_structures, dedup_by_iso
+
+from conftest import horn_theories
 
 DISCRETE_THEORIES = {
     "preorder": hm.preorder_theory,
@@ -56,30 +58,6 @@ def test_sampled_sizes_filter_the_sample(cap):
         got = all_models(preord, 3, iso=False, cap=cap, seed=seed)
         assert got == filtered_models(preord, 3, cap=cap, seed=seed)
         assert all_models(preord, 3, iso=True, cap=cap, seed=seed) == dedup_by_iso(got)
-
-
-HORN_SYMBOLS = (("P", 1), ("R", 2))
-HORN_SIGNATURE = hm.Signature(tuple(hm.RelationSymbol(n, a) for n, a in HORN_SYMBOLS))
-
-
-def horn_edges(variables):
-    return st.sampled_from(HORN_SYMBOLS).flatmap(
-        lambda sym: st.tuples(*[st.sampled_from(variables)] * sym[1]).map(
-            lambda args: hm.Edge(sym[0], args)))
-
-
-# Conclusions draw from all three variables, so some occur only in the conclusion.
-edge_axioms = st.builds(
-    hm.horn, st.frozensets(horn_edges(("x", "y", "z")), max_size=2), horn_edges(("x", "y", "z")))
-equality_axioms = st.frozensets(horn_edges(("x", "y")), min_size=1, max_size=2).filter(
-    lambda ps: hm.var_set(ps) == {"x", "y"}).map(lambda ps: hm.horn(ps, hm.Equality("x", "y")))
-
-
-@st.composite
-def horn_theories(draw):
-    axioms = draw(st.lists(edge_axioms, max_size=3))
-    axioms += draw(st.lists(equality_axioms, max_size=1))
-    return hm.Theory(HORN_SIGNATURE, tuple(axioms), (), base_flag=draw(st.booleans()))
 
 
 @settings(max_examples=60, deadline=None)

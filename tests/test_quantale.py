@@ -33,6 +33,32 @@ def test_law_and_heyting_verdicts(v, heyting, failures):
     assert hm.check_quantale_laws(v) == hm.QuantaleLawReport(not failures, failures)
 
 
+@pytest.mark.parametrize("make", [
+    hm.boolean_quantale, lambda: hm.chain_meet_quantale(3), hm.lukasiewicz_quantale,
+    non_join_preserving_quantale,
+    lambda: hm.Quantale(("a", "b"), (), tuple((x, y, x) for x in "ab" for y in "ab"), "a"),
+], ids=["boolean", "chain3", "lukasiewicz", "broken", "no-bounds"])
+def test_law_report_is_computed_once_and_kept(make, monkeypatch):
+    import hornmod.quantale as quantale
+
+    fresh = hm.check_quantale_laws(make())
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return fresh_check(v)
+
+    fresh_check = quantale.check_quantale_laws
+    monkeypatch.setattr(quantale, "check_quantale_laws", counting)
+    v = make()
+    verdicts = {hm.is_heyting(v) for _ in range(3)}
+    assert v.law_report() == fresh and v.law_report() is v.law_report()
+    assert len(calls) == 1
+    assert verdicts == {fresh.ok and v.order.is_complete_heyting()}
+    # The kept report is not part of the value.
+    assert v == make() and hash(v) == hash(make())
+
+
 def test_missing_bounds_raise_quantale_error():
     v = hm.Quantale(("a", "b"), (), tuple((x, y, x) for x in "ab" for y in "ab"), "a")
     for op in (lambda: v.join2("a", "b"), lambda: v.meet2("a", "b"), v.bottom, v.top,

@@ -1,8 +1,23 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.families import all_structures
-from hornmod.semantics import check_model
+from hornmod.semantics import check_model, satisfying_valuations
+
+from conftest import (
+    HORN_SIGNATURE,
+    edge_axioms,
+    equality_axioms,
+    horn_edges,
+    horn_theories,
+    reference_entails,
+    reference_free_model,
+    reference_satisfying_valuations,
+)
 
 
 def reflexive_chain2_edges():
@@ -170,3 +185,83 @@ def test_entails_agrees_with_model_enumeration(preord):
     for formula in formulas:
         semantic = all(hm.satisfies_formula(m, formula) for m in models)
         assert hm.entails(preord, formula) == semantic
+
+
+# Element names whose string order differs from their numeric order.
+ELEMENTS = ("e10", "e2", "e1", "e0")
+
+
+@st.composite
+def horn_structures(draw, max_size=4):
+    """Random structures over ``{P/1, R/2}`` on 0 to ``max_size`` points."""
+    carrier = ELEMENTS[:draw(st.integers(0, max_size))]
+    slots = [hm.edge("P", a) for a in carrier]
+    slots += [hm.edge("R", a, b) for a in carrier for b in carrier]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return hm.Structure(HORN_SIGNATURE, carrier, [e for e, k in zip(slots, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(horn_structures(), st.frozensets(horn_edges(("x", "y", "z", "w")), max_size=3),
+       st.lists(st.sampled_from(("w", "x", "y", "z")), unique=True, max_size=4))
+def test_satisfying_valuations_match_reference(x, premises, variables):
+    # ``variables`` may leave out premise variables (each valuation then comes
+    # out once) or name variables of no premise (they range over the carrier).
+    variables = tuple(variables)
+    got = list(satisfying_valuations(x, premises, variables))
+    assert got == list(reference_satisfying_valuations(x, premises, variables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(horn_theories(), horn_structures(),
+       st.lists(st.one_of(edge_axioms, equality_axioms), max_size=3))
+def test_free_model_matches_reference(theory, x, formulas):
+    got, want = hm.free_model(theory, x), reference_free_model(theory, x)
+    assert got.model == want.model and got.unit_map == want.unit_map
+    for formula in formulas:
+        assert hm.entails(theory, formula) == reference_entails(theory, formula)
+
+
+def test_free_model_rematches_after_a_merge():
+    # Merging e1 and e2 joins R e0 e1 and R e2 e3 into a path that no edge of
+    # the merging round took part in; the next round must match it.
+    theory = hm.Theory(HORN_SIGNATURE, (
+        hm.horn([hm.edge("P", "x"), hm.edge("P", "y")], hm.Equality("x", "y")),
+        hm.horn([hm.edge("R", "x", "y"), hm.edge("R", "y", "z")], hm.edge("R", "x", "z")),
+    ), (), base_flag=False)
+    x = hm.Structure(HORN_SIGNATURE, ["e0", "e1", "e2", "e3"], [
+        hm.edge("R", "e0", "e1"), hm.edge("R", "e2", "e3"), hm.edge("P", "e1"), hm.edge("P", "e2"),
+    ])
+    got, want = hm.free_model(theory, x), reference_free_model(theory, x)
+    assert got.model == want.model and got.unit_map == want.unit_map
+    assert got.model.holds("R", ("e0", "e3"))
+
+
+def layered_graph_with_back_edges(layers=8, width=3, seed=0):
+    """24 points in layers of three, each point with edges into the next layer,
+    and back edges closing cycles at both ends and in the middle."""
+    rng = random.Random(seed)
+    points = [[f"v{layer * width + i:02d}" for i in range(width)] for layer in range(layers)]
+    pairs = set()
+    for upper, lower in zip(points, points[1:]):
+        for a in upper:
+            pairs.update((a, b) for b in rng.sample(lower, 2))
+        for b in lower:
+            if not any((a, b) in pairs for a in upper):
+                pairs.add((upper[0], b))
+    for upper, lower in (points[0:2], points[3:5], points[-2:]):
+        a, b = next((a, b) for a, b in sorted(pairs) if a in upper and b in lower)
+        pairs.add((b, a))
+    carrier = list(itertools.chain.from_iterable(points))
+    return hm.Structure(hm.poset_theory().signature, carrier,
+                        [hm.edge("le", a, b) for a, b in pairs])
+
+
+def test_free_poset_of_layered_graph_matches_reference(pos):
+    x = layered_graph_with_back_edges()
+    got, want = hm.free_model(pos, x), reference_free_model(pos, x)
+    assert got.model == want.model
+    assert got.unit_map == want.unit_map
+    # The back edges collapse some points, and the result is a poset.
+    assert len(got.model.carrier) < len(x.carrier)
+    assert hm.is_model(got.model, pos)
