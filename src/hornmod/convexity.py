@@ -3,9 +3,12 @@
 Convexity with respect to an axiom asks that every premise-satisfying
 valuation downstairs, together with a lift of the conclusion tuple, extends
 to a premise-satisfying valuation upstairs with the remaining premise
-variables lifted within their fibres.  An equivalent reformulation via weak
-right lifting against the axiom's free-model inclusion is provided as an
-independent oracle.  Safe axioms are those whose premises follow from their
+variables lifted within their fibres.  One kernel, ``_fibre_lifts``, lists
+these cases for flat convexity here and for schema convexity in
+:mod:`hornmod.schema`; an object is convex when its unique map to the
+terminal object is.  An equivalent reformulation via weak right lifting
+against the axiom's free-model inclusion is provided as an independent
+oracle.  Safe axioms are those whose premises follow from their
 conclusion under a variable-collapsing substitution; they force convexity of
 objects (and, when very safe, of all morphisms).
 """
@@ -29,7 +32,7 @@ from .core import (
     horn,
     var_set,
 )
-from .limits import enumerate_morphisms
+from .limits import bang, enumerate_morphisms
 from .semantics import entails, free_model, is_reflexive_theory
 
 
@@ -62,9 +65,41 @@ def _require_discrete(theory: Theory) -> None:
         raise SignatureError("convexity in this form is defined over discrete signatures")
 
 
-def _all_valuations(variables: tuple[str, ...], carrier: tuple[str, ...]):
-    for values in itertools.product(carrier, repeat=len(variables)):
-        yield dict(zip(variables, values))
+def _holds_all(x: Structure, premises, kappa: dict[str, str]) -> bool:
+    return all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in premises)
+
+
+def _fibre_lifts(f: Morphism, premises, concl_args: tuple[str, ...]):
+    """The cases that flat and schema convexity of ``f`` quantify over.
+
+    For each premise-satisfying valuation into the target, in canonical
+    order, and each ``xs`` in the product of the fibres over the conclusion
+    variables, yields ``(valuation, xs, lifts)``, the valuation as sorted
+    (variable, value) pairs: ``lifts`` lazily lists the source valuations
+    pinning the conclusion variables to ``xs`` and lifting the other premise
+    variables within their fibres (none if ``xs`` gives a repeated variable
+    two values).
+    """
+    x, z = f.source, f.target
+    premise_vars = var_set(premises)
+    variables = tuple(sorted(premise_vars | set(concl_args)))
+    other_vars = tuple(sorted(premise_vars - set(concl_args)))
+    fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
+    for values in itertools.product(z.sorted_carrier(), repeat=len(variables)):
+        kz = dict(zip(variables, values))
+        if not _holds_all(z, premises, kz):
+            continue
+        valuation = tuple(kz.items())
+        domains = [fibre[kz[v]] for v in other_vars]
+        for xs in itertools.product(*(fibre[kz[v]] for v in concl_args)):
+            yield valuation, xs, _lifts(concl_args, xs, other_vars, domains)
+
+
+def _lifts(concl_args: tuple[str, ...], xs: tuple[str, ...], other_vars: tuple[str, ...], domains):
+    pinned = dict(zip(concl_args, xs))
+    if all(pinned[v] == a for v, a in zip(concl_args, xs)):
+        for values in itertools.product(*domains):
+            yield {**pinned, **dict(zip(other_vars, values))}
 
 
 def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityReport:
@@ -74,49 +109,13 @@ def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityR
         raise TheoryError("convexity is defined for axioms with edge conclusions")
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
-    x, z = f.source, f.target
-    premise_vars = var_set(axiom.premises)
-    variables = tuple(sorted(premise_vars | set(concl.args)))
-    other_vars = tuple(sorted(premise_vars - set(concl.args)))
-    fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
-
-    for kz in _all_valuations(variables, z.sorted_carrier()):
-        if not all(z.holds(e.symbol, tuple(kz[v] for v in e.args)) for e in axiom.premises):
-            continue
-        fibres = [fibre[kz[v]] for v in concl.args]
-        for xs in itertools.product(*fibres):
-            if not x.holds(concl.symbol, xs):
-                continue
-            pinned: dict[str, str] = {}
-            consistent = True
-            for v, val in zip(concl.args, xs):
-                if pinned.setdefault(v, val) != val:
-                    consistent = False
-                    break
-            found = consistent and _lift_exists(x, axiom, pinned, other_vars, fibre, kz)
-            if not found:
-                return ConvexityReport(
-                    False,
-                    ConvexityCounterexample(axiom, tuple(sorted(kz.items())), xs),
-                )
+    x = f.source
+    for valuation, xs, lifts in _fibre_lifts(f, axiom.premises, concl.args):
+        if x.holds(concl.symbol, xs) and not any(
+            _holds_all(x, axiom.premises, kappa) for kappa in lifts
+        ):
+            return ConvexityReport(False, ConvexityCounterexample(axiom, valuation, xs))
     return ConvexityReport(True, None)
-
-
-def _lift_exists(
-    x: Structure,
-    axiom: HornFormula,
-    pinned: dict[str, str],
-    other_vars: tuple[str, ...],
-    fibre: dict[str, tuple[str, ...]],
-    kz: dict[str, str],
-) -> bool:
-    domains = [fibre[kz[v]] for v in other_vars]
-    for values in itertools.product(*domains):
-        kappa = dict(pinned)
-        kappa.update(zip(other_vars, values))
-        if all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in axiom.premises):
-            return True
-    return False
 
 
 def convexity_report(f: Morphism, theory: Theory) -> ConvexityReport:
@@ -182,27 +181,8 @@ def is_convex_via_lifting(f: Morphism, theory: Theory) -> bool:
 
 
 def is_object_convex(x: Structure, theory: Theory) -> bool:
-    """Convexity of the unique map to the terminal object, computed directly."""
-    _require_discrete(theory)
-    for ax in eligible_axioms(theory):
-        assert isinstance(ax.conclusion, Edge)
-        concl = ax.conclusion
-        other_vars = tuple(sorted(var_set(ax.premises) - set(concl.args)))
-        full = {c: x.sorted_carrier() for c in ("*",)}
-        for xs in sorted(x.tuples(concl.symbol)):
-            pinned: dict[str, str] = {}
-            consistent = True
-            for v, val in zip(concl.args, xs):
-                if pinned.setdefault(v, val) != val:
-                    consistent = False
-                    break
-            if not consistent:
-                return False
-            if not _lift_exists(
-                x, ax, pinned, other_vars, full, {v: "*" for v in other_vars}
-            ):
-                return False
-    return True
+    """Convexity of an object: convexity of its unique map to the terminal object."""
+    return convexity_report(bang(x), theory).convex
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ a combination function sending a tuple of actual symbols (one per premise)
 to the conclusion symbol.  Expanding a schema over a finite signature yields
 one Horn axiom per label tuple.  Schema convexity replaces the existence of
 a single lifted valuation with a join inequality over all lifted valuations,
-computed in the symbol lattice.
+computed in the symbol lattice; it runs over the same fibre-lift cases as
+flat convexity (:mod:`hornmod.convexity`), and object convexity is schema
+convexity of the unique map to the terminal object.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ from .core import (
     horn,
     var_set,
 )
+from .convexity import _fibre_lifts
+from .limits import bang
 from .quantale import Quantale, QuantaleError, VFunctor, is_heyting
 from .semantics import entails
 
@@ -221,9 +225,10 @@ def _r_kappa(
 ) -> str:
     """The join of combined labels over all premise labelings satisfied under kappa.
 
-    When the combination function is monotone the join collapses to a single
-    evaluation at the componentwise maxima; in debug mode the collapsed value
-    is asserted against the defining join.
+    When the combination function is monotone and each premise's labels are
+    join-closed, the join collapses to one evaluation at the componentwise
+    maxima, which a test checks against the defining join
+    (:func:`_r_kappa_enumerated`, also the fallback).
     """
     args_per_premise = [tuple(kappa[v] for v in p.args) for p in schema.premises]
     if _monotone_verified(schema, sig):
@@ -236,11 +241,7 @@ def _r_kappa(
             maxima.append(top)
         else:
             meets = tuple(order.meet2(r, u) for r, u in zip(labels, maxima))
-            fast = apply_combine(schema, sig, meets)
-            if __debug__:
-                slow = _r_kappa_enumerated(schema, sig, order, labels, x, args_per_premise)
-                assert fast == slow, "monotone fast path disagrees with the defining join"
-            return fast
+            return apply_combine(schema, sig, meets)
     return _r_kappa_enumerated(schema, sig, order, labels, x, args_per_premise)
 
 
@@ -268,51 +269,21 @@ def is_schema_convex_wrt_instance(
     """
     sig = theory.signature
     order = _require_heyting(sig, schema.arity)
-    x, z = f.source, f.target
-    concl_args = schema.conclusion.args
-    premise_vars = var_set(schema.premises)
-    variables = tuple(sorted(premise_vars | set(concl_args)))
-    other_vars = tuple(sorted(premise_vars - set(concl_args)))
-    fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
-    sigma = apply_combine(schema, sig, instance.labels)
-    below = order.below(sigma)
+    x = f.source
+    below = order.below(apply_combine(schema, sig, instance.labels))
     labeled_premises = [
         Edge(label, shape.args) for label, shape in zip(instance.labels, schema.premises)
     ]
-
-    for values in itertools.product(z.sorted_carrier(), repeat=len(variables)):
-        kz = dict(zip(variables, values))
-        if not all(z.holds(e.symbol, tuple(kz[v] for v in e.args)) for e in labeled_premises):
-            continue
-        fibres = [fibre[kz[v]] for v in concl_args]
-        for xs in itertools.product(*fibres):
-            pinned: dict[str, str] = {}
-            consistent = True
-            for v, val in zip(concl_args, xs):
-                if pinned.setdefault(v, val) != val:
-                    consistent = False
-                    break
-            goods: list[dict[str, str]] = []
-            if consistent:
-                domains = [fibre[kz[v]] for v in other_vars]
-                for assignment in itertools.product(*domains):
-                    kappa = dict(pinned)
-                    kappa.update(zip(other_vars, assignment))
-                    goods.append(kappa)
-            total = order.bottom()
-            assert total is not None
-            for kappa in goods:
-                total = order.join2(
-                    total, _r_kappa(schema, sig, order, instance.labels, x, kappa)
+    for valuation, xs, lifts in _fibre_lifts(f, labeled_premises, schema.conclusion.args):
+        total = order.bottom()
+        assert total is not None
+        for kappa in lifts:
+            total = order.join2(total, _r_kappa(schema, sig, order, instance.labels, x, kappa))
+        for t in below:
+            if x.holds(t, xs) and not order.leq(t, total):
+                return SchemaConvexityReport(
+                    False, SchemaCounterexample(schema.name, instance.labels, valuation, xs, t)
                 )
-            for t in below:
-                if x.holds(t, xs) and not order.leq(t, total):
-                    return SchemaConvexityReport(
-                        False,
-                        SchemaCounterexample(
-                            schema.name, instance.labels, tuple(sorted(kz.items())), xs, t
-                        ),
-                    )
     return SchemaConvexityReport(True, None)
 
 
@@ -327,44 +298,12 @@ def is_schema_convex(f: Morphism, theory: Theory) -> SchemaConvexityReport:
 
 
 def is_schema_object_convex(x: Structure, theory: Theory) -> SchemaConvexityReport:
-    """Object convexity: good valuations only pin the conclusion tuple."""
-    sig = theory.signature
-    carrier = x.sorted_carrier()
-    for schema in theory.schemas:
-        order = _require_heyting(sig, schema.arity)
-        concl_args = schema.conclusion.args
-        other_vars = tuple(sorted(var_set(schema.premises) - set(concl_args)))
-        for instance in expand_instances(schema, sig):
-            sigma = apply_combine(schema, sig, instance.labels)
-            below = order.below(sigma)
-            for xs in itertools.product(carrier, repeat=len(concl_args)):
-                pinned: dict[str, str] = {}
-                consistent = True
-                for v, val in zip(concl_args, xs):
-                    if pinned.setdefault(v, val) != val:
-                        consistent = False
-                        break
-                goods: list[dict[str, str]] = []
-                if consistent:
-                    for assignment in itertools.product(carrier, repeat=len(other_vars)):
-                        kappa = dict(pinned)
-                        kappa.update(zip(other_vars, assignment))
-                        goods.append(kappa)
-                total = order.bottom()
-                assert total is not None
-                for kappa in goods:
-                    total = order.join2(
-                        total, _r_kappa(schema, sig, order, instance.labels, x, kappa)
-                    )
-                for t in below:
-                    if x.holds(t, xs) and not order.leq(t, total):
-                        return SchemaConvexityReport(
-                            False,
-                            SchemaCounterexample(
-                                schema.name, instance.labels, (), xs, t
-                            ),
-                        )
-    return SchemaConvexityReport(True, None)
+    """Object convexity: schema convexity of the unique map to the terminal object.
+
+    A counterexample's ``valuation`` is therefore a valuation into the
+    terminal object, sending every schema variable to its one point.
+    """
+    return is_schema_convex(bang(x), theory)
 
 
 def ch_condition_oracle(h: VFunctor, v: Quantale) -> bool:

@@ -6,8 +6,34 @@ import pytest
 from hypothesis import strategies as st
 
 import hornmod as hm
-from hornmod.core import Edge, Equality, Morphism, SignatureError, Structure, var_set
+from hornmod.convexity import (
+    ConvexityCounterexample,
+    ConvexityReport,
+    _require_discrete,
+    eligible_axioms,
+)
+from hornmod.core import (
+    Edge,
+    Equality,
+    HornFormula,
+    Morphism,
+    SignatureError,
+    Structure,
+    Theory,
+    TheoryError,
+    var_set,
+)
 from hornmod.families import all_models, all_structures
+from hornmod.schema import (
+    AxiomSchema,
+    SchemaConvexityReport,
+    SchemaCounterexample,
+    SchemaInstance,
+    _r_kappa,
+    _require_heyting,
+    apply_combine,
+    expand_instances,
+)
 from hornmod.semantics import FreeModelResult
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
@@ -355,3 +381,185 @@ def reference_entails(theory, formula) -> bool:
         return unit(formula.conclusion.left) == unit(formula.conclusion.right)
     concl = formula.conclusion
     return result.model.holds(concl.symbol, tuple(unit(a) for a in concl.args))
+
+
+# The four fibre-lift loops that convexity and schema convexity ran before
+# they shared one kernel, kept as written; the kernel is tested against them.
+
+def _reference_all_valuations(variables: tuple[str, ...], carrier: tuple[str, ...]):
+    for values in itertools.product(carrier, repeat=len(variables)):
+        yield dict(zip(variables, values))
+
+
+def reference_is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityReport:
+    """Convexity of a morphism with respect to one equality-free axiom."""
+    _require_discrete(theory)
+    if axiom.has_equality():
+        raise TheoryError("convexity is defined for axioms with edge conclusions")
+    assert isinstance(axiom.conclusion, Edge)
+    concl = axiom.conclusion
+    x, z = f.source, f.target
+    premise_vars = var_set(axiom.premises)
+    variables = tuple(sorted(premise_vars | set(concl.args)))
+    other_vars = tuple(sorted(premise_vars - set(concl.args)))
+    fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
+
+    for kz in _reference_all_valuations(variables, z.sorted_carrier()):
+        if not all(z.holds(e.symbol, tuple(kz[v] for v in e.args)) for e in axiom.premises):
+            continue
+        fibres = [fibre[kz[v]] for v in concl.args]
+        for xs in itertools.product(*fibres):
+            if not x.holds(concl.symbol, xs):
+                continue
+            pinned: dict[str, str] = {}
+            consistent = True
+            for v, val in zip(concl.args, xs):
+                if pinned.setdefault(v, val) != val:
+                    consistent = False
+                    break
+            found = consistent and _reference_lift_exists(x, axiom, pinned, other_vars, fibre, kz)
+            if not found:
+                return ConvexityReport(
+                    False,
+                    ConvexityCounterexample(axiom, tuple(sorted(kz.items())), xs),
+                )
+    return ConvexityReport(True, None)
+
+
+def _reference_lift_exists(
+    x: Structure,
+    axiom: HornFormula,
+    pinned: dict[str, str],
+    other_vars: tuple[str, ...],
+    fibre: dict[str, tuple[str, ...]],
+    kz: dict[str, str],
+) -> bool:
+    domains = [fibre[kz[v]] for v in other_vars]
+    for values in itertools.product(*domains):
+        kappa = dict(pinned)
+        kappa.update(zip(other_vars, values))
+        if all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in axiom.premises):
+            return True
+    return False
+
+
+def reference_is_object_convex(x: Structure, theory: Theory) -> bool:
+    """Convexity of the unique map to the terminal object, computed directly."""
+    _require_discrete(theory)
+    for ax in eligible_axioms(theory):
+        assert isinstance(ax.conclusion, Edge)
+        concl = ax.conclusion
+        other_vars = tuple(sorted(var_set(ax.premises) - set(concl.args)))
+        full = {c: x.sorted_carrier() for c in ("*",)}
+        for xs in sorted(x.tuples(concl.symbol)):
+            pinned: dict[str, str] = {}
+            consistent = True
+            for v, val in zip(concl.args, xs):
+                if pinned.setdefault(v, val) != val:
+                    consistent = False
+                    break
+            if not consistent:
+                return False
+            if not _reference_lift_exists(
+                x, ax, pinned, other_vars, full, {v: "*" for v in other_vars}
+            ):
+                return False
+    return True
+
+
+def reference_is_schema_convex_wrt_instance(
+    f: Morphism, schema: AxiomSchema, instance: SchemaInstance, theory: Theory
+) -> SchemaConvexityReport:
+    """Convexity of a morphism with respect to one instance of a schema.
+
+    The endpoints are assumed to be models of the signature's base theory.
+    """
+    sig = theory.signature
+    order = _require_heyting(sig, schema.arity)
+    x, z = f.source, f.target
+    concl_args = schema.conclusion.args
+    premise_vars = var_set(schema.premises)
+    variables = tuple(sorted(premise_vars | set(concl_args)))
+    other_vars = tuple(sorted(premise_vars - set(concl_args)))
+    fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
+    sigma = apply_combine(schema, sig, instance.labels)
+    below = order.below(sigma)
+    labeled_premises = [
+        Edge(label, shape.args) for label, shape in zip(instance.labels, schema.premises)
+    ]
+
+    for values in itertools.product(z.sorted_carrier(), repeat=len(variables)):
+        kz = dict(zip(variables, values))
+        if not all(z.holds(e.symbol, tuple(kz[v] for v in e.args)) for e in labeled_premises):
+            continue
+        fibres = [fibre[kz[v]] for v in concl_args]
+        for xs in itertools.product(*fibres):
+            pinned: dict[str, str] = {}
+            consistent = True
+            for v, val in zip(concl_args, xs):
+                if pinned.setdefault(v, val) != val:
+                    consistent = False
+                    break
+            goods: list[dict[str, str]] = []
+            if consistent:
+                domains = [fibre[kz[v]] for v in other_vars]
+                for assignment in itertools.product(*domains):
+                    kappa = dict(pinned)
+                    kappa.update(zip(other_vars, assignment))
+                    goods.append(kappa)
+            total = order.bottom()
+            assert total is not None
+            for kappa in goods:
+                total = order.join2(
+                    total, _r_kappa(schema, sig, order, instance.labels, x, kappa)
+                )
+            for t in below:
+                if x.holds(t, xs) and not order.leq(t, total):
+                    return SchemaConvexityReport(
+                        False,
+                        SchemaCounterexample(
+                            schema.name, instance.labels, tuple(sorted(kz.items())), xs, t
+                        ),
+                    )
+    return SchemaConvexityReport(True, None)
+
+
+def reference_is_schema_object_convex(x: Structure, theory: Theory) -> SchemaConvexityReport:
+    """Object convexity: good valuations only pin the conclusion tuple."""
+    sig = theory.signature
+    carrier = x.sorted_carrier()
+    for schema in theory.schemas:
+        order = _require_heyting(sig, schema.arity)
+        concl_args = schema.conclusion.args
+        other_vars = tuple(sorted(var_set(schema.premises) - set(concl_args)))
+        for instance in expand_instances(schema, sig):
+            sigma = apply_combine(schema, sig, instance.labels)
+            below = order.below(sigma)
+            for xs in itertools.product(carrier, repeat=len(concl_args)):
+                pinned: dict[str, str] = {}
+                consistent = True
+                for v, val in zip(concl_args, xs):
+                    if pinned.setdefault(v, val) != val:
+                        consistent = False
+                        break
+                goods: list[dict[str, str]] = []
+                if consistent:
+                    for assignment in itertools.product(carrier, repeat=len(other_vars)):
+                        kappa = dict(pinned)
+                        kappa.update(zip(other_vars, assignment))
+                        goods.append(kappa)
+                total = order.bottom()
+                assert total is not None
+                for kappa in goods:
+                    total = order.join2(
+                        total, _r_kappa(schema, sig, order, instance.labels, x, kappa)
+                    )
+                for t in below:
+                    if x.holds(t, xs) and not order.leq(t, total):
+                        return SchemaConvexityReport(
+                            False,
+                            SchemaCounterexample(
+                                schema.name, instance.labels, (), xs, t
+                            ),
+                        )
+    return SchemaConvexityReport(True, None)

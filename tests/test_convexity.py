@@ -1,10 +1,24 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hornmod as hm
 from hornmod.convexity import eligible_axioms
-from hornmod.families import all_models
+from hornmod.families import all_models, all_structures
+from hornmod.limits import TERMINAL_ELEMENT
+from hornmod.theories import order_signature, transitivity_axiom
 
-from conftest import dedup_morphisms, interp_fail_morphism
+from conftest import (
+    dedup_morphisms,
+    horn_theories,
+    interp_fail_morphism,
+    reference_is_convex_wrt,
+    reference_is_object_convex,
+)
+
+TRANSITIVITY_ONLY = hm.Theory(order_signature(), (transitivity_axiom(),), (), base_flag=False)
 
 
 def interpolation_lifting(f):
@@ -124,7 +138,52 @@ def test_terminal_is_object_convex(preord):
 
 def test_object_convexity_agrees_with_bang(preord):
     for x in all_models(preord, 2, cap=None):
-        assert hm.is_object_convex(x, preord) == hm.is_convex(hm.bang(x), preord)
+        assert reference_is_object_convex(x, preord) == hm.is_convex(hm.bang(x), preord)
+
+
+def test_object_without_a_midpoint_is_not_object_convex():
+    # le(a, c) is transitive, but no y has le(a, y) and le(y, c)
+    x = hm.Structure(TRANSITIVITY_ONLY.signature, ["a", "c"], [hm.edge("le", "a", "c")])
+    assert hm.is_model(x, TRANSITIVITY_ONLY)
+    assert not hm.is_object_convex(x, TRANSITIVITY_ONLY)
+    assert not reference_is_object_convex(x, TRANSITIVITY_ONLY)
+    cex = hm.convexity_report(hm.bang(x), TRANSITIVITY_ONLY).counterexample
+    assert cex.axiom == transitivity_axiom()
+    assert cex.valuation == (("x", TERMINAL_ELEMENT), ("y", TERMINAL_ELEMENT),
+                             ("z", TERMINAL_ELEMENT))
+    assert cex.lifted == ("a", "c")
+
+
+@lru_cache(maxsize=None)
+def _structures_by_size(sig):
+    structures = all_structures(sig, 3, cap=None)
+    return {n: [s for s in structures if len(s.carrier) == n] for n in range(4)}
+
+
+@st.composite
+def maps_between_structures(draw, sig):
+    """A map between structures of up to 3 points.
+
+    Both ends are drawn from ``all_structures``, then the source keeps only
+    the edges the drawn function preserves, so the function is a morphism.
+    """
+    by_size = _structures_by_size(sig)
+    z = draw(st.sampled_from(by_size[draw(st.integers(0, 3))]))
+    x = draw(st.sampled_from(by_size[draw(st.integers(0, 3 if z.carrier else 0))]))
+    images = draw(st.tuples(*[st.sampled_from(z.sorted_carrier())] * len(x.carrier)))
+    mapping = dict(zip(x.sorted_carrier(), images))
+    kept = [e for e in x.edges if z.holds(e.symbol, tuple(mapping[a] for a in e.args))]
+    return hm.Morphism(hm.Structure(sig, x.carrier, kept), z, mapping)
+
+
+@settings(max_examples=500, deadline=None)
+@given(theory=st.one_of(horn_theories(), st.just(TRANSITIVITY_ONLY)), data=st.data())
+def test_lift_kernel_matches_the_reference_loops(theory, data):
+    f = data.draw(maps_between_structures(theory.signature))
+    for ax in eligible_axioms(theory):
+        assert hm.is_convex_wrt(f, ax, theory) == reference_is_convex_wrt(f, ax, theory)
+    for x in (f.source, f.target):
+        assert hm.is_object_convex(x, theory) == reference_is_object_convex(x, theory)
 
 
 def test_transitivity_safety(preord):

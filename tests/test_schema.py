@@ -1,14 +1,19 @@
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hornmod as hm
 from hornmod.families import all_models
-from hornmod.quantale import all_vcategories, all_vfunctors, vfunctor_to_morphism
+from hornmod.limits import TERMINAL_ELEMENT
+from hornmod.quantale import all_vcategories, all_vfunctors, all_vgraphs, vfunctor_to_morphism
 from hornmod.schema import (
     ConstantSymbol,
     ExplicitTable,
     PLACEHOLDER,
+    SchemaCounterexample,
     SchemaError,
     _r_kappa,
     _r_kappa_enumerated,
@@ -22,6 +27,8 @@ from conftest import (
     interp_fail_morphism,
     non_join_preserving_quantale,
     preorder_to_boolean_vcat,
+    reference_is_schema_convex_wrt_instance,
+    reference_is_schema_object_convex,
 )
 
 
@@ -125,6 +132,79 @@ def test_safe_schema_gives_object_convexity_everywhere():
         for g in all_vcategories(v, size):
             x = hm.vgraph_to_structure(g)
             assert hm.is_schema_object_convex(x, theory).convex
+
+
+def test_non_transitive_vgraph_is_not_object_convex():
+    # d(e0, e1) = 1 but both self-distances are 0, so no midpoint reaches 1
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    g = hm.VGraph(v, ("e0", "e1"), (("e0", "e0", "0"), ("e0", "e1", "1"),
+                                    ("e1", "e0", "1"), ("e1", "e1", "0")))
+    assert not g.is_transitive()
+    x = hm.vgraph_to_structure(g)
+    report = hm.is_schema_object_convex(x, theory)
+    assert not report.convex
+    cex = report.counterexample
+    assert (cex.schema, cex.labels, cex.lifted, cex.symbol) == (
+        "generalized_transitivity", ("~1", "~1"), ("e0", "e1"), "~1")
+    assert cex.valuation == tuple((w, TERMINAL_ELEMENT) for w in ("x", "y", "z"))
+    assert reference_is_schema_object_convex(x, theory).counterexample == SchemaCounterexample(
+        cex.schema, cex.labels, (), cex.lifted, cex.symbol)
+
+
+SCHEMA_QUANTALES = {
+    "boolean": hm.boolean_quantale(),
+    "chain3": hm.chain_meet_quantale(3),
+    "lukasiewicz": hm.lukasiewicz_quantale(),
+}
+
+
+@lru_cache(maxsize=None)
+def _vgraphs(name, size):
+    return tuple(all_vgraphs(SCHEMA_QUANTALES[name], size))
+
+
+@st.composite
+def maps_between_vgraphs(draw, name):
+    """A V-functor between V-graphs of up to 2 points, as a morphism of structures.
+
+    Both ends are drawn from ``all_vgraphs``, then each source distance is met
+    with the target distance of its image, so the drawn function is a V-functor.
+    """
+    v = SCHEMA_QUANTALES[name]
+    gz = draw(st.sampled_from(_vgraphs(name, draw(st.integers(0, 2)))))
+    gx = draw(st.sampled_from(_vgraphs(name, draw(st.integers(0, 2 if gz.carrier else 0)))))
+    images = draw(st.tuples(*[st.sampled_from(gz.carrier)] * len(gx.carrier)))
+    h = dict(zip(gx.carrier, images))
+    lowered = tuple((a, b, v.meet2(gx.d(a, b), gz.d(h[a], h[b])))
+                    for a in gx.carrier for b in gx.carrier)
+    return vfunctor_to_morphism(
+        hm.VFunctor(hm.VGraph(v, gx.carrier, lowered), gz, tuple(h.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEMA_QUANTALES)),
+       make_theory=st.sampled_from([hm.theory_vcat, hm.theory_pmet]), data=st.data())
+def test_schema_lift_kernel_matches_the_reference_loops(name, make_theory, data):
+    theory = make_theory(SCHEMA_QUANTALES[name])
+    f = data.draw(maps_between_vgraphs(name))
+    for schema in theory.schemas:
+        for inst in expand_instances(schema, theory.signature):
+            assert hm.is_schema_convex_wrt_instance(f, schema, inst, theory) == (
+                reference_is_schema_convex_wrt_instance(f, schema, inst, theory))
+    for x in (f.source, f.target):
+        got = hm.is_schema_object_convex(x, theory)
+        want = reference_is_schema_object_convex(x, theory)
+        assert got.convex == want.convex
+        if not want.convex:
+            # the reference leaves the valuation empty; the kernel reports the
+            # valuation into the terminal object
+            g, w = got.counterexample, want.counterexample
+            assert (g.schema, g.labels, g.lifted, g.symbol) == (
+                w.schema, w.labels, w.lifted, w.symbol)
+            assert w.valuation == ()
+            schema = next(s for s in theory.schemas if s.name == g.schema)
+            assert g.valuation == tuple((u, TERMINAL_ELEMENT) for u in sorted(schema.variables()))
 
 
 def test_ch_oracle_identity():
