@@ -23,6 +23,7 @@ from .core import (
     validate_morphism,
 )
 from .limits import (
+    enumerate_functions,
     enumerate_morphisms,
     fibre_structure,
     pair_id,
@@ -69,16 +70,9 @@ def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProdu
     points: dict[str, tuple[dict[str, str], str]] = {}
     for c in z.sorted_carrier():
         fibre = fibres[c]
-        if reflexive:
-            tables: Iterable[dict[str, str]] = (
-                dict(m.mapping) for m in enumerate_morphisms(fibre, y)
-            )
-        else:
-            src = fibre.sorted_carrier()
-            tables = (
-                dict(zip(src, images))
-                for images in itertools.product(y.sorted_carrier(), repeat=len(src))
-            )
+        tables: Iterable[dict[str, str]] = (
+            (m.mapping for m in enumerate_morphisms(fibre, y)) if reflexive
+            else enumerate_functions(fibre, y))
         for table in tables:
             pid = function_id(table, c)
             if pid in points:
@@ -149,6 +143,27 @@ def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
     return _partial_product(y, f, reflexive=True)
 
 
+def _hom_structure(
+    x: Structure, y: Structure, tuples: dict[str, Iterable[tuple[str, ...]]]
+) -> tuple[Structure, dict[str, dict[str, str]]]:
+    """The edge-preserving maps x -> y as points named by their function ids.
+
+    An edge joins maps that send every tuple in ``tuples[symbol]`` to an edge of y.
+    """
+    homs = enumerate_morphisms(x, y)
+    points = {function_id(dict(h.mapping)): dict(h.mapping) for h in homs}
+    if len(points) != len(homs):
+        raise StructureError("carrier names collide under function-table rendering")
+    ids = sorted(points)
+    edges = []
+    for s in x.signature.symbols:
+        for combo in itertools.product(ids, repeat=s.arity):
+            mapped = (tuple(points[pid][a] for pid, a in zip(combo, xs)) for xs in tuples[s.name])
+            if all(y.holds(s.name, args) for args in mapped):
+                edges.append(Edge(s.name, combo))
+    return Structure(x.signature, ids, edges), points
+
+
 def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
     """The structure of edge-preserving maps x -> y with the evaluation morphism.
 
@@ -157,24 +172,9 @@ def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
     """
     if x.signature != y.signature:
         raise SignatureError("exponential needs a shared signature")
-    sig = x.signature
-    homs = enumerate_morphisms(x, y)
-    points = {function_id(dict(h.mapping)): dict(h.mapping) for h in homs}
-    if len(points) != len(homs):
-        raise StructureError("carrier names collide under function-table rendering")
-    ids = sorted(points)
-    edges = []
-    for s in sig.symbols:
-        for combo in itertools.product(ids, repeat=s.arity):
-            good = all(
-                y.holds(s.name, tuple(points[pid][a] for pid, a in zip(combo, xs)))
-                for xs in x.tuples(s.name)
-            )
-            if good:
-                edges.append(Edge(s.name, combo))
-    struct = Structure(sig, ids, edges)
+    struct, points = _hom_structure(x, y, {s.name: x.tuples(s.name) for s in x.signature.symbols})
     prod = product(struct, x)
-    eval_map = {pair_id(pid, a): points[pid][a] for pid in ids for a in x.carrier}
+    eval_map = {pair_id(pid, a): points[pid][a] for pid in sorted(points) for a in x.carrier}
     return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), dict(points))
 
 
@@ -183,20 +183,8 @@ def internal_hom(theory: Theory, x: Structure, y: Structure) -> Structure:
     for struct in (x, y):
         if not is_model(struct, theory):
             raise StructureError("internal hom needs model endpoints")
-    homs = enumerate_morphisms(x, y)
-    points = {function_id(dict(h.mapping)): dict(h.mapping) for h in homs}
-    ids = sorted(points)
-    sig = x.signature
-    edges = []
-    for s in sig.symbols:
-        for combo in itertools.product(ids, repeat=s.arity):
-            good = all(
-                y.holds(s.name, tuple(points[pid][a] for pid in combo))
-                for a in x.carrier
-            )
-            if good:
-                edges.append(Edge(s.name, combo))
-    return Structure(sig, ids, edges)
+    diagonal = {s.name: [(a,) * s.arity for a in x.carrier] for s in x.signature.symbols}
+    return _hom_structure(x, y, diagonal)[0]
 
 
 def tensor(theory: Theory, x: Structure, y: Structure) -> Structure:

@@ -7,7 +7,8 @@ has more masks than a cap.  Families of models are generated, not filtered:
 on a fixed carrier the models of the edge axioms are the closed sets of a
 closure system, listed by Ganter's NextClosure in increasing mask order, and
 the equality axioms then drop some of them.  Either family can be reduced to
-isomorphism-class representatives.  All output orders are canonical, so the
+isomorphism-class representatives by one canonical labelling, which
+``limits.find_isomorphism`` shares.  All output orders are canonical, so the
 same inputs always give the same family.
 """
 from __future__ import annotations
@@ -69,16 +70,31 @@ def all_structures(
     return out
 
 
+def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
+    """The least relabelled edge tuple of a structure and the carrier order giving it.
+
+    A point's profile lists the ``(symbol, argument position)`` of each of its
+    edge occurrences, sorted.  Only the orders that list points by profile and
+    permute points of equal profile are tried.  Isomorphisms keep profiles, so
+    same-size structures have equal keys iff they are isomorphic.
+    """
+    profile = {a: sorted((s, i) for s, args in x.edges for i, b in enumerate(args) if b == a)
+               for a in x.carrier}
+    ranked = sorted(x.carrier, key=lambda a: (profile[a], a))
+    groups = [tuple(g) for _, g in itertools.groupby(ranked, key=profile.__getitem__)]
+
+    def relabelled(parts: tuple[tuple[str, ...], ...]) -> tuple[tuple, tuple[str, ...]]:
+        label = {a: i for i, a in enumerate(itertools.chain.from_iterable(parts))}
+        key = tuple(sorted((s, tuple(map(label.__getitem__, args))) for s, args in x.edges))
+        return key, tuple(label)  # a dict keeps insertion order
+
+    orders = itertools.product(*map(itertools.permutations, groups))
+    return min(map(relabelled, orders), key=lambda labelled: labelled[0])
+
+
 def iso_key(x: Structure) -> tuple:
     """A canonical form invariant under carrier relabelling."""
-    carrier = x.sorted_carrier()
-    best = None
-    for perm in itertools.permutations(range(len(carrier))):
-        rename = {carrier[i]: f"e{perm[i]}" for i in range(len(carrier))}
-        edges = tuple(sorted(Edge(e.symbol, tuple(rename[a] for a in e.args)) for e in x.edges))
-        if best is None or edges < best:
-            best = edges
-    return (len(carrier), best)
+    return (len(x.carrier), _canonical_labelling(x)[0])
 
 
 def dedup_by_iso(structures: list[Structure]) -> list[Structure]:

@@ -16,10 +16,10 @@ from .core import (
     SignatureError,
     Structure,
     StructureError,
-    validate_morphism,
+    Theory,
 )
+from .families import _canonical_labelling
 from .semantics import is_model
-from .core import Theory
 
 TERMINAL_ELEMENT = "*"
 
@@ -183,18 +183,14 @@ def hom_count(x: Structure, y: Structure) -> int:
 
 
 def find_isomorphism(x: Structure, y: Structure) -> Optional[Morphism]:
-    """An edge-preserving bijection with edge-preserving inverse, or None."""
+    """The canonical isomorphism x -> y, or None when the two are not isomorphic.
+
+    It pairs the carriers in canonical-labelling order, not permutation order.
+    """
     if x.signature != y.signature or len(x.carrier) != len(y.carrier):
         return None
-    for images in itertools.permutations(y.sorted_carrier()):
-        mapping = dict(zip(x.sorted_carrier(), images))
-        h = Morphism(x, y, mapping)
-        if not validate_morphism(h):
-            continue
-        inverse = Morphism(y, x, {v: k for k, v in mapping.items()})
-        if validate_morphism(inverse):
-            return h
-    return None
+    (key_x, order_x), (key_y, order_y) = _canonical_labelling(x), _canonical_labelling(y)
+    return Morphism(x, y, dict(zip(order_x, order_y))) if key_x == key_y else None
 
 
 def are_isomorphic(x: Structure, y: Structure) -> bool:

@@ -17,13 +17,16 @@ from hornmod.core import (
     Equality,
     HornFormula,
     Morphism,
+    RelationSymbol,
+    Signature,
     SignatureError,
     Structure,
     Theory,
     TheoryError,
+    validate_morphism,
     var_set,
 )
-from hornmod.families import all_models, all_structures
+from hornmod.families import all_models, all_structures, iso_key
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -105,14 +108,61 @@ def morphism_iso_key(f):
     return best
 
 
+def morphism_structure(f):
+    """A morphism as one two-sorted structure: isomorphic exactly when the morphisms are.
+
+    Source points become ``s:a`` and target points ``t:b``; the source and
+    target edges keep their symbols under the prefixes ``s:`` and ``t:``; a
+    unary ``src`` marks each source point and a binary ``graph`` edge joins
+    ``s:a`` to ``t:f(a)``.
+    """
+    symbols = [RelationSymbol("src", 1), RelationSymbol("graph", 2)]
+    for s in f.source.signature.symbols:
+        symbols += [RelationSymbol("s:" + s.name, s.arity), RelationSymbol("t:" + s.name, s.arity)]
+    carrier = [f"s:{a}" for a in f.source.carrier] + [f"t:{b}" for b in f.target.carrier]
+    edges = [Edge(f"{side}:{e.symbol}", tuple(f"{side}:{a}" for a in e.args))
+             for side, x in (("s", f.source), ("t", f.target)) for e in x.edges]
+    edges += [Edge("src", (f"s:{a}",)) for a in f.source.carrier]
+    edges += [Edge("graph", (f"s:{a}", f"t:{b}")) for a, b in f.mapping.items()]
+    return Structure(Signature(tuple(symbols)), carrier, edges)
+
+
 def dedup_morphisms(morphisms):
+    """Keep the first morphism of each isomorphism class, preserving order."""
     seen, out = set(), []
     for f in morphisms:
-        key = morphism_iso_key(f)
+        key = iso_key(morphism_structure(f))
         if key not in seen:
             seen.add(key)
             out.append(f)
     return out
+
+
+def reference_iso_key(x: Structure) -> tuple:
+    """A canonical form invariant under carrier relabelling."""
+    carrier = x.sorted_carrier()
+    best = None
+    for perm in itertools.permutations(range(len(carrier))):
+        rename = {carrier[i]: f"e{perm[i]}" for i in range(len(carrier))}
+        edges = tuple(sorted(Edge(e.symbol, tuple(rename[a] for a in e.args)) for e in x.edges))
+        if best is None or edges < best:
+            best = edges
+    return (len(carrier), best)
+
+
+def reference_find_isomorphism(x: Structure, y: Structure):
+    """An edge-preserving bijection with edge-preserving inverse, or None."""
+    if x.signature != y.signature or len(x.carrier) != len(y.carrier):
+        return None
+    for images in itertools.permutations(y.sorted_carrier()):
+        mapping = dict(zip(x.sorted_carrier(), images))
+        h = Morphism(x, y, mapping)
+        if not validate_morphism(h):
+            continue
+        inverse = Morphism(y, x, {v: k for k, v in mapping.items()})
+        if validate_morphism(inverse):
+            return h
+    return None
 
 
 def preorder_to_boolean_vcat(struct):

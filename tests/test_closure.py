@@ -112,6 +112,18 @@ def test_internal_hom_requires_models(preord, chain2):
         hm.internal_hom(preord, broken, chain2)
 
 
+def test_hom_points_reject_colliding_function_ids(preord):
+    # {a: "p,b:q", b: "r"} and {a: "p", b: "q,b:r"} both render as [a:p,b:q,b:r].
+    x = hm.Structure(preord.signature, ["a", "b"], [hm.edge("le", "a", "a"), hm.edge("le", "b", "b")])
+    names = ["p,b:q", "r", "p", "q,b:r"]
+    y = hm.Structure(preord.signature, names, [hm.edge("le", a, b) for a in names for b in names])
+    assert len(hm.enumerate_morphisms(x, y)) == 16
+    with pytest.raises(hm.StructureError):
+        hm.exponential_object(x, y)
+    with pytest.raises(hm.StructureError):
+        hm.internal_hom(preord, x, y)
+
+
 def test_tensor_unit_law(preord, chain2):
     unit = hm.tensor_unit(preord)
     assert unit.size() == 1 and hm.is_reflexive(unit)
