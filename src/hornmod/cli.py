@@ -99,12 +99,6 @@ def _convexity_payload(report: ConvexityReport) -> dict:
     }
 
 
-def _test_family(theory: Theory, max_q: int, cap: int, seed: int, models_only: bool):
-    return default_test_family(
-        theory.signature, max_q, cap, seed, theory=theory if models_only else None
-    )
-
-
 def cmd_check_model(args) -> tuple[dict, int]:
     theory = parse_theory(_load(args.theory))
     structure = parse_structure(_load(args.structure))
@@ -128,28 +122,22 @@ def cmd_limit(args) -> tuple[dict, int]:
     if args.which == "terminal":
         sig = parse_signature(_load(args.signature))
         return {"structure": structure_to_jsonable(terminal(sig))}, OK
+    if args.which == "equalizer":
+        res = equalizer(parse_morphism(_load(args.left)), parse_morphism(_load(args.right)))
+        return {
+            "structure": structure_to_jsonable(res.structure),
+            "inclusion": dict(sorted(res.inclusion.mapping.items())),
+        }, OK
     if args.which == "product":
         res = product(parse_structure(_load(args.left)), parse_structure(_load(args.right)))
-        return {
-            "structure": structure_to_jsonable(res.structure),
-            "projections": [
-                dict(sorted(res.left.mapping.items())),
-                dict(sorted(res.right.mapping.items())),
-            ],
-        }, OK
-    if args.which == "pullback":
+    else:
         res = pullback(parse_morphism(_load(args.left)), parse_morphism(_load(args.right)))
-        return {
-            "structure": structure_to_jsonable(res.structure),
-            "projections": [
-                dict(sorted(res.left.mapping.items())),
-                dict(sorted(res.right.mapping.items())),
-            ],
-        }, OK
-    res = equalizer(parse_morphism(_load(args.left)), parse_morphism(_load(args.right)))
     return {
         "structure": structure_to_jsonable(res.structure),
-        "inclusion": dict(sorted(res.inclusion.mapping.items())),
+        "projections": [
+            dict(sorted(res.left.mapping.items())),
+            dict(sorted(res.right.mapping.items())),
+        ],
     }, OK
 
 
@@ -165,7 +153,8 @@ def cmd_exponential(args) -> tuple[dict, int]:
     }
     code = OK
     if args.verify:
-        family = _test_family(theory, args.max_q, args.cap, args.seed, models_only=True)
+        family = default_test_family(theory.signature, args.max_q, args.cap, args.seed,
+                                     theory=theory)
         report = verify_exponential(base, target, result, family)
         payload["verification"] = _verification_payload(report)
         code = OK if report.passed else NEGATIVE
@@ -186,8 +175,8 @@ def cmd_partial_product(args) -> tuple[dict, int]:
     code = OK
     if args.verify:
         base = Theory(f.source.signature, (), (), base_flag=True)
-        family = _test_family(base, args.max_q, args.cap, args.seed,
-                              models_only=args.variant == "refl")
+        family = default_test_family(base.signature, args.max_q, args.cap, args.seed,
+                                     theory=base if args.variant == "refl" else None)
         report = verify_partial_product(f, y, result, family)
         payload["verification"] = _verification_payload(report)
         code = OK if report.passed else NEGATIVE

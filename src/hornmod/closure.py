@@ -23,6 +23,7 @@ from .core import (
     validate_morphism,
 )
 from .limits import (
+    _pair_ids,
     enumerate_functions,
     enumerate_morphisms,
     fibre_structure,
@@ -193,17 +194,13 @@ def tensor(theory: Theory, x: Structure, y: Structure) -> Structure:
         if not is_model(struct, theory):
             raise StructureError("tensor needs model endpoints")
     sig = x.signature
-    pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()]
-    ids = {pr: pair_id(*pr) for pr in pairs}
+    ids = _pair_ids([(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()])
     edges = []
     for s in sig.symbols:
-        for combo in itertools.product(pairs, repeat=s.arity):
-            xs = tuple(pr[0] for pr in combo)
-            ys = tuple(pr[1] for pr in combo)
-            if (len(set(xs)) == 1 and y.holds(s.name, ys)) or (
-                len(set(ys)) == 1 and x.holds(s.name, xs)
-            ):
-                edges.append(Edge(s.name, tuple(ids[pr] for pr in combo)))
+        for a in x.carrier:  # a fixed first coordinate, an edge of y along the second
+            edges += (Edge(s.name, tuple(ids[a, b] for b in ys)) for ys in y.tuples(s.name))
+        for b in y.carrier:
+            edges += (Edge(s.name, tuple(ids[a, b] for a in xs)) for xs in x.tuples(s.name))
     seed = Structure(sig, ids.values(), edges)
     return free_model(theory, seed).model
 

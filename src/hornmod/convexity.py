@@ -246,6 +246,23 @@ class TheoryClassification:
     notes: tuple[str, ...]
 
 
+def _closure_notes(
+    kind: str, all_safe: bool, all_very: bool, has_equality: bool
+) -> tuple[str, ...]:
+    """The closure properties that safety of every axiom (or schema) of ``kind`` gives."""
+    if all_very:
+        notes = (f"all {kind}s very safe: every morphism of models is convex, "
+                 "so the category of models is locally cartesian closed",)
+        if not has_equality:
+            notes += ("no equality axioms: the category is moreover a quasitopos "
+                      "(a topological universe)",)
+        return notes
+    if all_safe:
+        return (f"all {kind}s safe: every model is convex, "
+                "so the category of models is cartesian closed",)
+    return (f"some {kind} is not safe; no closure property is implied",)
+
+
 def classify_theory(theory: Theory) -> TheoryClassification:
     """Which closure properties the safety of the axioms guarantees.
 
@@ -260,23 +277,17 @@ def classify_theory(theory: Theory) -> TheoryClassification:
     all_safe = all(r.safe for r in results)
     all_very = all(r.safe and r.very_safe for r in results)
     has_eq = theory.has_equality_axiom()
-    notes = []
+    notes: tuple[str, ...] = ()
     if not reflexive:
-        notes.append("theory is not reflexive; the safety theorems do not apply")
-    if all_very and reflexive:
+        notes = ("theory is not reflexive; the safety theorems do not apply",)
+    if reflexive or not all_safe:
+        notes += _closure_notes("axiom", all_safe, all_very, has_eq)
+    if reflexive and all_very:
         classification = ALL_VERY_SAFE
-        notes.append("all axioms very safe: every morphism of models is convex, "
-                     "so the category of models is locally cartesian closed")
-        if not has_eq:
-            notes.append("no equality axioms: the category is moreover a quasitopos "
-                         "(a topological universe)")
-    elif all_safe and reflexive:
+    elif reflexive and all_safe:
         classification = ALL_SAFE
-        notes.append("all axioms safe: every model is convex, "
-                     "so the category of models is cartesian closed")
     else:
         classification = NEITHER
-        notes.append("some axiom is not safe; no closure property is implied")
     return TheoryClassification(
         classification=classification,
         reflexive=reflexive,
@@ -285,5 +296,5 @@ def classify_theory(theory: Theory) -> TheoryClassification:
         cartesian_closed=reflexive and all_safe,
         locally_cartesian_closed=reflexive and all_very,
         quasitopos=reflexive and all_very and not has_eq,
-        notes=tuple(notes),
+        notes=notes,
     )

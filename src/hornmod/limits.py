@@ -56,12 +56,18 @@ def bang(x: Structure) -> Morphism:
     return Morphism(x, terminal(x.signature), {a: TERMINAL_ELEMENT for a in x.carrier})
 
 
-def _paired_structure(
-    sig: Signature, pairs: list[tuple[str, str]], x: Structure, y: Structure
-) -> tuple[Structure, Morphism, Morphism]:
+def _pair_ids(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
+    """The rendered id of each pair; raises when two pairs render alike."""
     ids = {p: pair_id(*p) for p in pairs}
     if len(set(ids.values())) != len(pairs):
         raise StructureError("carrier names collide under pair rendering")
+    return ids
+
+
+def _paired_structure(
+    sig: Signature, pairs: list[tuple[str, str]], x: Structure, y: Structure
+) -> tuple[Structure, Morphism, Morphism]:
+    ids = _pair_ids(pairs)
     edges = []
     for s in sig.symbols:
         for combo in itertools.product(pairs, repeat=s.arity):

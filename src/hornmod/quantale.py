@@ -238,16 +238,6 @@ def _require_laws(v: Quantale) -> None:
         raise QuantaleError(f"quantale law check failed: {report.failures[0]}")
 
 
-def _check_join_reduction(v: Quantale) -> None:
-    # Closure under the empty and binary joins must give closure under all
-    # joins on the finite lattice; verified rather than assumed.
-    for r in range(len(v.elements) + 1):
-        for subset in itertools.combinations(v.elements, r):
-            folded = reduce(v.join2, subset, v.bottom())
-            if folded != v.join(subset):
-                raise QuantaleError(f"join of {subset} is not a fold of binary joins")
-
-
 def _sym(e: str) -> str:
     return quantale_symbol_name(e)
 
@@ -296,14 +286,12 @@ def _schematic_ok(v: Quantale) -> bool:
 def theory_vgph(v: Quantale) -> Theory:
     """V-graphs: down-closed, join-closed edge labels; no reflexivity."""
     _require_laws(v)
-    _check_join_reduction(v)
     return Theory(signature_of(v), tuple(_flat_graph_axioms(v)), (), base_flag=False)
 
 
 def theory_vrgph(v: Quantale) -> Theory:
     """Reflexive V-graphs; coincides with the base theory when the unit is top."""
     _require_laws(v)
-    _check_join_reduction(v)
     sig = signature_of(v)
     if v.unit == v.top():
         return Theory(sig, (), (), base_flag=True)
@@ -314,7 +302,6 @@ def theory_vrgph(v: Quantale) -> Theory:
 def theory_vcat(v: Quantale) -> Theory:
     """V-categories: reflexive V-graphs with tensor transitivity."""
     _require_laws(v)
-    _check_join_reduction(v)
     sig = signature_of(v)
     if _schematic_ok(v):
         from .schema import generalized_transitivity_schema
@@ -328,7 +315,6 @@ def theory_vcat(v: Quantale) -> Theory:
 def theory_pmet(v: Quantale) -> Theory:
     """Pseudo-V-metric spaces: symmetric V-categories."""
     _require_laws(v)
-    _check_join_reduction(v)
     sig = signature_of(v)
     if _schematic_ok(v):
         from .schema import generalized_transitivity_schema, symmetry_schema

@@ -7,7 +7,10 @@ one Horn axiom per label tuple.  Schema convexity replaces the existence of
 a single lifted valuation with a join inequality over all lifted valuations,
 computed in the symbol lattice; it runs over the same fibre-lift cases as
 flat convexity (:mod:`hornmod.convexity`), and object convexity is schema
-convexity of the unique map to the terminal object.
+convexity of the unique map to the terminal object.  Schema safety is meet
+compatibility of the combination function plus flat safety
+(:func:`hornmod.convexity.is_safe_axiom`) of each instance, and the schematic
+classification shares the flat classifier's closure notes.
 """
 from __future__ import annotations
 
@@ -29,10 +32,9 @@ from .core import (
     horn,
     var_set,
 )
-from .convexity import _fibre_lifts
+from .convexity import _closure_notes, _fibre_lifts, eligible_axioms, is_safe_axiom
 from .limits import bang
 from .quantale import Quantale, QuantaleError, VFunctor, is_heyting
-from .semantics import entails
 
 PLACEHOLDER = "?"
 
@@ -351,11 +353,12 @@ class SchemaSafetyResult:
 
 
 def is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafetyResult:
-    """Meet-compatibility of the combination function plus per-instance collapses.
+    """Meet compatibility of the combination function plus flat safety of each instance.
 
     Safety requires the combination function to commute with meets by a fixed
-    symbol, and for each label tuple a variable collapse under which the
-    instance's premises follow from its conclusion.
+    symbol, and each instance to be a safe axiom (:func:`is_safe_axiom`); the
+    witnesses are the instances' label tuples with their collapses, and the
+    first unsafe instance's labels are reported.
     """
     sig = theory.signature
     order = _require_heyting(sig, schema.arity)
@@ -367,32 +370,14 @@ def is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafetyResult:
             rhs = order.meet2(apply_combine(schema, sig, rbar), s)
             if lhs != rhs:
                 return SchemaSafetyResult(False, False, None, (rbar, s))
-    concl_args = schema.conclusion.args
-    fixed = list(dict.fromkeys(concl_args))
-    free = tuple(sorted(var_set(schema.premises) - set(concl_args)))
-    very = not free
     witnesses = []
-    for rbar in itertools.product(order.symbols, repeat=k):
-        sigma = apply_combine(schema, sig, rbar)
-        head = Edge(sigma, concl_args)
-        found = None
-        for values in itertools.product(fixed, repeat=len(free)):
-            kappa = {v: v for v in fixed}
-            kappa.update(zip(free, values))
-            ok = all(
-                entails(
-                    theory,
-                    horn((head,), Edge(label, tuple(kappa[v] for v in shape.args))),
-                )
-                for label, shape in zip(rbar, schema.premises)
-            )
-            if ok:
-                found = tuple(sorted(kappa.items()))
-                break
-        if found is None:
-            return SchemaSafetyResult(False, False, None, None, rbar)
-        witnesses.append((rbar, found))
-    return SchemaSafetyResult(True, very, tuple(witnesses), None)
+    for inst in expand_instances(schema, sig):
+        res = is_safe_axiom(inst.formula, theory)
+        if not res.safe:
+            return SchemaSafetyResult(False, False, None, None, inst.labels)
+        witnesses.append((inst.labels, res.witness))
+    # every instance has the schema's variables, so the last one speaks for all
+    return SchemaSafetyResult(True, res.very_safe, tuple(witnesses), None)
 
 
 def is_schema_very_safe(schema: AxiomSchema, theory: Theory) -> bool:
@@ -417,32 +402,14 @@ def classify_schematic_theory(theory: Theory) -> SchematicClassification:
     cartesian closure; very safe without any equality axiom additionally
     makes the category of models a quasitopos (a topological universe).
     """
-    non_base = theory.non_base_axioms()
-    flat_edge_axioms = [ax for ax in non_base if not ax.has_equality()]
-    schematic = theory.base_flag and not flat_edge_axioms
-    notes = []
-    if not schematic:
-        notes.append(
-            "theory is not a schematic extension of the base theory; "
-            "the schema-safety theorems do not apply"
-        )
-        return SchematicClassification(False, (), theory.has_equality_axiom(),
-                                       False, False, False, tuple(notes))
+    has_eq = theory.has_equality_axiom()
+    if not theory.base_flag or eligible_axioms(theory):
+        notes = ("theory is not a schematic extension of the base theory; "
+                 "the schema-safety theorems do not apply",)
+        return SchematicClassification(False, (), has_eq, False, False, False, notes)
     results = tuple((s.name, is_schema_safe(s, theory)) for s in theory.schemas)
     all_safe = all(r.safe for _, r in results)
     all_very = all(r.very_safe for _, r in results)
-    has_eq = theory.has_equality_axiom()
-    if all_very:
-        notes.append("all schemas very safe: every morphism of models is convex, "
-                     "so the category of models is locally cartesian closed")
-        if not has_eq:
-            notes.append("no equality axioms: the category is moreover a quasitopos "
-                         "(a topological universe)")
-    elif all_safe:
-        notes.append("all schemas safe: every model is convex, "
-                     "so the category of models is cartesian closed")
-    else:
-        notes.append("some schema is not safe; no closure property is implied")
     return SchematicClassification(
         schematic=True,
         per_schema=results,
@@ -450,5 +417,5 @@ def classify_schematic_theory(theory: Theory) -> SchematicClassification:
         cartesian_closed=all_safe,
         locally_cartesian_closed=all_very,
         quasitopos=all_very and not has_eq,
-        notes=tuple(notes),
+        notes=_closure_notes("schema", all_safe, all_very, has_eq),
     )

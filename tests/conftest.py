@@ -23,6 +23,7 @@ from hornmod.core import (
     Structure,
     Theory,
     TheoryError,
+    horn,
     validate_morphism,
     var_set,
 )
@@ -32,12 +33,13 @@ from hornmod.schema import (
     SchemaConvexityReport,
     SchemaCounterexample,
     SchemaInstance,
+    SchemaSafetyResult,
     _r_kappa,
     _require_heyting,
     apply_combine,
     expand_instances,
 )
-from hornmod.semantics import FreeModelResult
+from hornmod.semantics import FreeModelResult, entails
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -613,3 +615,52 @@ def reference_is_schema_object_convex(x: Structure, theory: Theory) -> SchemaCon
                             ),
                         )
     return SchemaConvexityReport(True, None)
+
+
+# The schema-safety search as it ran before it called the flat safety
+# search on each instance, kept as written; ``is_schema_safe`` is tested
+# against it.
+
+def reference_is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafetyResult:
+    """Meet-compatibility of the combination function plus per-instance collapses.
+
+    Safety requires the combination function to commute with meets by a fixed
+    symbol, and for each label tuple a variable collapse under which the
+    instance's premises follow from its conclusion.
+    """
+    sig = theory.signature
+    order = _require_heyting(sig, schema.arity)
+    k = len(schema.premises)
+    for rbar in itertools.product(order.symbols, repeat=k):
+        for s in order.symbols:
+            lowered = tuple(order.meet2(r, s) for r in rbar)
+            lhs = apply_combine(schema, sig, lowered)
+            rhs = order.meet2(apply_combine(schema, sig, rbar), s)
+            if lhs != rhs:
+                return SchemaSafetyResult(False, False, None, (rbar, s))
+    concl_args = schema.conclusion.args
+    fixed = list(dict.fromkeys(concl_args))
+    free = tuple(sorted(var_set(schema.premises) - set(concl_args)))
+    very = not free
+    witnesses = []
+    for rbar in itertools.product(order.symbols, repeat=k):
+        sigma = apply_combine(schema, sig, rbar)
+        head = Edge(sigma, concl_args)
+        found = None
+        for values in itertools.product(fixed, repeat=len(free)):
+            kappa = {v: v for v in fixed}
+            kappa.update(zip(free, values))
+            ok = all(
+                entails(
+                    theory,
+                    horn((head,), Edge(label, tuple(kappa[v] for v in shape.args))),
+                )
+                for label, shape in zip(rbar, schema.premises)
+            )
+            if ok:
+                found = tuple(sorted(kappa.items()))
+                break
+        if found is None:
+            return SchemaSafetyResult(False, False, None, None, rbar)
+        witnesses.append((rbar, found))
+    return SchemaSafetyResult(True, very, tuple(witnesses), None)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import hornmod as hm
@@ -145,6 +147,31 @@ def test_tensor_of_chains_saturates_to_product(preord, chain2):
     assert t.holds("le", ("(c1,c0)", "(c1,c1)"))
     assert not t.holds("le", ("(c0,c1)", "(c1,c0)"))
     assert not t.holds("le", ("(c1,c0)", "(c0,c1)"))
+
+
+def test_tensor_rejects_colliding_pair_names(preord):
+    # ("a,b", "c") and ("a", "b,c") both render as "(a,b,c)"
+    def discrete(*points):
+        return hm.Structure(preord.signature, points, [hm.edge("le", p, p) for p in points])
+
+    with pytest.raises(hm.StructureError):
+        hm.tensor(preord, discrete("a,b", "a"), discrete("c", "b,c"))
+
+
+def test_tensor_matches_the_defining_seed_scan(preord):
+    # the seed joins tuples of pairs constant in one coordinate and an edge in the other
+    models = all_models(preord, 2, cap=None)
+    for x in models:
+        for y in models:
+            pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()]
+            edges = [
+                hm.Edge("le", tuple(hm.pair_id(*p) for p in combo))
+                for combo in itertools.product(pairs, repeat=2)
+                if (combo[0][0] == combo[1][0] and y.holds("le", (combo[0][1], combo[1][1])))
+                or (combo[0][1] == combo[1][1] and x.holds("le", (combo[0][0], combo[1][0])))
+            ]
+            seed = hm.Structure(preord.signature, [hm.pair_id(*p) for p in pairs], edges)
+            assert hm.tensor(preord, x, y) == hm.free_model(preord, seed).model
 
 
 def test_verify_exponential_chain_family(preord, chain2):

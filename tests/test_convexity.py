@@ -8,7 +8,12 @@ import hornmod as hm
 from hornmod.convexity import eligible_axioms
 from hornmod.families import all_models, all_structures
 from hornmod.limits import TERMINAL_ELEMENT
-from hornmod.theories import order_signature, transitivity_axiom
+from hornmod.theories import (
+    binary_signature,
+    order_signature,
+    symmetry_axiom,
+    transitivity_axiom,
+)
 
 from conftest import (
     dedup_morphisms,
@@ -228,6 +233,42 @@ def test_classify_reflexive_symmetric():
     assert cls.classification == "all_very_safe"
     assert cls.locally_cartesian_closed
     assert cls.quasitopos
+
+
+NOT_REFLEXIVE = "theory is not reflexive; the safety theorems do not apply"
+AXIOM_NOTES = {
+    "very_safe": ("all axioms very safe: every morphism of models is convex, "
+                  "so the category of models is locally cartesian closed",
+                  "no equality axioms: the category is moreover a quasitopos "
+                  "(a topological universe)"),
+    "safe": ("all axioms safe: every model is convex, "
+             "so the category of models is cartesian closed",),
+    "unsafe": ("some axiom is not safe; no closure property is implied",),
+}
+
+
+def _r_implies_s(base_flag):
+    # S x y does not give back R x y, so the axiom is not safe
+    sig = hm.Signature((hm.RelationSymbol("R", 2), hm.RelationSymbol("S", 2)))
+    axiom = hm.horn((hm.edge("R", "x", "y"),), hm.edge("S", "x", "y"))
+    return hm.Theory(sig, (axiom,), (), base_flag=base_flag)
+
+
+def test_classification_notes(preord, pos):
+    cases = [
+        (hm.reflexive_symmetric_theory(), "all_very_safe", AXIOM_NOTES["very_safe"]),
+        (preord, "all_safe", AXIOM_NOTES["safe"]),
+        (pos, "all_safe", AXIOM_NOTES["safe"]),
+        (_r_implies_s(True), "neither", AXIOM_NOTES["unsafe"]),
+        (_r_implies_s(False), "neither", (NOT_REFLEXIVE,) + AXIOM_NOTES["unsafe"]),
+        (TRANSITIVITY_ONLY, "neither", (NOT_REFLEXIVE,) + AXIOM_NOTES["unsafe"]),
+        # safe and very safe, but not reflexive: no claim that an axiom is unsafe
+        (hm.Theory(binary_signature(), (symmetry_axiom(),), (), base_flag=False), "neither",
+         (NOT_REFLEXIVE,)),
+    ]
+    for theory, classification, notes in cases:
+        cls = hm.classify_theory(theory)
+        assert (cls.classification, cls.notes) == (classification, notes)
 
 
 def test_every_morphism_convex_wrt_very_safe_axioms():

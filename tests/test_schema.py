@@ -13,6 +13,7 @@ from hornmod.schema import (
     ConstantSymbol,
     ExplicitTable,
     PLACEHOLDER,
+    PremiseProjection,
     SchemaCounterexample,
     SchemaError,
     _r_kappa,
@@ -28,6 +29,7 @@ from conftest import (
     non_join_preserving_quantale,
     preorder_to_boolean_vcat,
     reference_is_schema_convex_wrt_instance,
+    reference_is_schema_safe,
     reference_is_schema_object_convex,
 )
 
@@ -301,6 +303,99 @@ def test_generalized_transitivity_unsafe_over_lukasiewicz():
     assert apply_combine(schema, theory.signature, lowered) != order.meet2(
         apply_combine(schema, theory.signature, labels), s
     )
+
+
+LADDER_QUANTALES = (hm.boolean_quantale, lambda: hm.chain_meet_quantale(3),
+                    hm.lukasiewicz_quantale)
+LADDER_THEORIES = (hm.theory_vgph, hm.theory_vrgph, hm.theory_vcat, hm.theory_pmet,
+                   hm.theory_met)
+
+
+def _shape_schema(name, combine, conclusion=("x", "z")):
+    """``? x y, ? y z => ? conclusion``: ``y`` occurs only in the premises."""
+    return hm.AxiomSchema(
+        name=name,
+        arity=2,
+        premises=(hm.Edge(PLACEHOLDER, ("x", "y")), hm.Edge(PLACEHOLDER, ("y", "z"))),
+        conclusion=hm.Edge(PLACEHOLDER, conclusion),
+        combine=combine,
+    )
+
+
+def _premise_only_schemas(v):
+    order = hm.signature_of(v).order(2)
+    meets = ExplicitTable(tuple(((a, b), order.meet2(a, b))
+                                for a in order.symbols for b in order.symbols))
+    return (
+        _shape_schema("meet_table", meets),
+        _shape_schema("bottom", ConstantSymbol(order.bottom())),
+        _shape_schema("top", ConstantSymbol(order.top())),
+        _shape_schema("left", PremiseProjection(0)),
+        _shape_schema("right", PremiseProjection(1)),
+        _shape_schema("right_loop", PremiseProjection(1), conclusion=("x", "x")),
+    )
+
+
+@pytest.mark.parametrize("make_v", LADDER_QUANTALES)
+def test_schema_safety_matches_the_reference_on_the_ladder(make_v):
+    v = make_v()
+    schemas = (hm.generalized_transitivity_schema(), hm.symmetry_schema())
+    schemas += _premise_only_schemas(v)
+    for make_theory in LADDER_THEORIES:
+        theory = make_theory(v)
+        for schema in schemas:
+            assert hm.is_schema_safe(schema, theory) == reference_is_schema_safe(schema, theory)
+
+
+def test_schema_safety_reports_the_first_unsafe_instance():
+    theory = hm.theory_vcat(hm.chain_meet_quantale(3))
+    result = hm.is_schema_safe(hm.symmetry_schema(), theory)
+    assert result == reference_is_schema_safe(hm.symmetry_schema(), theory)
+    assert not result.safe and result.meet_violation is None
+    assert result.unsafe_labels == ("~1",)
+
+
+def test_premise_only_variables_get_per_instance_collapses():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    meet_table, bottom, top, left, right, right_loop = _premise_only_schemas(v)
+    result = hm.is_schema_safe(meet_table, theory)
+    assert result.safe and not result.very_safe
+    # y collapses onto x when the second label is the smaller, else onto z
+    witnesses = dict(result.witnesses)
+    assert witnesses["~1", "~2"] == (("x", "x"), ("y", "z"), ("z", "z"))
+    assert witnesses["~2", "~1"] == (("x", "x"), ("y", "x"), ("z", "z"))
+    assert hm.is_schema_safe(bottom, theory).unsafe_labels == ("~1", "~1")
+    assert hm.is_schema_safe(top, theory).meet_violation == (("~0", "~0"), "~0")
+    assert hm.is_schema_safe(left, theory).safe and hm.is_schema_safe(right, theory).safe
+    assert dict(hm.is_schema_safe(right_loop, theory).witnesses)["~2", "~2"] == (
+        ("x", "x"), ("y", "x"), ("z", "x"))
+
+
+SCHEMA_NOTES = {
+    "very_safe": ("all schemas very safe: every morphism of models is convex, "
+                  "so the category of models is locally cartesian closed",
+                  "no equality axioms: the category is moreover a quasitopos "
+                  "(a topological universe)"),
+    "safe": ("all schemas safe: every model is convex, "
+             "so the category of models is cartesian closed",),
+    "unsafe": ("some schema is not safe; no closure property is implied",),
+    "not_schematic": ("theory is not a schematic extension of the base theory; "
+                      "the schema-safety theorems do not apply",),
+}
+
+
+def test_schematic_classification_notes():
+    c3, luk = hm.chain_meet_quantale(3), hm.lukasiewicz_quantale()
+    cases = {
+        "very_safe": hm.theory_vrgph(hm.boolean_quantale()),
+        "safe": hm.theory_pmet(c3),
+        "unsafe": hm.theory_pmet(luk),
+        "not_schematic": hm.theory_vgph(hm.boolean_quantale()),
+    }
+    for case, theory in cases.items():
+        assert hm.classify_schematic_theory(theory).notes == SCHEMA_NOTES[case]
+    assert hm.classify_schematic_theory(hm.theory_met(c3)).notes == SCHEMA_NOTES["safe"]
 
 
 def test_classify_schematic_theories():
