@@ -345,8 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right")
     p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("exponential", help="the structure of maps with evaluation")
-    p.add_argument("--theory", required=True)
+    p = sub.add_parser(
+        "exponential", help="the structure of maps with evaluation",
+        description="Build the exponential Y^X of --base X and --target Y in the category of "
+                    "all structures over their signature; neither needs to be a model. A "
+                    "--theory over another signature is an input error.")
+    p.add_argument("--theory", required=True,
+                   help="chooses only the is_model check of the result and the --verify "
+                        "test family (its models up to --max-q points)")
     p.add_argument("--base", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--verify", action="store_true")

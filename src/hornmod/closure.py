@@ -23,6 +23,7 @@ from .core import (
     validate_morphism,
 )
 from .limits import (
+    _hom_tuples,
     _pair_ids,
     enumerate_functions,
     enumerate_morphisms,
@@ -72,7 +73,7 @@ def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProdu
     for c in z.sorted_carrier():
         fibre = fibres[c]
         tables: Iterable[dict[str, str]] = (
-            (m.mapping for m in enumerate_morphisms(fibre, y)) if reflexive
+            (dict(zip(fibre.sorted_carrier(), t)) for t in _hom_tuples(fibre, y)) if reflexive
             else enumerate_functions(fibre, y))
         for table in tables:
             pid = function_id(table, c)
@@ -151,8 +152,9 @@ def _hom_structure(
 
     An edge joins maps that send every tuple in ``tuples[symbol]`` to an edge of y.
     """
-    homs = enumerate_morphisms(x, y)
-    points = {function_id(dict(h.mapping)): dict(h.mapping) for h in homs}
+    src = x.sorted_carrier()
+    homs = _hom_tuples(x, y)
+    points = {function_id(table): table for table in (dict(zip(src, h)) for h in homs)}
     if len(points) != len(homs):
         raise StructureError("carrier names collide under function-table rendering")
     ids = sorted(points)
@@ -244,33 +246,34 @@ def verify_exponential(
         return VerificationReport(
             False, (VerificationEntry(c, 0, False, "evaluation domain is not C x X"),)
         )
-    ev = candidate.eval.mapping
+    # ev_at[c, b] = eval at the point (c, b) of C x X
+    ev_at = {(prod_cx.left(k), prod_cx.right(k)): v for k, v in candidate.eval.mapping.items()}
     entries = []
     all_ok = True
     for q in test_family:
         prod_qx = product(q, x)
-        targets = enumerate_morphisms(prod_qx.structure, y)
-        target_keys = {
-            tuple(sorted(m.mapping.items())): 0 for m in targets
-        }
-        homs_qc = enumerate_morphisms(q, c)
+        # maps Q x X -> Y are image tuples over the sorted carrier of Q x X
+        layout = prod_qx.structure.sorted_carrier()
+        targets = _hom_tuples(prod_qx.structure, y)
+        target_keys = dict.fromkeys(targets, 0)
+        q_src = q.sorted_carrier()
+        at_q = {a: i for i, a in enumerate(q_src)}
+        cells = [(at_q[prod_qx.left(k)], prod_qx.right(k)) for k in layout]
         ok = True
         detail = ""
-        for h in homs_qc:
-            transposed = {
-                pair_id(a, b): ev[pair_id(h(a), b)] for a in q.carrier for b in x.carrier
-            }
-            key = tuple(sorted(transposed.items()))
+        for h in _hom_tuples(q, c):
+            key = tuple(ev_at[h[i], b] for i, b in cells)
             if key not in target_keys:
                 ok = False
-                detail = f"transpose of {h!r} is not a morphism Q x X -> Y"
+                h_map = Morphism(q, c, dict(zip(q_src, h)))
+                detail = f"transpose of {h_map!r} is not a morphism Q x X -> Y"
                 break
             target_keys[key] += 1
         if ok:
             missed = [k for k, n in target_keys.items() if n != 1]
             if missed:
                 ok = False
-                detail = f"currying is not a bijection at {dict(missed[0])}"
+                detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}"
         entries.append(VerificationEntry(q, len(targets), ok, detail))
         all_ok &= ok
     return VerificationReport(all_ok, tuple(entries))
@@ -307,18 +310,23 @@ def verify_partial_product(
         checked = 0
         ok = True
         detail = ""
+        q_src = q_obj.sorted_carrier()
         for q in enumerate_morphisms(q_obj, z):
             pb = pullback(q, f)
-            for g in enumerate_morphisms(pb.structure, y):
+            # g is an image tuple over the sorted carrier of Q x_Z X
+            pb_src = pb.structure.sorted_carrier()
+            at_pb = {k: i for i, k in enumerate(pb_src)}
+            row_at = [(q(a), [at_pb[pair_id(a, s)] for s in fibre_of[q(a)]]) for a in q_src]
+            for g in _hom_tuples(pb.structure, y):
                 checked += 1
                 candidates_per_point = []
-                for a in q_obj.sorted_carrier():
-                    row = tuple(g.mapping[pair_id(a, s)] for s in fibre_of[q(a)])
-                    cands = [pid for pid, r in rows[q(a)].items() if r == row]
+                for c, cells in row_at:
+                    row = tuple(g[i] for i in cells)
+                    cands = [pid for pid, r in rows[c].items() if r == row]
                     candidates_per_point.append(sorted(cands))
                 solutions = 0
                 for combo in itertools.product(*candidates_per_point):
-                    mapping = dict(zip(q_obj.sorted_carrier(), combo))
+                    mapping = dict(zip(q_src, combo))
                     h = Morphism(q_obj, struct, mapping)
                     if validate_morphism(h):
                         solutions += 1
@@ -326,7 +334,7 @@ def verify_partial_product(
                     ok = False
                     detail = (
                         f"{solutions} mediating morphisms for q={dict(q.mapping)}, "
-                        f"g={dict(g.mapping)}"
+                        f"g={dict(zip(pb_src, g))}"
                     )
                     break
             if not ok:

@@ -1,8 +1,11 @@
 """Finite limits of structures, computed concretely, and hom-set enumeration.
 
-Carriers of limits are the underlying set-level limits; edges are computed
-componentwise.  Product elements get readable pair ids; a collision guard
-rejects carrier names that would make the rendering ambiguous.
+Carriers of limits are the underlying set-level limits.  Edges of products
+and pullbacks are the componentwise join of the two factors' edges, kept
+when every component pair is a point.  Product elements get readable pair
+ids; a collision guard rejects carrier names that would make the rendering
+ambiguous.  Hom-sets are searched as image tuples over the sorted source
+carrier; ``Morphism`` objects are built only at the public boundary.
 """
 from __future__ import annotations
 
@@ -70,11 +73,11 @@ def _paired_structure(
     ids = _pair_ids(pairs)
     edges = []
     for s in sig.symbols:
-        for combo in itertools.product(pairs, repeat=s.arity):
-            xs = tuple(p[0] for p in combo)
-            ys = tuple(p[1] for p in combo)
-            if x.holds(s.name, xs) and y.holds(s.name, ys):
-                edges.append(Edge(s.name, tuple(ids[p] for p in combo)))
+        for xs in x.tuples(s.name):
+            for ys in y.tuples(s.name):
+                args = tuple(map(ids.get, zip(xs, ys)))
+                if None not in args:  # every component pair is a point
+                    edges.append(Edge(s.name, args))
     struct = Structure(sig, ids.values(), edges)
     left = Morphism(struct, x, {ids[p]: p[0] for p in pairs})
     right = Morphism(struct, y, {ids[p]: p[1] for p in pairs})
@@ -134,15 +137,56 @@ def enumerate_functions(
         yield dict(zip(src, images))
 
 
+def _hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:
+    """The edge-preserving maps x -> y as image tuples over ``x.sorted_carrier()``.
+
+    The tuples come in canonical (lexicographic) order.  Each source point
+    carries the checks of the edges it completes, as pairs of the target's
+    tuple set and the edge's source positions, so a prefix is pruned as soon
+    as it breaks an edge.
+    """
+    if x.signature != y.signature:
+        raise SignatureError("hom-set needs a shared signature")
+    src, tgt = x.sorted_carrier(), y.sorted_carrier()
+    position = {a: i for i, a in enumerate(src)}
+    target = {s.name: y.tuples(s.name) for s in x.signature.symbols}
+    checks: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in src]
+    for e in x.edges:
+        at = tuple(position[a] for a in e.args)
+        checks[max(at)].append((target[e.symbol], at))
+    out: list[tuple[str, ...]] = []
+    images = list(src)  # images[:i] is the fixed prefix while point i is tried
+    last = len(src) - 1
+
+    def search(i: int) -> None:
+        here = checks[i]
+        for t in tgt:
+            images[i] = t
+            for edges, at in here:
+                if tuple([images[p] for p in at]) not in edges:
+                    break
+            else:
+                if i == last:
+                    out.append(tuple(images))
+                else:
+                    search(i + 1)
+
+    if not src:
+        return [()]
+    search(0)
+    return out
+
+
 def enumerate_morphisms(
     x: Structure, y: Structure, in_theory: Optional[Theory] = None
 ) -> list[Morphism]:
     """All edge-preserving maps from ``x`` to ``y``, in canonical order.
 
     With ``in_theory`` the endpoints are first checked to be models, so the
-    result is the hom-set of the theory's category of models.  Enumeration
-    prunes prefixes that already break a fully-instantiated edge; cost is
-    bounded by |Y| ** |X|.
+    result is the hom-set of the theory's category of models.  The search
+    (``_hom_tuples``) prunes prefixes that already break a fully-instantiated
+    edge; cost is bounded by |Y| ** |X|.  Each image tuple becomes a
+    ``Morphism`` only here.
     """
     if x.signature != y.signature:
         raise SignatureError("hom-set needs a shared signature")
@@ -151,41 +195,11 @@ def enumerate_morphisms(
             if not is_model(struct, in_theory):
                 raise StructureError("hom-set in a theory needs model endpoints")
     src = x.sorted_carrier()
-    tgt = y.sorted_carrier()
-    position = {a: i for i, a in enumerate(src)}
-    # edges grouped by the highest source position they mention
-    ready: list[list[Edge]] = [[] for _ in src]
-    for e in x.edges:
-        ready[max(position[a] for a in e.args)].append(e)
-
-    out: list[Morphism] = []
-    images: list[str] = []
-
-    def ok(i: int) -> bool:
-        for e in ready[i]:
-            mapped = tuple(images[position[a]] for a in e.args)
-            if not y.holds(e.symbol, mapped):
-                return False
-        return True
-
-    def search(i: int) -> None:
-        if i == len(src):
-            out.append(Morphism(x, y, dict(zip(src, images))))
-            return
-        for t in tgt:
-            images.append(t)
-            if ok(i):
-                search(i + 1)
-            images.pop()
-
-    if not src:
-        return [Morphism(x, y, {})]
-    search(0)
-    return out
+    return [Morphism(x, y, dict(zip(src, images))) for images in _hom_tuples(x, y)]
 
 
 def hom_count(x: Structure, y: Structure) -> int:
-    return len(enumerate_morphisms(x, y))
+    return len(_hom_tuples(x, y))
 
 
 def find_isomorphism(x: Structure, y: Structure) -> Optional[Morphism]:

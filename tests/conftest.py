@@ -27,7 +27,8 @@ from hornmod.core import (
     validate_morphism,
     var_set,
 )
-from hornmod.families import all_models, all_structures, iso_key
+from hornmod.families import all_models, all_structures, edge_slots, iso_key
+from hornmod.limits import _pair_ids
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -664,3 +665,49 @@ def reference_is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafet
             return SchemaSafetyResult(False, False, None, None, rbar)
         witnesses.append((rbar, found))
     return SchemaSafetyResult(True, very, tuple(witnesses), None)
+
+
+# Hom-sets, products and pullbacks: the naive forms that the tuple kernel and
+# the edge join replaced.
+
+def reference_enumerate_morphisms(x: Structure, y: Structure) -> list[Morphism]:
+    """Every function on the sorted carriers, kept when ``validate_morphism`` accepts it."""
+    src = x.sorted_carrier()
+    out = []
+    for images in itertools.product(y.sorted_carrier(), repeat=len(src)):
+        h = Morphism(x, y, dict(zip(src, images)))
+        if validate_morphism(h):
+            out.append(h)
+    return out
+
+
+def reference_paired_structure(
+    sig: Signature, pairs: list[tuple[str, str]], x: Structure, y: Structure
+) -> tuple[Structure, Morphism, Morphism]:
+    """The scan over all |pairs| ** arity combinations, kept when both components hold."""
+    ids = _pair_ids(pairs)
+    edges = []
+    for s in sig.symbols:
+        for combo in itertools.product(pairs, repeat=s.arity):
+            xs = tuple(p[0] for p in combo)
+            ys = tuple(p[1] for p in combo)
+            if x.holds(s.name, xs) and y.holds(s.name, ys):
+                edges.append(Edge(s.name, tuple(ids[p] for p in combo)))
+    struct = Structure(sig, ids.values(), edges)
+    left = Morphism(struct, x, {ids[p]: p[0] for p in pairs})
+    right = Morphism(struct, y, {ids[p]: p[1] for p in pairs})
+    return struct, left, right
+
+
+TRUST_SIGNATURE = hm.Signature(
+    tuple(hm.RelationSymbol(n, a) for n, a in (("P", 1), ("R", 2), ("T", 3))))
+
+
+@st.composite
+def trust_structures(draw, prefix: str, min_size: int = 0, max_size: int = 3):
+    """A random structure over ``{P/1, R/2, T/3}`` on ``min_size``..``max_size`` points."""
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    carrier = [f"{prefix}{i}" for i in range(size)]
+    slots = edge_slots(TRUST_SIGNATURE, tuple(carrier))
+    mask = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return Structure(TRUST_SIGNATURE, carrier, [e for e, keep in zip(slots, mask) if keep])

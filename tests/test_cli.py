@@ -30,6 +30,19 @@ def corpus(name):
     return str(CORPUS / name)
 
 
+def assert_one_line_input_error(*argv):
+    """Run the CLI as a process: exit 2, no stdout, one ``error:`` line, no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-m", "hornmod.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_model_affirmative():
     code, out = run_cli(
         "check-model", "--theory", corpus("preord.theory.json"),
@@ -95,15 +108,7 @@ def test_malformed_document_is_one_line_input_error(tmp_path, argv):
         elif arg.endswith(".json"):
             arg = corpus(arg)
         args.append(arg)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, "-m", "hornmod.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert_one_line_input_error(*args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,3 +269,46 @@ def test_outputs_reparse():
     from hornmod.serialize import parse_structure
 
     parse_structure(json.loads(out)["model"])
+
+
+def _structure_file(tmp_path, name, carrier, le_pairs):
+    sig = hm.preorder_theory().signature
+    x = hm.Structure(sig, carrier, [hm.edge("le", a, b) for a, b in le_pairs])
+    path = tmp_path / f"{name}.structure.json"
+    path.write_text(dumps(structure_to_jsonable(x)), encoding="utf-8")
+    return x, str(path)
+
+
+# `exponential` builds Y^X among all structures of the signature; --theory only
+# picks the is_model check and the --verify family, so inputs are not checked.
+LOOPS = [("a", "a"), ("b", "b"), ("c", "c")]
+
+
+def test_exponential_accepts_a_non_transitive_base(tmp_path):
+    base, path = _structure_file(tmp_path, "base", "abc", LOOPS + [("a", "b"), ("b", "c")])
+    code, out = run_cli(
+        "exponential", "--theory", corpus("preord.theory.json"), "--base", path,
+        "--target", corpus("chain2.structure.json"), "--verify",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    result = hm.exponential_object(base, hm.chain(2))
+    assert payload["is_model"] is hm.is_model(result.structure, hm.preorder_theory())
+    assert payload["verification"]["passed"] is True
+
+
+def test_exponential_into_a_non_model_target_reports_is_model_false(tmp_path):
+    _, base = _structure_file(tmp_path, "base", "p", [("p", "p")])
+    _, target = _structure_file(tmp_path, "target", "abc", LOOPS + [("a", "b"), ("b", "c")])
+    code, out = run_cli(
+        "exponential", "--theory", corpus("preord.theory.json"), "--base", base,
+        "--target", target,
+    )
+    assert code == 0
+    assert json.loads(out)["is_model"] is False
+
+
+def test_exponential_theory_over_another_signature_is_one_line_input_error():
+    assert_one_line_input_error(
+        "exponential", "--theory", corpus("boolean-vcat.theory.json"),
+        "--base", corpus("chain2.structure.json"), "--target", corpus("chain2.structure.json"))

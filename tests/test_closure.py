@@ -201,7 +201,59 @@ def test_verify_exponential_detects_corruption(preord, chain2):
     bad = ExponentialResult(pruned, ev, dict(exp.components))
     report = hm.verify_exponential(chain2, chain2, bad, family)
     assert not report.passed
-    assert any(not e.ok for e in report.entries)
+    # the detail reaches `exponential --verify` stdout, so every entry is pinned;
+    # a pruned edge loses maps Q -> C, so some map Q x X -> Y has no preimage
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (1, True, ""),
+        (3, False, "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c1'}"),
+        (9, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
+                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+        (6, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
+                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+        (3, False, "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c1', "
+                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+    ]
+
+
+def test_verify_exponential_detects_a_duplicated_point(preord, chain2):
+    family = all_models(preord, 2, cap=None)
+    exp = hm.exponential_object(chain2, chain2)
+    c, twin = exp.structure, "[c0:c0,c1:c0]"
+    assert twin == c.sorted_carrier()[0]
+
+    def copies(args):  # every way of replacing the twin by its duplicate
+        return itertools.product(*(((a, "dup") if a == twin else (a,)) for a in args))
+
+    edges = [hm.Edge(e.symbol, args) for e in c.edges for args in copies(e.args)]
+    doubled = hm.Structure(c.signature, c.carrier | {"dup"}, edges)
+    ev = dict(exp.eval.mapping)
+    ev.update({hm.pair_id("dup", b): ev[hm.pair_id(twin, b)] for b in chain2.carrier})
+    bad = ExponentialResult(doubled, hm.Morphism(hm.product(doubled, chain2).structure,
+                                                 chain2, ev))
+    report = hm.verify_exponential(chain2, chain2, bad, family)
+    assert not report.passed
+    # both copies curry to the same map, so it is hit twice
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (1, True, ""),
+        (3, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0'}"),
+        (9, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
+                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+        (6, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
+                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+        (3, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
+                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+    ]
+
+
+def test_verify_exponential_rejects_an_extra_edge_at_evaluation(preord, chain2):
+    # A transpose is eval . (h x X), a composite of morphisms once eval is checked,
+    # so an edge that breaks currying is caught as a broken evaluation map.
+    exp = hm.exponential_object(chain2, chain2)
+    extra = exp.structure.with_edges([hm.edge("le", "[c0:c1,c1:c1]", "[c0:c0,c1:c0]")])
+    ev = hm.Morphism(hm.product(extra, chain2).structure, chain2, dict(exp.eval.mapping))
+    report = hm.verify_exponential(chain2, chain2, ExponentialResult(extra, ev), [chain2])
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (0, False, "evaluation map is not a morphism")]
 
 
 def test_verify_partial_product_small_exhaustive(preord):
@@ -243,7 +295,9 @@ def test_verify_partial_product_detects_corruption(preord, chain2):
     report = hm.verify_partial_product(f, chain2, bad, family)
     assert not report.passed
     witness = [e for e in report.entries if not e.ok]
-    assert witness and witness[0].detail
+    assert report.entries.index(witness[0]) == 2
+    assert (witness[0].checked, witness[0].ok, witness[0].detail) == (
+        5, False, "0 mediating morphisms for q={'e0': 'c2'}, g={'(e0,c)': 'c1'}")
 
 
 def test_currying_naturality(preord, chain2):

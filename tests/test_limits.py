@@ -1,9 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.families import all_structures, dedup_by_iso
+
+from conftest import (
+    TRUST_SIGNATURE,
+    reference_enumerate_morphisms,
+    reference_paired_structure,
+    trust_structures,
+)
 
 
 def test_terminal_order_signature(preord):
@@ -239,3 +247,34 @@ def test_carrier_sizes_match_set_limits(chain2, chain3):
     assert pb.structure.size() == len(
         [(a, b) for a in chain2.carrier for b in chain2.carrier if f(a) == g(b)]
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trust_structures("a"), trust_structures("b"))
+def test_hom_search_against_the_naive_enumeration(x, y):
+    expected = reference_enumerate_morphisms(x, y)
+    got = hm.enumerate_morphisms(x, y)
+    assert got == expected
+    assert [list(m.mapping) for m in got] == [list(m.mapping) for m in expected]
+    assert hm.hom_count(x, y) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trust_structures("a"), trust_structures("b"))
+def test_product_against_the_combination_scan(x, y):
+    pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()]
+    assert tuple(hm.product(x, y)) == reference_paired_structure(TRUST_SIGNATURE, pairs, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pullback_against_the_combination_scan(data):
+    z = data.draw(trust_structures("c"))
+    size = 0 if not z.carrier else 3
+    x = data.draw(trust_structures("a", max_size=size))
+    y = data.draw(trust_structures("b", max_size=size))
+    points = st.sampled_from(z.sorted_carrier()) if z.carrier else st.nothing()
+    f = hm.Morphism(x, z, {a: data.draw(points) for a in x.sorted_carrier()})
+    g = hm.Morphism(y, z, {b: data.draw(points) for b in y.sorted_carrier()})
+    pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier() if f(a) == g(b)]
+    assert tuple(hm.pullback(f, g)) == reference_paired_structure(TRUST_SIGNATURE, pairs, x, y)
