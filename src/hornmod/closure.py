@@ -4,8 +4,11 @@ Partial products come in two variants: the plain one, whose points pair a
 codomain element with an arbitrary function on the fibre, and the reflexive
 one, whose points pair a codomain element with an edge-preserving map on the
 fibre and whose edge condition quantifies over all symbols below the given
-one.  The verifiers replay the universal properties over a family of test
-objects by exhaustive enumeration.
+one.  Both kinds of point come from the valuation search of
+:mod:`hornmod.semantics`.  The verifiers replay the universal properties over
+a family of test objects by exhaustive enumeration; the partial-product
+verifier counts the mediating maps with the same search, over per-point
+candidate domains.
 """
 from __future__ import annotations
 
@@ -25,14 +28,13 @@ from .core import (
 from .limits import (
     _hom_tuples,
     _pair_ids,
-    enumerate_functions,
     enumerate_morphisms,
     fibre_structure,
     pair_id,
     product,
     pullback,
 )
-from .semantics import free_model, is_model
+from .semantics import _value_tuples, free_model, is_model
 
 STR_VARIANT = "str"
 REFLEXIVE_VARIANT = "refl"
@@ -70,12 +72,13 @@ def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProdu
     fibres = {c: fibre_structure(f, c) for c in z.sorted_carrier()}
 
     points: dict[str, tuple[dict[str, str], str]] = {}
+    tgt = y.sorted_carrier()
     for c in z.sorted_carrier():
-        fibre = fibres[c]
-        tables: Iterable[dict[str, str]] = (
-            (dict(zip(fibre.sorted_carrier(), t)) for t in _hom_tuples(fibre, y)) if reflexive
-            else enumerate_functions(fibre, y))
-        for table in tables:
+        # A function on the fibre is a hom from the edgeless fibre.
+        src = fibres[c].sorted_carrier()
+        edges = fibres[c].edges if reflexive else ()
+        for images in _value_tuples(y, src, [tgt] * len(src), edges):
+            table = dict(zip(src, images))
             pid = function_id(table, c)
             if pid in points:
                 raise StructureError("carrier names collide under function-table rendering")
@@ -298,11 +301,12 @@ def verify_partial_product(
         )
     z = f.target
     fibre_of = {c: sorted(a for a in f.source.carrier if f(a) == c) for c in z.carrier}
-    # rows[c][pid] = evaluation row of the candidate point pid over the fibre of c
-    rows: dict[str, dict[str, tuple[str, ...]]] = {c: {} for c in z.carrier}
+    # over_row[c][row] = the candidate points over c whose evaluation row on the fibre is row
+    over_row: dict[str, dict[tuple[str, ...], list[str]]] = {c: {} for c in z.carrier}
     for pid in struct.carrier:
         c = p(pid)
-        rows[c][pid] = tuple(ev.mapping[pair_id(pid, a)] for a in fibre_of[c])
+        row = tuple(ev.mapping[pair_id(pid, a)] for a in fibre_of[c])
+        over_row[c].setdefault(row, []).append(pid)
 
     entries = []
     all_ok = True
@@ -319,17 +323,9 @@ def verify_partial_product(
             row_at = [(q(a), [at_pb[pair_id(a, s)] for s in fibre_of[q(a)]]) for a in q_src]
             for g in _hom_tuples(pb.structure, y):
                 checked += 1
-                candidates_per_point = []
-                for c, cells in row_at:
-                    row = tuple(g[i] for i in cells)
-                    cands = [pid for pid, r in rows[c].items() if r == row]
-                    candidates_per_point.append(sorted(cands))
-                solutions = 0
-                for combo in itertools.product(*candidates_per_point):
-                    mapping = dict(zip(q_src, combo))
-                    h = Morphism(q_obj, struct, mapping)
-                    if validate_morphism(h):
-                        solutions += 1
+                # h(a) must be a point over q(a) whose evaluation row is g on a's fibre
+                domains = [over_row[c].get(tuple(g[i] for i in cells), ()) for c, cells in row_at]
+                solutions = sum(1 for _ in _value_tuples(struct, q_src, domains, q_obj.edges))
                 if solutions != 1:
                     ok = False
                     detail = (

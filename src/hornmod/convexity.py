@@ -33,7 +33,7 @@ from .core import (
     var_set,
 )
 from .limits import bang, enumerate_morphisms
-from .semantics import entails, free_model, is_reflexive_theory
+from .semantics import _value_tuples, entails, free_model, is_reflexive_theory
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,22 @@ def _holds_all(x: Structure, premises, kappa: dict[str, str]) -> bool:
 def _fibre_lifts(f: Morphism, premises, concl_args: tuple[str, ...]):
     """The cases that flat and schema convexity of ``f`` quantify over.
 
-    For each premise-satisfying valuation into the target, in canonical
-    order, and each ``xs`` in the product of the fibres over the conclusion
-    variables, yields ``(valuation, xs, lifts)``, the valuation as sorted
-    (variable, value) pairs: ``lifts`` lazily lists the source valuations
-    pinning the conclusion variables to ``xs`` and lifting the other premise
-    variables within their fibres (none if ``xs`` gives a repeated variable
-    two values).
+    For each premise-satisfying valuation into the target, found by the
+    valuation search of :mod:`hornmod.semantics` in canonical order, and each
+    ``xs`` in the product of the fibres over the conclusion variables, yields
+    ``(valuation, xs, lifts)``, the valuation as sorted (variable, value)
+    pairs: ``lifts`` lazily lists the source valuations pinning the
+    conclusion variables to ``xs`` and lifting the other premise variables
+    within their fibres (none if ``xs`` gives a repeated variable two values).
     """
     x, z = f.source, f.target
     premise_vars = var_set(premises)
     variables = tuple(sorted(premise_vars | set(concl_args)))
     other_vars = tuple(sorted(premise_vars - set(concl_args)))
     fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
-    for values in itertools.product(z.sorted_carrier(), repeat=len(variables)):
+    carrier = z.sorted_carrier()
+    for values in _value_tuples(z, variables, [carrier] * len(variables), premises):
         kz = dict(zip(variables, values))
-        if not _holds_all(z, premises, kz):
-            continue
         valuation = tuple(kz.items())
         domains = [fibre[kz[v]] for v in other_vars]
         for xs in itertools.product(*(fibre[kz[v]] for v in concl_args)):

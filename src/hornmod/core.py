@@ -319,7 +319,7 @@ class Structure:
             if not set(e.args) <= self.carrier:
                 raise StructureError(f"edge {e} mentions elements outside the carrier")
             by_symbol[e.symbol].add(e.args)
-        self._by_symbol = by_symbol
+        self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
         self._hash = hash((self.signature, self.carrier, self.edges))
 
     def __eq__(self, other: object) -> bool:
@@ -346,7 +346,7 @@ class Structure:
         return args in self._by_symbol[symbol]
 
     def tuples(self, symbol: str) -> frozenset[tuple[str, ...]]:
-        return frozenset(self._by_symbol[symbol])
+        return self._by_symbol[symbol]
 
     def size(self) -> int:
         return len(self.carrier)

@@ -17,7 +17,7 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .core import Edge, Signature, Structure, StructureError, Theory
+from .core import Edge, HornmodError, Signature, Structure, StructureError, Theory
 from .semantics import ground_axioms, is_model
 
 DEFAULT_CAP = 512
@@ -177,6 +177,8 @@ def _closed_masks(rules: tuple[tuple[int, int], ...], width: int) -> Iterator[in
 
 def sample_family(structures: list[Structure], cap: int, seed: int) -> list[Structure]:
     """A deterministic subfamily: everything when under the cap, else a seeded sample."""
+    if cap < 1:
+        raise HornmodError(f"family cap must be at least 1, got {cap}")
     if len(structures) <= cap:
         return list(structures)
     rng = random.Random(seed)
@@ -196,6 +198,8 @@ def default_test_family(
     One representative per isomorphism class of structures (or of the
     theory's models, when given) up to the size bound, sampled past the cap.
     """
+    if max_size < 0:
+        raise HornmodError(f"family size bound must be at least 0, got {max_size}")
     if theory is not None:
         family = all_models(theory, max_size, iso=True, cap=None)
     else:

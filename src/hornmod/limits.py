@@ -4,13 +4,14 @@ Carriers of limits are the underlying set-level limits.  Edges of products
 and pullbacks are the componentwise join of the two factors' edges, kept
 when every component pair is a point.  Product elements get readable pair
 ids; a collision guard rejects carrier names that would make the rendering
-ambiguous.  Hom-sets are searched as image tuples over the sorted source
-carrier; ``Morphism`` objects are built only at the public boundary.
+ambiguous.  Hom-sets are image tuples over the sorted source carrier, found
+by the valuation search of :mod:`hornmod.semantics` with the source's points
+as variables and its edges as premises; ``Morphism`` objects are built only
+at the public boundary.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Edge,
@@ -22,7 +23,7 @@ from .core import (
     Theory,
 )
 from .families import _canonical_labelling
-from .semantics import is_model
+from .semantics import _value_tuples, is_model
 
 TERMINAL_ELEMENT = "*"
 
@@ -128,53 +129,17 @@ def pair_morphism(f: Morphism, g: Morphism, target: ProductResult) -> Morphism:
     )
 
 
-def enumerate_functions(
-    x: Structure, y: Structure
-) -> Iterator[dict[str, str]]:
-    """All functions between the carriers, in canonical order (no validity check)."""
-    src = x.sorted_carrier()
-    for images in itertools.product(y.sorted_carrier(), repeat=len(src)):
-        yield dict(zip(src, images))
-
-
 def _hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:
     """The edge-preserving maps x -> y as image tuples over ``x.sorted_carrier()``.
 
-    The tuples come in canonical (lexicographic) order.  Each source point
-    carries the checks of the edges it completes, as pairs of the target's
-    tuple set and the edge's source positions, so a prefix is pruned as soon
-    as it breaks an edge.
+    One call of the valuation search: x's points are the variables, each over
+    the sorted carrier of y, and x's edges are the premises.  The tuples come
+    in canonical (lexicographic) order.
     """
     if x.signature != y.signature:
         raise SignatureError("hom-set needs a shared signature")
-    src, tgt = x.sorted_carrier(), y.sorted_carrier()
-    position = {a: i for i, a in enumerate(src)}
-    target = {s.name: y.tuples(s.name) for s in x.signature.symbols}
-    checks: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in src]
-    for e in x.edges:
-        at = tuple(position[a] for a in e.args)
-        checks[max(at)].append((target[e.symbol], at))
-    out: list[tuple[str, ...]] = []
-    images = list(src)  # images[:i] is the fixed prefix while point i is tried
-    last = len(src) - 1
-
-    def search(i: int) -> None:
-        here = checks[i]
-        for t in tgt:
-            images[i] = t
-            for edges, at in here:
-                if tuple([images[p] for p in at]) not in edges:
-                    break
-            else:
-                if i == last:
-                    out.append(tuple(images))
-                else:
-                    search(i + 1)
-
-    if not src:
-        return [()]
-    search(0)
-    return out
+    src = x.sorted_carrier()
+    return list(_value_tuples(y, src, [y.sorted_carrier()] * len(src), x.edges))
 
 
 def enumerate_morphisms(

@@ -1,8 +1,10 @@
 """Satisfaction of Horn formulas, model checking, free models and entailment.
 
-Valuations are searched variable by variable in canonical order, checking
-each premise as soon as its variables are bound, so a model check stops at
-its first violation.
+One search, ``_value_tuples``, assigns values to ordered variables, one domain
+each, checking each edge as soon as its variables are bound.  A valuation of
+a formula's premises is a morphism from the structure they present, so it
+also finds hom-sets, function tables, fibre valuations and mediating maps for
+:mod:`hornmod.limits`, :mod:`hornmod.closure` and :mod:`hornmod.convexity`.
 
 The free model is computed by a semi-naive chase over edge indexes that the
 chase keeps itself.  A round matches the axioms against the edges as they
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     Edge,
@@ -57,6 +60,50 @@ class FreeModelResult:
     unit_map: Morphism
 
 
+def _value_tuples(
+    x: Structure,
+    variables: Sequence[str],
+    domains: Sequence[Sequence[str]],
+    edges: Iterable[Edge],
+) -> Iterator[tuple[str, ...]]:
+    """The value tuples for ``variables`` under which every edge holds in ``x``.
+
+    Position ``i`` ranges over ``domains[i]``, so tuples come out lazily in
+    lexicographic order of the domains.  Every variable of every edge must be
+    in ``variables``; an edge is checked against ``x.tuples(symbol)`` as soon
+    as its last variable is bound, so a prefix stops at the first edge it breaks.
+    """
+    checks: list[list[tuple[frozenset, Callable]]] = [[] for _ in variables]
+    for e in edges:
+        at = tuple(map(variables.index, e.args))
+        # itemgetter of one position returns the value, not a 1-tuple
+        read = itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
+        checks[max(at)].append((x.tuples(e.symbol), read))
+    n = len(variables)
+    if n == 0:
+        yield ()
+        return
+    values = [""] * n
+    levels = [iter(domains[0])]  # levels[k] runs over the untried values of position k
+    while levels:
+        k = len(levels) - 1
+        here = checks[k]
+        for value in levels[k]:
+            values[k] = value
+            for tuples, read in here:
+                if read(values) not in tuples:
+                    break
+            else:
+                break  # every check passed: keep this value
+        else:
+            levels.pop()
+            continue
+        if k + 1 == n:
+            yield tuple(values)
+        else:
+            levels.append(iter(domains[k + 1]))
+
+
 def satisfying_valuations(
     x: Structure,
     premises: frozenset[Edge] | tuple[Edge, ...],
@@ -65,25 +112,18 @@ def satisfying_valuations(
     """All valuations of ``variables`` into the carrier making every premise hold.
 
     Variables are bound in the order of ``variables``, each over the sorted
-    carrier, and a premise is checked as soon as the last of its variables is
-    bound, so valuations come out lazily in lexicographic order of the
-    variable tuple.  Premise variables missing from ``variables`` are bound
-    last, by backtracking over the sorted tuples of the sorted premises that
-    use them: each valuation of ``variables`` comes out once, completed by
-    the first such match.
+    carrier, by :func:`_value_tuples`, so valuations come out lazily in
+    lexicographic order of the variable tuple.  Premise variables missing
+    from ``variables`` are bound last, by backtracking over the sorted tuples
+    of the sorted premises that use them: each valuation of ``variables``
+    comes out once, completed by the first such match.
     """
-    carrier = x.sorted_carrier()
-    position = {v: i for i, v in enumerate(variables)}
-    checks: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in variables]
+    bound = set(variables)
+    inside: list[Edge] = []
     hidden: list[Edge] = []
     for e in sorted(premises):
-        if all(a in position for a in e.args):
-            idx = tuple(position[a] for a in e.args)
-            checks[max(idx)].append((x.tuples(e.symbol), idx))
-        else:
-            hidden.append(e)
+        (inside if bound.issuperset(e.args) else hidden).append(e)
     hidden_tuples = [sorted(x.tuples(e.symbol)) for e in hidden]
-    values: list[str] = [""] * len(variables)
 
     def complete(binding: dict[str, str], k: int) -> Iterator[dict[str, str]]:
         if k == len(hidden):
@@ -94,20 +134,13 @@ def satisfying_valuations(
             if all(new.setdefault(var, val) == val for var, val in zip(hidden[k].args, args)):
                 yield from complete(new, k + 1)
 
-    def bind(k: int) -> Iterator[dict[str, str]]:
-        if k == len(values):
-            binding = dict(zip(variables, values))
-            if hidden:
-                binding = next(complete(binding, 0), None)
-            if binding is not None:
-                yield binding
-            return
-        for a in carrier:
-            values[k] = a
-            if all(tuple(values[i] for i in idx) in tuples for tuples, idx in checks[k]):
-                yield from bind(k + 1)
-
-    yield from bind(0)
+    carrier = x.sorted_carrier()
+    for values in _value_tuples(x, variables, [carrier] * len(variables), inside):
+        binding = dict(zip(variables, values))
+        if hidden:
+            binding = next(complete(binding, 0), None)
+        if binding is not None:
+            yield binding
 
 
 def _conclusion_holds(x: Structure, concl: Edge | Equality, val: Mapping[str, str]) -> bool:

@@ -1,11 +1,13 @@
 import itertools
 import json
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 import hornmod as hm
+from hornmod.closure import PartialProductResult, VerificationEntry, VerificationReport
 from hornmod.convexity import (
     ConvexityCounterexample,
     ConvexityReport,
@@ -28,7 +30,7 @@ from hornmod.core import (
     var_set,
 )
 from hornmod.families import all_models, all_structures, edge_slots, iso_key
-from hornmod.limits import _pair_ids
+from hornmod.limits import _hom_tuples, _pair_ids, enumerate_morphisms, pair_id, pullback
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -711,3 +713,91 @@ def trust_structures(draw, prefix: str, min_size: int = 0, max_size: int = 3):
     slots = edge_slots(TRUST_SIGNATURE, tuple(carrier))
     mask = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     return Structure(TRUST_SIGNATURE, carrier, [e for e, keep in zip(slots, mask) if keep])
+
+
+def trust_edges(variables):
+    """Random edges over ``{P/1, R/2, T/3}`` on ``variables``, repeats (``R x x``) included."""
+    return st.sampled_from(TRUST_SIGNATURE.symbols).flatmap(
+        lambda s: st.tuples(*[st.sampled_from(variables)] * s.arity).map(
+            lambda args: Edge(s.name, args)))
+
+
+def reference_value_tuples(x: Structure, variables, domains, edges) -> list[tuple[str, ...]]:
+    """The valuation kernel's oracle: each tuple of the domains' product under
+    which every edge holds in ``x``, in product order."""
+    out = []
+    for values in itertools.product(*domains):
+        val = dict(zip(variables, values))
+        if all(x.holds(e.symbol, tuple(val[a] for a in e.args)) for e in edges):
+            out.append(values)
+    return out
+
+
+# The partial-product verifier as it ran before the mediating maps were counted
+# by the valuation kernel: every combination of per-point candidates is built
+# as a ``Morphism`` and validated.  ``verify_partial_product`` is tested
+# against it.
+
+def reference_verify_partial_product(
+    f: Morphism,
+    y: Structure,
+    candidate: PartialProductResult,
+    test_family: Sequence[Structure],
+) -> VerificationReport:
+    """Check the partial-product universal property over a family of test objects.
+
+    For every q : Q -> Z and g : Q x_Z X -> Y there must be exactly one
+    h : Q -> P with p . h = q and eval . (h x_Z id) = g.
+    """
+    p, ev = candidate.p, candidate.eval
+    struct = candidate.structure
+    if not validate_morphism(p) or not validate_morphism(ev):
+        return VerificationReport(
+            False, (VerificationEntry(struct, 0, False, "anchor or evaluation is invalid"),)
+        )
+    z = f.target
+    fibre_of = {c: sorted(a for a in f.source.carrier if f(a) == c) for c in z.carrier}
+    # rows[c][pid] = evaluation row of the candidate point pid over the fibre of c
+    rows: dict[str, dict[str, tuple[str, ...]]] = {c: {} for c in z.carrier}
+    for pid in struct.carrier:
+        c = p(pid)
+        rows[c][pid] = tuple(ev.mapping[pair_id(pid, a)] for a in fibre_of[c])
+
+    entries = []
+    all_ok = True
+    for q_obj in test_family:
+        checked = 0
+        ok = True
+        detail = ""
+        q_src = q_obj.sorted_carrier()
+        for q in enumerate_morphisms(q_obj, z):
+            pb = pullback(q, f)
+            # g is an image tuple over the sorted carrier of Q x_Z X
+            pb_src = pb.structure.sorted_carrier()
+            at_pb = {k: i for i, k in enumerate(pb_src)}
+            row_at = [(q(a), [at_pb[pair_id(a, s)] for s in fibre_of[q(a)]]) for a in q_src]
+            for g in _hom_tuples(pb.structure, y):
+                checked += 1
+                candidates_per_point = []
+                for c, cells in row_at:
+                    row = tuple(g[i] for i in cells)
+                    cands = [pid for pid, r in rows[c].items() if r == row]
+                    candidates_per_point.append(sorted(cands))
+                solutions = 0
+                for combo in itertools.product(*candidates_per_point):
+                    mapping = dict(zip(q_src, combo))
+                    h = Morphism(q_obj, struct, mapping)
+                    if validate_morphism(h):
+                        solutions += 1
+                if solutions != 1:
+                    ok = False
+                    detail = (
+                        f"{solutions} mediating morphisms for q={dict(q.mapping)}, "
+                        f"g={dict(zip(pb_src, g))}"
+                    )
+                    break
+            if not ok:
+                break
+        entries.append(VerificationEntry(q_obj, checked, ok, detail))
+        all_ok &= ok
+    return VerificationReport(all_ok, tuple(entries))

@@ -312,3 +312,21 @@ def test_exponential_theory_over_another_signature_is_one_line_input_error():
     assert_one_line_input_error(
         "exponential", "--theory", corpus("boolean-vcat.theory.json"),
         "--base", corpus("chain2.structure.json"), "--target", corpus("chain2.structure.json"))
+
+
+EXPONENTIAL_CHAIN2 = ("exponential", "--theory", corpus("preord.theory.json"),
+                      "--base", corpus("chain2.structure.json"),
+                      "--target", corpus("chain2.structure.json"), "--verify")
+PARTIAL_PRODUCT_STR = ("partial-product", "--variant", "str",
+                       "--morphism", corpus("interp-fail.morphism.json"),
+                       "--target", corpus("chain2.structure.json"), "--verify")
+
+
+@pytest.mark.parametrize("argv", [
+    EXPONENTIAL_CHAIN2 + ("--cap", "-1"),
+    PARTIAL_PRODUCT_STR + ("--cap", "0"),
+    EXPONENTIAL_CHAIN2 + ("--max-q", "-1"),
+], ids=["negative-cap", "zero-cap", "negative-max-q"])
+def test_out_of_range_family_bounds_are_one_line_input_errors(argv):
+    # A cap below 1 or a negative size bound would verify over no test object.
+    assert_one_line_input_error(*argv)

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.closure import ExponentialResult
 from hornmod.families import all_models, all_structures, dedup_by_iso
 
-from conftest import interp_fail_morphism
+from conftest import interp_fail_morphism, reference_verify_partial_product
 
 
 def test_partial_product_str_counts(preord):
@@ -298,6 +299,52 @@ def test_verify_partial_product_detects_corruption(preord, chain2):
     assert report.entries.index(witness[0]) == 2
     assert (witness[0].checked, witness[0].ok, witness[0].detail) == (
         5, False, "0 mediating morphisms for q={'e0': 'c2'}, g={'(e0,c)': 'c1'}")
+
+
+PREORDER_SIGNATURE = hm.preorder_theory().signature
+SMALL_STRUCTURES = all_structures(PREORDER_SIGNATURE, 2, cap=None)
+SMALL_BASE_MODELS = [s for s in SMALL_STRUCTURES
+                     if hm.is_model(s, hm.Theory(PREORDER_SIGNATURE, (), (), base_flag=True))]
+
+
+@st.composite
+def partial_product_candidates(draw):
+    """f : X -> Z, Y, a partial product of either variant, possibly corrupted, and a family.
+
+    A corruption drops an edge of P, adds an edge to P, or moves one value of
+    the evaluation map; the anchor keeps its mapping.
+    """
+    variant = draw(st.sampled_from(["str", "refl"]))
+    pool = SMALL_STRUCTURES if variant == "str" else SMALL_BASE_MODELS
+    x, z, y = (draw(st.sampled_from(pool)) for _ in range(3))
+    homs = hm.enumerate_morphisms(x, z)
+    assume(homs)
+    f = draw(st.sampled_from(homs))
+    pp = (hm.partial_product_str if variant == "str" else hm.partial_product_refl)(y, f)
+    struct, eval_map = pp.structure, dict(pp.eval.mapping)
+    corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "eval-value"]))
+    ids = struct.sorted_carrier()
+    if corruption == "drop-edge" and struct.edges:
+        dropped = draw(st.sampled_from(struct.sorted_edges()))
+        struct = hm.Structure(struct.signature, ids, struct.edges - {dropped})
+    elif corruption == "add-edge" and ids:
+        struct = struct.with_edges([hm.edge("le", draw(st.sampled_from(ids)),
+                                            draw(st.sampled_from(ids)))])
+    elif corruption == "eval-value" and eval_map:
+        eval_map[draw(st.sampled_from(sorted(eval_map)))] = draw(
+            st.sampled_from(y.sorted_carrier()))
+    p = hm.Morphism(struct, z, dict(pp.p.mapping))
+    ev = hm.Morphism(hm.pullback(p, f).structure, y, eval_map)
+    candidate = hm.PartialProductResult(struct, p, ev, pp.variant, dict(pp.components))
+    family = draw(st.lists(st.sampled_from(dedup_by_iso(SMALL_STRUCTURES)),
+                           min_size=1, max_size=3))
+    return f, y, candidate, family
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_product_candidates())
+def test_verify_partial_product_matches_reference(case):
+    assert hm.verify_partial_product(*case) == reference_verify_partial_product(*case)
 
 
 def test_currying_naturality(preord, chain2):

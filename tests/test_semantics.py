@@ -2,14 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.families import all_structures
-from hornmod.semantics import check_model, satisfying_valuations
+from hornmod.semantics import _value_tuples, check_model, satisfying_valuations
 
 from conftest import (
     HORN_SIGNATURE,
+    TRUST_SIGNATURE,
     edge_axioms,
     equality_axioms,
     horn_edges,
@@ -17,6 +18,9 @@ from conftest import (
     reference_entails,
     reference_free_model,
     reference_satisfying_valuations,
+    reference_value_tuples,
+    trust_edges,
+    trust_structures,
 )
 
 
@@ -210,6 +214,37 @@ def test_satisfying_valuations_match_reference(x, premises, variables):
     variables = tuple(variables)
     got = list(satisfying_valuations(x, premises, variables))
     assert got == list(reference_satisfying_valuations(x, premises, variables))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A structure, distinct variables, one domain per variable drawn in any
+    order and of any length (empty included), and edges on the variables."""
+    x = draw(trust_structures("a"))
+    carrier = x.sorted_carrier()
+    variables = tuple(draw(st.lists(st.sampled_from("uvwx"), unique=True, max_size=4)))
+    domain = st.lists(st.sampled_from(carrier), unique=True) if carrier else st.just([])
+    domains = [draw(domain) for _ in variables]
+    edges = draw(st.lists(trust_edges(variables), max_size=4)) if variables else []
+    return x, variables, domains, edges
+
+
+KERNEL_STRUCTURE = hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [
+    hm.edge("P", "a0"), hm.edge("R", "a0", "a0"), hm.edge("R", "a0", "a1"),
+    hm.edge("T", "a0", "a1", "a1"), hm.edge("T", "a0", "a0", "a1")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+# No variables; an empty domain; a repeated argument, with all three symbols.
+@example((KERNEL_STRUCTURE, (), [], []))
+@example((KERNEL_STRUCTURE, ("u", "v"), [["a1", "a0"], []], [hm.edge("R", "u", "v")]))
+@example((KERNEL_STRUCTURE, ("u", "v", "w"), [["a1", "a0"], ["a0", "a1"], ["a1"]],
+          [hm.edge("P", "u"), hm.edge("R", "u", "u"), hm.edge("T", "u", "v", "w")]))
+def test_value_tuples_match_product_filter(case):
+    x, variables, domains, edges = case
+    assert list(_value_tuples(x, variables, domains, edges)) == reference_value_tuples(
+        x, variables, domains, edges)
 
 
 @settings(max_examples=150, deadline=None)
