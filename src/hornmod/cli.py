@@ -27,7 +27,7 @@ from .convexity import (
     is_convex_via_lifting,
     is_safe_axiom,
 )
-from .core import DISCRETE, HornmodError, Theory
+from .core import DISCRETE, HornmodError, Morphism, Theory, validate_morphism
 from .families import DEFAULT_CAP, default_test_family
 from .limits import equalizer, product, pullback, terminal
 from .quantale import is_heyting, is_total_order
@@ -57,6 +57,17 @@ def _load(path: str) -> Any:
         raise ParseError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
+def _load_morphism(path: str) -> Morphism:
+    """The morphism in ``path``; a map that breaks an edge of its source is bad input."""
+    f = parse_morphism(_load(path))
+    if not validate_morphism(f):
+        broken = next(e for e in f.source.sorted_edges()
+                      if not f.target.holds(e.symbol, tuple(map(f, e.args))))
+        raise ParseError(f"{path}: the map does not preserve the edge "
+                         f"{broken.symbol!r} {list(broken.args)!r}")
+    return f
 
 
 def _violation_payload(violation) -> Optional[dict]:
@@ -123,7 +134,7 @@ def cmd_limit(args) -> tuple[dict, int]:
         sig = parse_signature(_load(args.signature))
         return {"structure": structure_to_jsonable(terminal(sig))}, OK
     if args.which == "equalizer":
-        res = equalizer(parse_morphism(_load(args.left)), parse_morphism(_load(args.right)))
+        res = equalizer(_load_morphism(args.left), _load_morphism(args.right))
         return {
             "structure": structure_to_jsonable(res.structure),
             "inclusion": dict(sorted(res.inclusion.mapping.items())),
@@ -131,7 +142,7 @@ def cmd_limit(args) -> tuple[dict, int]:
     if args.which == "product":
         res = product(parse_structure(_load(args.left)), parse_structure(_load(args.right)))
     else:
-        res = pullback(parse_morphism(_load(args.left)), parse_morphism(_load(args.right)))
+        res = pullback(_load_morphism(args.left), _load_morphism(args.right))
     return {
         "structure": structure_to_jsonable(res.structure),
         "projections": [
@@ -162,7 +173,7 @@ def cmd_exponential(args) -> tuple[dict, int]:
 
 
 def cmd_partial_product(args) -> tuple[dict, int]:
-    f = parse_morphism(_load(args.morphism))
+    f = _load_morphism(args.morphism)
     y = parse_structure(_load(args.target))
     build = partial_product_str if args.variant == "str" else partial_product_refl
     result: PartialProductResult = build(y, f)
@@ -185,7 +196,7 @@ def cmd_partial_product(args) -> tuple[dict, int]:
 
 def cmd_convexity(args) -> tuple[dict, int]:
     theory = parse_theory(_load(args.theory))
-    f = parse_morphism(_load(args.morphism))
+    f = _load_morphism(args.morphism)
     payload: dict[str, Any] = {"method": args.method}
     verdicts = {}
     if args.method in ("direct", "both"):
@@ -227,7 +238,7 @@ def cmd_safety(args) -> tuple[dict, int]:
 
 def cmd_schema_convexity(args) -> tuple[dict, int]:
     theory = parse_theory(_load(args.theory))
-    f = parse_morphism(_load(args.morphism))
+    f = _load_morphism(args.morphism)
     report = is_schema_convex(f, theory)
     payload: dict[str, Any] = {"convex": report.convex, "counterexample": None}
     if report.counterexample is not None:

@@ -1,14 +1,18 @@
 """Closed-structure constructions and their brute-force verifiers.
 
-Partial products come in two variants: the plain one, whose points pair a
-codomain element with an arbitrary function on the fibre, and the reflexive
-one, whose points pair a codomain element with an edge-preserving map on the
-fibre and whose edge condition quantifies over all symbols below the given
-one.  Both kinds of point come from the valuation search of
-:mod:`hornmod.semantics`.  The verifiers replay the universal properties over
-a family of test objects by exhaustive enumeration; the partial-product
-verifier counts the mediating maps with the same search, over per-point
-candidate domains.
+Exponentials, internal homs and both partial products are one function
+space: its points over a key (a codomain element, or none for the
+exponential's single fibre) are maps of that key's fibre into the object,
+and an edge joins maps that send the tuples it must preserve to edges of the
+object.  The plain partial product takes arbitrary functions on the fibres
+and preserves the edge's own symbol; the reflexive one takes edge-preserving
+maps and preserves every symbol below the edge's symbol; the exponential and
+the internal hom take edge-preserving maps of X and preserve the edges of X
+or its diagonal.  Points and edges both come from the valuation search of
+:mod:`hornmod.semantics`, the edges over tagged copies of the fibres' points.
+The verifiers replay the universal properties over a family of test objects
+by exhaustive enumeration; the partial-product verifier counts the mediating
+maps with the same search, over per-point candidate domains.
 """
 from __future__ import annotations
 
@@ -64,38 +68,66 @@ class ExponentialResult:
     components: dict = field(compare=False, repr=False, default_factory=dict)
 
 
+def _function_space(
+    y: Structure,
+    fibres: dict[Optional[str], Structure],
+    keep_edges: bool,
+    over: Iterable[tuple[str, tuple[Optional[str], ...], Iterable[Edge]]],
+) -> tuple[Structure, dict[str, tuple[dict[str, str], Optional[str]]]]:
+    """A structure whose points over each key are maps of that key's fibre into y.
+
+    The points over a key are the maps of its fibre into ``y``, edge-preserving
+    when ``keep_edges``, named by ``function_id(table, key)``.  Each
+    ``(s, keys, preserved)`` of ``over`` adds the s-edges between points over
+    ``keys``: the tuples of maps that send every edge ``t(xs)`` of
+    ``preserved``, with ``xs[i]`` in the fibre of ``keys[i]``, to a t-edge of y.
+    Both come from the valuation search; the edges' variables are tagged copies
+    ``(i, a)`` of the fibres' points.
+    """
+    tgt = y.sorted_carrier()
+    points: dict[str, tuple[dict[str, str], Optional[str]]] = {}
+    named: dict[tuple[Optional[str], tuple[str, ...]], str] = {}
+    for key, fibre in fibres.items():
+        src = fibre.sorted_carrier()
+        for images in _value_tuples(y, src, [tgt] * len(src), fibre.edges if keep_edges else ()):
+            table = dict(zip(src, images))
+            pid = function_id(table, key)
+            if pid in points:
+                raise StructureError("carrier names collide under function-table rendering")
+            points[pid] = (table, key)
+            named[key, images] = pid
+    edges = []
+    for s, keys, preserved in over:
+        copies = [[(i, a) for a in fibres[c].sorted_carrier()] for i, c in enumerate(keys)]
+        variables = [v for copy in copies for v in copy]
+        premises = [Edge(e.symbol, tuple(enumerate(e.args))) for e in preserved]
+        if keep_edges:
+            premises += [Edge(e.symbol, tuple((i, a) for a in e.args))
+                         for i, c in enumerate(keys) for e in fibres[c].edges]
+        ends = list(itertools.accumulate(map(len, copies)))
+        spans = list(zip(keys, [0] + ends, ends))
+        for values in _value_tuples(y, variables, [tgt] * len(variables), premises):
+            edges.append(Edge(s, tuple(named[c, values[lo:hi]] for c, lo, hi in spans)))
+    return Structure(y.signature, points, edges), points
+
+
 def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProductResult:
     x, z = f.source, f.target
     sig = x.signature
     if sig != y.signature or sig != z.signature:
         raise SignatureError("partial product needs a shared signature")
     fibres = {c: fibre_structure(f, c) for c in z.sorted_carrier()}
-
-    points: dict[str, tuple[dict[str, str], str]] = {}
-    tgt = y.sorted_carrier()
-    for c in z.sorted_carrier():
-        # A function on the fibre is a hom from the edgeless fibre.
-        src = fibres[c].sorted_carrier()
-        edges = fibres[c].edges if reflexive else ()
-        for images in _value_tuples(y, src, [tgt] * len(src), edges):
-            table = dict(zip(src, images))
-            pid = function_id(table, c)
-            if pid in points:
-                raise StructureError("carrier names collide under function-table rendering")
-            points[pid] = (table, c)
-
-    order_cache = {n: sig.order(n) for n in sig.arities()}
-    edges: list[Edge] = []
-    ids = sorted(points)
+    # over_z[t, zs] = the t-edges of x whose image under f is zs
+    over_z: dict[tuple[str, tuple[str, ...]], list[Edge]] = {}
+    for e in x.edges:
+        over_z.setdefault((e.symbol, tuple(map(f, e.args))), []).append(e)
+    over = []
     for s in sig.symbols:
-        below = order_cache[s.arity].below(s.name) if reflexive else (s.name,)
-        for combo in itertools.product(ids, repeat=s.arity):
-            zs = tuple(points[pid][1] for pid in combo)
-            if not z.holds(s.name, zs):
-                continue
-            if _fibre_condition(x, y, points, combo, zs, below, fibres):
-                edges.append(Edge(s.name, combo))
-    struct = Structure(sig, ids, edges)
+        below = sig.order(s.arity).below(s.name) if reflexive else (s.name,)
+        for zs in z.tuples(s.name):
+            over.append((s.name, zs, [e for t in below for e in over_z.get((t, zs), ())]))
+    struct, points = _function_space(y, fibres, reflexive, over)
+    ids = sorted(points)
     p = Morphism(struct, z, {pid: points[pid][1] for pid in ids})
     pb = pullback(p, f)
     eval_map = {
@@ -107,26 +139,6 @@ def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProdu
     return PartialProductResult(
         struct, p, eps, REFLEXIVE_VARIANT if reflexive else STR_VARIANT, dict(points)
     )
-
-
-def _fibre_condition(
-    x: Structure,
-    y: Structure,
-    points: dict[str, tuple[dict[str, str], str]],
-    combo: tuple[str, ...],
-    zs: tuple[str, ...],
-    symbols: tuple[str, ...],
-    fibres: dict[str, Structure],
-) -> bool:
-    fibre_sets = [fibres[c].sorted_carrier() for c in zs]
-    for s in symbols:
-        for xs in itertools.product(*fibre_sets):
-            if not x.holds(s, xs):
-                continue
-            mapped = tuple(points[pid][0][a] for pid, a in zip(combo, xs))
-            if not y.holds(s, mapped):
-                return False
-    return True
 
 
 def partial_product_str(y: Structure, f: Morphism) -> PartialProductResult:
@@ -149,25 +161,14 @@ def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
 
 
 def _hom_structure(
-    x: Structure, y: Structure, tuples: dict[str, Iterable[tuple[str, ...]]]
+    x: Structure, y: Structure, preserved: dict[str, Iterable[tuple[str, ...]]]
 ) -> tuple[Structure, dict[str, dict[str, str]]]:
-    """The edge-preserving maps x -> y as points named by their function ids.
-
-    An edge joins maps that send every tuple in ``tuples[symbol]`` to an edge of y.
-    """
-    src = x.sorted_carrier()
-    homs = _hom_tuples(x, y)
-    points = {function_id(table): table for table in (dict(zip(src, h)) for h in homs)}
-    if len(points) != len(homs):
-        raise StructureError("carrier names collide under function-table rendering")
-    ids = sorted(points)
-    edges = []
-    for s in x.signature.symbols:
-        for combo in itertools.product(ids, repeat=s.arity):
-            mapped = (tuple(points[pid][a] for pid, a in zip(combo, xs)) for xs in tuples[s.name])
-            if all(y.holds(s.name, args) for args in mapped):
-                edges.append(Edge(s.name, combo))
-    return Structure(x.signature, ids, edges), points
+    """The edge-preserving maps x -> y, joined by an s-edge when they send every
+    tuple of ``preserved[s]`` to an s-edge of y: the one-fibre function space."""
+    over = [(s.name, (None,) * s.arity, [Edge(s.name, xs) for xs in preserved[s.name]])
+            for s in x.signature.symbols]
+    struct, points = _function_space(y, {None: x}, True, over)
+    return struct, {pid: table for pid, (table, _) in points.items()}
 
 
 def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
@@ -181,7 +182,7 @@ def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
     struct, points = _hom_structure(x, y, {s.name: x.tuples(s.name) for s in x.signature.symbols})
     prod = product(struct, x)
     eval_map = {pair_id(pid, a): points[pid][a] for pid in sorted(points) for a in x.carrier}
-    return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), dict(points))
+    return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), points)
 
 
 def internal_hom(theory: Theory, x: Structure, y: Structure) -> Structure:
@@ -258,25 +259,15 @@ def verify_exponential(
         # maps Q x X -> Y are image tuples over the sorted carrier of Q x X
         layout = prod_qx.structure.sorted_carrier()
         targets = _hom_tuples(prod_qx.structure, y)
-        target_keys = dict.fromkeys(targets, 0)
-        q_src = q.sorted_carrier()
-        at_q = {a: i for i, a in enumerate(q_src)}
+        hits = dict.fromkeys(targets, 0)
+        at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
         cells = [(at_q[prod_qx.left(k)], prod_qx.right(k)) for k in layout]
-        ok = True
-        detail = ""
         for h in _hom_tuples(q, c):
-            key = tuple(ev_at[h[i], b] for i, b in cells)
-            if key not in target_keys:
-                ok = False
-                h_map = Morphism(q, c, dict(zip(q_src, h)))
-                detail = f"transpose of {h_map!r} is not a morphism Q x X -> Y"
-                break
-            target_keys[key] += 1
-        if ok:
-            missed = [k for k, n in target_keys.items() if n != 1]
-            if missed:
-                ok = False
-                detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}"
+            # the transpose eval . (h x X) composes morphisms, so it is one of the targets
+            hits[tuple(ev_at[h[i], b] for i, b in cells)] += 1
+        missed = [k for k, n in hits.items() if n != 1]
+        ok = not missed
+        detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}" if missed else ""
         entries.append(VerificationEntry(q, len(targets), ok, detail))
         all_ok &= ok
     return VerificationReport(all_ok, tuple(entries))

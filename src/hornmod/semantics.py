@@ -111,36 +111,14 @@ def satisfying_valuations(
 ) -> Iterator[dict[str, str]]:
     """All valuations of ``variables`` into the carrier making every premise hold.
 
-    Variables are bound in the order of ``variables``, each over the sorted
-    carrier, by :func:`_value_tuples`, so valuations come out lazily in
-    lexicographic order of the variable tuple.  Premise variables missing
-    from ``variables`` are bound last, by backtracking over the sorted tuples
-    of the sorted premises that use them: each valuation of ``variables``
-    comes out once, completed by the first such match.
+    Every premise variable must be in ``variables``.  Variables are bound in
+    the order of ``variables``, each over the sorted carrier, by
+    :func:`_value_tuples`, so valuations come out lazily in lexicographic
+    order of the variable tuple.
     """
-    bound = set(variables)
-    inside: list[Edge] = []
-    hidden: list[Edge] = []
-    for e in sorted(premises):
-        (inside if bound.issuperset(e.args) else hidden).append(e)
-    hidden_tuples = [sorted(x.tuples(e.symbol)) for e in hidden]
-
-    def complete(binding: dict[str, str], k: int) -> Iterator[dict[str, str]]:
-        if k == len(hidden):
-            yield binding
-            return
-        for args in hidden_tuples[k]:
-            new = dict(binding)
-            if all(new.setdefault(var, val) == val for var, val in zip(hidden[k].args, args)):
-                yield from complete(new, k + 1)
-
     carrier = x.sorted_carrier()
-    for values in _value_tuples(x, variables, [carrier] * len(variables), inside):
-        binding = dict(zip(variables, values))
-        if hidden:
-            binding = next(complete(binding, 0), None)
-        if binding is not None:
-            yield binding
+    for values in _value_tuples(x, variables, [carrier] * len(variables), premises):
+        yield dict(zip(variables, values))
 
 
 def _conclusion_holds(x: Structure, concl: Edge | Equality, val: Mapping[str, str]) -> bool:

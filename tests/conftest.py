@@ -1,13 +1,20 @@
 import itertools
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 import hornmod as hm
-from hornmod.closure import PartialProductResult, VerificationEntry, VerificationReport
+from hornmod.closure import (
+    REFLEXIVE_VARIANT,
+    STR_VARIANT,
+    PartialProductResult,
+    VerificationEntry,
+    VerificationReport,
+    function_id,
+)
 from hornmod.convexity import (
     ConvexityCounterexample,
     ConvexityReport,
@@ -23,6 +30,7 @@ from hornmod.core import (
     Signature,
     SignatureError,
     Structure,
+    StructureError,
     Theory,
     TheoryError,
     horn,
@@ -30,7 +38,14 @@ from hornmod.core import (
     var_set,
 )
 from hornmod.families import all_models, all_structures, edge_slots, iso_key
-from hornmod.limits import _hom_tuples, _pair_ids, enumerate_morphisms, pair_id, pullback
+from hornmod.limits import (
+    _hom_tuples,
+    _pair_ids,
+    enumerate_morphisms,
+    fibre_structure,
+    pair_id,
+    pullback,
+)
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -42,7 +57,7 @@ from hornmod.schema import (
     apply_combine,
     expand_instances,
 )
-from hornmod.semantics import FreeModelResult, entails
+from hornmod.semantics import FreeModelResult, _value_tuples, entails
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -801,3 +816,96 @@ def reference_verify_partial_product(
         entries.append(VerificationEntry(q_obj, checked, ok, detail))
         all_ok &= ok
     return VerificationReport(all_ok, tuple(entries))
+
+
+# The function-space constructions as they ran before one valuation search
+# built their edges: the exponential and internal-hom edges scan every
+# |Hom(X, Y)| ** arity tuple of maps, the partial-product edges every
+# |P| ** arity tuple of points.  The closure constructions are tested against
+# them.
+
+def reference_hom_structure(
+    x: Structure, y: Structure, tuples: dict[str, Iterable[tuple[str, ...]]]
+) -> tuple[Structure, dict[str, dict[str, str]]]:
+    """The edge-preserving maps x -> y as points named by their function ids.
+
+    An edge joins maps that send every tuple in ``tuples[symbol]`` to an edge of y.
+    """
+    src = x.sorted_carrier()
+    homs = _hom_tuples(x, y)
+    points = {function_id(table): table for table in (dict(zip(src, h)) for h in homs)}
+    if len(points) != len(homs):
+        raise StructureError("carrier names collide under function-table rendering")
+    ids = sorted(points)
+    edges = []
+    for s in x.signature.symbols:
+        for combo in itertools.product(ids, repeat=s.arity):
+            mapped = (tuple(points[pid][a] for pid, a in zip(combo, xs)) for xs in tuples[s.name])
+            if all(y.holds(s.name, args) for args in mapped):
+                edges.append(Edge(s.name, combo))
+    return Structure(x.signature, ids, edges), points
+
+
+def reference_partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProductResult:
+    x, z = f.source, f.target
+    sig = x.signature
+    if sig != y.signature or sig != z.signature:
+        raise SignatureError("partial product needs a shared signature")
+    fibres = {c: fibre_structure(f, c) for c in z.sorted_carrier()}
+
+    points: dict[str, tuple[dict[str, str], str]] = {}
+    tgt = y.sorted_carrier()
+    for c in z.sorted_carrier():
+        # A function on the fibre is a hom from the edgeless fibre.
+        src = fibres[c].sorted_carrier()
+        edges = fibres[c].edges if reflexive else ()
+        for images in _value_tuples(y, src, [tgt] * len(src), edges):
+            table = dict(zip(src, images))
+            pid = function_id(table, c)
+            if pid in points:
+                raise StructureError("carrier names collide under function-table rendering")
+            points[pid] = (table, c)
+
+    order_cache = {n: sig.order(n) for n in sig.arities()}
+    edges: list[Edge] = []
+    ids = sorted(points)
+    for s in sig.symbols:
+        below = order_cache[s.arity].below(s.name) if reflexive else (s.name,)
+        for combo in itertools.product(ids, repeat=s.arity):
+            zs = tuple(points[pid][1] for pid in combo)
+            if not z.holds(s.name, zs):
+                continue
+            if _reference_fibre_condition(x, y, points, combo, zs, below, fibres):
+                edges.append(Edge(s.name, combo))
+    struct = Structure(sig, ids, edges)
+    p = Morphism(struct, z, {pid: points[pid][1] for pid in ids})
+    pb = pullback(p, f)
+    eval_map = {
+        pair_id(pid, a): points[pid][0][a]
+        for pid in ids
+        for a in fibres[points[pid][1]].carrier
+    }
+    eps = Morphism(pb.structure, y, eval_map)
+    return PartialProductResult(
+        struct, p, eps, REFLEXIVE_VARIANT if reflexive else STR_VARIANT, dict(points)
+    )
+
+
+def _reference_fibre_condition(
+    x: Structure,
+    y: Structure,
+    points: dict[str, tuple[dict[str, str], str]],
+    combo: tuple[str, ...],
+    zs: tuple[str, ...],
+    symbols: tuple[str, ...],
+    fibres: dict[str, Structure],
+) -> bool:
+    fibre_sets = [fibres[c].sorted_carrier() for c in zs]
+    for s in symbols:
+        for xs in itertools.product(*fibre_sets):
+            if not x.holds(s, xs):
+                continue
+            mapped = tuple(points[pid][0][a] for pid, a in zip(combo, xs))
+            if not y.holds(s, mapped):
+                return False
+    return True

@@ -41,6 +41,7 @@ def assert_one_line_input_error(*argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def test_check_model_affirmative():
@@ -330,3 +331,29 @@ PARTIAL_PRODUCT_STR = ("partial-product", "--variant", "str",
 def test_out_of_range_family_bounds_are_one_line_input_errors(argv):
     # A cap below 1 or a negative size bound would verify over no test object.
     assert_one_line_input_error(*argv)
+
+
+# chain3 -> chain3 reversing the order breaks the edge le(c0, c1)
+NOT_A_MORPHISM = {"c0": "c2", "c1": "c1", "c2": "c0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("convexity", "--theory", corpus("preord.theory.json"), "--method", "both"),
+    ("partial-product", "--variant", "str", "--target", corpus("chain2.structure.json")),
+    ("partial-product", "--variant", "str", "--target", corpus("chain2.structure.json"),
+     "--verify"),
+    ("partial-product", "--variant", "refl", "--target", corpus("chain2.structure.json")),
+    ("partial-product", "--variant", "refl", "--target", corpus("chain2.structure.json"),
+     "--verify"),
+    ("limit", "pullback", "--left", corpus("chain3-id.morphism.json")),
+    ("limit", "equalizer", "--left", corpus("chain3-id.morphism.json")),
+], ids=["convexity", "pp-str", "pp-str-verify", "pp-refl", "pp-refl-verify", "pullback",
+        "equalizer"])
+def test_maps_that_are_not_morphisms_are_one_line_input_errors(tmp_path, argv):
+    doc = json.loads(Path(corpus("chain3-id.morphism.json")).read_text(encoding="utf-8"))
+    doc["map"] = NOT_A_MORPHISM
+    path = tmp_path / "reversed.morphism.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    flag = "--right" if argv[0] == "limit" else "--morphism"
+    stderr = assert_one_line_input_error(*argv, flag, str(path))
+    assert stderr == f"error: {path}: the map does not preserve the edge 'le' ['c0', 'c1']\n"

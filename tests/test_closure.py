@@ -1,13 +1,19 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.closure import ExponentialResult
-from hornmod.families import all_models, all_structures, dedup_by_iso
+from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
 
-from conftest import interp_fail_morphism, reference_verify_partial_product
+from conftest import (
+    TRUST_SIGNATURE,
+    interp_fail_morphism,
+    reference_hom_structure,
+    reference_partial_product,
+    reference_verify_partial_product,
+)
 
 
 def test_partial_product_str_counts(preord):
@@ -345,6 +351,121 @@ def partial_product_candidates(draw):
 @given(partial_product_candidates())
 def test_verify_partial_product_matches_reference(case):
     assert hm.verify_partial_product(*case) == reference_verify_partial_product(*case)
+
+
+# Explicitly ordered, and no complete lattice, so no base axiom makes a symbol full.
+ORDERED_SIGNATURE = hm.Signature(
+    tuple(hm.RelationSymbol(n, a) for n, a in (("P", 1), ("R", 2), ("S", 2), ("U", 2))),
+    order_kind=hm.EXPLICIT, order_pairs=(("R", "S"), ("R", "U")))
+# The tables {a0: "p,a1:p", a1: "p"} and {a0: "p", a1: "p,a1:p"} both render as
+# [a0:p,a1:p,a1:p], so maps into these names can collide as points.
+COLLIDING_NAMES = ("p", "p,a1:p", "q")
+
+
+@st.composite
+def structures_on(draw, sig, names, dense=st.booleans()):
+    """A random structure over ``sig`` on a prefix of ``names``: a few edges, or
+    all but a few when ``dense`` draws true."""
+    carrier = names[:draw(st.integers(0, len(names)))]
+    slots = edge_slots(sig, carrier)
+    edges = draw(st.sets(st.sampled_from(slots))) if slots else set()
+    return hm.Structure(sig, carrier, set(slots) - edges if draw(dense) else edges)
+
+
+def function_space_objects(sig):
+    """Y on 0-3 points, on plain names or on names whose function ids can collide;
+    mostly dense, so that many maps land in it."""
+    return st.sampled_from([("b0", "b1", "b2"), COLLIDING_NAMES]).flatmap(
+        lambda names: structures_on(sig, names, st.integers(0, 2).map(bool)))
+
+
+def or_error(build, *args):
+    """The result of ``build``, or the message of the ``StructureError`` it raises."""
+    try:
+        return build(*args)
+    except hm.StructureError as exc:
+        return str(exc)
+
+
+ANY_STRUCTURE = hm.Theory(TRUST_SIGNATURE, (), (), base_flag=False)
+
+
+def function_space(x, y, diagonal):
+    if diagonal:
+        return hm.internal_hom(ANY_STRUCTURE, x, y)
+    exp = hm.exponential_object(x, y)
+    return exp.structure, exp.components, exp.eval
+
+
+def reference_function_space(x, y, diagonal):
+    tuples = {s.name: [(a,) * s.arity for a in x.carrier] if diagonal else x.tuples(s.name)
+              for s in x.signature.symbols}
+    struct, points = reference_hom_structure(x, y, tuples)
+    if diagonal:
+        return struct
+    eval_map = {hm.pair_id(pid, a): points[pid][a] for pid in points for a in x.carrier}
+    return struct, points, hm.Morphism(hm.product(struct, x).structure, y, eval_map)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures_on(TRUST_SIGNATURE, ("a0", "a1", "a2")),
+       function_space_objects(TRUST_SIGNATURE), st.booleans())
+@example(hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], []),
+         hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], []), False)
+def test_exponential_and_internal_hom_match_reference(x, y, diagonal):
+    assert or_error(function_space, x, y, diagonal) == or_error(
+        reference_function_space, x, y, diagonal)
+
+
+def base_model(sig, carrier, edges):
+    base = hm.Theory(sig, (), (), base_flag=True)
+    return hm.free_model(base, hm.Structure(sig, carrier, edges)).model
+
+
+@st.composite
+def partial_product_inputs(draw):
+    """Y and a random map f : X -> Z; for ``refl`` over either signature, on base models."""
+    reflexive = draw(st.booleans())
+    sig = draw(st.sampled_from([TRUST_SIGNATURE, ORDERED_SIGNATURE])) if reflexive \
+        else TRUST_SIGNATURE
+    x = draw(structures_on(sig, ("a0", "a1", "a2")))
+    z = draw(structures_on(sig, ("c0", "c1", "c2")).filter(lambda z: z.carrier or not x.carrier))
+    y = draw(function_space_objects(sig))
+    if reflexive:
+        x, z, y = (base_model(sig, s.carrier, s.edges) for s in (x, z, y))
+    images = st.sampled_from(z.sorted_carrier())
+    f = hm.Morphism(x, z, {a: draw(images) for a in x.sorted_carrier()})
+    return y, f, reflexive
+
+
+def partial_product(y, f, reflexive):
+    pp = (hm.partial_product_refl if reflexive else hm.partial_product_str)(y, f)
+    return pp, pp.components  # the dataclass compares without its components
+
+
+def reference_partial_product_with_components(y, f, reflexive):
+    pp = reference_partial_product(y, f, reflexive)
+    return pp, pp.components
+
+
+# An S-edge of the refl partial product needs R(b0, b2) here, from R <= S and
+# R(a0, a1); an S-only condition would keep it.
+BELOW_S = (
+    base_model(ORDERED_SIGNATURE, ["b0", "b1", "b2"],
+               [hm.edge(s, *pair) for s in "RS" for pair in (("b0", "b1"), ("b1", "b2"))]),
+    hm.bang(base_model(ORDERED_SIGNATURE, ["a0", "a1"], [hm.edge("R", "a0", "a1")])),
+    True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_product_inputs())
+@example((hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], []),
+          hm.bang(hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [])), False))
+@example(BELOW_S)
+def test_partial_products_match_reference(case):
+    y, f, reflexive = case
+    assert or_error(partial_product, y, f, reflexive) == or_error(
+        reference_partial_product_with_components, y, f, reflexive)
 
 
 def test_currying_naturality(preord, chain2):

@@ -22,3 +22,34 @@ def test_runtime_imports_only_the_standard_library():
     outside = {path.name: [m for m in absolute_imports(path) if m not in sys.stdlib_module_names]
                for path in SOURCES}
     assert not {name: mods for name, mods in outside.items() if mods}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; ``from __future__`` is skipped.
+
+    A name read only inside a string annotation (``Optional["Quantale"]``) counts
+    as read.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    quoted = [ast.parse(node.value, mode="eval") for annotation in annotations
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for root in [tree, *quoted] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_library_modules_use_every_name_they_import():
+    # ``__init__.py`` imports to re-export, so it is left out.
+    unused = {path.name: unused_imports(path) for path in SOURCES if path.name != "__init__.py"}
+    assert not {name: names for name, names in unused.items() if names}

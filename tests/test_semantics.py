@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
+from hornmod.core import var_set
 from hornmod.families import all_structures
 from hornmod.semantics import _value_tuples, check_model, satisfying_valuations
 
@@ -207,11 +208,12 @@ def horn_structures(draw, max_size=4):
 
 @settings(max_examples=200, deadline=None)
 @given(horn_structures(), st.frozensets(horn_edges(("x", "y", "z", "w")), max_size=3),
-       st.lists(st.sampled_from(("w", "x", "y", "z")), unique=True, max_size=4))
-def test_satisfying_valuations_match_reference(x, premises, variables):
-    # ``variables`` may leave out premise variables (each valuation then comes
-    # out once) or name variables of no premise (they range over the carrier).
-    variables = tuple(variables)
+       st.lists(st.sampled_from(("w", "x", "y", "z")), unique=True, max_size=4), st.data())
+def test_satisfying_valuations_match_reference(x, premises, extra, data):
+    # ``variables`` holds every premise variable, in any order, and may name
+    # variables of no premise (they range over the carrier).
+    needed = sorted(var_set(premises) | set(extra))
+    variables = tuple(data.draw(st.permutations(needed)))
     got = list(satisfying_valuations(x, premises, variables))
     assert got == list(reference_satisfying_valuations(x, premises, variables))
 
