@@ -10,13 +10,14 @@ maps and preserves every symbol below the edge's symbol; the exponential and
 the internal hom take edge-preserving maps of X and preserve the edges of X
 or its diagonal.  Points and edges both come from the valuation search of
 :mod:`hornmod.semantics`, the edges over tagged copies of the fibres' points.
-The verifiers replay the universal properties over a family of test objects
-by exhaustive enumeration; the partial-product verifier counts the mediating
-maps with the same search, over per-point candidate domains.
+The verifiers replay the universal properties exhaustively over a family of
+test objects Q, without the builder: they join Q x X or Q x_Z X as pair ids
+and edges, and count every map into the candidate at its transpose.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -31,8 +32,8 @@ from .core import (
 )
 from .limits import (
     _hom_tuples,
+    _pair_edges,
     _pair_ids,
-    enumerate_morphisms,
     fibre_structure,
     pair_id,
     product,
@@ -233,44 +234,73 @@ class VerificationReport:
         return [e.checked for e in self.entries]
 
 
+def _rejected(struct: Structure, detail: str) -> VerificationReport:
+    return VerificationReport(False, (VerificationEntry(struct, 0, False, detail),))
+
+
+def _product_pairs(a: Structure, b: Structure) -> list[tuple[str, str]]:
+    if a.signature != b.signature:
+        raise SignatureError("product needs a shared signature")
+    return [(u, v) for u in a.sorted_carrier() for v in b.sorted_carrier()]
+
+
+def _joined_ids(
+    domain: Structure, a: Structure, b: Structure, pairs: list[tuple[str, str]]
+) -> Optional[dict[tuple[str, str], str]]:
+    """The ids of ``pairs`` when ``domain`` is a and b joined over them, else None."""
+    ids = _pair_ids(pairs)
+    joined = (a.signature, set(ids.values()), set(_pair_edges(a.signature, ids, a, b)))
+    return ids if (domain.signature, domain.carrier, domain.edges) == joined else None
+
+
+def _joined_homs(
+    q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure
+) -> tuple[list[str], list[tuple[int, str]], list[tuple[str, ...]]]:
+    """Q and X joined over ``pairs``, as no ``Structure``: its sorted pair ids, the
+    cell (position in Q, point of X) of each, and its maps into y as image tuples
+    over those ids in the order ``_hom_tuples`` gives for the built structure."""
+    ids = _pair_ids(pairs)
+    if q.signature != y.signature:
+        raise SignatureError("hom-set needs a shared signature")
+    at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
+    layout = sorted((pid, at_q[a], b) for (a, b), pid in ids.items())
+    names = [pid for pid, _, _ in layout]
+    edges = _pair_edges(q.signature, ids, q, x)
+    targets = _value_tuples(y, names, [y.sorted_carrier()] * len(names), edges)
+    return names, [(i, b) for _, i, b in layout], list(targets)
+
+
 def verify_exponential(
     x: Structure,
     y: Structure,
     candidate: ExponentialResult,
     test_family: Sequence[Structure],
 ) -> VerificationReport:
-    """Check the currying bijection Hom(Q, C) = Hom(Q x X, Y) over a family of Q."""
+    """Check the currying bijection Hom(Q, C) = Hom(Q x X, Y) over a family of Q.
+
+    Every h : Q -> C is counted at its transpose eval . (h x X); each map
+    Q x X -> Y must be hit exactly once.
+    """
     c = candidate.structure
     if not validate_morphism(candidate.eval):
-        return VerificationReport(
-            False, (VerificationEntry(c, 0, False, "evaluation map is not a morphism"),)
-        )
-    prod_cx = product(c, x)
-    if candidate.eval.source != prod_cx.structure:
-        return VerificationReport(
-            False, (VerificationEntry(c, 0, False, "evaluation domain is not C x X"),)
-        )
+        return _rejected(c, "evaluation map is not a morphism")
+    ids = _joined_ids(candidate.eval.source, c, x, _product_pairs(c, x))
+    if ids is None:
+        return _rejected(c, "evaluation domain is not C x X")
     # ev_at[c, b] = eval at the point (c, b) of C x X
-    ev_at = {(prod_cx.left(k), prod_cx.right(k)): v for k, v in candidate.eval.mapping.items()}
+    ev_at = {pair: candidate.eval.mapping[pid] for pair, pid in ids.items()}
     entries = []
-    all_ok = True
     for q in test_family:
-        prod_qx = product(q, x)
-        # maps Q x X -> Y are image tuples over the sorted carrier of Q x X
-        layout = prod_qx.structure.sorted_carrier()
-        targets = _hom_tuples(prod_qx.structure, y)
+        # maps Q x X -> Y are image tuples over the sorted pair ids of Q x X
+        names, cells, targets = _joined_homs(q, x, _product_pairs(q, x), y)
         hits = dict.fromkeys(targets, 0)
-        at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
-        cells = [(at_q[prod_qx.left(k)], prod_qx.right(k)) for k in layout]
         for h in _hom_tuples(q, c):
             # the transpose eval . (h x X) composes morphisms, so it is one of the targets
             hits[tuple(ev_at[h[i], b] for i, b in cells)] += 1
         missed = [k for k, n in hits.items() if n != 1]
-        ok = not missed
-        detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}" if missed else ""
-        entries.append(VerificationEntry(q, len(targets), ok, detail))
-        all_ok &= ok
-    return VerificationReport(all_ok, tuple(entries))
+        detail = f"currying is not a bijection at {dict(zip(names, missed[0]))}" if missed else ""
+        entries.append(VerificationEntry(q, len(targets), not missed, detail))
+    return VerificationReport(all(e.ok for e in entries), tuple(entries))
 
 
 def verify_partial_product(
@@ -282,50 +312,40 @@ def verify_partial_product(
     """Check the partial-product universal property over a family of test objects.
 
     For every q : Q -> Z and g : Q x_Z X -> Y there must be exactly one
-    h : Q -> P with p . h = q and eval . (h x_Z id) = g.
+    h : Q -> P with p . h = q and eval . (h x_Z id) = g.  The h over each q
+    are enumerated once and counted at their transposes; the g are walked in
+    canonical order, and the first one not hit exactly once fails the check.
     """
     p, ev = candidate.p, candidate.eval
     struct = candidate.structure
     if not validate_morphism(p) or not validate_morphism(ev):
-        return VerificationReport(
-            False, (VerificationEntry(struct, 0, False, "anchor or evaluation is invalid"),)
-        )
-    z = f.target
-    fibre_of = {c: sorted(a for a in f.source.carrier if f(a) == c) for c in z.carrier}
-    # over_row[c][row] = the candidate points over c whose evaluation row on the fibre is row
-    over_row: dict[str, dict[tuple[str, ...], list[str]]] = {c: {} for c in z.carrier}
-    for pid in struct.carrier:
-        c = p(pid)
-        row = tuple(ev.mapping[pair_id(pid, a)] for a in fibre_of[c])
-        over_row[c].setdefault(row, []).append(pid)
-
+        return _rejected(struct, "anchor or evaluation is invalid")
+    x, z = f.source, f.target
+    fibre_of = {c: [a for a in x.sorted_carrier() if f(a) == c] for c in z.carrier}
+    over = {c: [pid for pid in struct.sorted_carrier() if p(pid) == c] for c in z.carrier}
+    pairs = [(pid, a) for pid in struct.sorted_carrier() for a in fibre_of.get(p(pid), ())]
+    ids = _joined_ids(ev.source, struct, x, pairs) if p.target == z else None
+    if ids is None:
+        return _rejected(struct, "evaluation domain is not P x_Z X")
+    # ev_at[pid, a] = eval at the point (pid, a) of P x_Z X
+    ev_at = {pair: ev.mapping[pid] for pair, pid in ids.items()}
     entries = []
-    all_ok = True
     for q_obj in test_family:
-        checked = 0
-        ok = True
-        detail = ""
+        checked, detail = 0, ""
         q_src = q_obj.sorted_carrier()
-        for q in enumerate_morphisms(q_obj, z):
-            pb = pullback(q, f)
-            # g is an image tuple over the sorted carrier of Q x_Z X
-            pb_src = pb.structure.sorted_carrier()
-            at_pb = {k: i for i, k in enumerate(pb_src)}
-            row_at = [(q(a), [at_pb[pair_id(a, s)] for s in fibre_of[q(a)]]) for a in q_src]
-            for g in _hom_tuples(pb.structure, y):
+        for q in _hom_tuples(q_obj, z):
+            pairs = [(a, s) for a, c in zip(q_src, q) for s in fibre_of[c]]
+            names, cells, targets = _joined_homs(q_obj, x, pairs, y)
+            # h(a) ranges over the points above q(a); each h lands at its transpose
+            hs = _value_tuples(struct, q_src, [over[c] for c in q], q_obj.edges)
+            hits = Counter(tuple(ev_at[h[i], s] for i, s in cells) for h in hs)
+            for g in targets:
                 checked += 1
-                # h(a) must be a point over q(a) whose evaluation row is g on a's fibre
-                domains = [over_row[c].get(tuple(g[i] for i in cells), ()) for c, cells in row_at]
-                solutions = sum(1 for _ in _value_tuples(struct, q_src, domains, q_obj.edges))
-                if solutions != 1:
-                    ok = False
-                    detail = (
-                        f"{solutions} mediating morphisms for q={dict(q.mapping)}, "
-                        f"g={dict(zip(pb_src, g))}"
-                    )
+                if hits[g] != 1:
+                    detail = (f"{hits[g]} mediating morphisms for q={dict(zip(q_src, q))}, "
+                              f"g={dict(zip(names, g))}")
                     break
-            if not ok:
+            if detail:
                 break
-        entries.append(VerificationEntry(q_obj, checked, ok, detail))
-        all_ok &= ok
-    return VerificationReport(all_ok, tuple(entries))
+        entries.append(VerificationEntry(q_obj, checked, not detail, detail))
+    return VerificationReport(all(e.ok for e in entries), tuple(entries))

@@ -68,18 +68,26 @@ def _pair_ids(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
     return ids
 
 
-def _paired_structure(
-    sig: Signature, pairs: list[tuple[str, str]], x: Structure, y: Structure
-) -> tuple[Structure, Morphism, Morphism]:
-    ids = _pair_ids(pairs)
+def _pair_edges(
+    sig: Signature, ids: dict[tuple[str, str], str], x: Structure, y: Structure
+) -> list[Edge]:
+    """The edge join over the pairs of ``ids``: each s-edge of x zipped with each
+    s-edge of y, kept when every component pair is a point."""
     edges = []
     for s in sig.symbols:
         for xs in x.tuples(s.name):
             for ys in y.tuples(s.name):
                 args = tuple(map(ids.get, zip(xs, ys)))
-                if None not in args:  # every component pair is a point
+                if None not in args:
                     edges.append(Edge(s.name, args))
-    struct = Structure(sig, ids.values(), edges)
+    return edges
+
+
+def _paired_structure(
+    sig: Signature, pairs: list[tuple[str, str]], x: Structure, y: Structure
+) -> tuple[Structure, Morphism, Morphism]:
+    ids = _pair_ids(pairs)
+    struct = Structure(sig, ids.values(), _pair_edges(sig, ids, x, y))
     left = Morphism(struct, x, {ids[p]: p[0] for p in pairs})
     right = Morphism(struct, y, {ids[p]: p[1] for p in pairs})
     return struct, left, right
@@ -118,15 +126,6 @@ def fibre_structure(f: Morphism, z: str) -> Structure:
     if z not in f.target.carrier:
         raise StructureError(f"{z!r} is not in the codomain carrier")
     return f.source.induced([a for a in f.source.carrier if f(a) == z])
-
-
-def pair_morphism(f: Morphism, g: Morphism, target: ProductResult) -> Morphism:
-    """The mediating morphism <f, g> into a product."""
-    if f.source != g.source:
-        raise StructureError("pairing needs a common domain")
-    return Morphism(
-        f.source, target.structure, {a: pair_id(f(a), g(a)) for a in f.source.carrier}
-    )
 
 
 def _hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -95,9 +94,6 @@ class Quantale:
 
     def tensor(self, a: str, b: str) -> str:
         return self._tensor[(a, b)]
-
-    def tensor_all(self, items: Iterable[str]) -> str:
-        return reduce(self.tensor, items, self.unit)
 
     def _bound(self, items: Iterable[str], upper: bool) -> Optional[str]:
         return self.order.join_of_set(items) if upper else self.order.meet_of_set(items)

@@ -10,6 +10,7 @@ import hornmod as hm
 from hornmod.closure import (
     REFLEXIVE_VARIANT,
     STR_VARIANT,
+    ExponentialResult,
     PartialProductResult,
     VerificationEntry,
     VerificationReport,
@@ -44,6 +45,7 @@ from hornmod.limits import (
     enumerate_morphisms,
     fibre_structure,
     pair_id,
+    product,
     pullback,
 )
 from hornmod.schema import (
@@ -750,8 +752,9 @@ def reference_value_tuples(x: Structure, variables, domains, edges) -> list[tupl
 
 # The partial-product verifier as it ran before the mediating maps were counted
 # by the valuation kernel: every combination of per-point candidates is built
-# as a ``Morphism`` and validated.  ``verify_partial_product`` is tested
-# against it.
+# as a ``Morphism`` and validated, for every g of every pullback Q x_Z X built
+# by ``pullback``.  The evaluation domain is compared with the public
+# ``pullback(p, f)``.  ``verify_partial_product`` is tested against it.
 
 def reference_verify_partial_product(
     f: Morphism,
@@ -769,6 +772,10 @@ def reference_verify_partial_product(
     if not validate_morphism(p) or not validate_morphism(ev):
         return VerificationReport(
             False, (VerificationEntry(struct, 0, False, "anchor or evaluation is invalid"),)
+        )
+    if p.target != f.target or ev.source != pullback(p, f).structure:
+        return VerificationReport(
+            False, (VerificationEntry(struct, 0, False, "evaluation domain is not P x_Z X"),)
         )
     z = f.target
     fibre_of = {c: sorted(a for a in f.source.carrier if f(a) == c) for c in z.carrier}
@@ -814,6 +821,50 @@ def reference_verify_partial_product(
             if not ok:
                 break
         entries.append(VerificationEntry(q_obj, checked, ok, detail))
+        all_ok &= ok
+    return VerificationReport(all_ok, tuple(entries))
+
+
+# The exponential verifier as it ran before Q x X was joined without being
+# built: ``product`` builds C x X once and every Q x X, and the targets are the
+# hom-set of the built product.  ``verify_exponential`` is tested against it.
+
+def reference_verify_exponential(
+    x: Structure,
+    y: Structure,
+    candidate: ExponentialResult,
+    test_family: Sequence[Structure],
+) -> VerificationReport:
+    """Check the currying bijection Hom(Q, C) = Hom(Q x X, Y) over a family of Q."""
+    c = candidate.structure
+    if not validate_morphism(candidate.eval):
+        return VerificationReport(
+            False, (VerificationEntry(c, 0, False, "evaluation map is not a morphism"),)
+        )
+    prod_cx = product(c, x)
+    if candidate.eval.source != prod_cx.structure:
+        return VerificationReport(
+            False, (VerificationEntry(c, 0, False, "evaluation domain is not C x X"),)
+        )
+    # ev_at[c, b] = eval at the point (c, b) of C x X
+    ev_at = {(prod_cx.left(k), prod_cx.right(k)): v for k, v in candidate.eval.mapping.items()}
+    entries = []
+    all_ok = True
+    for q in test_family:
+        prod_qx = product(q, x)
+        # maps Q x X -> Y are image tuples over the sorted carrier of Q x X
+        layout = prod_qx.structure.sorted_carrier()
+        targets = _hom_tuples(prod_qx.structure, y)
+        hits = dict.fromkeys(targets, 0)
+        at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
+        cells = [(at_q[prod_qx.left(k)], prod_qx.right(k)) for k in layout]
+        for h in _hom_tuples(q, c):
+            # the transpose eval . (h x X) composes morphisms, so it is one of the targets
+            hits[tuple(ev_at[h[i], b] for i, b in cells)] += 1
+        missed = [k for k, n in hits.items() if n != 1]
+        ok = not missed
+        detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}" if missed else ""
+        entries.append(VerificationEntry(q, len(targets), ok, detail))
         all_ok &= ok
     return VerificationReport(all_ok, tuple(entries))
 

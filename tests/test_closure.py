@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hornmod as hm
-from hornmod.closure import ExponentialResult
+from hornmod.closure import ExponentialResult, VerificationEntry, VerificationReport
 from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
 
 from conftest import (
@@ -12,6 +12,7 @@ from conftest import (
     interp_fail_morphism,
     reference_hom_structure,
     reference_partial_product,
+    reference_verify_exponential,
     reference_verify_partial_product,
 )
 
@@ -313,12 +314,22 @@ SMALL_BASE_MODELS = [s for s in SMALL_STRUCTURES
                      if hm.is_model(s, hm.Theory(PREORDER_SIGNATURE, (), (), base_flag=True))]
 
 
+def duplicated(struct, twin):
+    """``struct`` with a new point ``dup`` that copies every edge through ``twin``."""
+    edges = [hm.Edge(e.symbol, args) for e in struct.edges for args in
+             itertools.product(*(((a, "dup") if a == twin else (a,)) for a in e.args))]
+    return hm.Structure(struct.signature, struct.carrier | {"dup"}, edges)
+
+
 @st.composite
 def partial_product_candidates(draw):
     """f : X -> Z, Y, a partial product of either variant, possibly corrupted, and a family.
 
-    A corruption drops an edge of P, adds an edge to P, or moves one value of
-    the evaluation map; the anchor keeps its mapping.
+    A corruption drops an edge of P, adds an edge to P, adds a missing edge to P
+    but keeps the old evaluation map on the old P x_Z X, duplicates a point of P
+    with its edges, anchor and evaluation row, or moves one value of the
+    evaluation map; the anchor keeps its mapping, and a duplicate lies over
+    its twin's anchor.
     """
     variant = draw(st.sampled_from(["str", "refl"]))
     pool = SMALL_STRUCTURES if variant == "str" else SMALL_BASE_MODELS
@@ -327,20 +338,30 @@ def partial_product_candidates(draw):
     assume(homs)
     f = draw(st.sampled_from(homs))
     pp = (hm.partial_product_str if variant == "str" else hm.partial_product_refl)(y, f)
-    struct, eval_map = pp.structure, dict(pp.eval.mapping)
-    corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "eval-value"]))
+    struct, anchor, eval_map = pp.structure, dict(pp.p.mapping), dict(pp.eval.mapping)
+    corruption = draw(st.sampled_from(
+        ["none", "drop-edge", "add-edge", "stale-domain", "duplicate", "eval-value"]))
     ids = struct.sorted_carrier()
+    missing = [hm.edge("le", a, b) for a in ids for b in ids if not struct.holds("le", (a, b))]
     if corruption == "drop-edge" and struct.edges:
         dropped = draw(st.sampled_from(struct.sorted_edges()))
         struct = hm.Structure(struct.signature, ids, struct.edges - {dropped})
     elif corruption == "add-edge" and ids:
         struct = struct.with_edges([hm.edge("le", draw(st.sampled_from(ids)),
                                             draw(st.sampled_from(ids)))])
+    elif corruption == "stale-domain" and missing:
+        struct = struct.with_edges([draw(st.sampled_from(missing))])
+    elif corruption == "duplicate" and ids:
+        twin = draw(st.sampled_from(ids))
+        struct, anchor = duplicated(struct, twin), {**anchor, "dup": anchor[twin]}
+        eval_map.update({hm.pair_id("dup", a): eval_map[hm.pair_id(twin, a)]
+                         for a in x.carrier if f(a) == anchor[twin]})
     elif corruption == "eval-value" and eval_map:
         eval_map[draw(st.sampled_from(sorted(eval_map)))] = draw(
             st.sampled_from(y.sorted_carrier()))
-    p = hm.Morphism(struct, z, dict(pp.p.mapping))
-    ev = hm.Morphism(hm.pullback(p, f).structure, y, eval_map)
+    p = hm.Morphism(struct, z, anchor)
+    ev = pp.eval if corruption == "stale-domain" else hm.Morphism(
+        hm.pullback(p, f).structure, y, eval_map)
     candidate = hm.PartialProductResult(struct, p, ev, pp.variant, dict(pp.components))
     family = draw(st.lists(st.sampled_from(dedup_by_iso(SMALL_STRUCTURES)),
                            min_size=1, max_size=3))
@@ -351,6 +372,38 @@ def partial_product_candidates(draw):
 @given(partial_product_candidates())
 def test_verify_partial_product_matches_reference(case):
     assert hm.verify_partial_product(*case) == reference_verify_partial_product(*case)
+
+
+@pytest.mark.parametrize("extra", [("[c0:c0,c1:c1]@*", "[c0:c0,c1:c0]@*"),
+                                   ("[c0:c1,c1:c1]@*", "[c0:c0,c1:c0]@*"),
+                                   ("[c0:c1,c1:c1]@*", "[c0:c0,c1:c1]@*")])
+def test_verify_partial_product_rejects_a_stale_evaluation_domain(pos, chain2, extra):
+    # P gains an edge while eval keeps the old P x_Z X as its source, so eval is
+    # not a morphism on the new P x_Z X; every count over the 2-point posets
+    # still comes out 1, so only the domain check rejects it
+    f = hm.bang(chain2)
+    pp = hm.partial_product_refl(chain2, f)
+    grown = pp.structure.with_edges([hm.edge("le", *extra)])
+    assert grown != pp.structure
+    p = hm.Morphism(grown, f.target, dict(pp.p.mapping))
+    bad = hm.PartialProductResult(grown, p, pp.eval, pp.variant, dict(pp.components))
+    family = all_models(pos, 2, cap=None)
+    report = hm.verify_partial_product(f, chain2, bad, family)
+    assert report == reference_verify_partial_product(f, chain2, bad, family)
+    assert report == VerificationReport(
+        False, (VerificationEntry(grown, 0, False, "evaluation domain is not P x_Z X"),))
+
+
+def test_verify_partial_product_rejects_an_anchor_into_another_codomain(chain2):
+    f = interp_fail_morphism()
+    pp = hm.partial_product_str(chain2, f)
+    wider = f.target.with_edges([hm.edge("le", "c2", "c0")])
+    p = hm.Morphism(pp.structure, wider, dict(pp.p.mapping))
+    bad = hm.PartialProductResult(pp.structure, p, pp.eval, pp.variant, dict(pp.components))
+    report = hm.verify_partial_product(f, chain2, bad, [chain2])
+    assert report == reference_verify_partial_product(f, chain2, bad, [chain2])
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (0, False, "evaluation domain is not P x_Z X")]
 
 
 # Explicitly ordered, and no complete lattice, so no base axiom makes a symbol full.
@@ -489,3 +542,100 @@ def test_currying_naturality(preord, chain2):
                     for b in chain2.carrier
                 }
                 assert direct == via_q
+
+
+PREORDERS = all_models(hm.preorder_theory(), 3, cap=None)
+SMALL_PREORDERS = all_models(hm.preorder_theory(), 2, cap=None)
+
+
+@st.composite
+def exponential_candidates(draw):
+    """X, Y, an exponential candidate, possibly corrupted, and a family of Q.
+
+    X and Y are preorders on up to 3 points, or random structures over
+    ``{P/1, R/2, T/3}`` with X on up to 2 points and Y on up to 3 (a ternary
+    symbol on 27 maps would give C x X half a million edges); each Q has up
+    to 2 points.  A corruption drops an edge of C, adds an edge to C (eval on
+    the new C x X, or kept on the old one), duplicates a point of C with its
+    edges and eval row, or moves one value of eval.
+    """
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(PREORDERS)), draw(st.sampled_from(PREORDERS))
+        objects = st.sampled_from(SMALL_PREORDERS)
+    else:
+        x = draw(structures_on(TRUST_SIGNATURE, ("a0", "a1")))
+        y = draw(structures_on(TRUST_SIGNATURE, ("b0", "b1", "b2"), st.integers(0, 2).map(bool)))
+        objects = structures_on(TRUST_SIGNATURE, ("q0", "q1"))
+    exp = hm.exponential_object(x, y)
+    c, ev = exp.structure, dict(exp.eval.mapping)
+    ids = c.sorted_carrier()
+    corruption = draw(st.sampled_from(
+        ["none", "drop-edge", "add-edge", "stale-domain", "duplicate", "eval-value"]))
+    if corruption == "drop-edge" and c.edges:
+        c = hm.Structure(c.signature, ids, c.edges - {draw(st.sampled_from(c.sorted_edges()))})
+    elif corruption == "add-edge" and ids:
+        s = draw(st.sampled_from(c.signature.symbols))
+        c = c.with_edges([hm.Edge(s.name, tuple(draw(st.sampled_from(ids)) for _ in range(s.arity)))])
+    elif corruption == "stale-domain":
+        # an added edge changes C x X only through a symbol that X has edges of
+        missing = [hm.Edge(s.name, args) for s in c.signature.symbols if x.tuples(s.name)
+                   for args in itertools.product(ids, repeat=s.arity) if not c.holds(s.name, args)]
+        if missing:
+            c = c.with_edges([draw(st.sampled_from(missing))])
+    elif corruption == "duplicate" and ids:
+        twin = draw(st.sampled_from(ids))
+        c = duplicated(c, twin)
+        ev.update({hm.pair_id("dup", b): ev[hm.pair_id(twin, b)] for b in x.carrier})
+    elif corruption == "eval-value" and ev:
+        ev[draw(st.sampled_from(sorted(ev)))] = draw(st.sampled_from(y.sorted_carrier()))
+    domain = exp.eval.source if corruption == "stale-domain" else hm.product(c, x).structure
+    family = draw(st.lists(objects, min_size=1, max_size=3))
+    return x, y, ExponentialResult(c, hm.Morphism(domain, y, ev)), family
+
+
+CHAIN2 = hm.chain(2)
+CHAIN2_EXP = hm.exponential_object(CHAIN2, CHAIN2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponential_candidates())
+@example((CHAIN2, CHAIN2, ExponentialResult(  # an added edge, eval on the old C x X
+    CHAIN2_EXP.structure.with_edges([hm.edge("le", "[c0:c1,c1:c1]", "[c0:c0,c1:c0]")]),
+    CHAIN2_EXP.eval), [CHAIN2]))
+def test_verify_exponential_matches_reference(case):
+    assert hm.verify_exponential(*case) == reference_verify_exponential(*case)
+
+
+def or_hornmod_error(verify, *args):
+    """The report of ``verify``, or the type and message of the ``HornmodError`` it raises."""
+    try:
+        return verify(*args)
+    except hm.HornmodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_verifiers_raise_as_their_references(preord):
+    # ("p,q", "r") and ("p", "q,r") both render as "(p,q,r)"
+    x = hm.Structure(TRUST_SIGNATURE, ["r", "q,r"], [])
+    y = hm.Structure(TRUST_SIGNATURE, ["b0"], [])
+    clash = hm.Structure(TRUST_SIGNATURE, ["p", "p,q"], [])
+    other = hm.Structure(preord.signature, ["b0"], [])
+    collision = ("StructureError", "carrier names collide under pair rendering")
+    product_signatures = ("SignatureError", "product needs a shared signature")
+    exp, f = hm.exponential_object(x, y), hm.bang(x)
+    pp = hm.partial_product_str(y, f)
+    for verify, reference, args, error in [
+        (hm.verify_exponential, reference_verify_exponential, (x, y, exp, [y, clash]),
+         collision),  # in Q x X
+        (hm.verify_exponential, reference_verify_exponential,
+         (x, y, ExponentialResult(clash, exp.eval), [y]), collision),  # in C x X
+        (hm.verify_exponential, reference_verify_exponential,
+         (x, y, ExponentialResult(other, exp.eval), [y]), product_signatures),
+        (hm.verify_exponential, reference_verify_exponential, (x, y, exp, [other]),
+         product_signatures),
+        (hm.verify_partial_product, reference_verify_partial_product, (f, y, pp, [clash]),
+         collision),  # in Q x_Z X
+        (hm.verify_partial_product, reference_verify_partial_product, (f, other, pp, [y]),
+         ("SignatureError", "hom-set needs a shared signature")),
+    ]:
+        assert or_hornmod_error(verify, *args) == or_hornmod_error(reference, *args) == error
