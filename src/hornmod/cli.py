@@ -3,36 +3,19 @@
 Exit codes: 0 for an affirmative verdict, 1 for a negative verdict (with a
 witness in the payload), 2 for usage or input errors.  All output is
 canonical JSON, so identical inputs give byte-identical output.
+
+Each command imports the modules it runs when it runs, so a process pays only
+for its own command's imports.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING
 
-from .closure import (
-    PartialProductResult,
-    VerificationReport,
-    exponential_object,
-    partial_product_refl,
-    partial_product_str,
-    verify_exponential,
-    verify_partial_product,
-)
-from .convexity import (
-    ConvexityReport,
-    classify_theory,
-    convexity_report,
-    is_convex_via_lifting,
-    is_safe_axiom,
-)
-from .core import DISCRETE, HornmodError, Morphism, Theory, validate_morphism
-from .families import DEFAULT_CAP, default_test_family
-from .limits import equalizer, product, pullback, terminal
-from .quantale import is_heyting, is_total_order
-from .schema import classify_schematic_theory, is_schema_convex, is_schema_safe
-from .semantics import check_model, entails, free_model
+# Parsing loads core and serialize for every command, so their names are bound here.
+from .core import DEFAULT_CAP, DISCRETE, HornmodError, Morphism, Theory, validate_morphism
 from .serialize import (
     ParseError,
     dumps,
@@ -45,6 +28,12 @@ from .serialize import (
     parse_theory,
     structure_to_jsonable,
 )
+
+if TYPE_CHECKING:
+    from typing import Any, Optional, Sequence
+
+    from .closure import PartialProductResult, VerificationReport
+    from .convexity import ConvexityReport
 
 OK, NEGATIVE, INPUT_ERROR = 0, 1, 2
 
@@ -111,6 +100,8 @@ def _convexity_payload(report: ConvexityReport) -> dict:
 
 
 def cmd_check_model(args) -> tuple[dict, int]:
+    from .semantics import check_model
+
     theory = parse_theory(_load(args.theory))
     structure = parse_structure(_load(args.structure))
     violation = check_model(structure, theory)
@@ -119,6 +110,8 @@ def cmd_check_model(args) -> tuple[dict, int]:
 
 
 def cmd_free_model(args) -> tuple[dict, int]:
+    from .semantics import free_model
+
     theory = parse_theory(_load(args.theory))
     structure = parse_structure(_load(args.structure))
     result = free_model(theory, structure)
@@ -130,6 +123,8 @@ def cmd_free_model(args) -> tuple[dict, int]:
 
 
 def cmd_limit(args) -> tuple[dict, int]:
+    from .limits import equalizer, product, pullback, terminal
+
     if args.which == "terminal":
         sig = parse_signature(_load(args.signature))
         return {"structure": structure_to_jsonable(terminal(sig))}, OK
@@ -153,6 +148,10 @@ def cmd_limit(args) -> tuple[dict, int]:
 
 
 def cmd_exponential(args) -> tuple[dict, int]:
+    from .closure import exponential_object, verify_exponential
+    from .families import default_test_family
+    from .semantics import check_model
+
     theory = parse_theory(_load(args.theory))
     base = parse_structure(_load(args.base))
     target = parse_structure(_load(args.target))
@@ -173,6 +172,9 @@ def cmd_exponential(args) -> tuple[dict, int]:
 
 
 def cmd_partial_product(args) -> tuple[dict, int]:
+    from .closure import partial_product_refl, partial_product_str, verify_partial_product
+    from .families import default_test_family
+
     f = _load_morphism(args.morphism)
     y = parse_structure(_load(args.target))
     build = partial_product_str if args.variant == "str" else partial_product_refl
@@ -195,6 +197,8 @@ def cmd_partial_product(args) -> tuple[dict, int]:
 
 
 def cmd_convexity(args) -> tuple[dict, int]:
+    from .convexity import convexity_report, is_convex_via_lifting
+
     theory = parse_theory(_load(args.theory))
     f = _load_morphism(args.morphism)
     payload: dict[str, Any] = {"method": args.method}
@@ -214,9 +218,9 @@ def cmd_convexity(args) -> tuple[dict, int]:
 
 
 def cmd_safety(args) -> tuple[dict, int]:
-    theory = parse_theory(_load(args.theory))
-    from .convexity import eligible_axioms
+    from .convexity import eligible_axioms, is_safe_axiom
 
+    theory = parse_theory(_load(args.theory))
     axioms = eligible_axioms(theory)
     if args.axiom_index is not None:
         if not 0 <= args.axiom_index < len(axioms):
@@ -237,6 +241,8 @@ def cmd_safety(args) -> tuple[dict, int]:
 
 
 def cmd_schema_convexity(args) -> tuple[dict, int]:
+    from .schema import is_schema_convex
+
     theory = parse_theory(_load(args.theory))
     f = _load_morphism(args.morphism)
     report = is_schema_convex(f, theory)
@@ -254,6 +260,8 @@ def cmd_schema_convexity(args) -> tuple[dict, int]:
 
 
 def cmd_schema_safety(args) -> tuple[dict, int]:
+    from .schema import is_schema_safe
+
     theory = parse_theory(_load(args.theory))
     results = []
     for schema in theory.schemas:
@@ -278,6 +286,8 @@ def cmd_schema_safety(args) -> tuple[dict, int]:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    from .convexity import classify_theory
+
     theory = parse_theory(_load(args.theory))
     if theory.signature.order_kind == DISCRETE:
         cls = classify_theory(theory)
@@ -296,6 +306,8 @@ def cmd_classify(args) -> tuple[dict, int]:
             "notes": list(cls.notes),
         }
     else:
+        from .schema import classify_schematic_theory
+
         scls = classify_schematic_theory(theory)
         payload = {
             "kind": "schematic",
@@ -314,6 +326,8 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_quantale_check(args) -> tuple[dict, int]:
+    from .quantale import is_heyting, is_total_order
+
     v = parse_quantale(_load(args.quantale))
     report = v.law_report()
     payload = {
@@ -326,6 +340,8 @@ def cmd_quantale_check(args) -> tuple[dict, int]:
 
 
 def cmd_entails(args) -> tuple[dict, int]:
+    from .semantics import entails
+
     theory = parse_theory(_load(args.theory))
     formula = parse_formula(_load(args.formula))
     result = entails(theory, formula)

@@ -284,6 +284,8 @@ def verify_exponential(
     c = candidate.structure
     if not validate_morphism(candidate.eval):
         return _rejected(c, "evaluation map is not a morphism")
+    if candidate.eval.target != y:
+        return _rejected(c, "evaluation codomain is not Y")
     ids = _joined_ids(candidate.eval.source, c, x, _product_pairs(c, x))
     if ids is None:
         return _rejected(c, "evaluation domain is not C x X")
@@ -320,6 +322,8 @@ def verify_partial_product(
     struct = candidate.structure
     if not validate_morphism(p) or not validate_morphism(ev):
         return _rejected(struct, "anchor or evaluation is invalid")
+    if ev.target != y:
+        return _rejected(struct, "evaluation codomain is not Y")
     x, z = f.source, f.target
     fibre_of = {c: [a for a in x.sorted_carrier() if f(a) == c] for c in z.carrier}
     over = {c: [pid for pid in struct.sorted_carrier() if p(pid) == c] for c in z.carrier}

@@ -20,6 +20,10 @@ QUANTALE = "quantale"
 
 ORDER_KINDS = (DISCRETE, EXPLICIT, QUANTALE)
 
+# Most structures a test family holds per carrier size before it is sampled;
+# the CLI's --cap default.
+DEFAULT_CAP = 512
+
 
 class HornmodError(Exception):
     """Base class for all errors raised by this package."""
@@ -601,12 +605,12 @@ def is_base_axiom(ax: HornFormula, sig: Signature) -> bool:
 
 @lru_cache(maxsize=None)
 def _expanded_axioms(theory: Theory) -> tuple[HornFormula, ...]:
-    from .schema import expand_instances
-
     out: list[HornFormula] = []
     if theory.base_flag:
         out.extend(base_axioms(theory.signature))
     out.extend(theory.axioms)
     for s in theory.schemas:
+        from .schema import expand_instances  # schema-free theories never load schema
+
         out.extend(inst.formula for inst in expand_instances(s, theory.signature))
     return tuple(out)

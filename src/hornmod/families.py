@@ -17,10 +17,8 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .core import Edge, HornmodError, Signature, Structure, StructureError, Theory
+from .core import DEFAULT_CAP, Edge, HornmodError, Signature, Structure, StructureError, Theory
 from .semantics import ground_axioms, is_model
-
-DEFAULT_CAP = 512
 
 
 def canonical_carrier(size: int) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ malformed document raises :class:`ParseError` and nothing else.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from .core import (
     DISCRETE,
@@ -25,17 +25,10 @@ from .core import (
     Theory,
     horn,
 )
-from .quantale import Quantale
-from .schema import (
-    AxiomSchema,
-    ConstantSymbol,
-    ExplicitTable,
-    PLACEHOLDER,
-    PremiseProjection,
-    TensorComposite,
-    generalized_transitivity_schema,
-    symmetry_schema,
-)
+
+if TYPE_CHECKING:
+    from .quantale import Quantale
+    from .schema import AxiomSchema
 
 FORMAT = 1
 
@@ -97,6 +90,8 @@ def quantale_to_jsonable(v: Quantale) -> dict:
 
 
 def parse_quantale(doc: Mapping[str, Any]) -> Quantale:
+    from .quantale import Quantale
+
     _check_format(doc, "quantale")
     tensor = []
     for key, value in _expect(doc, "tensor", "quantale", dict).items():
@@ -214,6 +209,8 @@ def parse_formula(doc: Any) -> HornFormula:
 
 
 def schema_to_jsonable(s: AxiomSchema) -> dict:
+    from .schema import ConstantSymbol, PremiseProjection, TensorComposite
+
     if s.name in ("generalized_transitivity", "symmetry"):
         return {"schema": s.name}
     combine: dict[str, Any]
@@ -238,6 +235,17 @@ def schema_to_jsonable(s: AxiomSchema) -> dict:
 
 
 def parse_schema(doc: Any) -> AxiomSchema:
+    from .schema import (
+        PLACEHOLDER,
+        AxiomSchema,
+        ConstantSymbol,
+        ExplicitTable,
+        PremiseProjection,
+        TensorComposite,
+        generalized_transitivity_schema,
+        symmetry_schema,
+    )
+
     _shape(doc, dict, "schema document")
     body = _expect(doc, "schema", "schema")
     if body == "generalized_transitivity":

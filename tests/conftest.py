@@ -773,6 +773,10 @@ def reference_verify_partial_product(
         return VerificationReport(
             False, (VerificationEntry(struct, 0, False, "anchor or evaluation is invalid"),)
         )
+    if ev.target != y:
+        return VerificationReport(
+            False, (VerificationEntry(struct, 0, False, "evaluation codomain is not Y"),)
+        )
     if p.target != f.target or ev.source != pullback(p, f).structure:
         return VerificationReport(
             False, (VerificationEntry(struct, 0, False, "evaluation domain is not P x_Z X"),)
@@ -840,6 +844,10 @@ def reference_verify_exponential(
     if not validate_morphism(candidate.eval):
         return VerificationReport(
             False, (VerificationEntry(c, 0, False, "evaluation map is not a morphism"),)
+        )
+    if candidate.eval.target != y:
+        return VerificationReport(
+            False, (VerificationEntry(c, 0, False, "evaluation codomain is not Y"),)
         )
     prod_cx = product(c, x)
     if candidate.eval.source != prod_cx.structure:

@@ -264,6 +264,37 @@ def test_verify_exponential_rejects_an_extra_edge_at_evaluation(preord, chain2):
         (0, False, "evaluation map is not a morphism")]
 
 
+def retargeted(ev, target):
+    """``ev`` into ``target``, with every value ``c1`` sent to ``c2``."""
+    return hm.Morphism(ev.source, target,
+                       {k: "c2" if v == "c1" else v for k, v in ev.mapping.items()})
+
+
+def test_verifiers_reject_an_evaluation_into_another_codomain(preord, chain2, chain3):
+    # eval into chain3 is still a morphism; the verifiers used to raise a bare
+    # KeyError (exponential) or count 0 mediating maps (partial product) for it
+    family = all_models(preord, 2, cap=None)
+    exp = hm.exponential_object(chain2, chain2)
+    bad = ExponentialResult(exp.structure, retargeted(exp.eval, chain3))
+    assert hm.validate_morphism(bad.eval)
+    report = hm.verify_exponential(chain2, chain2, bad, family)
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (0, False, "evaluation codomain is not Y")]
+    f = hm.bang(chain2)
+    pp = hm.partial_product_str(chain2, f)
+    bad_pp = hm.PartialProductResult(pp.structure, pp.p, retargeted(pp.eval, chain3),
+                                     pp.variant, dict(pp.components))
+    assert hm.validate_morphism(bad_pp.eval)
+    report = hm.verify_partial_product(f, chain2, bad_pp, family)
+    assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
+        (0, False, "evaluation codomain is not Y")]
+
+
+def with_new_point(y):
+    """``y`` with one more point, ``new``, on no edge."""
+    return hm.Structure(y.signature, y.carrier | {"new"}, y.edges)
+
+
 def test_verify_partial_product_small_exhaustive(preord):
     structures = dedup_by_iso(all_structures(preord.signature, 2))[:6]
     family = structures
@@ -327,9 +358,9 @@ def partial_product_candidates(draw):
 
     A corruption drops an edge of P, adds an edge to P, adds a missing edge to P
     but keeps the old evaluation map on the old P x_Z X, duplicates a point of P
-    with its edges, anchor and evaluation row, or moves one value of the
-    evaluation map; the anchor keeps its mapping, and a duplicate lies over
-    its twin's anchor.
+    with its edges, anchor and evaluation row, moves one value of the
+    evaluation map, or keeps the evaluation map but into Y with a new point;
+    the anchor keeps its mapping, and a duplicate lies over its twin's anchor.
     """
     variant = draw(st.sampled_from(["str", "refl"]))
     pool = SMALL_STRUCTURES if variant == "str" else SMALL_BASE_MODELS
@@ -339,8 +370,8 @@ def partial_product_candidates(draw):
     f = draw(st.sampled_from(homs))
     pp = (hm.partial_product_str if variant == "str" else hm.partial_product_refl)(y, f)
     struct, anchor, eval_map = pp.structure, dict(pp.p.mapping), dict(pp.eval.mapping)
-    corruption = draw(st.sampled_from(
-        ["none", "drop-edge", "add-edge", "stale-domain", "duplicate", "eval-value"]))
+    corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "stale-domain",
+                                       "duplicate", "eval-value", "wrong-codomain"]))
     ids = struct.sorted_carrier()
     missing = [hm.edge("le", a, b) for a in ids for b in ids if not struct.holds("le", (a, b))]
     if corruption == "drop-edge" and struct.edges:
@@ -361,7 +392,8 @@ def partial_product_candidates(draw):
             st.sampled_from(y.sorted_carrier()))
     p = hm.Morphism(struct, z, anchor)
     ev = pp.eval if corruption == "stale-domain" else hm.Morphism(
-        hm.pullback(p, f).structure, y, eval_map)
+        hm.pullback(p, f).structure,
+        with_new_point(y) if corruption == "wrong-codomain" else y, eval_map)
     candidate = hm.PartialProductResult(struct, p, ev, pp.variant, dict(pp.components))
     family = draw(st.lists(st.sampled_from(dedup_by_iso(SMALL_STRUCTURES)),
                            min_size=1, max_size=3))
@@ -557,7 +589,8 @@ def exponential_candidates(draw):
     symbol on 27 maps would give C x X half a million edges); each Q has up
     to 2 points.  A corruption drops an edge of C, adds an edge to C (eval on
     the new C x X, or kept on the old one), duplicates a point of C with its
-    edges and eval row, or moves one value of eval.
+    edges and eval row, moves one value of eval, or keeps eval but into Y with a
+    new point.
     """
     if draw(st.booleans()):
         x, y = draw(st.sampled_from(PREORDERS)), draw(st.sampled_from(PREORDERS))
@@ -569,8 +602,8 @@ def exponential_candidates(draw):
     exp = hm.exponential_object(x, y)
     c, ev = exp.structure, dict(exp.eval.mapping)
     ids = c.sorted_carrier()
-    corruption = draw(st.sampled_from(
-        ["none", "drop-edge", "add-edge", "stale-domain", "duplicate", "eval-value"]))
+    corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "stale-domain",
+                                       "duplicate", "eval-value", "wrong-codomain"]))
     if corruption == "drop-edge" and c.edges:
         c = hm.Structure(c.signature, ids, c.edges - {draw(st.sampled_from(c.sorted_edges()))})
     elif corruption == "add-edge" and ids:
@@ -589,8 +622,9 @@ def exponential_candidates(draw):
     elif corruption == "eval-value" and ev:
         ev[draw(st.sampled_from(sorted(ev)))] = draw(st.sampled_from(y.sorted_carrier()))
     domain = exp.eval.source if corruption == "stale-domain" else hm.product(c, x).structure
+    codomain = with_new_point(y) if corruption == "wrong-codomain" else y
     family = draw(st.lists(objects, min_size=1, max_size=3))
-    return x, y, ExponentialResult(c, hm.Morphism(domain, y, ev)), family
+    return x, y, ExponentialResult(c, hm.Morphism(domain, codomain, ev)), family
 
 
 CHAIN2 = hm.chain(2)
@@ -635,7 +669,7 @@ def test_verifiers_raise_as_their_references(preord):
          product_signatures),
         (hm.verify_partial_product, reference_verify_partial_product, (f, y, pp, [clash]),
          collision),  # in Q x_Z X
-        (hm.verify_partial_product, reference_verify_partial_product, (f, other, pp, [y]),
-         ("SignatureError", "hom-set needs a shared signature")),
+        (hm.verify_partial_product, reference_verify_partial_product, (f, y, pp, [other]),
+         ("SignatureError", "hom-set needs a shared signature")),  # Q against Y
     ]:
         assert or_hornmod_error(verify, *args) == or_hornmod_error(reference, *args) == error

@@ -50,6 +50,5 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_library_modules_use_every_name_they_import():
-    # ``__init__.py`` imports to re-export, so it is left out.
-    unused = {path.name: unused_imports(path) for path in SOURCES if path.name != "__init__.py"}
+    unused = {path.name: unused_imports(path) for path in SOURCES}
     assert not {name: names for name, names in unused.items() if names}
