@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     Edge,
@@ -253,6 +254,16 @@ def _joined_ids(
     return ids if (domain.signature, domain.carrier, domain.edges) == joined else None
 
 
+def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], tuple]:
+    """The transpose of an image tuple h of Q: ``ev_at[h[i], b]`` for each cell (i, b)."""
+    positions, bs = [i for i, _ in cells], [b for _, b in cells]
+    ev = ev_at.__getitem__
+    # itemgetter returns a tuple only for two or more positions
+    pick = (itemgetter(*positions) if len(positions) > 1
+            else lambda h: tuple(h[i] for i in positions))
+    return lambda h: tuple(map(ev, zip(pick(h), bs)))
+
+
 def _joined_homs(
     q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure
 ) -> tuple[list[str], list[tuple[int, str]], list[tuple[str, ...]]]:
@@ -296,9 +307,9 @@ def verify_exponential(
         # maps Q x X -> Y are image tuples over the sorted pair ids of Q x X
         names, cells, targets = _joined_homs(q, x, _product_pairs(q, x), y)
         hits = dict.fromkeys(targets, 0)
-        for h in _hom_tuples(q, c):
-            # the transpose eval . (h x X) composes morphisms, so it is one of the targets
-            hits[tuple(ev_at[h[i], b] for i, b in cells)] += 1
+        # each transpose eval . (h x X) composes morphisms, so it is one of the targets
+        for g in map(_transposer(cells, ev_at), _hom_tuples(q, c)):
+            hits[g] += 1
         missed = [k for k, n in hits.items() if n != 1]
         detail = f"currying is not a bijection at {dict(zip(names, missed[0]))}" if missed else ""
         entries.append(VerificationEntry(q, len(targets), not missed, detail))
@@ -342,7 +353,7 @@ def verify_partial_product(
             names, cells, targets = _joined_homs(q_obj, x, pairs, y)
             # h(a) ranges over the points above q(a); each h lands at its transpose
             hs = _value_tuples(struct, q_src, [over[c] for c in q], q_obj.edges)
-            hits = Counter(tuple(ev_at[h[i], s] for i, s in cells) for h in hs)
+            hits = Counter(map(_transposer(cells, ev_at), hs))
             for g in targets:
                 checked += 1
                 if hits[g] != 1:

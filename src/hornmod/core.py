@@ -306,25 +306,29 @@ def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
 
 
 class Structure:
-    """A finite carrier with a set of edges over a signature."""
+    """A finite carrier with a set of edges over a signature, checked in one pass."""
 
     __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash")
 
     def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
         self.signature = signature
-        self.carrier = frozenset(carrier)
-        self.edges = frozenset(Edge(e[0], tuple(e[1])) for e in edges)
-        by_symbol: dict[str, set[tuple[str, ...]]] = {s.name: set() for s in signature.symbols}
+        self.carrier = carrier = frozenset(carrier)
+        self.edges = frozenset(e if type(e) is Edge and type(e[1]) is tuple
+                               else Edge(e[0], tuple(e[1])) for e in edges)
+        arities = signature._arities
+        by_symbol: dict[str, set[tuple[str, ...]]] = {name: set() for name in arities}
         for e in self.edges:
-            if not signature.has_symbol(e.symbol):
-                raise StructureError(f"edge uses unknown symbol {e.symbol!r}")
-            if len(e.args) != signature.arity(e.symbol):
-                raise StructureError(f"edge {e} has wrong arity for {e.symbol!r}")
-            if not set(e.args) <= self.carrier:
+            name, args = e
+            tuples = by_symbol.get(name)
+            if tuples is None:
+                raise StructureError(f"edge uses unknown symbol {name!r}")
+            if len(args) != arities[name]:
+                raise StructureError(f"edge {e} has wrong arity for {name!r}")
+            if not carrier.issuperset(args):
                 raise StructureError(f"edge {e} mentions elements outside the carrier")
-            by_symbol[e.symbol].add(e.args)
+            tuples.add(args)
         self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
-        self._hash = hash((self.signature, self.carrier, self.edges))
+        self._hash: Optional[int] = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -335,6 +339,8 @@ class Structure:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.signature, self.carrier, self.edges))
         return self._hash
 
     def __repr__(self) -> str:
@@ -376,11 +382,11 @@ class Morphism:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        if set(self.mapping) != source.carrier:
+        if self.mapping.keys() != source.carrier:
             raise MorphismError("mapping must be defined on exactly the source carrier")
-        if not set(self.mapping.values()) <= target.carrier:
+        if not target.carrier.issuperset(self.mapping.values()):
             raise MorphismError("mapping has values outside the target carrier")
-        self._hash = hash((self.source, self.target, tuple(sorted(self.mapping.items()))))
+        self._hash: Optional[int] = None
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -394,6 +400,8 @@ class Morphism:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, tuple(sorted(self.mapping.items()))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -420,11 +428,10 @@ def validate_morphism(h: Morphism) -> bool:
     """
     if h.source.signature != h.target.signature:
         raise SignatureError("morphism endpoints have different signatures")
-    if set(h.mapping) != h.source.carrier or not set(h.mapping.values()) <= h.target.carrier:
+    if h.mapping.keys() != h.source.carrier or not h.target.carrier.issuperset(h.mapping.values()):
         raise MorphismError("mapping is not a total function into the target carrier")
-    return all(
-        h.target.holds(e.symbol, tuple(h.mapping[a] for a in e.args)) for e in h.source.edges
-    )
+    image, target = h.mapping.__getitem__, h.target
+    return all(tuple(map(image, args)) in target.tuples(name) for name, args in h.source.edges)
 
 
 @dataclass(frozen=True)

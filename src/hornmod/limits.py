@@ -27,6 +27,9 @@ from .semantics import _value_tuples, is_model
 
 TERMINAL_ELEMENT = "*"
 
+# builds an Edge as its own constructor does, without that constructor's Python frame
+_new_tuple = tuple.__new__
+
 
 class ProductResult(NamedTuple):
     structure: Structure
@@ -73,13 +76,20 @@ def _pair_edges(
 ) -> list[Edge]:
     """The edge join over the pairs of ``ids``: each s-edge of x zipped with each
     s-edge of y, kept when every component pair is a point."""
+    rows: dict[str, dict[str, str]] = {}  # rows[a][b] = the id of (a, b)
+    for (a, b), pid in ids.items():
+        rows.setdefault(a, {})[b] = pid
     edges = []
     for s in sig.symbols:
+        ys_of = y.tuples(s.name)
         for xs in x.tuples(s.name):
-            for ys in y.tuples(s.name):
-                args = tuple(map(ids.get, zip(xs, ys)))
+            row = [rows.get(a, {}) for a in xs]
+            if not all(row):  # some point of xs is paired with nothing
+                continue
+            for ys in ys_of:
+                args = tuple(map(dict.get, row, ys))
                 if None not in args:
-                    edges.append(Edge(s.name, args))
+                    edges.append(_new_tuple(Edge, (s.name, args)))
     return edges
 
 

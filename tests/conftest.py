@@ -27,6 +27,7 @@ from hornmod.core import (
     Equality,
     HornFormula,
     Morphism,
+    MorphismError,
     RelationSymbol,
     Signature,
     SignatureError,
@@ -716,6 +717,56 @@ def reference_paired_structure(
     left = Morphism(struct, x, {ids[p]: p[0] for p in pairs})
     right = Morphism(struct, y, {ids[p]: p[1] for p in pairs})
     return struct, left, right
+
+
+# Value construction, the morphism check and the edge join as they ran before
+# each did one pass with one lookup per edge: ``Structure``, ``validate_morphism``
+# and ``limits._pair_edges`` are tested against them.
+
+class ReferenceStructure(Structure):
+    """``Structure`` with the ``__init__`` body that rebuilt every edge, checked it
+    through ``has_symbol`` and ``arity`` and hashed the value at once."""
+
+    __slots__ = ()
+
+    def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
+        self.signature = signature
+        self.carrier = frozenset(carrier)
+        self.edges = frozenset(Edge(e[0], tuple(e[1])) for e in edges)
+        by_symbol: dict[str, set[tuple[str, ...]]] = {s.name: set() for s in signature.symbols}
+        for e in self.edges:
+            if not signature.has_symbol(e.symbol):
+                raise StructureError(f"edge uses unknown symbol {e.symbol!r}")
+            if len(e.args) != signature.arity(e.symbol):
+                raise StructureError(f"edge {e} has wrong arity for {e.symbol!r}")
+            if not set(e.args) <= self.carrier:
+                raise StructureError(f"edge {e} mentions elements outside the carrier")
+            by_symbol[e.symbol].add(e.args)
+        self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
+        self._hash = hash((self.signature, self.carrier, self.edges))
+
+
+def reference_validate_morphism(h: Morphism) -> bool:
+    if h.source.signature != h.target.signature:
+        raise SignatureError("morphism endpoints have different signatures")
+    if set(h.mapping) != h.source.carrier or not set(h.mapping.values()) <= h.target.carrier:
+        raise MorphismError("mapping is not a total function into the target carrier")
+    return all(
+        h.target.holds(e.symbol, tuple(h.mapping[a] for a in e.args)) for e in h.source.edges
+    )
+
+
+def reference_pair_edges(
+    sig: Signature, ids: dict[tuple[str, str], str], x: Structure, y: Structure
+) -> list[Edge]:
+    edges = []
+    for s in sig.symbols:
+        for xs in x.tuples(s.name):
+            for ys in y.tuples(s.name):
+                args = tuple(map(ids.get, zip(xs, ys)))
+                if None not in args:
+                    edges.append(Edge(s.name, args))
+    return edges
 
 
 TRUST_SIGNATURE = hm.Signature(

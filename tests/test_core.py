@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
-from hornmod.core import SymbolOrder, base_axioms, is_base_axiom
+from hornmod.core import Edge, SymbolOrder, base_axioms, is_base_axiom
+from hornmod.limits import _hom_tuples
 
-from conftest import interp_fail_morphism
+from conftest import (
+    TRUST_SIGNATURE,
+    ReferenceStructure,
+    interp_fail_morphism,
+    reference_validate_morphism,
+    trust_structures,
+)
 
 
 def test_validate_identity(chain2):
@@ -41,6 +48,28 @@ def test_morphism_requires_total_map(chain2, chain3):
         hm.Morphism(chain2, chain3, {"c0": "c0"})
     with pytest.raises(hm.MorphismError):
         hm.Morphism(chain2, chain3, {"c0": "c0", "c1": "nope"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(trust_structures("a"), trust_structures("b"), st.data())
+def test_validate_morphism_against_the_reference(x, y, data):
+    src = x.sorted_carrier()
+    valid = _hom_tuples(x, y)
+    maps = list(valid)
+    if y.carrier:
+        maps.append(tuple(data.draw(st.sampled_from(y.sorted_carrier())) for _ in src))
+    for images in maps:
+        h = hm.Morphism(x, y, dict(zip(src, images)))
+        assert hm.validate_morphism(h) is reference_validate_morphism(h)
+        assert hash(h) == hash((x, y, tuple(sorted(h.mapping.items()))))
+    if valid and x.edges:
+        # a valid map into y with the image of one source edge removed
+        mapping = dict(zip(src, data.draw(st.sampled_from(valid))))
+        e = data.draw(st.sampled_from(x.sorted_edges()))
+        image = Edge(e.symbol, tuple(mapping[a] for a in e.args))
+        h = hm.Morphism(x, hm.Structure(y.signature, y.carrier, y.edges - {image}), mapping)
+        assert hm.validate_morphism(h) is False
+        assert reference_validate_morphism(h) is False
 
 
 def test_var_set():
@@ -94,6 +123,66 @@ def test_explicit_pairs_across_arities_rejected():
             hm.EXPLICIT,
             (("R", "S"),),
         )
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Edge("Q", ("a",)), "edge uses unknown symbol 'Q'"),
+    (Edge("R", ("a",)), "edge Edge(symbol='R', args=('a',)) has wrong arity for 'R'"),
+    (Edge("R", ("a", "z")),
+     "edge Edge(symbol='R', args=('a', 'z')) mentions elements outside the carrier"),
+])
+def test_structure_errors_name_the_edge(bad, message):
+    with pytest.raises(hm.StructureError) as info:
+        hm.Structure(TRUST_SIGNATURE, ["a", "b"], [Edge("P", ("a",)), bad])
+    assert str(info.value) == message
+
+
+@st.composite
+def structure_inputs(draw):
+    """The carrier and edges of a random structure as raw input: each edge an
+    ``Edge``, an ``Edge`` or plain tuple with list args, or a plain tuple, some
+    repeated, and possibly an unknown symbol, a wrong arity or an outside element."""
+    x = draw(trust_structures("a"))
+    point = st.sampled_from(x.sorted_carrier() or ("a0",))
+    edges = list(x.sorted_edges())
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    forms = [
+        lambda e: e,
+        lambda e: Edge(e.symbol, list(e.args)),
+        lambda e: (e.symbol, list(e.args)),
+        lambda e: (e.symbol, e.args),
+    ]
+    edges = [draw(st.sampled_from(forms))(e) for e in edges]
+    if draw(st.booleans()):
+        edges.append(Edge("Q", (draw(point),)))
+    if draw(st.booleans()):
+        edges.append(Edge("R", (draw(point),)))
+    if draw(st.booleans()):
+        edges.append(Edge("P", ("z",)))
+    return x.sorted_carrier(), draw(st.permutations(edges))
+
+
+def _built(cls, carrier, edges):
+    try:
+        return cls(TRUST_SIGNATURE, carrier, edges)
+    except hm.HornmodError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_inputs())
+def test_structure_against_the_reference_constructor(inputs):
+    carrier, edges = inputs
+    got, ref = _built(hm.Structure, carrier, edges), _built(ReferenceStructure, carrier, edges)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert got.carrier == ref.carrier and got.edges == ref.edges
+    assert all(type(e) is Edge and type(e.args) is tuple for e in got.edges)
+    for s in TRUST_SIGNATURE.symbols:
+        assert got.tuples(s.name) == ref.tuples(s.name)
+    assert got == ref and ref == got and hash(got) == hash(ref)
+    assert hash(got) == hash((got.signature, got.carrier, got.edges))
 
 
 def test_edge_sets_deduplicate(preord):

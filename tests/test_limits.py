@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
+from hornmod.core import Edge
 from hornmod.families import all_structures, dedup_by_iso
+from hornmod.limits import _pair_edges, _pair_ids
 
 from conftest import (
     TRUST_SIGNATURE,
     reference_enumerate_morphisms,
+    reference_pair_edges,
     reference_paired_structure,
     trust_structures,
 )
@@ -257,6 +260,19 @@ def test_hom_search_against_the_naive_enumeration(x, y):
     assert got == expected
     assert [list(m.mapping) for m in got] == [list(m.mapping) for m in expected]
     assert hm.hom_count(x, y) == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trust_structures("a"), trust_structures("b"), st.data())
+def test_pair_edges_against_the_nested_loop(x, y, data):
+    pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # all pairs, as in a product, and a subset, as in a pullback
+    for chosen in (pairs, [p for p, k in zip(pairs, keep) if k]):
+        ids = _pair_ids(chosen)
+        got = _pair_edges(TRUST_SIGNATURE, ids, x, y)
+        assert got == reference_pair_edges(TRUST_SIGNATURE, ids, x, y)
+        assert all(type(e) is Edge for e in got)
 
 
 @settings(max_examples=300, deadline=None)
