@@ -308,7 +308,7 @@ def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
 class Structure:
     """A finite carrier with a set of edges over a signature, checked in one pass."""
 
-    __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash")
+    __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash", "_sorted_carrier")
 
     def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
         self.signature = signature
@@ -329,6 +329,7 @@ class Structure:
             tuples.add(args)
         self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
         self._hash: Optional[int] = None
+        self._sorted_carrier: Optional[tuple[str, ...]] = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -347,7 +348,9 @@ class Structure:
         return f"Structure(|X|={sorted(self.carrier)}, edges={sorted(self.edges)})"
 
     def sorted_carrier(self) -> tuple[str, ...]:
-        return tuple(sorted(self.carrier))
+        if self._sorted_carrier is None:
+            self._sorted_carrier = tuple(sorted(self.carrier))
+        return self._sorted_carrier
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))

@@ -7,16 +7,18 @@ one Horn axiom per label tuple.  Schema convexity replaces the existence of
 a single lifted valuation with a join inequality over all lifted valuations,
 computed in the symbol lattice; it runs over the same fibre-lift cases as
 flat convexity (:mod:`hornmod.convexity`), and object convexity is schema
-convexity of the unique map to the terminal object.  Schema safety is meet
-compatibility of the combination function plus flat safety
-(:func:`hornmod.convexity.is_safe_axiom`) of each instance, and the schematic
-classification shares the flat classifier's closure notes.
+convexity of the unique map to the terminal object.  A call checks the
+Heyting gate and a declared monotonicity once per schema and keeps each
+premise tuple's largest label, so a lift costs one lookup per premise.
+Schema safety is meet compatibility of the combination function plus flat
+safety (:func:`hornmod.convexity.is_safe_axiom`) of each instance, and the
+schematic classification shares the flat classifier's closure notes.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Optional, Union
 
 from .core import (
@@ -166,7 +168,6 @@ def expand_instances(schema: AxiomSchema, sig: Signature) -> tuple[SchemaInstanc
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _monotone_verified(schema: AxiomSchema, sig: Signature) -> bool:
     """Whether the declared monotonicity of the combination function holds.
 
@@ -217,34 +218,36 @@ def _r_kappa_enumerated(
     return out
 
 
-def _r_kappa(
-    schema: AxiomSchema,
-    sig: Signature,
-    order: SymbolOrder,
-    labels: tuple[str, ...],
-    x: Structure,
-    kappa: dict[str, str],
-) -> str:
-    """The join of combined labels over all premise labelings satisfied under kappa.
+def _lift_join(x: Structure, schema: AxiomSchema, sig: Signature, order: SymbolOrder):
+    """``r_kappa(labels, args_per_premise)``: the join of the combined meets of
+    ``labels`` with every premise labelling that holds in ``x`` at those tuples.
 
-    When the combination function is monotone and each premise's labels are
-    join-closed, the join collapses to one evaluation at the componentwise
-    maxima, which a test checks against the defining join
-    (:func:`_r_kappa_enumerated`, also the fallback).
+    For a monotone combination and tuples that each have a largest label it is
+    one combine at the meets with those maxima, else the defining join
+    (:func:`_r_kappa_enumerated`), which a test checks the collapse against.
+    Each tuple's maximum (``None`` if none) and each combine is kept on first use.
     """
-    args_per_premise = [tuple(kappa[v] for v in p.args) for p in schema.premises]
-    if _monotone_verified(schema, sig):
-        maxima = []
-        for args in args_per_premise:
-            present = [s for s in order.symbols if x.holds(s, args)]
-            top = order.join_of_set(present)
-            if top is None or top not in present:
-                break  # labels not join-closed; fall back to the defining join
-            maxima.append(top)
-        else:
-            meets = tuple(order.meet2(r, u) for r, u in zip(labels, maxima))
-            return apply_combine(schema, sig, meets)
-    return _r_kappa_enumerated(schema, sig, order, labels, x, args_per_premise)
+    monotone = _monotone_verified(schema, sig)
+    maxima: dict[tuple[str, ...], Optional[str]] = {}
+    combined: dict[tuple[str, ...], str] = {}
+
+    def r_kappa(labels: tuple[str, ...], args_per_premise: list[tuple[str, ...]]) -> str:
+        if monotone:
+            for args in args_per_premise:
+                if args not in maxima:
+                    present = [s for s in order.symbols if x.holds(s, args)]
+                    top = order.join_of_set(present)
+                    maxima[args] = top if top in present else None
+                if maxima[args] is None:
+                    break  # labels not join-closed; fall back to the defining join
+            else:
+                meets = tuple(map(order.meet2, labels, [maxima[a] for a in args_per_premise]))
+                if meets not in combined:
+                    combined[meets] = apply_combine(schema, sig, meets)
+                return combined[meets]
+        return _r_kappa_enumerated(schema, sig, order, labels, x, args_per_premise)
+
+    return r_kappa
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,36 @@ class SchemaConvexityReport:
     counterexample: Optional[SchemaCounterexample]
 
 
+def _first_nonconvex(
+    f: Morphism, schema: AxiomSchema, instances: tuple[SchemaInstance, ...], sig: Signature
+) -> SchemaConvexityReport:
+    """The report of the first of ``instances`` that ``f`` is not convex for, if any.
+
+    The Heyting gate, the monotonicity check and the lift join are set up
+    once, for all the instances.
+    """
+    x = f.source
+    order = _require_heyting(sig, schema.arity)
+    r_kappa = _lift_join(x, schema, sig, order)
+    premise_args = [p.args for p in schema.premises]
+    for instance in instances:
+        labels = instance.labels
+        below = order.below(apply_combine(schema, sig, labels))
+        labeled_premises = [Edge(label, args) for label, args in zip(labels, premise_args)]
+        for valuation, xs, lifts in _fibre_lifts(f, labeled_premises, schema.conclusion.args):
+            total = order.bottom()
+            assert total is not None
+            for kappa in lifts:
+                args = [tuple(map(kappa.__getitem__, p)) for p in premise_args]
+                total = order.join2(total, r_kappa(labels, args))
+            for t in below:
+                if x.holds(t, xs) and not order.leq(t, total):
+                    return SchemaConvexityReport(
+                        False, SchemaCounterexample(schema.name, labels, valuation, xs, t)
+                    )
+    return SchemaConvexityReport(True, None)
+
+
 def is_schema_convex_wrt_instance(
     f: Morphism, schema: AxiomSchema, instance: SchemaInstance, theory: Theory
 ) -> SchemaConvexityReport:
@@ -269,33 +302,16 @@ def is_schema_convex_wrt_instance(
 
     The endpoints are assumed to be models of the signature's base theory.
     """
-    sig = theory.signature
-    order = _require_heyting(sig, schema.arity)
-    x = f.source
-    below = order.below(apply_combine(schema, sig, instance.labels))
-    labeled_premises = [
-        Edge(label, shape.args) for label, shape in zip(instance.labels, schema.premises)
-    ]
-    for valuation, xs, lifts in _fibre_lifts(f, labeled_premises, schema.conclusion.args):
-        total = order.bottom()
-        assert total is not None
-        for kappa in lifts:
-            total = order.join2(total, _r_kappa(schema, sig, order, instance.labels, x, kappa))
-        for t in below:
-            if x.holds(t, xs) and not order.leq(t, total):
-                return SchemaConvexityReport(
-                    False, SchemaCounterexample(schema.name, instance.labels, valuation, xs, t)
-                )
-    return SchemaConvexityReport(True, None)
+    return _first_nonconvex(f, schema, (instance,), theory.signature)
 
 
 def is_schema_convex(f: Morphism, theory: Theory) -> SchemaConvexityReport:
     """Convexity with respect to every instance of every schema of the theory."""
     for schema in theory.schemas:
-        for instance in expand_instances(schema, theory.signature):
-            report = is_schema_convex_wrt_instance(f, schema, instance, theory)
-            if not report.convex:
-                return report
+        instances = expand_instances(schema, theory.signature)
+        report = _first_nonconvex(f, schema, instances, theory.signature)
+        if not report.convex:
+            return report
     return SchemaConvexityReport(True, None)
 
 

@@ -33,6 +33,7 @@ from hornmod.core import (
     SignatureError,
     Structure,
     StructureError,
+    SymbolOrder,
     Theory,
     TheoryError,
     horn,
@@ -55,7 +56,8 @@ from hornmod.schema import (
     SchemaCounterexample,
     SchemaInstance,
     SchemaSafetyResult,
-    _r_kappa,
+    _monotone_verified,
+    _r_kappa_enumerated,
     _require_heyting,
     apply_combine,
     expand_instances,
@@ -454,6 +456,42 @@ def reference_entails(theory, formula) -> bool:
         return unit(formula.conclusion.left) == unit(formula.conclusion.right)
     concl = formula.conclusion
     return result.model.holds(concl.symbol, tuple(unit(a) for a in concl.args))
+
+
+# The per-lift join of schema convexity as it ran before its per-call
+# invariants were computed once: every lift re-checks monotonicity, rescans
+# every symbol at each premise tuple and combines again.
+# ``schema._lift_join`` is tested against it, and the schema references below
+# call it.
+
+def _r_kappa(
+    schema: AxiomSchema,
+    sig: Signature,
+    order: SymbolOrder,
+    labels: tuple[str, ...],
+    x: Structure,
+    kappa: dict[str, str],
+) -> str:
+    """The join of combined labels over all premise labelings satisfied under kappa.
+
+    When the combination function is monotone and each premise's labels are
+    join-closed, the join collapses to one evaluation at the componentwise
+    maxima, which a test checks against the defining join
+    (:func:`_r_kappa_enumerated`, also the fallback).
+    """
+    args_per_premise = [tuple(kappa[v] for v in p.args) for p in schema.premises]
+    if _monotone_verified(schema, sig):
+        maxima = []
+        for args in args_per_premise:
+            present = [s for s in order.symbols if x.holds(s, args)]
+            top = order.join_of_set(present)
+            if top is None or top not in present:
+                break  # labels not join-closed; fall back to the defining join
+            maxima.append(top)
+        else:
+            meets = tuple(order.meet2(r, u) for r, u in zip(labels, maxima))
+            return apply_combine(schema, sig, meets)
+    return _r_kappa_enumerated(schema, sig, order, labels, x, args_per_premise)
 
 
 # The four fibre-lift loops that convexity and schema convexity ran before

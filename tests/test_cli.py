@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.cli import main
-from hornmod.serialize import dumps, structure_to_jsonable
+from hornmod.serialize import dumps, morphism_to_jsonable, structure_to_jsonable
 
 from conftest import cli_corpus_commands, mutated_document
 
@@ -221,6 +221,22 @@ def test_schema_commands():
     assert payload["generalized_transitivity"]["safe"] is False
     assert payload["generalized_transitivity"]["meet_violation"] is not None
     assert payload["symmetry"]["very_safe"] is True
+
+
+def test_schema_convexity_rejects_a_table_falsely_declared_monotone(tmp_path):
+    # the swap table is not monotone; the empty morphism has no lift to reach it
+    sig = hm.signature_of(hm.boolean_quantale())
+    theory = json.loads((CORPUS / "boolean-vcat.theory.json").read_text(encoding="utf-8"))
+    theory["schemas"] = [{"schema": {
+        "name": "swap", "arity": 2, "premises": [["x", "y"]], "conclusion": ["x", "y"],
+        "combine": {"table": {"~0": "~1", "~1": "~0"}}, "monotone": True}}]
+    empty = hm.identity_morphism(hm.Structure(sig, (), ()))
+    theory_path, morphism_path = tmp_path / "swap.theory.json", tmp_path / "empty.morphism.json"
+    theory_path.write_text(json.dumps(theory), encoding="utf-8")
+    morphism_path.write_text(dumps(morphism_to_jsonable(empty)), encoding="utf-8")
+    err = assert_one_line_input_error("schema-convexity", "--theory", str(theory_path),
+                                      "--morphism", str(morphism_path))
+    assert "declared monotone" in err
 
 
 def test_classify_discrete_and_schematic():

@@ -183,6 +183,9 @@ def test_structure_against_the_reference_constructor(inputs):
         assert got.tuples(s.name) == ref.tuples(s.name)
     assert got == ref and ref == got and hash(got) == hash(ref)
     assert hash(got) == hash((got.signature, got.carrier, got.edges))
+    # sorted once, on first use, and kept
+    assert got.sorted_carrier() == tuple(sorted(ref.carrier))
+    assert got.sorted_carrier() is got.sorted_carrier()
 
 
 def test_edge_sets_deduplicate(preord):

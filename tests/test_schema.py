@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -14,15 +15,17 @@ from hornmod.schema import (
     ExplicitTable,
     PLACEHOLDER,
     PremiseProjection,
+    SchemaConvexityReport,
     SchemaCounterexample,
     SchemaError,
-    _r_kappa,
+    _lift_join,
     _r_kappa_enumerated,
     apply_combine,
     expand_instances,
 )
 
 from conftest import (
+    _r_kappa,
     boolean_bridge_models_agree,
     boolean_vcat_to_preorder,
     interp_fail_morphism,
@@ -209,6 +212,55 @@ def test_schema_lift_kernel_matches_the_reference_loops(name, make_theory, data)
             assert g.valuation == tuple((u, TERMINAL_ELEMENT) for u in sorted(schema.variables()))
 
 
+@st.composite
+def maps_of_raw_structures(draw, name):
+    """A map from up to 3 points to 1 or 2, between structures over ``signature_of(v)``.
+
+    The edge sets are arbitrary, not models of the base theory: a pair may
+    carry no label, so a lift can meet a premise tuple without a largest
+    label, where the lift join falls back to the defining join.  The source
+    keeps a drawn subset of the edges its map preserves.
+    """
+    sig = hm.signature_of(SCHEMA_QUANTALES[name])
+    symbols = sig.symbols_of_arity(2)
+
+    def edges(carrier, allowed):
+        slots = [hm.Edge(s, (a, b)) for s in symbols for a in carrier for b in carrier
+                 if allowed(s, a, b)]
+        keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+        return [e for e, k in zip(slots, keep) if k]
+
+    zs = tuple(f"z{i}" for i in range(draw(st.integers(1, 2))))
+    xs = tuple(f"x{i}" for i in range(draw(st.integers(0, 3))))
+    z = hm.Structure(sig, zs, edges(zs, lambda s, a, b: True))
+    h = dict(zip(xs, draw(st.tuples(*[st.sampled_from(zs)] * len(xs)))))
+    x = hm.Structure(sig, xs, edges(xs, lambda s, a, b: z.holds(s, (h[a], h[b]))))
+    return hm.Morphism(x, z, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEMA_QUANTALES)), data=st.data())
+def test_whole_theory_reports_match_the_reference_instance_loop(name, data):
+    # one theory's schemas share nothing but the source, so a table or memo
+    # carried from one instance or schema to the next shows as a wrong report
+    v = SCHEMA_QUANTALES[name]
+    premise_only = _premise_only_schemas(v)
+    pool = (hm.generalized_transitivity_schema(), hm.symmetry_schema(), *premise_only,
+            dataclasses.replace(premise_only[0], name="meet_table_unchecked", monotone=False))
+    schemas = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                 unique_by=lambda s: s.name))
+    theory = hm.Theory(hm.signature_of(v), (), tuple(schemas), base_flag=True)
+    f = data.draw(maps_of_raw_structures(name))
+    want = SchemaConvexityReport(True, None)
+    for schema in theory.schemas:
+        for inst in expand_instances(schema, theory.signature):
+            report = reference_is_schema_convex_wrt_instance(f, schema, inst, theory)
+            assert hm.is_schema_convex_wrt_instance(f, schema, inst, theory) == report
+            if want.convex and not report.convex:
+                want = report
+    assert hm.is_schema_convex(f, theory) == want
+
+
 def test_ch_oracle_identity():
     v = hm.boolean_quantale()
     for g in all_vcategories(v, 2):
@@ -254,15 +306,17 @@ def test_r_kappa_fast_path_agrees_with_defining_join(v):
                 x = vfunctor_to_morphism(h).source
                 for schema in theory.schemas:
                     order = sig.order(schema.arity)
+                    lift_join = _lift_join(x, schema, sig, order)
                     variables = sorted(schema.variables())
                     for inst in expand_instances(schema, sig):
                         for values in itertools.product(x.sorted_carrier(),
                                                          repeat=len(variables)):
                             kappa = dict(zip(variables, values))
                             args = [tuple(kappa[w] for w in p.args) for p in schema.premises]
-                            fast = _r_kappa(schema, sig, order, inst.labels, x, kappa)
+                            fast = lift_join(inst.labels, args)
                             slow = _r_kappa_enumerated(schema, sig, order, inst.labels, x, args)
-                            assert fast == slow
+                            assert fast == slow == _r_kappa(
+                                schema, sig, order, inst.labels, x, kappa)
 
 
 def test_ch_oracle_requires_heyting():
@@ -469,11 +523,16 @@ def test_explicit_table_monotonicity_checked():
         combine=table,
         monotone=True,
     )
-    theory = hm.Theory(sig, (), (), base_flag=True)
-    one = hm.terminal(sig)
+    theory = hm.Theory(sig, (), (schema,), base_flag=True)
     inst = hm.expand_instances(schema, sig)[0]
-    with pytest.raises(SchemaError):
-        hm.is_schema_convex_wrt_instance(hm.identity_morphism(one), schema, inst, theory)
+    # the empty structure has no lift, so only a check made once per call
+    # catches the table there
+    for x in (hm.terminal(sig), hm.Structure(sig, (), ())):
+        f = hm.identity_morphism(x)
+        with pytest.raises(SchemaError, match="declared monotone"):
+            hm.is_schema_convex_wrt_instance(f, schema, inst, theory)
+        with pytest.raises(SchemaError, match="declared monotone"):
+            hm.is_schema_convex(f, theory)
 
 
 def test_constant_combine():
