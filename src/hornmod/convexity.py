@@ -69,29 +69,37 @@ def _holds_all(x: Structure, premises, kappa: dict[str, str]) -> bool:
     return all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in premises)
 
 
-def _fibre_lifts(f: Morphism, premises, concl_args: tuple[str, ...]):
+def _fibre_lifts(f: Morphism, shapes, edges, concl_args: tuple[str, ...]):
     """The cases that flat and schema convexity of ``f`` quantify over.
 
-    For each premise-satisfying valuation into the target, found by the
-    valuation search of :mod:`hornmod.semantics` in canonical order, and each
-    ``xs`` in the product of the fibres over the conclusion variables, yields
-    ``(valuation, xs, lifts)``, the valuation as sorted (variable, value)
-    pairs: ``lifts`` lazily lists the source valuations pinning the
-    conclusion variables to ``xs`` and lifting the other premise variables
-    within their fibres (none if ``xs`` gives a repeated variable two values).
+    ``shapes`` are the premises whose variables the cases bind, and ``edges``
+    are the edges the downstairs valuations must satisfy (the premises
+    themselves for flat convexity).  For each such valuation into the target,
+    found by the valuation search of :mod:`hornmod.semantics` in canonical
+    order, yields ``(valuation, cases)``, the valuation as sorted (variable,
+    value) pairs.
+    ``cases`` lazily lists ``(xs, lifts)`` for each ``xs`` in the product of
+    the fibres over the conclusion variables: ``lifts`` lazily lists the
+    source valuations pinning the conclusion variables to ``xs`` and lifting
+    the other premise variables within their fibres (none if ``xs`` gives a
+    repeated variable two values).  The fibres are built once per call.
     """
     x, z = f.source, f.target
-    premise_vars = var_set(premises)
+    premise_vars = var_set(shapes)
     variables = tuple(sorted(premise_vars | set(concl_args)))
     other_vars = tuple(sorted(premise_vars - set(concl_args)))
     fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
     carrier = z.sorted_carrier()
-    for values in _value_tuples(z, variables, [carrier] * len(variables), premises):
+    for values in _value_tuples(z, variables, [carrier] * len(variables), edges):
         kz = dict(zip(variables, values))
-        valuation = tuple(kz.items())
         domains = [fibre[kz[v]] for v in other_vars]
-        for xs in itertools.product(*(fibre[kz[v]] for v in concl_args)):
-            yield valuation, xs, _lifts(concl_args, xs, other_vars, domains)
+        concl_fibres = [fibre[kz[v]] for v in concl_args]
+        yield tuple(kz.items()), _cases(concl_args, concl_fibres, other_vars, domains)
+
+
+def _cases(concl_args: tuple[str, ...], concl_fibres, other_vars: tuple[str, ...], domains):
+    for xs in itertools.product(*concl_fibres):
+        yield xs, _lifts(concl_args, xs, other_vars, domains)
 
 
 def _lifts(concl_args: tuple[str, ...], xs: tuple[str, ...], other_vars: tuple[str, ...], domains):
@@ -109,11 +117,12 @@ def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityR
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
     x = f.source
-    for valuation, xs, lifts in _fibre_lifts(f, axiom.premises, concl.args):
-        if x.holds(concl.symbol, xs) and not any(
-            _holds_all(x, axiom.premises, kappa) for kappa in lifts
-        ):
-            return ConvexityReport(False, ConvexityCounterexample(axiom, valuation, xs))
+    for valuation, cases in _fibre_lifts(f, axiom.premises, axiom.premises, concl.args):
+        for xs, lifts in cases:
+            if x.holds(concl.symbol, xs) and not any(
+                _holds_all(x, axiom.premises, kappa) for kappa in lifts
+            ):
+                return ConvexityReport(False, ConvexityCounterexample(axiom, valuation, xs))
     return ConvexityReport(True, None)
 
 

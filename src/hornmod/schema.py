@@ -5,10 +5,11 @@ a combination function sending a tuple of actual symbols (one per premise)
 to the conclusion symbol.  Expanding a schema over a finite signature yields
 one Horn axiom per label tuple.  Schema convexity replaces the existence of
 a single lifted valuation with a join inequality over all lifted valuations,
-computed in the symbol lattice; it runs over the same fibre-lift cases as
+computed in the symbol lattice; it runs over the same fibre-lift kernel as
 flat convexity (:mod:`hornmod.convexity`), and object convexity is schema
 convexity of the unique map to the terminal object.  A call checks the
-Heyting gate and a declared monotonicity once per schema and keeps each
+Heyting gate and a declared monotonicity once per schema, walks the lift
+cases of the schema's shape once for all its instances, and keeps each
 premise tuple's largest label, so a lift costs one lookup per premise.
 Schema safety is meet compatibility of the combination function plus flat
 safety (:func:`hornmod.convexity.is_safe_axiom`) of each instance, and the
@@ -17,7 +18,7 @@ schematic classification shares the flat classifier's closure notes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Union
 
@@ -64,12 +65,21 @@ class ConstantSymbol:
 
 @dataclass(frozen=True)
 class ExplicitTable:
-    """A total table from label tuples (in canonical premise order) to symbols."""
+    """A total table from label tuples (in canonical premise order) to symbols.
+
+    The entries are read into a dict once, when the table is built; equality,
+    hash and repr see only ``entries``.
+    """
 
     entries: tuple[tuple[tuple[str, ...], str], ...]
+    _lookup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_lookup", dict(self.entries))
 
     def lookup(self) -> dict[tuple[str, ...], str]:
-        return dict(self.entries)
+        """The table as a dict, built once; callers must not change it."""
+        return self._lookup
 
 
 Combine = Union[TensorComposite, PremiseProjection, ConstantSymbol, ExplicitTable]
@@ -271,28 +281,58 @@ def _first_nonconvex(
     """The report of the first of ``instances`` that ``f`` is not convex for, if any.
 
     The Heyting gate, the monotonicity check and the lift join are set up
-    once, for all the instances.
+    once, and the fibre-lift cases of the schema's shape are walked once, for
+    all the instances.  The downstairs search checks only the premise labels
+    that every instance shares; a valuation counts for an instance when its
+    premise tuples carry that instance's labels, so each instance meets its
+    own cases in its own canonical order and fails first where a walk of its
+    own would.  An instance that fails drops every later one, and the walk
+    stops once no earlier instance is left.
     """
-    x = f.source
+    x, z = f.source, f.target
     order = _require_heyting(sig, schema.arity)
     r_kappa = _lift_join(x, schema, sig, order)
     premise_args = [p.args for p in schema.premises]
-    for instance in instances:
-        labels = instance.labels
-        below = order.below(apply_combine(schema, sig, labels))
-        labeled_premises = [Edge(label, args) for label, args in zip(labels, premise_args)]
-        for valuation, xs, lifts in _fibre_lifts(f, labeled_premises, schema.conclusion.args):
-            total = order.bottom()
-            assert total is not None
-            for kappa in lifts:
-                args = [tuple(map(kappa.__getitem__, p)) for p in premise_args]
-                total = order.join2(total, r_kappa(labels, args))
-            for t in below:
-                if x.holds(t, xs) and not order.leq(t, total):
-                    return SchemaConvexityReport(
+    sigmas = [apply_combine(schema, sig, inst.labels) for inst in instances]
+    shared = [
+        Edge(labels[0], args)
+        for args, *labels in zip(premise_args, *(inst.labels for inst in instances))
+        if len(set(labels)) == 1
+    ]
+    bottom = order.bottom()
+    assert bottom is not None  # a complete lattice, by the Heyting gate
+    upper = [t for t in order.symbols if t != bottom]  # bottom is below every join
+    limit, report = len(instances), SchemaConvexityReport(True, None)
+    for valuation, cases in _fibre_lifts(f, schema.premises, shared, schema.conclusion.args):
+        kz = dict(valuation)
+        tuples = [tuple(map(kz.__getitem__, args)) for args in premise_args]
+        live = [i for i in range(limit) if all(map(z.holds, instances[i].labels, tuples))]
+        for xs, lifts in cases:
+            if not live:
+                break
+            held = [t for t in upper if x.holds(t, xs)]
+            lifted = None
+            for j, i in enumerate(live):
+                candidates = [t for t in held if order.leq(t, sigmas[i])]
+                if not candidates:
+                    continue
+                if lifted is None:
+                    lifted = [[tuple(map(kappa.__getitem__, p)) for p in premise_args]
+                              for kappa in lifts]
+                labels = instances[i].labels
+                total = bottom
+                for args in lifted:
+                    total = order.join2(total, r_kappa(labels, args))
+                t = next((t for t in candidates if not order.leq(t, total)), None)
+                if t is not None:
+                    limit, report = i, SchemaConvexityReport(
                         False, SchemaCounterexample(schema.name, labels, valuation, xs, t)
                     )
-    return SchemaConvexityReport(True, None)
+                    del live[j:]
+                    break
+        if limit == 0:
+            break
+    return report
 
 
 def is_schema_convex_wrt_instance(

@@ -261,6 +261,62 @@ def test_whole_theory_reports_match_the_reference_instance_loop(name, data):
     assert hm.is_schema_convex(f, theory) == want
 
 
+def test_schema_convexity_walks_the_lift_kernel_once_per_schema(monkeypatch):
+    # all nine instances of generalized transitivity share one walk of the cases
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    assert [len(expand_instances(s, theory.signature)) for s in theory.schemas] == [9]
+    entries = []
+
+    def counted(*args, **kwargs):
+        entries.append(args[0])
+        return kernel(*args, **kwargs)
+
+    kernel = hm.schema._fibre_lifts
+    monkeypatch.setattr(hm.schema, "_fibre_lifts", counted)
+    maps = [hm.identity_morphism(hm.vgraph_to_structure(g)) for g in all_vcategories(v, 2)]
+    maps.append(_earliest_failure_is_not_first_in_case_order())
+    for f in maps:
+        entries.clear()
+        hm.is_schema_convex(f, theory)
+        assert entries == [f]
+
+
+def _earliest_failure_is_not_first_in_case_order():
+    """A V-functor onto the indiscrete 2-point V-category over the 3-chain."""
+    v = hm.chain_meet_quantale(3)
+    x = hm.VGraph(v, ("e0", "e1", "e2"), (
+        ("e0", "e0", "2"), ("e0", "e1", "0"), ("e0", "e2", "0"),
+        ("e1", "e0", "0"), ("e1", "e1", "2"), ("e1", "e2", "1"),
+        ("e2", "e0", "0"), ("e2", "e1", "1"), ("e2", "e2", "2")))
+    z = hm.VGraph(v, ("e0", "e1"), tuple((a, b, "2") for a in ("e0", "e1")
+                                         for b in ("e0", "e1")))
+    return vfunctor_to_morphism(
+        hm.VFunctor(x, z, (("e0", "e1"), ("e1", "e0"), ("e2", "e1"))))
+
+
+def test_reported_instance_is_the_earliest_to_fail_not_the_first_in_case_order():
+    # instance (~2, ~2) fails first in case order, at x = e0, y = e1, z = e0, but
+    # (~1, ~1) comes first among the instances and fails later, so it is reported;
+    # (~2, ~2) fails again after that, which must not replace the report
+    theory = hm.theory_vcat(hm.chain_meet_quantale(3))
+    schema = theory.schemas[0]
+    f = _earliest_failure_is_not_first_in_case_order()
+    per_instance = {
+        inst.labels: reference_is_schema_convex_wrt_instance(f, schema, inst, theory)
+        for inst in expand_instances(schema, theory.signature)
+    }
+    failing = [labels for labels, report in per_instance.items() if not report.convex]
+    assert failing[0] == ("~1", "~1") and ("~2", "~2") in failing
+    first_in_case_order = min(per_instance[labels].counterexample.valuation for labels in failing)
+    assert first_in_case_order == (("x", "e0"), ("y", "e1"), ("z", "e0"))
+    assert per_instance["~2", "~2"].counterexample.valuation == first_in_case_order
+    report = hm.is_schema_convex(f, theory)
+    assert report == per_instance["~1", "~1"] == SchemaConvexityReport(False, SchemaCounterexample(
+        "generalized_transitivity", ("~1", "~1"), (("x", "e1"), ("y", "e0"), ("z", "e1")),
+        ("e0", "e0"), "~1"))
+
+
 def test_ch_oracle_identity():
     v = hm.boolean_quantale()
     for g in all_vcategories(v, 2):
@@ -533,6 +589,16 @@ def test_explicit_table_monotonicity_checked():
             hm.is_schema_convex_wrt_instance(f, schema, inst, theory)
         with pytest.raises(SchemaError, match="declared monotone"):
             hm.is_schema_convex(f, theory)
+
+
+def test_explicit_table_builds_its_dict_once_and_compares_by_entries():
+    entries = ((("~0",), "~1"), (("~1",), "~0"))
+    table = ExplicitTable(entries)
+    assert table.lookup() is table.lookup() == {("~0",): "~1", ("~1",): "~0"}
+    assert table == ExplicitTable(entries) and table != ExplicitTable(entries[:1])
+    assert hash(table) == hash((entries,))
+    assert repr(table) == "ExplicitTable(entries=((('~0',), '~1'), (('~1',), '~0')))"
+    assert dataclasses.replace(table, entries=entries[:1]).lookup() == {("~0",): "~1"}
 
 
 def test_constant_combine():
