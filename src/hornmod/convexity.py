@@ -29,11 +29,10 @@ from .core import (
     TheoryError,
     compose,
     fresh_variables,
-    horn,
     var_set,
 )
 from .limits import bang, enumerate_morphisms
-from .semantics import _value_tuples, entails, free_model, is_reflexive_theory
+from .semantics import _value_tuples, free_model, is_reflexive_theory
 
 
 @dataclass(frozen=True)
@@ -206,30 +205,30 @@ class SafetyResult:
 def is_safe_axiom(axiom: HornFormula, theory: Theory) -> SafetyResult:
     """Search for a variable collapse making the premises follow from the conclusion.
 
-    Candidate values for each free premise variable are tried in the order the
-    conclusion tuple lists its variables, so the reported witness is the
-    canonical first one.
+    A collapse exists exactly when the premises map into the free model of the
+    conclusion edge with the conclusion's variables fixed (containment on the
+    chased canonical instance), so the conclusion is chased once and the
+    premises are matched there by one valuation search.  Each point of that
+    model is named by the first conclusion variable sent to it, and the free
+    premise variables range over the points in that order, so the reported
+    witness is the canonical first one.
     """
     if axiom.has_equality():
         raise TheoryError("safety is defined for axioms with edge conclusions")
+    theory.signature.check_formula(axiom, "axiom")
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
-    fixed = list(dict.fromkeys(concl.args))
-    free = tuple(sorted(var_set(axiom.premises) - set(concl.args)))
-    very = not free
-    for values in itertools.product(fixed, repeat=len(free)):
+    fixed = tuple(dict.fromkeys(concl.args))
+    free = tuple(sorted(var_set(axiom.premises) - set(fixed)))
+    chased = free_model(theory, Structure(theory.signature, fixed, (concl,)))
+    names: dict[str, str] = {}
+    for v in fixed:
+        names.setdefault(chased.unit_map(v), v)
+    domains = [(chased.unit_map(v),) for v in fixed] + [tuple(names)] * len(free)
+    for values in _value_tuples(chased.model, fixed + free, domains, axiom.premises):
         kappa = {v: v for v in fixed}
-        kappa.update(zip(free, values))
-        ok = all(
-            entails(
-                theory,
-                horn((concl,), Edge(e.symbol, tuple(kappa[v] for v in e.args))),
-            )
-            for e in sorted(axiom.premises)
-        )
-        if ok:
-            witness = tuple(sorted(kappa.items()))
-            return SafetyResult(True, very, witness)
+        kappa.update(zip(free, map(names.__getitem__, values[len(fixed):])))
+        return SafetyResult(True, not free, tuple(sorted(kappa.items())))
     return SafetyResult(False, False, None)
 
 

@@ -258,23 +258,6 @@ def _flat_graph_axioms(v: Quantale) -> list[HornFormula]:
     return out
 
 
-def _transitivity_instances(v: Quantale) -> list[HornFormula]:
-    x, y, z = "x", "y", "z"
-    return [
-        horn(
-            (Edge(_sym(a), (x, y)), Edge(_sym(b), (y, z))),
-            Edge(_sym(v.tensor(a, b)), (x, z)),
-        )
-        for a in v.elements
-        for b in v.elements
-    ]
-
-
-def _symmetry_instances(v: Quantale) -> list[HornFormula]:
-    x, y = "x", "y"
-    return [horn((Edge(_sym(a), (x, y)),), Edge(_sym(a), (y, x))) for a in v.elements]
-
-
 def _schematic_ok(v: Quantale) -> bool:
     return v.unit == v.top() and is_heyting(v)
 
@@ -295,32 +278,36 @@ def theory_vrgph(v: Quantale) -> Theory:
     return Theory(sig, tuple(axioms), (), base_flag=False)
 
 
-def theory_vcat(v: Quantale) -> Theory:
-    """V-categories: reflexive V-graphs with tensor transitivity."""
+def _reflexive_ladder(v: Quantale, with_symmetry: bool) -> Theory:
+    """Reflexive V-graphs with generalized transitivity, and symmetry if asked.
+
+    Schematic over the base theory when the unit is top and the lattice is
+    Heyting; otherwise the reflexive V-graph axioms plus the flat instances
+    of the same schemas.
+    """
+    from .schema import expand_instances, generalized_transitivity_schema, symmetry_schema
+
     _require_laws(v)
     sig = signature_of(v)
+    schemas = (generalized_transitivity_schema(),)
+    if with_symmetry:
+        schemas += (symmetry_schema(),)
     if _schematic_ok(v):
-        from .schema import generalized_transitivity_schema
-
-        return Theory(sig, (), (generalized_transitivity_schema(),), base_flag=True)
+        return Theory(sig, (), schemas, base_flag=True)
     warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
     base = theory_vrgph(v)
-    return Theory(sig, base.axioms + tuple(_transitivity_instances(v)), (), base_flag=base.base_flag)
+    instances = tuple(inst.formula for s in schemas for inst in expand_instances(s, sig))
+    return Theory(sig, base.axioms + instances, (), base_flag=base.base_flag)
+
+
+def theory_vcat(v: Quantale) -> Theory:
+    """V-categories: reflexive V-graphs with tensor transitivity."""
+    return _reflexive_ladder(v, with_symmetry=False)
 
 
 def theory_pmet(v: Quantale) -> Theory:
     """Pseudo-V-metric spaces: symmetric V-categories."""
-    _require_laws(v)
-    sig = signature_of(v)
-    if _schematic_ok(v):
-        from .schema import generalized_transitivity_schema, symmetry_schema
-
-        return Theory(
-            sig, (), (generalized_transitivity_schema(), symmetry_schema()), base_flag=True
-        )
-    warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
-    flat = theory_vcat(v)
-    return Theory(sig, flat.axioms + tuple(_symmetry_instances(v)), (), base_flag=flat.base_flag)
+    return _reflexive_ladder(v, with_symmetry=True)
 
 
 def theory_met(v: Quantale) -> Theory:

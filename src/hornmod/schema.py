@@ -163,13 +163,18 @@ def apply_combine(schema: AxiomSchema, sig: Signature, labels: tuple[str, ...]) 
     return table[labels]
 
 
-def expand_instances(schema: AxiomSchema, sig: Signature) -> tuple[SchemaInstance, ...]:
-    """All instances of the schema over the signature, in canonical label order."""
+def _label_tuples(schema: AxiomSchema, sig: Signature) -> tuple[tuple[str, ...], ...]:
+    """Every labelling of the schema's premises over the signature, in canonical order."""
     symbols = sig.symbols_of_arity(schema.arity)
     if not symbols:
         raise SchemaError(f"signature has no symbols of arity {schema.arity}")
+    return tuple(itertools.product(symbols, repeat=len(schema.premises)))
+
+
+def expand_instances(schema: AxiomSchema, sig: Signature) -> tuple[SchemaInstance, ...]:
+    """All instances of the schema over the signature, in canonical label order."""
     out = []
-    for labels in itertools.product(symbols, repeat=len(schema.premises)):
+    for labels in _label_tuples(schema, sig):
         premises = [
             Edge(label, shape.args) for label, shape in zip(labels, schema.premises)
         ]
@@ -276,9 +281,9 @@ class SchemaConvexityReport:
 
 
 def _first_nonconvex(
-    f: Morphism, schema: AxiomSchema, instances: tuple[SchemaInstance, ...], sig: Signature
+    f: Morphism, schema: AxiomSchema, labellings: tuple[tuple[str, ...], ...], sig: Signature
 ) -> SchemaConvexityReport:
-    """The report of the first of ``instances`` that ``f`` is not convex for, if any.
+    """The report of the first instance, named by its labels, that ``f`` is not convex for.
 
     The Heyting gate, the monotonicity check and the lift join are set up
     once, and the fibre-lift cases of the schema's shape are walked once, for
@@ -293,20 +298,20 @@ def _first_nonconvex(
     order = _require_heyting(sig, schema.arity)
     r_kappa = _lift_join(x, schema, sig, order)
     premise_args = [p.args for p in schema.premises]
-    sigmas = [apply_combine(schema, sig, inst.labels) for inst in instances]
+    sigmas = [apply_combine(schema, sig, labels) for labels in labellings]
     shared = [
         Edge(labels[0], args)
-        for args, *labels in zip(premise_args, *(inst.labels for inst in instances))
+        for args, *labels in zip(premise_args, *labellings)
         if len(set(labels)) == 1
     ]
     bottom = order.bottom()
     assert bottom is not None  # a complete lattice, by the Heyting gate
     upper = [t for t in order.symbols if t != bottom]  # bottom is below every join
-    limit, report = len(instances), SchemaConvexityReport(True, None)
+    limit, report = len(labellings), SchemaConvexityReport(True, None)
     for valuation, cases in _fibre_lifts(f, schema.premises, shared, schema.conclusion.args):
         kz = dict(valuation)
         tuples = [tuple(map(kz.__getitem__, args)) for args in premise_args]
-        live = [i for i in range(limit) if all(map(z.holds, instances[i].labels, tuples))]
+        live = [i for i in range(limit) if all(map(z.holds, labellings[i], tuples))]
         for xs, lifts in cases:
             if not live:
                 break
@@ -319,7 +324,7 @@ def _first_nonconvex(
                 if lifted is None:
                     lifted = [[tuple(map(kappa.__getitem__, p)) for p in premise_args]
                               for kappa in lifts]
-                labels = instances[i].labels
+                labels = labellings[i]
                 total = bottom
                 for args in lifted:
                     total = order.join2(total, r_kappa(labels, args))
@@ -342,14 +347,18 @@ def is_schema_convex_wrt_instance(
 
     The endpoints are assumed to be models of the signature's base theory.
     """
-    return _first_nonconvex(f, schema, (instance,), theory.signature)
+    symbols = theory.signature.symbols_of_arity(schema.arity)
+    unknown = tuple(label for label in instance.labels if label not in symbols)
+    if unknown:
+        raise SchemaError(f"instance labels {unknown} are not symbols of arity {schema.arity}")
+    return _first_nonconvex(f, schema, (instance.labels,), theory.signature)
 
 
 def is_schema_convex(f: Morphism, theory: Theory) -> SchemaConvexityReport:
     """Convexity with respect to every instance of every schema of the theory."""
     for schema in theory.schemas:
-        instances = expand_instances(schema, theory.signature)
-        report = _first_nonconvex(f, schema, instances, theory.signature)
+        labellings = _label_tuples(schema, theory.signature)
+        report = _first_nonconvex(f, schema, labellings, theory.signature)
         if not report.convex:
             return report
     return SchemaConvexityReport(True, None)

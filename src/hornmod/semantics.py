@@ -33,7 +33,6 @@ from .core import (
     Structure,
     Theory,
     fresh_variables,
-    horn,
     var_set,
 )
 
@@ -422,13 +421,14 @@ def is_reflexive(x: Structure) -> bool:
 def is_reflexive_theory(theory: Theory) -> bool:
     """Whether the theory entails reflexivity of every symbol.
 
-    Exact: it asks :func:`entails` for the formula => R v...v for each
-    symbol R, which is sound and complete.
+    Exact: every formula => R v...v presents the same edge-free point, so one
+    free model of that point decides the formula for every symbol R.
     """
     v = fresh_variables(1)[0]
+    result = free_model(theory, Structure(theory.signature, (v,), ()))
+    point = result.unit_map(v)
     return all(
-        entails(theory, horn((), Edge(s.name, (v,) * s.arity)))
-        for s in theory.signature.symbols
+        result.model.holds(s.name, (point,) * s.arity) for s in theory.signature.symbols
     )
 
 

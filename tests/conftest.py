@@ -19,6 +19,7 @@ from hornmod.closure import (
 from hornmod.convexity import (
     ConvexityCounterexample,
     ConvexityReport,
+    SafetyResult,
     _require_discrete,
     eligible_axioms,
 )
@@ -50,6 +51,7 @@ from hornmod.limits import (
     product,
     pullback,
 )
+from hornmod.quantale import _sym
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -723,6 +725,70 @@ def reference_is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafet
             return SchemaSafetyResult(False, False, None, None, rbar)
         witnesses.append((rbar, found))
     return SchemaSafetyResult(True, very, tuple(witnesses), None)
+
+
+# The flat safety search and the reflexivity test as they ran before they
+# read one chased model: one ``entails`` call per premise per candidate
+# collapse, and one per symbol.  ``is_safe_axiom`` and
+# ``is_reflexive_theory`` are tested against them.
+
+def reference_is_safe_axiom(axiom: HornFormula, theory: Theory) -> SafetyResult:
+    """Search for a variable collapse making the premises follow from the conclusion.
+
+    Candidate values for each free premise variable are tried in the order the
+    conclusion tuple lists its variables, so the reported witness is the
+    canonical first one.
+    """
+    if axiom.has_equality():
+        raise TheoryError("safety is defined for axioms with edge conclusions")
+    assert isinstance(axiom.conclusion, Edge)
+    concl = axiom.conclusion
+    fixed = list(dict.fromkeys(concl.args))
+    free = tuple(sorted(var_set(axiom.premises) - set(concl.args)))
+    very = not free
+    for values in itertools.product(fixed, repeat=len(free)):
+        kappa = {v: v for v in fixed}
+        kappa.update(zip(free, values))
+        ok = all(
+            entails(
+                theory,
+                horn((concl,), Edge(e.symbol, tuple(kappa[v] for v in e.args))),
+            )
+            for e in sorted(axiom.premises)
+        )
+        if ok:
+            witness = tuple(sorted(kappa.items()))
+            return SafetyResult(True, very, witness)
+    return SafetyResult(False, False, None)
+
+
+def reference_is_reflexive_theory(theory: Theory) -> bool:
+    """Whether the theory entails reflexivity of every symbol, one symbol at a time."""
+    v = hm.fresh_variables(1)[0]
+    return all(
+        entails(theory, horn((), Edge(s.name, (v,) * s.arity)))
+        for s in theory.signature.symbols
+    )
+
+
+# The flat V-category and symmetry instances as the quantale ladder built
+# them by hand before its flat fallback expanded its own schemas.
+
+def reference_transitivity_instances(v: hm.Quantale) -> list[HornFormula]:
+    x, y, z = "x", "y", "z"
+    return [
+        horn(
+            (Edge(_sym(a), (x, y)), Edge(_sym(b), (y, z))),
+            Edge(_sym(v.tensor(a, b)), (x, z)),
+        )
+        for a in v.elements
+        for b in v.elements
+    ]
+
+
+def reference_symmetry_instances(v: hm.Quantale) -> list[HornFormula]:
+    x, y = "x", "y"
+    return [horn((Edge(_sym(a), (x, y)),), Edge(_sym(a), (y, x))) for a in v.elements]
 
 
 # Hom-sets, products and pullbacks: the naive forms that the tuple kernel and

@@ -16,11 +16,15 @@ from hornmod.theories import (
 )
 
 from conftest import (
+    HORN_SIGNATURE,
     dedup_morphisms,
+    horn_edges,
     horn_theories,
     interp_fail_morphism,
     reference_is_convex_wrt,
     reference_is_object_convex,
+    reference_is_reflexive_theory,
+    reference_is_safe_axiom,
 )
 
 TRANSITIVITY_ONLY = hm.Theory(order_signature(), (transitivity_axiom(),), (), base_flag=False)
@@ -217,6 +221,66 @@ def test_three_step_transitivity_is_safe(preord):
     witness = result.witness_dict()
     assert witness["x"] == "x" and witness["w"] == "w"
     assert set(witness.values()) <= {"x", "w"}
+
+
+# Axioms with up to two premise-only variables (z and w) and conclusions
+# that may repeat a variable.
+safety_axioms = st.builds(
+    hm.horn,
+    st.frozensets(horn_edges(("x", "y", "z", "w")), max_size=3),
+    horn_edges(("x", "y")),
+)
+# R x y => x = y merges the two variables of every R conclusion.
+MERGING = hm.Theory(
+    HORN_SIGNATURE, (hm.horn((hm.edge("R", "x", "y"),), hm.Equality("x", "y")),), (),
+    base_flag=False,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theory=st.one_of(horn_theories(), st.just(MERGING)), axiom=safety_axioms)
+def test_safety_and_reflexivity_match_the_reference_loops(theory, axiom):
+    for ax in eligible_axioms(theory) + (axiom,):
+        assert hm.is_safe_axiom(ax, theory) == reference_is_safe_axiom(ax, theory)
+    assert hm.is_reflexive_theory(theory) == reference_is_reflexive_theory(theory)
+
+
+def _shipped_theories():
+    yield from (hm.preorder_theory(), hm.poset_theory(), hm.reflexive_symmetric_theory(),
+                hm.reflexive_theory())
+    for v in (hm.boolean_quantale(), hm.chain_meet_quantale(3), hm.lukasiewicz_quantale()):
+        for make in (hm.theory_vgph, hm.theory_vrgph, hm.theory_vcat, hm.theory_pmet,
+                     hm.theory_met):
+            yield make(v)
+
+
+def test_safety_and_reflexivity_match_the_reference_on_shipped_theories():
+    checked = 0
+    for theory in _shipped_theories():
+        instances = tuple(inst.formula for schema in theory.schemas
+                          for inst in hm.expand_instances(schema, theory.signature))
+        for ax in eligible_axioms(theory) + instances:
+            assert hm.is_safe_axiom(ax, theory) == reference_is_safe_axiom(ax, theory)
+            checked += 1
+        assert hm.is_reflexive_theory(theory) == reference_is_reflexive_theory(theory)
+    assert checked >= 85
+
+
+def test_safety_witness_names_merged_points_by_their_first_variable():
+    # y and x collapse to one point, which the witness calls y: the first
+    # conclusion variable, as the reference loop tries it first
+    axiom = hm.horn((hm.edge("R", "w", "x"),), hm.edge("R", "y", "x"))
+    result = hm.is_safe_axiom(axiom, MERGING)
+    assert result == reference_is_safe_axiom(axiom, MERGING)
+    assert result.witness_dict() == {"w": "y", "x": "x", "y": "y"}
+
+
+def test_safety_rejects_an_axiom_outside_the_signature(preord):
+    # the first premise already fails every collapse, so only an up-front
+    # check of the whole axiom sees the unknown symbol
+    axiom = hm.horn([hm.edge("le", "z", "x"), hm.edge("zz", "y", "y")], hm.edge("le", "x", "z"))
+    with pytest.raises(hm.TheoryError, match="'zz'"):
+        hm.is_safe_axiom(axiom, preord)
 
 
 def test_classify_preord_and_pos(preord, pos):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import pytest
 
@@ -6,7 +7,11 @@ import hornmod as hm
 from hornmod.families import all_structures
 from hornmod.quantale import LawFailure, all_vcategories, all_vgraphs
 
-from conftest import non_join_preserving_quantale
+from conftest import (
+    non_join_preserving_quantale,
+    reference_symmetry_instances,
+    reference_transitivity_instances,
+)
 
 
 def test_builtin_quantales_pass_laws():
@@ -243,6 +248,27 @@ def test_unit_below_top_falls_back_to_flat_instances():
     assert hm.is_model(just_unit, vcat)
     base = hm.Theory(sig, (), (), base_flag=True)
     assert not hm.is_model(just_unit, base)  # the base theory would demand the top loop
+
+
+def test_flat_fallback_is_the_vrgph_axioms_plus_the_schema_instances():
+    v = unit_below_top_quantale()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        vcat, pmet, met = hm.theory_vcat(v), hm.theory_pmet(v), hm.theory_met(v)
+    rgph = hm.theory_vrgph(v).axioms
+    transitivity = tuple(reference_transitivity_instances(v))
+    symmetry = tuple(reference_symmetry_instances(v))
+    separation = hm.horn((hm.edge("~k", "x", "y"),), hm.Equality("x", "y"))
+    assert vcat.axioms == rgph + transitivity
+    assert pmet.axioms == rgph + transitivity + symmetry
+    assert met.axioms == rgph + transitivity + symmetry + (separation,)
+
+
+def test_pmet_fallback_warns_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hm.theory_pmet(unit_below_top_quantale())
+    assert [w.category for w in caught] == [UserWarning]
 
 
 def test_free_models_exist_over_quantale_theories():

@@ -108,6 +108,17 @@ def test_schema_convexity_needs_heyting_order(preord, chain2):
         )
 
 
+def test_instance_labels_outside_the_signature_raise():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    schema = theory.schemas[0]
+    f = hm.identity_morphism(hm.vgraph_to_structure(next(all_vcategories(v, 2))))
+    formula = expand_instances(schema, theory.signature)[0].formula
+    with pytest.raises(SchemaError, match=r"\('~9',\) are not symbols of arity 2"):
+        hm.is_schema_convex_wrt_instance(f, schema, hm.SchemaInstance(("~2", "~9"), formula),
+                                         theory)
+
+
 def test_symmetry_schema_never_blocks_convexity():
     v = hm.chain_meet_quantale(2)
     theory = hm.theory_pmet(v)
