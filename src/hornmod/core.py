@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -88,6 +87,7 @@ class Signature:
     order_pairs: tuple[tuple[str, str], ...] = ()
     quantale: Optional["Quantale"] = None
     _arities: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(sorted(set(self.symbols))))
@@ -150,11 +150,11 @@ class Signature:
         return tuple(s.name for s in self.symbols if s.arity == n)
 
     def order(self, n: int) -> "SymbolOrder":
-        """The (closed) preorder on the symbols of arity ``n``."""
-        return signature_order_closure(self, n)
-
-    def leq(self, low: str, high: str) -> bool:
-        return self.order(self.arity(low)).leq(low, high)
+        """The (closed) preorder on the symbols of arity ``n``, built on first use and kept."""
+        order = self._orders.get(n)
+        if order is None:
+            order = self._orders[n] = signature_order_closure(self, n)
+        return order
 
 
 class SymbolOrder:
@@ -286,23 +286,16 @@ class SymbolOrder:
         return True
 
 
-@lru_cache(maxsize=None)
 def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
-    """The per-arity preorder of a signature, closed under reflexivity and transitivity."""
+    """The per-arity preorder of a signature, closed under reflexivity and transitivity.
+
+    A quantale signature shares its quantale's :meth:`~Quantale.symbol_order`.
+    """
+    if sig.quantale is not None and n == 2:
+        return sig.quantale.symbol_order()
     symbols = sig.symbols_of_arity(n)
-    if sig.order_kind == DISCRETE:
-        pairs: list[tuple[str, str]] = []
-    elif sig.order_kind == EXPLICIT:
-        pairs = [(a, b) for a, b in sig.order_pairs if a in symbols]
-    else:
-        assert sig.quantale is not None
-        pairs = [
-            (quantale_symbol_name(u), quantale_symbol_name(v))
-            for u in sig.quantale.elements
-            for v in sig.quantale.elements
-            if n == 2 and sig.quantale.leq(u, v)
-        ]
-    return SymbolOrder(symbols, pairs)
+    explicit = sig.order_kind == EXPLICIT
+    return SymbolOrder(symbols, [(a, b) for a, b in sig.order_pairs if explicit and a in symbols])
 
 
 class Structure:
@@ -520,6 +513,7 @@ class Theory:
     axioms: tuple[HornFormula, ...] = ()
     schemas: tuple = ()
     base_flag: bool = True
+    _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", tuple(self.axioms))
@@ -537,8 +531,17 @@ class Theory:
                 )
 
     def all_axioms(self) -> tuple[HornFormula, ...]:
-        """Base axioms, explicit axioms and expanded schema instances, in that order."""
-        return _expanded_axioms(self)
+        """Base axioms, explicit axioms and expanded schema instances, in that order, kept."""
+        if self._all_axioms is None:
+            out = list(base_axioms(self.signature)) if self.base_flag else []
+            out.extend(self.axioms)
+            if self.schemas:
+                from .schema import expand_instances  # schema-free theories never load schema
+
+                for s in self.schemas:
+                    out.extend(inst.formula for inst in expand_instances(s, self.signature))
+            object.__setattr__(self, "_all_axioms", tuple(out))
+        return self._all_axioms
 
     def non_base_axioms(self) -> tuple[HornFormula, ...]:
         """The explicit axioms that are not base axioms of the signature."""
@@ -612,15 +615,3 @@ def is_base_axiom(ax: HornFormula, sig: Signature) -> bool:
         return order.join2(prem[0].symbol, prem[1].symbol) == concl.symbol
     return False
 
-
-@lru_cache(maxsize=None)
-def _expanded_axioms(theory: Theory) -> tuple[HornFormula, ...]:
-    out: list[HornFormula] = []
-    if theory.base_flag:
-        out.extend(base_axioms(theory.signature))
-    out.extend(theory.axioms)
-    for s in theory.schemas:
-        from .schema import expand_instances  # schema-free theories never load schema
-
-        out.extend(inst.formula for inst in expand_instances(s, theory.signature))
-    return tuple(out)

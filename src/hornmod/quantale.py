@@ -41,7 +41,7 @@ class Quantale:
     is taken at construction.  Laws are not enforced here: run
     :func:`check_quantale_laws` (the theory generators do).  The quantale
     holds only tuples, so :meth:`law_report` computes that report once and
-    keeps it.
+    keeps it, and :meth:`symbol_order` likewise the order on its symbols.
     """
 
     elements: tuple[str, ...]
@@ -82,6 +82,9 @@ class Quantale:
     _laws: Optional["QuantaleLawReport"] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _symbol_order: Optional[SymbolOrder] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def law_report(self) -> "QuantaleLawReport":
         """The :func:`check_quantale_laws` report, computed on first use and kept."""
@@ -89,14 +92,19 @@ class Quantale:
             object.__setattr__(self, "_laws", check_quantale_laws(self))
         return self._laws
 
+    def symbol_order(self) -> SymbolOrder:
+        """The order on the symbols ``~v``, kept: every signature over this quantale reads it."""
+        if self._symbol_order is None:
+            pairs = [(quantale_symbol_name(a), quantale_symbol_name(b)) for a, b in self.leq_pairs]
+            symbols = [quantale_symbol_name(v) for v in self.elements]
+            object.__setattr__(self, "_symbol_order", SymbolOrder(symbols, pairs))
+        return self._symbol_order
+
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self._leq_set
 
     def tensor(self, a: str, b: str) -> str:
         return self._tensor[(a, b)]
-
-    def _bound(self, items: Iterable[str], upper: bool) -> Optional[str]:
-        return self.order.join_of_set(items) if upper else self.order.meet_of_set(items)
 
     @staticmethod
     def _exists(bound: Optional[str], what: str) -> str:
@@ -148,13 +156,13 @@ def check_quantale_laws(v: Quantale) -> QuantaleLawReport:
             bad("antisymmetry", a, b)
     # order is reflexive and transitive by construction
     for pair in itertools.combinations(els, 2):
-        if v._bound(pair, upper=True) is None:
+        if v.order.join_of_set(pair) is None:
             bad("join-exists", *pair)
-        if v._bound(pair, upper=False) is None:
+        if v.order.meet_of_set(pair) is None:
             bad("meet-exists", *pair)
-    if v._bound((), upper=True) is None:
+    if v.order.bottom() is None:
         bad("bottom-exists")
-    if v._bound((), upper=False) is None:
+    if v.order.top() is None:
         bad("top-exists")
     for a, b in itertools.product(els, repeat=2):
         if v.tensor(a, b) != v.tensor(b, a):

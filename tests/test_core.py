@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,3 +365,35 @@ def test_signature_lookups():
         "RelationSymbol(name='R', arity=2)), order_kind='discrete', order_pairs=(), "
         "quantale=None)"
     )
+
+
+def explicit_theory():
+    sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in "RS"), hm.EXPLICIT, (("R", "S"),))
+    return hm.Theory(sig, (hm.horn([hm.edge("R", "x", "y")], hm.edge("R", "y", "x")),))
+
+
+def use_theory(theory):
+    """Fill what the theory and its signature keep on first use."""
+    sig = theory.signature
+    theory.all_axioms()
+    sig.order(2)
+    loops = [hm.edge(s, "a", "a") for s in sig.symbol_names()]
+    assert hm.is_model(hm.Structure(sig, ["a"], loops), theory)
+
+
+def test_a_used_theory_and_its_signature_are_freed():
+    theory = explicit_theory()
+    use_theory(theory)
+    refs = [weakref.ref(theory), weakref.ref(theory.signature)]
+    del theory
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_kept_data_is_not_part_of_the_theory():
+    used = explicit_theory()
+    use_theory(used)
+    assert used.all_axioms() is used.all_axioms()
+    assert used.signature.order(2) is used.signature.order(2)
+    fresh = explicit_theory()
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import warnings
+import weakref
 
 import pytest
 
@@ -278,3 +281,43 @@ def test_free_models_exist_over_quantale_theories():
     result = hm.free_model(theory, seed)
     assert hm.is_model(result.model, theory)
     assert result.model.holds("~1", ("x", "y"))
+
+
+def test_a_used_quantale_theory_is_freed():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    theory.all_axioms()
+    theory.signature.order(2)
+    loops = [hm.edge(s, "a", "a") for s in theory.signature.symbol_names()]
+    assert hm.is_model(hm.Structure(theory.signature, ["a"], loops), theory)
+    refs = [weakref.ref(theory), weakref.ref(theory.signature), weakref.ref(v)]
+    del v, theory
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_theories_over_one_quantale_share_its_symbol_order():
+    v = hm.chain_meet_quantale(3)
+    order = hm.theory_vcat(v).signature.order(2)
+    assert order is hm.theory_pmet(v).signature.order(2)
+    assert order is hm.signature_order_closure(hm.signature_of(v), 2)
+    assert order.is_complete_heyting()
+    # an equal but distinct quantale builds its own, equal order
+    other = hm.signature_of(hm.chain_meet_quantale(3)).order(2)
+    assert other is not order and other.symbols == order.symbols
+    assert all(other.leq(a, b) == order.leq(a, b) for a in order.symbols for b in order.symbols)
+
+
+def test_kept_data_is_not_part_of_a_quantale_theory():
+    used = hm.theory_vcat(hm.chain_meet_quantale(3))
+    assert hm.is_model(hm.Structure(used.signature, [], []), used)
+    fresh = hm.theory_vcat(hm.chain_meet_quantale(3))
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+def test_dataclass_conversions_return():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    theory.all_axioms()
+    assert dataclasses.astuple(v)[0] == v.elements
+    assert dataclasses.asdict(theory)["signature"]["quantale"]["elements"] == v.elements
