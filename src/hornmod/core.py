@@ -529,6 +529,8 @@ class Theory:
                     "axiom schemas require a complete-Heyting symbol order "
                     "(quantale-induced, or explicit passing the Heyting check)"
                 )
+            for s in self.schemas:
+                s.check_signature(self.signature)
 
     def all_axioms(self) -> tuple[HornFormula, ...]:
         """Base axioms, explicit axioms and expanded schema instances, in that order, kept."""

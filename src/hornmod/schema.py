@@ -114,6 +114,23 @@ class AxiomSchema:
     def variables(self) -> frozenset[str]:
         return frozenset(var_set(self.premises) | set(self.conclusion.args))
 
+    def check_signature(self, sig: Signature) -> None:
+        """Raise unless every symbol the combination can return is one of
+        ``sig``'s symbols of the schema's arity; no instance is expanded."""
+        if isinstance(self.combine, ConstantSymbol):
+            named = [self.combine.symbol]
+        elif isinstance(self.combine, ExplicitTable):
+            named = [symbol for _, symbol in self.combine.entries]
+        else:
+            return
+        allowed = sig.symbols_of_arity(self.arity)
+        for symbol in named:
+            if symbol not in allowed:
+                raise SchemaError(
+                    f"schema {self.name!r} combines to {symbol!r}, "
+                    f"which is not a symbol of arity {self.arity}"
+                )
+
 
 @dataclass(frozen=True)
 class SchemaInstance:

@@ -6,23 +6,26 @@ a formula's premises is a morphism from the structure they present, so it
 also finds hom-sets, function tables, fibre valuations and mediating maps for
 :mod:`hornmod.limits`, :mod:`hornmod.closure` and :mod:`hornmod.convexity`.
 
-The free model is computed by a semi-naive chase over edge indexes that the
-chase keeps itself.  A round matches the axioms against the edges as they
-stand at its start; equality conclusions merge elements through a union-find
-whose representatives are class minima, and edge conclusions add edges.  A
-full round matches every valuation; a delta round matches only valuations
-that use at least one edge added by the previous round.  The first round and
-every round after a merge are full, and only full rounds fire premise-free
-axioms.  The chase ends at a fixpoint, which exists because the carrier only
-shrinks and the edge set over a fixed carrier only grows, and which is the
-least model above the input, so it does not depend on the order of matching.
+The free model is computed by a semi-naive chase that matches premises with
+the same search, split into its plan (:func:`_checks`) and its run
+(:func:`_run`), over tuple sets per symbol that the chase keeps itself.  A
+round matches the axioms against the edges as they stand at its start;
+equality conclusions merge elements through a union-find whose representatives
+are class minima, and edge conclusions add edges.  A full round matches every
+valuation; a delta round matches only valuations that use at least one edge
+added by the previous round, by pinning the variables of one premise to each
+such edge.  The first round and every round after a merge are full, and only
+full rounds fire premise-free axioms.  The chase ends at a fixpoint, which
+exists because the carrier only shrinks and the edge set over a fixed carrier
+only grows, and which is the least model above the input, so it does not
+depend on the order of matching.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     Edge,
@@ -59,26 +62,34 @@ class FreeModelResult:
     unit_map: Morphism
 
 
-def _value_tuples(
-    x: Structure,
-    variables: Sequence[str],
-    domains: Sequence[Sequence[str]],
-    edges: Iterable[Edge],
-) -> Iterator[tuple[str, ...]]:
-    """The value tuples for ``variables`` under which every edge holds in ``x``.
+def _checks(
+    variables: Sequence[str], edges: Iterable[Edge], tuples: Callable[[str], Container]
+) -> list[list[tuple[Container, Callable]]]:
+    """The plan of a search: per position, the ``(tuple set, reader)`` checks
+    of the edges whose last variable sits there, each edge against
+    ``tuples(symbol)``.
 
-    Position ``i`` ranges over ``domains[i]``, so tuples come out lazily in
-    lexicographic order of the domains.  Every variable of every edge must be
-    in ``variables``; an edge is checked against ``x.tuples(symbol)`` as soon
-    as its last variable is bound, so a prefix stops at the first edge it breaks.
+    Every variable of every edge must be in ``variables``; a reader takes the
+    value list and returns the edge's argument tuple.
     """
-    checks: list[list[tuple[frozenset, Callable]]] = [[] for _ in variables]
-    for e in edges:
-        at = tuple(map(variables.index, e.args))
+    checks: list[list[tuple[Container, Callable]]] = [[] for _ in variables]
+    for symbol, args in edges:
+        at = tuple(map(variables.index, args))
         # itemgetter of one position returns the value, not a 1-tuple
         read = itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
-        checks[max(at)].append((x.tuples(e.symbol), read))
-    n = len(variables)
+        checks[max(at)].append((tuples(symbol), read))
+    return checks
+
+
+def _run(
+    checks: Sequence[Sequence[tuple[Container, Callable]]], domains: Sequence[Iterable[str]]
+) -> Iterator[tuple[str, ...]]:
+    """The value tuples passing every check of a plan, position ``i`` over ``domains[i]``.
+
+    Tuples come out lazily in lexicographic order of the domains, and a
+    prefix stops at the first check it breaks.
+    """
+    n = len(checks)
     if n == 0:
         yield ()
         return
@@ -101,6 +112,24 @@ def _value_tuples(
             yield tuple(values)
         else:
             levels.append(iter(domains[k + 1]))
+
+
+def _value_tuples(
+    x: Structure,
+    variables: Sequence[str],
+    domains: Sequence[Sequence[str]],
+    edges: Iterable[Edge],
+) -> Iterator[tuple[str, ...]]:
+    """The value tuples for ``variables`` under which every edge holds in ``x``.
+
+    Position ``i`` ranges over ``domains[i]``, so tuples come out lazily in
+    lexicographic order of the domains.  Every variable of every edge must be
+    in ``variables``; an edge is checked against ``x.tuples(symbol)`` as soon
+    as its last variable is bound, so a prefix stops at the first edge it breaks.
+    The plan (:func:`_checks`) is built at the call, and the run (:func:`_run`)
+    is the generator returned.
+    """
+    return _run(_checks(variables, edges, x.tuples), domains)
 
 
 def satisfying_valuations(
@@ -223,138 +252,80 @@ class _UnionFind:
         return True
 
 
-# Edge tuples grouped by symbol: the chase's delta, and its index per symbol.
-_Tuples = dict[str, set[tuple[str, ...]]]
+# The chase keeps its edges, its old edges and its delta as plain dicts from
+# a symbol to its set of argument tuples.
+
+def _add(tuples: dict, edges: Iterable[tuple[str, tuple[str, ...]]]) -> dict:
+    for symbol, args in edges:
+        tuples.setdefault(symbol, set()).add(args)
+    return tuples
 
 
-class _EdgeIndex:
-    """The chase's edges: tuples per symbol, and per (symbol, position, value)."""
-
-    def __init__(self, edges) -> None:
-        self.tuples: _Tuples = {}
-        self.by_value: dict[tuple[str, int, str], set[tuple[str, ...]]] = {}
-        self.add(edges)
-
-    def add(self, edges) -> None:
-        tuples, by_value = self.tuples, self.by_value
-        for symbol, args in edges:
-            tuples.setdefault(symbol, set()).add(args)
-            for p, a in enumerate(args):
-                by_value.setdefault((symbol, p, a), set()).add(args)
-
-    def edges(self):
-        return ((symbol, args) for symbol, ts in self.tuples.items() for args in ts)
-
-    def candidates(self, symbol: str, args: tuple[str, ...], binding: Mapping[str, str]):
-        """The smallest indexed tuple set agreeing with one bound argument."""
-        best = None
-        for p, a in enumerate(args):
-            if a in binding:
-                found = self.by_value.get((symbol, p, binding[a]), ())
-                if best is None or len(found) < len(best):
-                    best = found
-        return self.tuples.get(symbol, ()) if best is None else best
-
-
-def _bind(binding: dict[str, str], args: tuple[str, ...], values: tuple[str, ...]):
-    new = dict(binding)
-    for var, val in zip(args, values):
-        if new.setdefault(var, val) != val:
-            return None
-    return new
-
-
-def _extend(index: _EdgeIndex, steps, k: int, binding: dict[str, str]):
-    """Extend ``binding`` over ``steps[k:]``, premises matched against all edges.
-
-    A step is ``(symbol, args, excluded)``; tuples in ``excluded`` are skipped.
-    """
-    if k == len(steps):
-        yield binding
-        return
-    symbol, args, excluded = steps[k]
-    for values in index.candidates(symbol, args, binding):
-        if excluded is None or values not in excluded:
-            new = _bind(binding, args, values)
-            if new is not None:
-                yield from _extend(index, steps, k + 1, new)
-
-
-def _join_order(premises: tuple[Edge, ...], first: int) -> tuple[int, ...]:
-    """Premise positions in matching order: ``first``, then greedily the one
-    sharing the most variables with those already placed."""
-    order, bound = [first], set(premises[first].args)
-    rest = [i for i in range(len(premises)) if i != first]
-    while rest:
-        best = max(rest, key=lambda i: (len(bound & set(premises[i].args)), -i))
-        rest.remove(best)
-        order.append(best)
-        bound.update(premises[best].args)
-    return tuple(order)
+def _pairs(tuples: dict) -> Iterator[tuple[str, tuple[str, ...]]]:
+    return ((symbol, args) for symbol, ts in tuples.items() for args in ts)
 
 
 class _Rule:
-    """An axiom compiled for the chase."""
+    """An axiom compiled for the chase.
+
+    Its variables are the premise variables in canonical order, then the
+    conclusion-only variables, which range over the carrier at every match.
+    """
 
     def __init__(self, ax: HornFormula) -> None:
         self.premises = ax.sorted_premises()
         self.conclusion = ax.conclusion
         prem_vars = var_set(self.premises)
-        # Conclusion-only variables range over the carrier.
-        self.free = tuple(sorted(ax.variables() - prem_vars))
-        self.orders = [_join_order(self.premises, i) for i in range(len(self.premises))]
+        self.variables = tuple(sorted(prem_vars)) + tuple(sorted(ax.variables() - prem_vars))
+        concl = self.conclusion
+        head = (concl.left, concl.right) if isinstance(concl, Equality) else concl.args
+        self.head = tuple(map(self.variables.index, head))
 
-    def matches(self, index: _EdgeIndex, delta: Optional[_Tuples]):
-        """Premise matches of a full round (``delta`` None) or of a delta round."""
-        premises = self.premises
+    def matches(self, carrier, edges: dict, old: dict, delta: Optional[dict]):
+        """Value tuples of a full round (``delta`` None) or of a delta round."""
+        premises, variables = self.premises, self.variables
         if delta is None:
-            if not premises:
-                yield {}
-                return
-            steps = [(premises[j].symbol, premises[j].args, None) for j in self.orders[0]]
-            yield from _extend(index, steps, 0, {})
+            plan = _checks(variables, premises, lambda s: edges.get(s, ()))
+            yield from _run(plan, [carrier] * len(variables))
             return
-        for i, order in enumerate(self.orders):
-            fresh = delta.get(premises[i].symbol)
+        for i, premise in enumerate(premises):
+            fresh = delta.get(premise.symbol)
             if not fresh:
                 continue
             # Premises before i match old edges only, so each match is found
             # at the first premise it takes from the delta.
-            steps = [
-                (premises[j].symbol, premises[j].args,
-                 delta.get(premises[j].symbol) if j < i else None)
-                for j in order[1:]
-            ]
+            plan = _checks(variables, premises[:i], lambda s: old.get(s, ()))
+            after = _checks(variables, premises[i + 1:], lambda s: edges.get(s, ()))
+            for here, more in zip(plan, after):
+                here.extend(more)
             for values in fresh:
-                binding = _bind({}, premises[i].args, values)
-                if binding is not None:
-                    yield from _extend(index, steps, 0, binding)
+                # Premise i's variables are pinned to the values of one delta tuple.
+                pinned: dict[str, str] = {}
+                if all(pinned.setdefault(a, v) == v for a, v in zip(premise.args, values)):
+                    domains = [(pinned[v],) if v in pinned else carrier for v in variables]
+                    yield from _run(plan, domains)
 
-    def fire(self, binding, carrier, index: _EdgeIndex, merges: list, additions: set) -> None:
-        concl = self.conclusion
-        if isinstance(concl, Equality):
-            a, b = binding[concl.left], binding[concl.right]
-            if a != b:
-                merges.append((a, b))
-            return
-        present = index.tuples.get(concl.symbol, ())
-        for values in itertools.product(carrier, repeat=len(self.free)):
-            full = {**binding, **dict(zip(self.free, values))}
-            args = tuple(full[a] for a in concl.args)
-            if args not in present:
-                additions.add((concl.symbol, args))
+    def fire(self, values, edges: dict, merges: list, additions: set) -> None:
+        head = tuple(values[k] for k in self.head)
+        if isinstance(self.conclusion, Equality):
+            if head[0] != head[1]:
+                merges.append(head)
+        elif head not in edges.get(self.conclusion.symbol, ()):
+            additions.add((self.conclusion.symbol, head))
 
 
 def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     """The least saturation of ``x`` under the theory, with the projection map.
 
-    A semi-naive chase (see the module docstring).  Each round fires every
-    axiom on the matches of its premises: in a full round all matches, in a
-    delta round only those taking some premise from the edges the previous
-    round added, premises before it from the older edges and premises after
-    it from all edges.  A round is full when it is the first or follows a
-    merge; merges canonicalise every edge and rebuild the indexes.  Premise-free
-    axioms fire only in full rounds, since their matches depend only on the
+    A semi-naive chase (see the module docstring) that keeps its edges as
+    tuple sets per symbol and finds premise matches with :func:`_run`, the
+    search behind :func:`_value_tuples`.  Each round fires every axiom on
+    the matches of its premises: in a full round every variable ranges over
+    the carrier; in a delta round premise i's variables are pinned to each
+    tuple the previous round added, premises before it match the older edges
+    and premises after it all edges.  A round is full when it is the first
+    or follows a merge; merges canonicalise every edge.  Premise-free axioms
+    fire only in full rounds, since their matches depend only on the
     carrier.  Only the final model is built as a ``Structure``.
     """
     if x.signature != theory.signature:
@@ -362,33 +333,30 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     rules = [_Rule(ax) for ax in theory.all_axioms()]
     uf = _UnionFind(x.sorted_carrier())
     carrier = x.sorted_carrier()
-    index = _EdgeIndex(x.edges)
-    delta: Optional[_Tuples] = None
+    edges = _add({}, x.edges)
+    old: dict = {}
+    delta: Optional[dict] = None
     while True:
         merges: list[tuple[str, str]] = []
         additions: set[tuple[str, tuple[str, ...]]] = set()
         for rule in rules:
-            for binding in rule.matches(index, delta):
-                rule.fire(binding, carrier, index, merges, additions)
+            for values in rule.matches(carrier, edges, old, delta):
+                rule.fire(values, edges, merges, additions)
         merged = False
         for a, b in merges:
             merged |= uf.union(a, b)
         if merged:
             carrier = tuple(sorted({uf.find(a) for a in carrier}))
-            edges = itertools.chain(index.edges(), additions)
-            index = _EdgeIndex(
-                {(symbol, tuple(uf.find(a) for a in args)) for symbol, args in edges}
-            )
+            pairs = itertools.chain(_pairs(edges), additions)
+            edges = _add({}, ((symbol, tuple(map(uf.find, args))) for symbol, args in pairs))
             delta = None
         elif additions:
-            index.add(additions)
-            delta = {}
-            for symbol, args in additions:
-                delta.setdefault(symbol, set()).add(args)
+            old, edges = edges, _add({s: set(ts) for s, ts in edges.items()}, additions)
+            delta = _add({}, additions)
         else:
             break
 
-    model = Structure(theory.signature, carrier, index.edges())
+    model = Structure(theory.signature, carrier, _pairs(edges))
     unit = Morphism(x, model, {a: uf.find(a) for a in x.carrier})
     return FreeModelResult(model, unit)
 

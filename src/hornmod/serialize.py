@@ -209,9 +209,16 @@ def parse_formula(doc: Any) -> HornFormula:
 
 
 def schema_to_jsonable(s: AxiomSchema) -> dict:
-    from .schema import ConstantSymbol, PremiseProjection, TensorComposite
+    from .schema import (
+        ConstantSymbol,
+        PremiseProjection,
+        TensorComposite,
+        generalized_transitivity_schema,
+        symmetry_schema,
+    )
 
-    if s.name in ("generalized_transitivity", "symmetry"):
+    # Only the builtin values, not any schema that shares a builtin's name.
+    if s in (generalized_transitivity_schema(), symmetry_schema()):
         return {"schema": s.name}
     combine: dict[str, Any]
     if isinstance(s.combine, TensorComposite):

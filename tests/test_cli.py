@@ -239,6 +239,29 @@ def test_schema_convexity_rejects_a_table_falsely_declared_monotone(tmp_path):
     assert "declared monotone" in err
 
 
+@pytest.mark.parametrize("command, combine", [
+    ("check-model", {"constant": "~zz"}),
+    ("classify", {"constant": "~zz"}),
+    ("schema-safety", {"constant": "~zz"}),
+    ("free-model", {"constant": "~zz"}),
+    ("schema-safety", {"table": {"~0": "~1", "~1": "~zz"}}),
+])
+def test_schema_combining_to_an_unknown_symbol_is_one_line_input_error(tmp_path, command, combine):
+    sig = hm.signature_of(hm.boolean_quantale())
+    theory = json.loads((CORPUS / "boolean-vcat.theory.json").read_text(encoding="utf-8"))
+    theory["schemas"] = [{"schema": {
+        "name": "unknown", "arity": 2, "premises": [["x", "y"]], "conclusion": ["y", "x"],
+        "combine": combine}}]
+    theory_path, point_path = tmp_path / "unknown.theory.json", tmp_path / "point.structure.json"
+    theory_path.write_text(json.dumps(theory), encoding="utf-8")
+    point = hm.Structure(sig, ["a"], [hm.edge(s.name, "a", "a") for s in sig.symbols])
+    point_path.write_text(dumps(structure_to_jsonable(point)), encoding="utf-8")
+    argv = [command, "--theory", str(theory_path)]
+    if command in ("check-model", "free-model"):
+        argv += ["--structure", str(point_path)]
+    assert "'~zz'" in assert_one_line_input_error(*argv)
+
+
 def test_classify_discrete_and_schematic():
     code, out = run_cli("classify", "--theory", corpus("preord.theory.json"))
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
+from hornmod import semantics
 from hornmod.core import var_set
 from hornmod.families import all_structures
 from hornmod.semantics import _value_tuples, check_model, satisfying_valuations
@@ -249,9 +250,37 @@ def test_value_tuples_match_product_filter(case):
         x, variables, domains, edges)
 
 
+def _r(a, b):
+    return hm.edge("R", a, b)
+
+
+# Three premises on one symbol, so a delta round takes the middle premise from
+# the delta with a premise on R before it (old edges) and after it (all edges);
+# a seven-point R-cycle needs several delta rounds before the equality merges.
+SEVEN_CYCLE = [f"e{i}" for i in range(7)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(horn_theories(), horn_structures(),
        st.lists(st.one_of(edge_axioms, equality_axioms), max_size=3))
+@example(
+    hm.Theory(HORN_SIGNATURE, (
+        hm.horn([_r("x", "y"), _r("y", "z"), _r("z", "w")], _r("x", "w")),
+        hm.horn([_r("x", "y"), _r("y", "x")], hm.Equality("x", "y")),
+    ), (), base_flag=False),
+    hm.Structure(HORN_SIGNATURE, SEVEN_CYCLE, [hm.edge("P", "e0")] + [
+        _r(a, b) for a, b in zip(SEVEN_CYCLE, SEVEN_CYCLE[1:] + SEVEN_CYCLE[:1])]),
+    [hm.horn([_r("x", "y"), _r("y", "z")], _r("x", "z"))],
+)
+# The delta tuple R a b must not match the premise R y y of a delta round.
+@example(
+    hm.Theory(HORN_SIGNATURE, (
+        hm.horn([hm.edge("P", "x")], _r("x", "y")),
+        hm.horn([_r("y", "y")], hm.edge("P", "y")),
+    ), (), base_flag=False),
+    hm.Structure(HORN_SIGNATURE, ["a", "b"], [hm.edge("P", "a")]),
+    [],
+)
 def test_free_model_matches_reference(theory, x, formulas):
     got, want = hm.free_model(theory, x), reference_free_model(theory, x)
     assert got.model == want.model and got.unit_map == want.unit_map
@@ -292,6 +321,31 @@ def layered_graph_with_back_edges(layers=8, width=3, seed=0):
     carrier = list(itertools.chain.from_iterable(points))
     return hm.Structure(hm.poset_theory().signature, carrier,
                         [hm.edge("le", a, b) for a, b in pairs])
+
+
+def test_delta_rounds_match_only_valuations_that_use_a_new_edge(pos, monkeypatch):
+    # Semi-naive evaluation: a delta round matches only valuations that take
+    # some premise from the delta, each once, and this graph needs delta rounds.
+    delta_matches = {}  # id(delta) -> (delta, matches), the delta kept alive
+    matches = semantics._Rule.matches
+
+    def spy(rule, carrier, edges, old, delta):
+        for values in matches(rule, carrier, edges, old, delta):
+            if delta is not None:
+                delta_matches.setdefault(id(delta), (delta, []))[1].append((rule, values))
+            yield values
+
+    monkeypatch.setattr(semantics._Rule, "matches", spy)
+    x = layered_graph_with_back_edges()
+    got, want = hm.free_model(pos, x), reference_free_model(pos, x)
+    assert got.model == want.model and got.unit_map == want.unit_map
+    assert delta_matches
+    for delta, found in delta_matches.values():
+        assert len(set(found)) == len(found)
+        for rule, values in found:
+            val = dict(zip(rule.variables, values))
+            assert any(tuple(val[a] for a in p.args) in delta.get(p.symbol, ())
+                       for p in rule.premises)
 
 
 def test_free_poset_of_layered_graph_matches_reference(pos):

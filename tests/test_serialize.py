@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
+from hornmod.schema import ConstantSymbol
 from hornmod.serialize import (
     ParseError,
     dumps,
@@ -53,6 +54,10 @@ def test_formula_roundtrip(pos):
 
 
 def test_theory_roundtrip(preord, pos):
+    # Named "symmetry" but combining to a constant, so it is not the builtin.
+    symmetry = hm.symmetry_schema()
+    custom = hm.AxiomSchema("symmetry", 2, symmetry.premises, symmetry.conclusion,
+                            ConstantSymbol("~1"))
     for theory in (
         preord,
         pos,
@@ -61,6 +66,7 @@ def test_theory_roundtrip(preord, pos):
         hm.theory_pmet(hm.lukasiewicz_quantale()),
         hm.theory_met(hm.chain_meet_quantale(3)),
         hm.theory_vgph(hm.boolean_quantale()),
+        hm.Theory(hm.signature_of(hm.boolean_quantale()), (), (custom, symmetry)),
     ):
         assert parse_theory(theory_to_jsonable(theory)) == theory
 
