@@ -44,6 +44,12 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 

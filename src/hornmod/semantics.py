@@ -11,11 +11,10 @@ the same search, split into its plan (:func:`_checks`) and its run
 (:func:`_run`), over tuple sets per symbol that the chase keeps itself.  A
 round matches the axioms against the edges as they stand at its start;
 equality conclusions merge elements through a union-find whose representatives
-are class minima, and edge conclusions add edges.  A full round matches every
-valuation; a delta round matches only valuations that use at least one edge
-added by the previous round, by pinning the variables of one premise to each
-such edge.  The first round and every round after a merge are full, and only
-full rounds fire premise-free axioms.  The chase ends at a fixpoint, which
+are class minima, and edge conclusions add edges.  A round matches only the
+valuations that use at least one edge of its delta, each once.  The delta is
+the edges the previous round added; in the first round and after a merge it
+is every edge, and no edge is old.  The chase ends at a fixpoint, which
 exists because the carrier only shrinks and the edge set over a fixed carrier
 only grows, and which is the least model above the input, so it does not
 depend on the order of matching.
@@ -63,21 +62,20 @@ class FreeModelResult:
 
 
 def _checks(
-    variables: Sequence[str], edges: Iterable[Edge], tuples: Callable[[str], Container]
+    variables: Sequence[str], constraints: Iterable[tuple[Container, Sequence[str]]]
 ) -> list[list[tuple[Container, Callable]]]:
     """The plan of a search: per position, the ``(tuple set, reader)`` checks
-    of the edges whose last variable sits there, each edge against
-    ``tuples(symbol)``.
+    of the ``(tuple set, args)`` constraints whose last variable sits there.
 
-    Every variable of every edge must be in ``variables``; a reader takes the
-    value list and returns the edge's argument tuple.
+    Every variable of every constraint must be in ``variables``; a reader
+    takes the value list and returns the constraint's argument tuple.
     """
     checks: list[list[tuple[Container, Callable]]] = [[] for _ in variables]
-    for symbol, args in edges:
+    for tuples, args in constraints:
         at = tuple(map(variables.index, args))
         # itemgetter of one position returns the value, not a 1-tuple
         read = itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
-        checks[max(at)].append((tuples(symbol), read))
+        checks[max(at)].append((tuples, read))
     return checks
 
 
@@ -129,7 +127,7 @@ def _value_tuples(
     The plan (:func:`_checks`) is built at the call, and the run (:func:`_run`)
     is the generator returned.
     """
-    return _run(_checks(variables, edges, x.tuples), domains)
+    return _run(_checks(variables, ((x.tuples(s), args) for s, args in edges)), domains)
 
 
 def satisfying_valuations(
@@ -281,29 +279,23 @@ class _Rule:
         head = (concl.left, concl.right) if isinstance(concl, Equality) else concl.args
         self.head = tuple(map(self.variables.index, head))
 
-    def matches(self, carrier, edges: dict, old: dict, delta: Optional[dict]):
-        """Value tuples of a full round (``delta`` None) or of a delta round."""
+    def matches(self, carrier, edges: dict, old: dict, delta: dict):
+        """The value tuples of one round (see :func:`free_model`), one plan per
+        premise i with delta tuples; premise i's variables range over the values
+        the delta holds at their positions, the others over the carrier."""
         premises, variables = self.premises, self.variables
-        if delta is None:
-            plan = _checks(variables, premises, lambda s: edges.get(s, ()))
-            yield from _run(plan, [carrier] * len(variables))
-            return
+        if not (premises or old):  # premise-free: only while no edge is old
+            yield from itertools.product(carrier, repeat=len(variables))
         for i, premise in enumerate(premises):
-            fresh = delta.get(premise.symbol)
-            if not fresh:
-                continue
-            # Premises before i match old edges only, so each match is found
-            # at the first premise it takes from the delta.
-            plan = _checks(variables, premises[:i], lambda s: old.get(s, ()))
-            after = _checks(variables, premises[i + 1:], lambda s: edges.get(s, ()))
-            for here, more in zip(plan, after):
-                here.extend(more)
-            for values in fresh:
-                # Premise i's variables are pinned to the values of one delta tuple.
-                pinned: dict[str, str] = {}
-                if all(pinned.setdefault(a, v) == v for a, v in zip(premise.args, values)):
-                    domains = [(pinned[v],) if v in pinned else carrier for v in variables]
-                    yield from _run(plan, domains)
+            sources = [old] * i + [delta] + [edges] * (len(premises) - i - 1)
+            constraints = [(src.get(p.symbol), p.args) for src, p in zip(sources, premises)]
+            if not all(tuples for tuples, _ in constraints):
+                continue  # some premise has no tuples to match
+            fresh = constraints[i][0]
+            at = {a: k for k, a in enumerate(premise.args)}
+            domains = [sorted({t[at[v]] for t in fresh}) if v in at else carrier
+                       for v in variables]
+            yield from _run(_checks(variables, constraints), domains)
 
     def fire(self, values, edges: dict, merges: list, additions: set) -> None:
         head = tuple(values[k] for k in self.head)
@@ -319,14 +311,16 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
 
     A semi-naive chase (see the module docstring) that keeps its edges as
     tuple sets per symbol and finds premise matches with :func:`_run`, the
-    search behind :func:`_value_tuples`.  Each round fires every axiom on
-    the matches of its premises: in a full round every variable ranges over
-    the carrier; in a delta round premise i's variables are pinned to each
-    tuple the previous round added, premises before it match the older edges
-    and premises after it all edges.  A round is full when it is the first
-    or follows a merge; merges canonicalise every edge.  Premise-free axioms
-    fire only in full rounds, since their matches depend only on the
-    carrier.  Only the final model is built as a ``Structure``.
+    search behind :func:`_value_tuples`.  Each round fires every axiom on the
+    matches that take some premise from the delta: for each such premise i,
+    one plan checks the premises before i against the old edges, premise i
+    against the delta and the premises after i against all edges, so a match
+    is found once, at the first premise it takes from the delta.  The first
+    round and every round after a merge take every edge as the delta and no
+    edge as old; merges canonicalise every edge.  Premise-free axioms fire
+    only while no edge is old, since their matches depend only on the carrier
+    and a merge maps their conclusions onto the representatives.  Only the
+    final model is built as a ``Structure``.
     """
     if x.signature != theory.signature:
         raise SignatureError("structure and theory use different signatures")
@@ -334,8 +328,7 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     uf = _UnionFind(x.sorted_carrier())
     carrier = x.sorted_carrier()
     edges = _add({}, x.edges)
-    old: dict = {}
-    delta: Optional[dict] = None
+    old, delta = {}, edges
     while True:
         merges: list[tuple[str, str]] = []
         additions: set[tuple[str, tuple[str, ...]]] = set()
@@ -349,7 +342,7 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
             carrier = tuple(sorted({uf.find(a) for a in carrier}))
             pairs = itertools.chain(_pairs(edges), additions)
             edges = _add({}, ((symbol, tuple(map(uf.find, args))) for symbol, args in pairs))
-            delta = None
+            old, delta = {}, edges
         elif additions:
             old, edges = edges, _add({s: set(ts) for s, ts in edges.items()}, additions)
             delta = _add({}, additions)

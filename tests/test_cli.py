@@ -82,6 +82,23 @@ def test_malformed_json_is_input_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "error: no such file: "), ("directory", "cannot read: "),
+    ("not-utf8", "not UTF-8 text"), ("deep-nesting", "JSON nested too deeply"),
+])
+def test_unreadable_input_is_one_line_input_error(tmp_path, kind, message):
+    path = tmp_path / "doc.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"format": 1, "name": "\xff"}')
+    elif kind == "deep-nesting":
+        path.write_text("[" * 200_000, encoding="utf-8")
+    err = assert_one_line_input_error("check-model", "--theory", corpus("preord.theory.json"),
+                                      "--structure", str(path))
+    assert message in err and str(path) in err
+
+
 MALFORMED_DOCUMENTS = [
     ("check-model", "--theory", [], "--structure", "chain2.structure.json"),
     ("limit", "terminal", "--signature",

@@ -254,9 +254,9 @@ def _r(a, b):
     return hm.edge("R", a, b)
 
 
-# Three premises on one symbol, so a delta round takes the middle premise from
-# the delta with a premise on R before it (old edges) and after it (all edges);
-# a seven-point R-cycle needs several delta rounds before the equality merges.
+# Three premises on one symbol, so a round takes the middle premise from the
+# delta with a premise on R before it (old edges) and after it (all edges);
+# a seven-point R-cycle needs several rounds before the equality merges.
 SEVEN_CYCLE = [f"e{i}" for i in range(7)]
 
 
@@ -272,13 +272,23 @@ SEVEN_CYCLE = [f"e{i}" for i in range(7)]
         _r(a, b) for a, b in zip(SEVEN_CYCLE, SEVEN_CYCLE[1:] + SEVEN_CYCLE[:1])]),
     [hm.horn([_r("x", "y"), _r("y", "z")], _r("x", "z"))],
 )
-# The delta tuple R a b must not match the premise R y y of a delta round.
+# The delta tuple R a b must not match the premise R y y of a round.
 @example(
     hm.Theory(HORN_SIGNATURE, (
         hm.horn([hm.edge("P", "x")], _r("x", "y")),
         hm.horn([_r("y", "y")], hm.edge("P", "y")),
     ), (), base_flag=False),
     hm.Structure(HORN_SIGNATURE, ["a", "b"], [hm.edge("P", "a")]),
+    [],
+)
+# Premise-free axioms fire in the round that merges b and c; the reflexive
+# edge must hold at the representative b after the merge.
+@example(
+    hm.Theory(HORN_SIGNATURE, (
+        hm.horn([], _r("x", "x")),
+        hm.horn([hm.edge("P", "x"), hm.edge("P", "y")], hm.Equality("x", "y")),
+    ), (), base_flag=False),
+    hm.Structure(HORN_SIGNATURE, ["a", "b", "c"], [hm.edge("P", "b"), hm.edge("P", "c")]),
     [],
 )
 def test_free_model_matches_reference(theory, x, formulas):
@@ -323,29 +333,44 @@ def layered_graph_with_back_edges(layers=8, width=3, seed=0):
                         [hm.edge("le", a, b) for a, b in pairs])
 
 
-def test_delta_rounds_match_only_valuations_that_use_a_new_edge(pos, monkeypatch):
-    # Semi-naive evaluation: a delta round matches only valuations that take
-    # some premise from the delta, each once, and this graph needs delta rounds.
-    delta_matches = {}  # id(delta) -> (delta, matches), the delta kept alive
+def test_delta_rounds_match_only_valuations_that_use_a_new_edge(pos, preord, monkeypatch):
+    # Semi-naive evaluation: every round matches only valuations that take some
+    # premise from its delta, and between two merges no match is found twice,
+    # in one round or in two.  Under pos the layered graph merges points in its
+    # first round and a six-point cycle only in its third, so the round after
+    # that merge has old edges to forget; under preord nothing merges, so
+    # every round shares one carrier.
+    found = []  # (carrier, delta, rule, values) of every premise match, deltas kept alive
     matches = semantics._Rule.matches
 
     def spy(rule, carrier, edges, old, delta):
         for values in matches(rule, carrier, edges, old, delta):
-            if delta is not None:
-                delta_matches.setdefault(id(delta), (delta, []))[1].append((rule, values))
+            if rule.premises:  # premise-free matches depend only on the carrier
+                found.append((carrier, delta, rule, values))
             yield values
 
     monkeypatch.setattr(semantics._Rule, "matches", spy)
-    x = layered_graph_with_back_edges()
-    got, want = hm.free_model(pos, x), reference_free_model(pos, x)
-    assert got.model == want.model and got.unit_map == want.unit_map
-    assert delta_matches
-    for delta, found in delta_matches.values():
-        assert len(set(found)) == len(found)
-        for rule, values in found:
+    layered = layered_graph_with_back_edges()
+    cycle = [f"c{i}" for i in range(6)]
+    six_cycle = hm.Structure(pos.signature, cycle, [
+        hm.edge("le", a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])])
+    for theory, x, merges in ((pos, layered, True), (preord, layered, False),
+                              (pos, six_cycle, True)):
+        found.clear()
+        got, want = hm.free_model(theory, x), reference_free_model(theory, x)
+        assert got.model == want.model and got.unit_map == want.unit_map
+        between_merges = {}  # carrier -> (ids of the rounds' deltas, matches)
+        for carrier, delta, rule, values in found:
             val = dict(zip(rule.variables, values))
             assert any(tuple(val[a] for a in p.args) in delta.get(p.symbol, ())
                        for p in rule.premises)
+            rounds, matched = between_merges.setdefault(carrier, (set(), []))
+            rounds.add(id(delta))
+            matched.append((rule, values))
+        assert (len(between_merges) > 1) == merges
+        assert any(len(rounds) > 2 for rounds, _ in between_merges.values())
+        for _, matched in between_merges.values():
+            assert len(set(matched)) == len(matched)
 
 
 def test_free_poset_of_layered_graph_matches_reference(pos):
