@@ -3,14 +3,14 @@
 Convexity with respect to an axiom asks that every premise-satisfying
 valuation downstairs, together with a lift of the conclusion tuple, extends
 to a premise-satisfying valuation upstairs with the remaining premise
-variables lifted within their fibres.  One kernel, ``_fibre_lifts``, lists
-these cases for flat convexity here and for schema convexity in
-:mod:`hornmod.schema`; an object is convex when its unique map to the
-terminal object is.  An equivalent reformulation via weak right lifting
-against the axiom's free-model inclusion is provided as an independent
-oracle.  Safe axioms are those whose premises follow from their
-conclusion under a variable-collapsing substitution; they force convexity of
-objects (and, when very safe, of all morphisms).
+variables lifted within their fibres.  One kernel, ``_fibre_lifts``, finds
+these cases with the valuation search of :mod:`hornmod.semantics`, for flat
+convexity here and for schema convexity in :mod:`hornmod.schema`; an object
+is convex when its unique map to the terminal object is.  An equivalent
+reformulation via weak right lifting against the axiom's free-model
+inclusion is an independent oracle.  Safe axioms are those whose premises
+follow from their conclusion under a variable-collapsing substitution; they
+force convexity of objects (and, when very safe, of all morphisms).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .core import (
     var_set,
 )
 from .limits import bang, enumerate_morphisms
-from .semantics import _value_tuples, free_model, is_reflexive_theory
+from .semantics import _checks, _reader, _run, _value_tuples, free_model, is_reflexive_theory
 
 
 @dataclass(frozen=True)
@@ -64,48 +64,45 @@ def _require_discrete(theory: Theory) -> None:
         raise SignatureError("convexity in this form is defined over discrete signatures")
 
 
-def _holds_all(x: Structure, premises, kappa: dict[str, str]) -> bool:
-    return all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in premises)
+def _lift_order(variables: tuple[str, ...], concl_args: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables of a lift tuple: the conclusion's by first occurrence, then the rest."""
+    return tuple(dict.fromkeys(concl_args + variables))
 
 
-def _fibre_lifts(f: Morphism, shapes, edges, concl_args: tuple[str, ...]):
+def _fibre_lifts(f: Morphism, variables, edges, concl_args: tuple[str, ...], lift_edges=()):
     """The cases that flat and schema convexity of ``f`` quantify over.
 
-    ``shapes`` are the premises whose variables the cases bind, and ``edges``
-    are the edges the downstairs valuations must satisfy (the premises
-    themselves for flat convexity).  For each such valuation into the target,
-    found by the valuation search of :mod:`hornmod.semantics` in canonical
-    order, yields ``(valuation, cases)``, the valuation as sorted (variable,
-    value) pairs.
+    For each valuation of the sorted ``variables`` into the target under which
+    ``edges`` hold, found by the valuation search of :mod:`hornmod.semantics`
+    in canonical order, yields ``(valuation, cases)``, the valuation as a dict.
     ``cases`` lazily lists ``(xs, lifts)`` for each ``xs`` in the product of
-    the fibres over the conclusion variables: ``lifts`` lazily lists the
-    source valuations pinning the conclusion variables to ``xs`` and lifting
-    the other premise variables within their fibres (none if ``xs`` gives a
-    repeated variable two values).  The fibres are built once per call.
+    the fibres over the conclusion variables: ``lifts`` lazily lists the source
+    value tuples over :func:`_lift_order` that pin the conclusion variables to
+    ``xs``, lift the others within their fibres and satisfy ``lift_edges``
+    (none if ``xs`` gives a repeated variable two values).  The fibres and the
+    lift plan are built once per call; the plan runs once per valuation, when
+    its cases are first read.
     """
     x, z = f.source, f.target
-    premise_vars = var_set(shapes)
-    variables = tuple(sorted(premise_vars | set(concl_args)))
-    other_vars = tuple(sorted(premise_vars - set(concl_args)))
+    lift_vars = _lift_order(variables, concl_args)
+    checks = _checks(lift_vars, ((x.tuples(s), args) for s, args in lift_edges))
+    conclusion = _reader(tuple(map(lift_vars.index, concl_args)))
     fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
-    carrier = z.sorted_carrier()
-    for values in _value_tuples(z, variables, [carrier] * len(variables), edges):
+    for values in _value_tuples(z, variables, [z.sorted_carrier()] * len(variables), edges):
         kz = dict(zip(variables, values))
-        domains = [fibre[kz[v]] for v in other_vars]
-        concl_fibres = [fibre[kz[v]] for v in concl_args]
-        yield tuple(kz.items()), _cases(concl_args, concl_fibres, other_vars, domains)
+        groups = itertools.groupby(_run(checks, [fibre[kz[v]] for v in lift_vars]), conclusion)
+        yield kz, _cases([fibre[kz[v]] for v in concl_args], groups)
 
 
-def _cases(concl_args: tuple[str, ...], concl_fibres, other_vars: tuple[str, ...], domains):
+def _cases(concl_fibres, groups):
+    """Each ``xs`` of the product of ``concl_fibres`` with its group (same order) or ``()``."""
+    key, group = next(groups, (None, ()))
     for xs in itertools.product(*concl_fibres):
-        yield xs, _lifts(concl_args, xs, other_vars, domains)
-
-
-def _lifts(concl_args: tuple[str, ...], xs: tuple[str, ...], other_vars: tuple[str, ...], domains):
-    pinned = dict(zip(concl_args, xs))
-    if all(pinned[v] == a for v, a in zip(concl_args, xs)):
-        for values in itertools.product(*domains):
-            yield {**pinned, **dict(zip(other_vars, values))}
+        if key == xs:
+            yield xs, group
+            key, group = next(groups, (None, ()))
+        else:
+            yield xs, ()
 
 
 def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityReport:
@@ -115,13 +112,12 @@ def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityR
         raise TheoryError("convexity is defined for axioms with edge conclusions")
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
-    x = f.source
-    for valuation, cases in _fibre_lifts(f, axiom.premises, axiom.premises, concl.args):
+    x, premises, variables = f.source, axiom.premises, tuple(sorted(axiom.variables()))
+    for kz, cases in _fibre_lifts(f, variables, premises, concl.args, premises):
         for xs, lifts in cases:
-            if x.holds(concl.symbol, xs) and not any(
-                _holds_all(x, axiom.premises, kappa) for kappa in lifts
-            ):
-                return ConvexityReport(False, ConvexityCounterexample(axiom, valuation, xs))
+            if x.holds(concl.symbol, xs) and next(iter(lifts), None) is None:
+                witness = ConvexityCounterexample(axiom, tuple(kz.items()), xs)
+                return ConvexityReport(False, witness)
     return ConvexityReport(True, None)
 
 

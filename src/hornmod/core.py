@@ -521,7 +521,7 @@ class Theory:
         for ax in self.axioms:
             self.signature.check_formula(ax, "axiom")
         if self.schemas:
-            heyting = all(
+            heyting = self.signature.order_kind != DISCRETE and all(
                 self.signature.order(n).is_complete_heyting() for n in self.signature.arities()
             )
             if not heyting:

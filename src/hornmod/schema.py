@@ -35,9 +35,10 @@ from .core import (
     horn,
     var_set,
 )
-from .convexity import _closure_notes, _fibre_lifts, eligible_axioms, is_safe_axiom
+from .convexity import _closure_notes, _fibre_lifts, _lift_order, eligible_axioms, is_safe_axiom
 from .limits import bang
 from .quantale import Quantale, QuantaleError, VFunctor, is_heyting
+from .semantics import _reader
 
 PLACEHOLDER = "?"
 
@@ -115,15 +116,17 @@ class AxiomSchema:
         return frozenset(var_set(self.premises) | set(self.conclusion.args))
 
     def check_signature(self, sig: Signature) -> None:
-        """Raise unless every symbol the combination can return is one of
-        ``sig``'s symbols of the schema's arity; no instance is expanded."""
+        """Raise unless ``sig`` has symbols of the schema's arity and every symbol
+        the combination can return is one of them; no instance is expanded."""
+        allowed = sig.symbols_of_arity(self.arity)
+        if not allowed:
+            raise SchemaError(f"schema {self.name!r} has arity {self.arity}, "
+                              f"but the signature has no symbols of arity {self.arity}")
+        named = []
         if isinstance(self.combine, ConstantSymbol):
             named = [self.combine.symbol]
         elif isinstance(self.combine, ExplicitTable):
             named = [symbol for _, symbol in self.combine.entries]
-        else:
-            return
-        allowed = sig.symbols_of_arity(self.arity)
         for symbol in named:
             if symbol not in allowed:
                 raise SchemaError(
@@ -182,9 +185,8 @@ def apply_combine(schema: AxiomSchema, sig: Signature, labels: tuple[str, ...]) 
 
 def _label_tuples(schema: AxiomSchema, sig: Signature) -> tuple[tuple[str, ...], ...]:
     """Every labelling of the schema's premises over the signature, in canonical order."""
+    schema.check_signature(sig)
     symbols = sig.symbols_of_arity(schema.arity)
-    if not symbols:
-        raise SchemaError(f"signature has no symbols of arity {schema.arity}")
     return tuple(itertools.product(symbols, repeat=len(schema.premises)))
 
 
@@ -228,7 +230,7 @@ def _monotone_verified(schema: AxiomSchema, sig: Signature) -> bool:
 def _require_heyting(sig: Signature, arity: int) -> SymbolOrder:
     order = sig.order(arity)
     if not order.is_complete_heyting():
-        raise SchemaError("schema convexity needs a complete-Heyting symbol order")
+        raise SchemaError(f"schemas need a complete-Heyting symbol order at arity {arity}")
     return order
 
 
@@ -308,8 +310,8 @@ def _first_nonconvex(
     that every instance shares; a valuation counts for an instance when its
     premise tuples carry that instance's labels, so each instance meets its
     own cases in its own canonical order and fails first where a walk of its
-    own would.  An instance that fails drops every later one, and the walk
-    stops once no earlier instance is left.
+    own would.  Only counted valuations have their lifts searched; a failing
+    instance drops every later one, and the walk stops when none is left.
     """
     x, z = f.source, f.target
     order = _require_heyting(sig, schema.arity)
@@ -324,14 +326,16 @@ def _first_nonconvex(
     bottom = order.bottom()
     assert bottom is not None  # a complete lattice, by the Heyting gate
     upper = [t for t in order.symbols if t != bottom]  # bottom is below every join
+    variables, concl_args = tuple(sorted(schema.variables())), schema.conclusion.args
+    lift_vars = _lift_order(variables, concl_args)
+    readers = [_reader(tuple(map(lift_vars.index, args))) for args in premise_args]
     limit, report = len(labellings), SchemaConvexityReport(True, None)
-    for valuation, cases in _fibre_lifts(f, schema.premises, shared, schema.conclusion.args):
-        kz = dict(valuation)
+    for kz, cases in _fibre_lifts(f, variables, shared, concl_args):
         tuples = [tuple(map(kz.__getitem__, args)) for args in premise_args]
         live = [i for i in range(limit) if all(map(z.holds, labellings[i], tuples))]
+        if not live:
+            continue  # no instance reads this valuation's lifts
         for xs, lifts in cases:
-            if not live:
-                break
             held = [t for t in upper if x.holds(t, xs)]
             lifted = None
             for j, i in enumerate(live):
@@ -339,8 +343,7 @@ def _first_nonconvex(
                 if not candidates:
                     continue
                 if lifted is None:
-                    lifted = [[tuple(map(kappa.__getitem__, p)) for p in premise_args]
-                              for kappa in lifts]
+                    lifted = [[read(lift) for read in readers] for lift in lifts]
                 labels = labellings[i]
                 total = bottom
                 for args in lifted:
@@ -348,10 +351,12 @@ def _first_nonconvex(
                 t = next((t for t in candidates if not order.leq(t, total)), None)
                 if t is not None:
                     limit, report = i, SchemaConvexityReport(
-                        False, SchemaCounterexample(schema.name, labels, valuation, xs, t)
+                        False, SchemaCounterexample(schema.name, labels, tuple(kz.items()), xs, t)
                     )
                     del live[j:]
                     break
+            if not live:
+                break
         if limit == 0:
             break
     return report

@@ -39,11 +39,6 @@ from .core import (
 )
 
 
-# A valuation assigns carrier elements to the variables a check cares about;
-# values outside that set never influence satisfaction.
-Valuation = dict[str, str]
-
-
 @dataclass(frozen=True)
 class Violation:
     """A failed axiom together with the valuation that witnesses the failure."""
@@ -73,10 +68,13 @@ def _checks(
     checks: list[list[tuple[Container, Callable]]] = [[] for _ in variables]
     for tuples, args in constraints:
         at = tuple(map(variables.index, args))
-        # itemgetter of one position returns the value, not a 1-tuple
-        read = itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
-        checks[max(at)].append((tuples, read))
+        checks[max(at)].append((tuples, _reader(at)))
     return checks
+
+
+def _reader(at: Sequence[int]) -> Callable:
+    """A function reading the values at positions ``at`` as a tuple, a 1-tuple too."""
+    return itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
 
 
 def _run(
@@ -84,13 +82,13 @@ def _run(
 ) -> Iterator[tuple[str, ...]]:
     """The value tuples passing every check of a plan, position ``i`` over ``domains[i]``.
 
-    Tuples come out lazily in lexicographic order of the domains, and a
-    prefix stops at the first check it breaks.
+    Tuples come out lazily in lexicographic order of the domains, as their
+    product if the plan has no checks; a prefix stops at the first check it breaks.
     """
-    n = len(checks)
-    if n == 0:
-        yield ()
+    if not any(checks):
+        yield from itertools.product(*domains)
         return
+    n = len(checks)
     values = [""] * n
     levels = [iter(domains[0])]  # levels[k] runs over the untried values of position k
     while levels:
@@ -124,8 +122,8 @@ def _value_tuples(
     lexicographic order of the domains.  Every variable of every edge must be
     in ``variables``; an edge is checked against ``x.tuples(symbol)`` as soon
     as its last variable is bound, so a prefix stops at the first edge it breaks.
-    The plan (:func:`_checks`) is built at the call, and the run (:func:`_run`)
-    is the generator returned.
+    The plan (:func:`_checks`) is built at the call, and the generator returned
+    is its run (:func:`_run`), the product of the domains when there is no edge.
     """
     return _run(_checks(variables, ((x.tuples(s), args) for s, args in edges)), domains)
 

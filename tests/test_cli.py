@@ -279,6 +279,52 @@ def test_schema_combining_to_an_unknown_symbol_is_one_line_input_error(tmp_path,
     assert "'~zz'" in assert_one_line_input_error(*argv)
 
 
+def _schema_theory(tmp_path, base, schema, symbols=None):
+    """The corpus theory ``base`` with ``schema`` for its axioms, and ``symbols`` if given."""
+    theory = json.loads((CORPUS / base).read_text(encoding="utf-8"))
+    theory["axioms"], theory["schemas"] = [], [{"schema": schema}]
+    if symbols is not None:
+        theory["signature"]["symbols"] = symbols
+    path = tmp_path / "schema.theory.json"
+    path.write_text(json.dumps(theory), encoding="utf-8")
+    return str(path)
+
+
+DISCRETE_SCHEMA_THEORIES = {
+    # premise T x y y, conclusion T x x y: unsafe, yet classify used to say quasitopos
+    "t3": ({"name": "unsafe", "arity": 3, "premises": [["x", "y", "y"]],
+            "conclusion": ["x", "x", "y"], "combine": {"projection": 0}},
+           [{"name": "T", "arity": 3}]),
+    # transitivity as a schema: the non-convex interp-fail map used to read convex
+    "preord": ({"name": "trans", "arity": 2, "premises": [["x", "y"], ["y", "z"]],
+                "conclusion": ["x", "z"], "combine": {"projection": 0}}, None),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "convexity"])
+@pytest.mark.parametrize("document", sorted(DISCRETE_SCHEMA_THEORIES))
+def test_schemas_over_a_discrete_signature_are_one_line_input_errors(tmp_path, command, document):
+    # a discrete order with one symbol per arity passes the Heyting check, but
+    # flat convexity and safety read only the axioms and would ignore the schema
+    schema, symbols = DISCRETE_SCHEMA_THEORIES[document]
+    argv = [command, "--theory", _schema_theory(tmp_path, "preord.theory.json", schema, symbols)]
+    if command == "convexity":
+        argv += ["--method", "both", "--morphism", corpus("interp-fail.morphism.json")]
+    assert "require a complete-Heyting symbol order" in assert_one_line_input_error(*argv)
+
+
+@pytest.mark.parametrize("command", ["classify", "schema-safety", "schema-convexity"])
+@pytest.mark.parametrize("arity", [0, 3])
+def test_schema_arity_without_symbols_is_one_line_input_error(tmp_path, command, arity):
+    schema = {"name": "lonely", "arity": arity, "premises": [["x"] * arity],
+              "conclusion": ["x"] * arity, "combine": {"projection": 0}}
+    argv = [command, "--theory", _schema_theory(tmp_path, "boolean-vcat.theory.json", schema)]
+    if command == "schema-convexity":
+        argv += ["--morphism", corpus("vcat-interp-fail.morphism.json")]
+    err = assert_one_line_input_error(*argv)
+    assert f"schema 'lonely' has arity {arity}, but the signature has no symbols" in err
+
+
 def test_classify_discrete_and_schematic():
     code, out = run_cli("classify", "--theory", corpus("preord.theory.json"))
     assert code == 0

@@ -195,6 +195,25 @@ def test_lift_kernel_matches_the_reference_loops(theory, data):
         assert hm.is_object_convex(x, theory) == reference_is_object_convex(x, theory)
 
 
+LIFT_AXIOMS = [
+    hm.horn([hm.edge("R", "x", "y")], hm.edge("R", "y", "x")),  # conclusion out of sorted order
+    hm.horn([hm.edge("R", "x", "y")], hm.edge("R", "x", "x")),  # repeated conclusion variable
+    hm.horn([hm.edge("R", "x", "y")], hm.edge("R", "x", "z")),  # conclusion-only variable
+]
+
+
+@pytest.mark.parametrize("axiom", LIFT_AXIOMS, ids=["swap", "repeat", "fresh"])
+def test_lift_kernel_matches_the_reference_on_every_small_map(axiom):
+    # every map between structures of up to 2 points: 521 maps per axiom
+    sig = binary_signature()
+    theory = hm.Theory(sig, (axiom,), (), base_flag=False)
+    structures = all_structures(sig, 2, cap=None)
+    maps = [f for x in structures for z in structures for f in hm.enumerate_morphisms(x, z)]
+    assert len(maps) == 521
+    for f in maps:
+        assert hm.is_convex_wrt(f, axiom, theory) == reference_is_convex_wrt(f, axiom, theory)
+
+
 def test_transitivity_safety(preord):
     result = hm.is_safe_axiom(preord.axioms[0], preord)
     assert result.safe

@@ -97,15 +97,53 @@ def test_theory_rejects_schemas_over_non_heyting_order():
         hm.Theory(sig, (), (hm.symmetry_schema(),), base_flag=True)
 
 
+def test_theory_rejects_schemas_over_a_discrete_order():
+    # one symbol per arity passes the Heyting check, but flat convexity and
+    # safety read only the axioms, and schema convexity never fails at the
+    # bottom of a one-point order, so such a schema used to go unchecked
+    t3 = hm.Signature((hm.RelationSymbol("T", 3),), hm.DISCRETE)
+    unsafe = hm.AxiomSchema("s", 3, (hm.Edge(PLACEHOLDER, ("x", "y", "y")),),
+                            hm.Edge(PLACEHOLDER, ("x", "x", "y")), PremiseProjection(0))
+    with pytest.raises(hm.TheoryError, match="complete-Heyting"):
+        hm.Theory(t3, (), (unsafe,), base_flag=True)
+    transitivity = hm.AxiomSchema(
+        "trans", 2, (hm.Edge(PLACEHOLDER, ("x", "y")), hm.Edge(PLACEHOLDER, ("y", "z"))),
+        hm.Edge(PLACEHOLDER, ("x", "z")), PremiseProjection(0))
+    with pytest.raises(hm.TheoryError, match="complete-Heyting"):
+        hm.Theory(hm.preorder_theory().signature, (), (transitivity,), base_flag=True)
+
+
+@pytest.mark.parametrize("arity", [0, 3])
+def test_theory_rejects_a_schema_whose_arity_has_no_symbols(arity):
+    schema = hm.AxiomSchema("lonely", arity, (hm.Edge(PLACEHOLDER, ("x",) * arity),),
+                            hm.Edge(PLACEHOLDER, ("x",) * arity), PremiseProjection(0))
+    with pytest.raises(SchemaError, match=f"'lonely' has arity {arity}, but the signature "
+                                          f"has no symbols of arity {arity}"):
+        hm.Theory(hm.signature_of(hm.boolean_quantale()), (), (schema,))
+
+
 def test_schema_convexity_needs_heyting_order(preord, chain2):
+    # the tensor combination needs a quantale signature
     schema = hm.generalized_transitivity_schema()
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="tensor combination"):
         hm.is_schema_convex_wrt_instance(
             hm.identity_morphism(chain2),
             schema,
             hm.SchemaInstance(("le", "le"), preord.axioms[0]),
             preord,
         )
+    # M3 is a complete lattice but not distributive, so the gate itself refuses it
+    m3 = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
+    sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in "01abc"), hm.EXPLICIT, m3)
+    theory = hm.Theory(sig)
+    symmetry = hm.symmetry_schema()
+    instance = hm.SchemaInstance(("a",), hm.horn([hm.edge("a", "x", "y")], hm.edge("a", "y", "x")))
+    gate = "schemas need a complete-Heyting symbol order at arity 2"
+    with pytest.raises(SchemaError, match=gate):
+        hm.is_schema_convex_wrt_instance(
+            hm.identity_morphism(hm.Structure(sig, (), ())), symmetry, instance, theory)
+    with pytest.raises(SchemaError, match=gate):
+        hm.is_schema_safe(symmetry, theory)
 
 
 def test_instance_labels_outside_the_signature_raise():
