@@ -158,28 +158,38 @@ def _axiom_free_models(axiom: HornFormula, theory: Theory):
     return edge_model.model, impl_model.model, comparison
 
 
+def _lifting_models(theory: Theory) -> tuple:
+    """:func:`_axiom_free_models` of each eligible axiom, in order, kept on the theory."""
+    if theory._lifting_models is None:
+        models = tuple(_axiom_free_models(ax, theory) for ax in eligible_axioms(theory))
+        object.__setattr__(theory, "_lifting_models", models)
+    return theory._lifting_models
+
+
 def is_convex_via_lifting(f: Morphism, theory: Theory) -> bool:
     """Convexity decided through the weak right lifting property.
 
     For each eligible axiom, every commutative square from the comparison
-    morphism of its free models to ``f`` must admit a diagonal filler.  Agrees
-    with :func:`is_convex` on all inputs; the pair is a dual-oracle check.
+    morphism of its free models to ``f`` must admit a diagonal filler.  The
+    free models are chased once per theory and kept on it.  Per axiom the
+    fillers ``d`` are enumerated once, as the set of the squares they fill,
+    ``(d . comparison, f . d)``; the bottoms once, grouped by
+    ``bottom . comparison``; and the tops once, each looking up its squares
+    with the bottoms over ``f . top``.  Agrees with :func:`is_convex` on all
+    inputs and shares none of its search; the pair is a dual-oracle check.
     """
     _require_discrete(theory)
     x, z = f.source, f.target
-    for ax in eligible_axioms(theory):
-        edge_model, impl_model, comparison = _axiom_free_models(ax, theory)
-        fillers = enumerate_morphisms(impl_model, x)
+    for edge_model, impl_model, comparison in _lifting_models(theory):
+        filled = {
+            (compose(d, comparison), compose(f, d)) for d in enumerate_morphisms(impl_model, x)
+        }
+        bottoms: dict[Morphism, list[Morphism]] = {}
+        for bottom in enumerate_morphisms(impl_model, z):
+            bottoms.setdefault(compose(bottom, comparison), []).append(bottom)
         for top in enumerate_morphisms(edge_model, x):
-            target = compose(f, top)
-            for bottom in enumerate_morphisms(impl_model, z):
-                if compose(bottom, comparison) != target:
-                    continue
-                if not any(
-                    compose(d, comparison) == top and compose(f, d) == bottom
-                    for d in fillers
-                ):
-                    return False
+            if any((top, bottom) not in filled for bottom in bottoms.get(compose(f, top), ())):
+                return False
     return True
 
 
@@ -198,25 +208,35 @@ class SafetyResult:
         return dict(self.witness) if self.witness is not None else None
 
 
+def _chase_conclusion(concl: Edge, theory: Theory):
+    """The free model of the conclusion edge, its variables as the generators."""
+    return free_model(theory, Structure(theory.signature, dict.fromkeys(concl.args), (concl,)))
+
+
 def is_safe_axiom(axiom: HornFormula, theory: Theory) -> SafetyResult:
     """Search for a variable collapse making the premises follow from the conclusion.
 
     A collapse exists exactly when the premises map into the free model of the
     conclusion edge with the conclusion's variables fixed (containment on the
-    chased canonical instance), so the conclusion is chased once and the
-    premises are matched there by one valuation search.  Each point of that
-    model is named by the first conclusion variable sent to it, and the free
-    premise variables range over the points in that order, so the reported
-    witness is the canonical first one.
+    chased canonical instance), so the conclusion is chased once
+    (:func:`_chase_conclusion`) and the premises are matched there by one
+    valuation search (:func:`_collapse`).  Each point of that model is named
+    by the first conclusion variable sent to it, and the free premise
+    variables range over the points in that order, so the reported witness is
+    the canonical first one.
     """
     if axiom.has_equality():
         raise TheoryError("safety is defined for axioms with edge conclusions")
     theory.signature.check_formula(axiom, "axiom")
     assert isinstance(axiom.conclusion, Edge)
-    concl = axiom.conclusion
-    fixed = tuple(dict.fromkeys(concl.args))
+    return _collapse(axiom, _chase_conclusion(axiom.conclusion, theory))
+
+
+def _collapse(axiom: HornFormula, chased) -> SafetyResult:
+    """The safety verdict of ``axiom`` read off ``chased``, its conclusion's free model."""
+    assert isinstance(axiom.conclusion, Edge)
+    fixed = tuple(dict.fromkeys(axiom.conclusion.args))
     free = tuple(sorted(var_set(axiom.premises) - set(fixed)))
-    chased = free_model(theory, Structure(theory.signature, fixed, (concl,)))
     names: dict[str, str] = {}
     for v in fixed:
         names.setdefault(chased.unit_map(v), v)

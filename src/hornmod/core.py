@@ -514,6 +514,8 @@ class Theory:
     schemas: tuple = ()
     base_flag: bool = True
     _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # The lifting oracle's free models, aligned with convexity.eligible_axioms.
+    _lifting_models: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", tuple(self.axioms))

@@ -41,7 +41,8 @@ class Quantale:
     is taken at construction.  Laws are not enforced here: run
     :func:`check_quantale_laws` (the theory generators do).  The quantale
     holds only tuples, so :meth:`law_report` computes that report once and
-    keeps it, and :meth:`symbol_order` likewise the order on its symbols.
+    keeps it, :meth:`symbol_order` likewise the order on its symbols, and
+    :func:`signature_of` the signature.
     """
 
     elements: tuple[str, ...]
@@ -75,6 +76,9 @@ class Quantale:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_leq_set", frozenset(closed))
         object.__setattr__(self, "_tensor", tensor)
+        # Kept by signature_of.  Not a field: the signature holds this quantale, so
+        # asdict would recurse forever; set on every instance, so all share one layout.
+        object.__setattr__(self, "_signature", None)
 
     order: SymbolOrder = field(default=None, init=False, compare=False, repr=False)
     _leq_set: frozenset = field(default=frozenset(), compare=False, repr=False)
@@ -231,9 +235,15 @@ def lukasiewicz_quantale() -> Quantale:
 
 
 def signature_of(v: Quantale) -> Signature:
-    """The signature with one binary symbol per quantale element, quantale-ordered."""
-    symbols = tuple(RelationSymbol(quantale_symbol_name(e), 2) for e in v.elements)
-    return Signature(symbols=symbols, order_kind=QUANTALE, quantale=v)
+    """The signature with one binary symbol per quantale element, quantale-ordered.
+
+    Built on first use and kept on the quantale, so every theory, V-graph and
+    V-functor over ``v`` shares one signature; equal quantales give equal ones.
+    """
+    if v._signature is None:
+        symbols = tuple(RelationSymbol(quantale_symbol_name(e), 2) for e in v.elements)
+        object.__setattr__(v, "_signature", Signature(symbols, QUANTALE, quantale=v))
+    return v._signature
 
 
 def _require_laws(v: Quantale) -> None:

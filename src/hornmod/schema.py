@@ -12,8 +12,9 @@ Heyting gate and a declared monotonicity once per schema, walks the lift
 cases of the schema's shape once for all its instances, and keeps each
 premise tuple's largest label, so a lift costs one lookup per premise.
 Schema safety is meet compatibility of the combination function plus flat
-safety (:func:`hornmod.convexity.is_safe_axiom`) of each instance, and the
-schematic classification shares the flat classifier's closure notes.
+safety (:func:`hornmod.convexity.is_safe_axiom`) of each instance, with one
+chase per distinct conclusion, and the schematic classification shares the
+flat classifier's closure notes.
 """
 from __future__ import annotations
 
@@ -35,7 +36,14 @@ from .core import (
     horn,
     var_set,
 )
-from .convexity import _closure_notes, _fibre_lifts, _lift_order, eligible_axioms, is_safe_axiom
+from .convexity import (
+    _chase_conclusion,
+    _closure_notes,
+    _collapse,
+    _fibre_lifts,
+    _lift_order,
+    eligible_axioms,
+)
 from .limits import bang
 from .quantale import Quantale, QuantaleError, VFunctor, is_heyting
 from .semantics import _reader
@@ -445,9 +453,14 @@ def is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafetyResult:
     Safety requires the combination function to commute with meets by a fixed
     symbol, and each instance to be a safe axiom (:func:`is_safe_axiom`); the
     witnesses are the instances' label tuples with their collapses, and the
-    first unsafe instance's labels are reported.
+    first unsafe instance's labels are reported.  The schema is checked
+    against the signature before the Heyting gate.  An instance's conclusion
+    depends only on its combined label, so each distinct conclusion edge is
+    chased once per call and its free model is read by every instance that
+    shares it.
     """
     sig = theory.signature
+    schema.check_signature(sig)
     order = _require_heyting(sig, schema.arity)
     k = len(schema.premises)
     for rbar in itertools.product(order.symbols, repeat=k):
@@ -457,9 +470,12 @@ def is_schema_safe(schema: AxiomSchema, theory: Theory) -> SchemaSafetyResult:
             rhs = order.meet2(apply_combine(schema, sig, rbar), s)
             if lhs != rhs:
                 return SchemaSafetyResult(False, False, None, (rbar, s))
-    witnesses = []
+    witnesses, chased = [], {}
     for inst in expand_instances(schema, sig):
-        res = is_safe_axiom(inst.formula, theory)
+        concl = inst.formula.conclusion
+        if concl not in chased:
+            chased[concl] = _chase_conclusion(concl, theory)
+        res = _collapse(inst.formula, chased[concl])
         if not res.safe:
             return SchemaSafetyResult(False, False, None, None, inst.labels)
         witnesses.append((inst.labels, res.witness))

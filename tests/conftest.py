@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hornmod as hm
+import hornmod.convexity as convexity
 from hornmod.closure import (
     REFLEXIVE_VARIANT,
     STR_VARIANT,
@@ -20,6 +21,7 @@ from hornmod.convexity import (
     ConvexityCounterexample,
     ConvexityReport,
     SafetyResult,
+    _axiom_free_models,
     _require_discrete,
     eligible_axioms,
 )
@@ -37,6 +39,7 @@ from hornmod.core import (
     SymbolOrder,
     Theory,
     TheoryError,
+    compose,
     horn,
     validate_morphism,
     var_set,
@@ -554,6 +557,40 @@ def _reference_lift_exists(
         if all(x.holds(e.symbol, tuple(kappa[v] for v in e.args)) for e in axiom.premises):
             return True
     return False
+
+
+def reference_is_convex_via_lifting(f: Morphism, theory: Theory) -> bool:
+    """The weak right lifting test as one loop per square: the free models are
+    chased on every call, the bottoms enumerated again for every top, and every
+    filler scanned for every commuting square."""
+    _require_discrete(theory)
+    x, z = f.source, f.target
+    for ax in eligible_axioms(theory):
+        edge_model, impl_model, comparison = _axiom_free_models(ax, theory)
+        fillers = enumerate_morphisms(impl_model, x)
+        for top in enumerate_morphisms(edge_model, x):
+            target = compose(f, top)
+            for bottom in enumerate_morphisms(impl_model, z):
+                if compose(bottom, comparison) != target:
+                    continue
+                if not any(
+                    compose(d, comparison) == top and compose(f, d) == bottom
+                    for d in fillers
+                ):
+                    return False
+    return True
+
+
+def count_chases(monkeypatch) -> list[Structure]:
+    """Record every structure that convexity and safety chase from now on."""
+    chase, chased = convexity.free_model, []
+
+    def counting(theory, x):
+        chased.append(x)
+        return chase(theory, x)
+
+    monkeypatch.setattr(convexity, "free_model", counting)
+    return chased
 
 
 def reference_is_object_convex(x: Structure, theory: Theory) -> bool:

@@ -7,7 +7,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -324,17 +327,41 @@ def test_criterion_13_quantale_law_checker():
                     "fails with a witness")
 
 
+# Runs every command in one interpreter and prints their stdout as a JSON list.
+HASH_SEED_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hornmod.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        main(argv)
+    outputs.append(buffer.getvalue())
+print(json.dumps(outputs))
+"""
+
+
 def test_criterion_14_cli_determinism(tmp_path):
-    ok = True
     commands = cli_corpus_commands(tmp_path)
-    for argv in commands:
+    runs = []
+    for _ in range(2):  # twice in this process, so kept data cannot change the bytes
         outputs = []
-        for _ in range(2):
+        for argv in commands:
             buffer = io.StringIO()
             with redirect_stdout(buffer):
                 cli_main(argv)
             outputs.append(buffer.getvalue())
-        if outputs[0] != outputs[1] or not outputs[0]:
-            ok = False
+        runs.append(outputs)
+    # and once per hash seed, one interpreter each, so set order cannot either
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    ok = all(run == runs[0] for run in runs) and all(runs[0])
     _report(14, ok, f"{len(commands)} CLI commands produced byte-identical output "
-                    "across repeated runs")
+                    "across repeated runs and under PYTHONHASHSEED 0 and 12345")

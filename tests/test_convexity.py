@@ -17,10 +17,12 @@ from hornmod.theories import (
 
 from conftest import (
     HORN_SIGNATURE,
+    count_chases,
     dedup_morphisms,
     horn_edges,
     horn_theories,
     interp_fail_morphism,
+    reference_is_convex_via_lifting,
     reference_is_convex_wrt,
     reference_is_object_convex,
     reference_is_reflexive_theory,
@@ -126,6 +128,28 @@ def test_lifting_oracle_agrees_small(preord):
     maps = [f for x in models for z in models for f in hm.enumerate_morphisms(x, z)]
     for f in dedup_morphisms(maps):
         assert hm.is_convex(f, preord) == hm.is_convex_via_lifting(f, preord)
+
+
+@pytest.mark.parametrize("make_theory", [hm.preorder_theory, hm.poset_theory])
+def test_lifting_oracle_matches_its_reference(make_theory):
+    # every map between models of at most 3 points, one per isomorphism class
+    theory = make_theory()
+    models = all_models(theory, 3, cap=None)
+    maps = [f for x in models for z in models for f in hm.enumerate_morphisms(x, z)]
+    reps = dedup_morphisms(maps)
+    verdicts = [hm.is_convex_via_lifting(f, theory) for f in reps]
+    assert verdicts == [reference_is_convex_via_lifting(f, theory) for f in reps]
+    assert True in verdicts and False in verdicts
+
+
+def test_the_lifting_oracle_chases_once_per_theory(monkeypatch):
+    theory, f = hm.preorder_theory(), interp_fail_morphism()
+    chased = count_chases(monkeypatch)
+    assert not hm.is_convex_via_lifting(f, theory)
+    assert len(chased) == 2 * len(eligible_axioms(theory))
+    assert not hm.is_convex_via_lifting(f, theory)
+    assert hm.is_convex_via_lifting(hm.identity_morphism(f.target), theory)
+    assert len(chased) == 2 * len(eligible_axioms(theory))
 
 
 def test_isomorphisms_lift(preord, chain3):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -397,3 +398,25 @@ def test_kept_data_is_not_part_of_the_theory():
     assert used.signature.order(2) is used.signature.order(2)
     fresh = explicit_theory()
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+def lifting_theory():
+    """A discrete theory that ran the lifting oracle, so it keeps its free models."""
+    theory = hm.preorder_theory()
+    assert not hm.is_convex_via_lifting(interp_fail_morphism(), theory)
+    return theory
+
+
+def test_a_theory_that_ran_the_lifting_oracle_is_freed():
+    theory = lifting_theory()
+    refs = [weakref.ref(theory), weakref.ref(theory.signature)]
+    del theory
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_kept_lifting_models_are_not_part_of_the_theory():
+    used, fresh = lifting_theory(), hm.preorder_theory()
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert dataclasses.astuple(used)[:4] == dataclasses.astuple(fresh)[:4]
+    assert dataclasses.asdict(used)["axioms"] == dataclasses.asdict(fresh)["axioms"]

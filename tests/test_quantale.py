@@ -308,6 +308,18 @@ def test_theories_over_one_quantale_share_its_symbol_order():
     assert all(other.leq(a, b) == order.leq(a, b) for a in order.symbols for b in order.symbols)
 
 
+def test_one_signature_per_quantale():
+    v = hm.chain_meet_quantale(3)
+    sig = hm.signature_of(v)
+    assert sig is hm.signature_of(v) is hm.theory_vcat(v).signature is hm.theory_pmet(v).signature
+    g = hm.VGraph(v, ("a",), (("a", "a", "2"),))
+    assert hm.vgraph_to_structure(g).signature is sig
+    assert hm.vfunctor_to_morphism(hm.VFunctor(g, g, (("a", "a"),))).target.signature is sig
+    # an equal but distinct quantale keeps its own, equal signature
+    other = hm.signature_of(hm.chain_meet_quantale(3))
+    assert other is not sig and other == sig and hash(other) == hash(sig)
+
+
 def test_kept_data_is_not_part_of_a_quantale_theory():
     used = hm.theory_vcat(hm.chain_meet_quantale(3))
     assert hm.is_model(hm.Structure(used.signature, [], []), used)
@@ -319,5 +331,6 @@ def test_dataclass_conversions_return():
     v = hm.chain_meet_quantale(3)
     theory = hm.theory_vcat(v)
     theory.all_axioms()
+    assert theory.signature is hm.signature_of(v)
     assert dataclasses.astuple(v)[0] == v.elements
     assert dataclasses.asdict(theory)["signature"]["quantale"]["elements"] == v.elements

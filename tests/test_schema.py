@@ -28,6 +28,7 @@ from conftest import (
     _r_kappa,
     boolean_bridge_models_agree,
     boolean_vcat_to_preorder,
+    count_chases,
     interp_fail_morphism,
     non_join_preserving_quantale,
     preorder_to_boolean_vcat,
@@ -512,6 +513,26 @@ def test_schema_safety_reports_the_first_unsafe_instance():
     assert result == reference_is_schema_safe(hm.symmetry_schema(), theory)
     assert not result.safe and result.meet_violation is None
     assert result.unsafe_labels == ("~1",)
+
+
+def test_schema_safety_chases_each_distinct_conclusion_once(monkeypatch):
+    theory = hm.theory_vcat(hm.chain_meet_quantale(3))
+    schema = hm.generalized_transitivity_schema()
+    chased = count_chases(monkeypatch)
+    result = hm.is_schema_safe(schema, theory)
+    # 9 instances, but tensor = meet combines their labels to only 3 conclusions
+    assert len(result.witnesses) == 9 and len(chased) == 3
+    assert len(set(chased)) == 3
+    assert result == reference_is_schema_safe(schema, theory)
+
+
+def test_schema_safety_checks_the_signature_before_the_gate():
+    theory = hm.theory_vcat(hm.boolean_quantale())
+    ternary = hm.AxiomSchema("ternary", 3, (hm.edge(PLACEHOLDER, "x", "y", "z"),),
+                             hm.edge(PLACEHOLDER, "z", "y", "x"), PremiseProjection(0))
+    with pytest.raises(SchemaError, match="has arity 3, but the signature has no symbols "
+                                          "of arity 3"):
+        hm.is_schema_safe(ternary, theory)
 
 
 def test_premise_only_variables_get_per_instance_collapses():
