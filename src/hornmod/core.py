@@ -160,17 +160,19 @@ class Signature:
 class SymbolOrder:
     """The reflexive-transitive closure of a preorder on same-arity symbols.
 
-    Also the package's one finite lattice.  The binary meet and join tables,
-    ``bottom`` and ``top`` are built once, each entry by the defining scan for
-    a greatest lower or least upper bound, and are ``None`` where that bound
-    does not exist; ``meet2``, ``join2``, ``bottom`` and ``top`` are lookups.
+    Also the package's one finite lattice.  The down-set of every symbol, the
+    binary meet and join tables, ``bottom`` and ``top`` are built once: each
+    down-set from the closed order matrix, in canonical order, and each bound
+    by the defining scan for a greatest lower or least upper bound, ``None``
+    where that bound does not exist.  ``below``, ``meet2``, ``join2``,
+    ``bottom`` and ``top`` are lookups.
     On a complete lattice the join (meet) of a set folds the table from
     ``bottom`` (``top``).  Any other order keeps the scan, because a finite
     poset that is not a lattice can have the join of a set some of whose pairs
     have none.  The Heyting verdict is computed when first asked and kept.
     """
 
-    __slots__ = ("symbols", "_index", "_leq", "_meet", "_join", "_bottom", "_top",
+    __slots__ = ("symbols", "_index", "_leq", "_below", "_meet", "_join", "_bottom", "_top",
                  "_lattice", "_heyting")
 
     def __init__(self, symbols: Iterable[str], pairs: Iterable[tuple[str, str]]):
@@ -191,6 +193,10 @@ class SymbolOrder:
                         if row_k[j]:
                             row_i[j] = True
         self._leq = leq
+        self._below = {
+            t: tuple(s for s, row in zip(self.symbols, leq) if row[j])
+            for j, t in enumerate(self.symbols)
+        }
         self._meet: dict[tuple[str, str], Optional[str]] = {}
         self._join: dict[tuple[str, str], Optional[str]] = {}
         for a, b in itertools.combinations_with_replacement(self.symbols, 2):
@@ -213,7 +219,7 @@ class SymbolOrder:
 
     def below(self, top: str) -> tuple[str, ...]:
         """All symbols <= top, in canonical order."""
-        return tuple(s for s in self.symbols if self.leq(s, top))
+        return self._below[top]
 
     def is_partial_order(self) -> bool:
         return all(

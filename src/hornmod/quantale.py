@@ -422,13 +422,12 @@ def structure_to_vgraph(x: Structure) -> VGraph:
     if sig.order_kind != QUANTALE or sig.quantale is None:
         raise QuantaleError("structure is not over a quantale-induced signature")
     v = sig.quantale
+    below = v.symbol_order().below
     dist = []
     for a in x.sorted_carrier():
         for b in x.sorted_carrier():
             labels = [e for e in v.elements if x.holds(_sym(e), (a, b))]
-            down_closed = all(
-                x.holds(_sym(lo), (a, b)) for hi in labels for lo in v.elements if v.leq(lo, hi)
-            )
+            down_closed = all(x.holds(lo, (a, b)) for hi in labels for lo in below(_sym(hi)))
             if not down_closed or v.join(labels) not in labels:
                 raise QuantaleError(
                     f"edge labels at ({a!r}, {b!r}) are not down-closed and join-closed"
@@ -438,15 +437,13 @@ def structure_to_vgraph(x: Structure) -> VGraph:
 
 
 def vgraph_to_structure(g: VGraph) -> Structure:
-    """The structure with an edge ~v(a, b) for every v <= d(a, b)."""
+    """The structure with an edge ~v(a, b) for every v <= d(a, b).
+
+    Each pair's edges are the kept down-set of ``~d(a, b)`` in the symbol order.
+    """
     v = g.quantale
-    edges = [
-        Edge(_sym(e), (a, b))
-        for a in g.carrier
-        for b in g.carrier
-        for e in v.elements
-        if v.leq(e, g.d(a, b))
-    ]
+    below = v.symbol_order().below
+    edges = [Edge(s, (a, b)) for a in g.carrier for b in g.carrier for s in below(_sym(g.d(a, b)))]
     return Structure(signature_of(v), g.carrier, edges)
 
 

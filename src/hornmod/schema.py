@@ -200,14 +200,17 @@ def _label_tuples(schema: AxiomSchema, sig: Signature) -> tuple[tuple[str, ...],
 
 def expand_instances(schema: AxiomSchema, sig: Signature) -> tuple[SchemaInstance, ...]:
     """All instances of the schema over the signature, in canonical label order."""
-    out = []
-    for labels in _label_tuples(schema, sig):
-        premises = [
-            Edge(label, shape.args) for label, shape in zip(labels, schema.premises)
-        ]
-        conclusion = Edge(apply_combine(schema, sig, labels), schema.conclusion.args)
-        out.append(SchemaInstance(labels, horn(premises, conclusion)))
-    return tuple(out)
+    return tuple(
+        SchemaInstance(labels, _instance_formula(schema, sig, labels))
+        for labels in _label_tuples(schema, sig)
+    )
+
+
+def _instance_formula(schema: AxiomSchema, sig: Signature, labels: tuple[str, ...]) -> HornFormula:
+    """The Horn formula the labels make of the schema's shape."""
+    conclusion = Edge(apply_combine(schema, sig, labels), schema.conclusion.args)
+    premises = [Edge(label, shape.args) for label, shape in zip(labels, schema.premises)]
+    return horn(premises, conclusion)
 
 
 def _monotone_verified(schema: AxiomSchema, sig: Signature) -> bool:
@@ -376,12 +379,16 @@ def is_schema_convex_wrt_instance(
     """Convexity of a morphism with respect to one instance of a schema.
 
     The endpoints are assumed to be models of the signature's base theory.
+    The instance's formula must be the one its labels expand to.
     """
-    symbols = theory.signature.symbols_of_arity(schema.arity)
+    sig = theory.signature
+    symbols = sig.symbols_of_arity(schema.arity)
     unknown = tuple(label for label in instance.labels if label not in symbols)
     if unknown:
         raise SchemaError(f"instance labels {unknown} are not symbols of arity {schema.arity}")
-    return _first_nonconvex(f, schema, (instance.labels,), theory.signature)
+    if instance.formula != _instance_formula(schema, sig, instance.labels):
+        raise SchemaError(f"instance formula is not the expansion of labels {instance.labels}")
+    return _first_nonconvex(f, schema, (instance.labels,), sig)
 
 
 def is_schema_convex(f: Morphism, theory: Theory) -> SchemaConvexityReport:
@@ -412,28 +419,36 @@ def ch_condition_oracle(h: VFunctor, v: Quantale) -> bool:
         d(x1, x3) /\\ (u (x) u')
             <= \\/ over x2 in the fibre of z2 of
                (d(x1, x2) /\\ u) (x) (d(x2, x3) /\\ u')
+
+    An independent check of schema convexity: it reads only the distance
+    tables and the quantale, and shares no code with the lift kernel or the
+    schema deciders.  It reads the lattice from kept tables: the fibres are
+    built once per call, ``u`` and ``u'`` range over the order's down-sets,
+    and the right-hand join folds the join table from bottom (the Heyting
+    gate guarantees a complete lattice, so an empty fibre gives bottom).
     """
     if not is_heyting(v):
         raise QuantaleError("the distance-form condition needs a Heyting lattice")
     dx, dz = h.source, h.target
+    order, tensor = v.order, v.tensor
+    below, meet, join, leq = order.below, order.meet2, order.join2, order.leq
+    bottom = order.bottom()
+    fibres = {z: [a for a in dx.carrier if h(a) == z] for z in dz.carrier}
     for x1 in dx.carrier:
         for x3 in dx.carrier:
+            d13 = dx.d(x1, x3)
             for z2 in dz.carrier:
-                fibre = [a for a in dx.carrier if h(a) == z2]
-                for u in v.elements:
-                    if not v.leq(u, dz.d(h(x1), z2)):
-                        continue
-                    for u2 in v.elements:
-                        if not v.leq(u2, dz.d(z2, h(x3))):
-                            continue
-                        lhs = v.meet2(dx.d(x1, x3), v.tensor(u, u2))
-                        rhs = v.join(
-                            v.tensor(
-                                v.meet2(dx.d(x1, x2), u), v.meet2(dx.d(x2, x3), u2)
-                            )
-                            for x2 in fibre
-                        )
-                        if not v.leq(lhs, rhs):
+                fibre = fibres[z2]
+                from_x1 = [dx.d(x1, x2) for x2 in fibre]
+                to_x3 = [dx.d(x2, x3) for x2 in fibre]
+                for u in below(dz.d(h(x1), z2)):
+                    left = [meet(d, u) for d in from_x1]
+                    for u2 in below(dz.d(z2, h(x3))):
+                        lhs = meet(d13, tensor(u, u2))
+                        rhs = bottom
+                        for a, d in zip(left, to_x3):
+                            rhs = join(rhs, tensor(a, meet(d, u2)))
+                        if not leq(lhs, rhs):
                             return False
     return True
 

@@ -1160,3 +1160,72 @@ def _reference_fibre_condition(
             if not y.holds(s, mapped):
                 return False
     return True
+
+
+def reference_ch_condition_oracle(h: hm.VFunctor, v: hm.Quantale) -> bool:
+    """The distance-form condition by the defining loop: each fibre rebuilt per
+    (x1, x3, z2), u and u' found by scanning every element, the join folded by
+    ``Quantale.join``."""
+    if not hm.is_heyting(v):
+        raise hm.QuantaleError("the distance-form condition needs a Heyting lattice")
+    dx, dz = h.source, h.target
+    for x1 in dx.carrier:
+        for x3 in dx.carrier:
+            for z2 in dz.carrier:
+                fibre = [a for a in dx.carrier if h(a) == z2]
+                for u in v.elements:
+                    if not v.leq(u, dz.d(h(x1), z2)):
+                        continue
+                    for u2 in v.elements:
+                        if not v.leq(u2, dz.d(z2, h(x3))):
+                            continue
+                        lhs = v.meet2(dx.d(x1, x3), v.tensor(u, u2))
+                        rhs = v.join(
+                            v.tensor(
+                                v.meet2(dx.d(x1, x2), u), v.meet2(dx.d(x2, x3), u2)
+                            )
+                            for x2 in fibre
+                        )
+                        if not v.leq(lhs, rhs):
+                            return False
+    return True
+
+
+def reference_vgraph_to_structure(g: hm.VGraph) -> Structure:
+    """One edge ~e(a, b) per pair and element e, kept when e <= d(a, b)."""
+    v = g.quantale
+    edges = [
+        Edge(_sym(e), (a, b))
+        for a in g.carrier
+        for b in g.carrier
+        for e in v.elements
+        if v.leq(e, g.d(a, b))
+    ]
+    return Structure(hm.signature_of(v), g.carrier, edges)
+
+
+@st.composite
+def small_vfunctors(draw, max_size: int = 3):
+    """A V-functor between V-graphs of 0..max_size points over boolean, chain3 or
+    Lukasiewicz.
+
+    The target's distances and the map are arbitrary, so graphs need not be
+    reflexive and fibres may be empty; each source distance is drawn below the
+    target distance of its image pair, so the map is always distance-increasing.
+    """
+    v = draw(st.sampled_from(
+        [hm.boolean_quantale(), hm.chain_meet_quantale(3), hm.lukasiewicz_quantale()]))
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    m = draw(st.integers(min_value=1 if n else 0, max_value=max_size))
+    src = tuple(f"x{i}" for i in range(n))
+    tgt = tuple(f"z{i}" for i in range(m))
+    element = st.sampled_from(v.elements)
+    dz = {(a, b): draw(element) for a in tgt for b in tgt}
+    images = {a: draw(st.sampled_from(tgt)) for a in src}
+    dx = {
+        (a, b): draw(st.sampled_from(v.order.below(dz[images[a], images[b]])))
+        for a in src for b in src
+    }
+    gx = hm.VGraph(v, src, tuple((a, b, d) for (a, b), d in dx.items()))
+    gz = hm.VGraph(v, tgt, tuple((a, b, d) for (a, b), d in dz.items()))
+    return v, hm.VFunctor(gx, gz, tuple(images.items()))

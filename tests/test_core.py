@@ -300,6 +300,8 @@ def assert_lattice_matches_scan(order):
     for s in subsets(syms):
         assert order.join_of_set(s) == scan_bound(order, s, True)
         assert order.meet_of_set(iter(s)) == scan_bound(order, s, False)
+    for t in syms:
+        assert order.below(t) == tuple(s for s in syms if order.leq(s, t))
     assert order.bottom() == scan_bound(order, (), True)
     assert order.top() == scan_bound(order, (), False)
     assert order.is_complete_lattice() == scan_is_complete_lattice(order)

@@ -5,6 +5,7 @@ import warnings
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 import hornmod as hm
 from hornmod.families import all_structures
@@ -14,6 +15,8 @@ from conftest import (
     non_join_preserving_quantale,
     reference_symmetry_instances,
     reference_transitivity_instances,
+    reference_vgraph_to_structure,
+    small_vfunctors,
 )
 
 
@@ -140,6 +143,16 @@ def test_edge_present_iff_below_distance():
         for y in g.carrier:
             for e in v.elements:
                 assert s.holds(f"~{e}", (x, y)) == v.leq(e, g.d(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_vfunctors())
+def test_vgraph_translation_matches_the_defining_scan(drawn):
+    _, h = drawn
+    for g in (h.source, h.target):
+        s = hm.vgraph_to_structure(g)
+        assert s == reference_vgraph_to_structure(g)
+        assert hm.structure_to_vgraph(s) == g
 
 
 def test_structure_to_vgraph_rejects_non_models():

@@ -32,9 +32,11 @@ from conftest import (
     interp_fail_morphism,
     non_join_preserving_quantale,
     preorder_to_boolean_vcat,
+    reference_ch_condition_oracle,
     reference_is_schema_convex_wrt_instance,
     reference_is_schema_safe,
     reference_is_schema_object_convex,
+    small_vfunctors,
 )
 
 
@@ -156,6 +158,22 @@ def test_instance_labels_outside_the_signature_raise():
     with pytest.raises(SchemaError, match=r"\('~9',\) are not symbols of arity 2"):
         hm.is_schema_convex_wrt_instance(f, schema, hm.SchemaInstance(("~2", "~9"), formula),
                                          theory)
+
+
+def test_instance_formula_must_match_its_labels():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    schema = theory.schemas[0]
+    f = hm.identity_morphism(hm.vgraph_to_structure(next(all_vcategories(v, 2))))
+    by_labels = {inst.labels: inst.formula for inst in expand_instances(schema, theory.signature)}
+    swapped = by_labels["~1", "~2"]  # same conclusion ~1(x, z), premises swapped
+    weaker = hm.horn(by_labels["~2", "~1"].premises, hm.edge("~0", "x", "z"))
+    for formula in (swapped, weaker):
+        with pytest.raises(SchemaError, match=r"not the expansion of labels \('~2', '~1'\)"):
+            hm.is_schema_convex_wrt_instance(
+                f, schema, hm.SchemaInstance(("~2", "~1"), formula), theory)
+    instance = hm.SchemaInstance(("~2", "~1"), by_labels["~2", "~1"])
+    assert hm.is_schema_convex_wrt_instance(f, schema, instance, theory).convex
 
 
 def test_symmetry_schema_never_blocks_convexity():
@@ -423,6 +441,14 @@ def test_r_kappa_fast_path_agrees_with_defining_join(v):
                             slow = _r_kappa_enumerated(schema, sig, order, inst.labels, x, args)
                             assert fast == slow == _r_kappa(
                                 schema, sig, order, inst.labels, x, kappa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_vfunctors())
+def test_ch_oracle_matches_the_defining_loop(drawn):
+    v, h = drawn
+    assert h.is_valid()
+    assert hm.ch_condition_oracle(h, v) == reference_ch_condition_oracle(h, v)
 
 
 def test_ch_oracle_requires_heyting():
