@@ -18,7 +18,7 @@ import random
 from typing import Iterator, Optional
 
 from .core import DEFAULT_CAP, Edge, HornmodError, Signature, Structure, StructureError, Theory
-from .semantics import ground_axioms, is_model
+from .semantics import grounding, is_model
 
 
 def canonical_carrier(size: int) -> tuple[str, ...]:
@@ -61,11 +61,20 @@ def _structure_of_mask(
 def all_structures(
     sig: Signature, max_size: int, cap: Optional[int] = DEFAULT_CAP, seed: int = 0
 ) -> list[Structure]:
-    """All structures with carrier size up to ``max_size`` (sampled per size beyond cap)."""
+    """All structures with carrier size up to ``max_size`` (sampled per size beyond cap).
+
+    A negative ``max_size`` raises ``HornmodError``, as in :func:`all_models`.
+    """
+    _check_size_bound(max_size)
     out: list[Structure] = []
     for size in range(max_size + 1):
         out.extend(structures_on_carrier(sig, size, cap, seed))
     return out
+
+
+def _check_size_bound(max_size: int) -> None:
+    if max_size < 0:
+        raise HornmodError(f"family size bound must be at least 0, got {max_size}")
 
 
 def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
@@ -76,8 +85,12 @@ def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
     permute points of equal profile are tried.  Isomorphisms keep profiles, so
     same-size structures have equal keys iff they are isomorphic.
     """
-    profile = {a: sorted((s, i) for s, args in x.edges for i, b in enumerate(args) if b == a)
-               for a in x.carrier}
+    profile: dict[str, list[tuple[str, int]]] = {a: [] for a in x.carrier}
+    for s, args in x.edges:
+        for i, b in enumerate(args):
+            profile[b].append((s, i))
+    for occurrences in profile.values():
+        occurrences.sort()
     ranked = sorted(x.carrier, key=lambda a: (profile[a], a))
     groups = [tuple(g) for _, g in itertools.groupby(ranked, key=profile.__getitem__)]
 
@@ -119,9 +132,13 @@ def all_models(
     Per carrier size the models are generated as closed edge sets, in the
     mask order of :func:`structures_on_carrier`.  A size whose 2^slots
     structures exceed ``cap`` is sampled as structures, as in
-    :func:`all_structures`, and the sample is filtered to its models.
+    :func:`all_structures`, and the sample is filtered to its models.  Each
+    axiom's grounding plan is built once per call and shared by every size.
+    A negative ``max_size`` raises ``HornmodError``.
     """
+    _check_size_bound(max_size)
     sig = theory.signature
+    ground = grounding(theory)
     models: list[Structure] = []
     for size in range(max_size + 1):
         carrier = canonical_carrier(size)
@@ -130,9 +147,9 @@ def all_models(
             models.extend(s for s in structures_on_carrier(sig, size, cap, seed)
                           if is_model(s, theory))
             continue
-        ground = ground_axioms(theory, carrier, slots)
-        for mask in _closed_masks(ground.rules, len(slots)):
-            if not any(mask & f == f for f in ground.forbidden):
+        clauses = ground(carrier, slots)
+        for mask in _closed_masks(clauses.rules, len(slots)):
+            if not any(mask & f == f for f in clauses.forbidden):
                 models.append(_structure_of_mask(sig, carrier, slots, mask))
     return dedup_by_iso(models) if iso else models
 
@@ -196,8 +213,6 @@ def default_test_family(
     One representative per isomorphism class of structures (or of the
     theory's models, when given) up to the size bound, sampled past the cap.
     """
-    if max_size < 0:
-        raise HornmodError(f"family size bound must be at least 0, got {max_size}")
     if theory is not None:
         family = all_models(theory, max_size, iso=True, cap=None)
     else:

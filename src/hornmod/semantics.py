@@ -21,6 +21,7 @@ depend on the order of matching.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -31,8 +32,10 @@ from .core import (
     Equality,
     HornFormula,
     Morphism,
+    Signature,
     SignatureError,
     Structure,
+    StructureError,
     Theory,
     fresh_variables,
     var_set,
@@ -201,27 +204,80 @@ def ground_axioms(
     An edge conclusion gives the rule ``(premise_mask, conclusion_bit)`` unless
     it is among its own premises; an equality conclusion under a valuation
     with two distinct values gives the forbidden mask ``premise_mask``.  The
-    slots must cover every edge over the carrier.
+    slots must list every edge over the carrier once: a slot list that misses
+    an edge or repeats one raises ``StructureError`` naming that edge.
     """
-    bit = {e: 1 << i for i, e in enumerate(slots)}
+    return grounding(theory)(carrier, slots)
+
+
+def grounding(theory: Theory) -> Callable[[tuple[str, ...], Sequence[Edge]], GroundTheory]:
+    """:func:`ground_axioms` of one theory, as a function of the carrier and the slots.
+
+    The plan is built here, once, and shared by every carrier: per axiom its
+    variable count, one ``(symbol, reader)`` per premise, the reader taking a
+    value tuple over the sorted variables to the premise's argument tuple, and
+    its conclusion, read the same way if it is an edge and as two positions if
+    it is an equality.  The function returned builds one dict per symbol from
+    argument tuple to slot bit, so a valuation's premise mask costs one lookup
+    per premise.
+    """
+    edge_axioms: list = []
+    equality_axioms: list = []
+    for ax in theory.all_axioms():
+        variables = sorted(ax.variables())
+        premises = [_edge_reader(variables, e) for e in ax.premises]
+        concl = ax.conclusion
+        if isinstance(concl, Equality):
+            at = (variables.index(concl.left), variables.index(concl.right))
+            equality_axioms.append((len(variables), premises, at))
+        else:
+            edge_axioms.append((len(variables), premises, _edge_reader(variables, concl)))
+    return functools.partial(_ground, edge_axioms, equality_axioms, theory.signature)
+
+
+def _edge_reader(variables: Sequence[str], e: Edge) -> tuple[str, Callable]:
+    return e.symbol, _reader(tuple(map(variables.index, e.args)))
+
+
+def _ground(
+    edge_axioms: list,
+    equality_axioms: list,
+    signature: Signature,
+    carrier: tuple[str, ...],
+    slots: Sequence[Edge],
+) -> GroundTheory:
+    """The grounding on one carrier, from the plan :func:`grounding` builds."""
+    bits: dict[str, dict[tuple[str, ...], int]] = {s.name: {} for s in signature.symbols}
+    for i, (symbol, args) in enumerate(slots):
+        slot = bits.setdefault(symbol, {})
+        if args in slot:
+            raise StructureError(f"edge slots list {Edge(symbol, args)} twice")
+        slot[args] = 1 << i
+    for s in signature.symbols:
+        for args in itertools.product(carrier, repeat=s.arity):
+            if args not in bits[s.name]:
+                raise StructureError(f"edge slots miss {Edge(s.name, args)}")
+
     rules: set[tuple[int, int]] = set()
     forbidden: set[int] = set()
-    for ax in theory.all_axioms():
-        variables = tuple(sorted(ax.variables()))
-        position = {v: i for i, v in enumerate(variables)}
-        premises = [(e.symbol, tuple(position[a] for a in e.args)) for e in ax.premises]
-        concl = ax.conclusion
-        for values in itertools.product(carrier, repeat=len(variables)):
+    for n, premises, (symbol, read_head) in edge_axioms:
+        lookups = [(bits[s], read) for s, read in premises]
+        heads = bits[symbol]
+        for values in itertools.product(carrier, repeat=n):
             mask = 0
-            for symbol, args in premises:
-                mask |= bit[Edge(symbol, tuple(values[i] for i in args))]
-            if isinstance(concl, Equality):
-                if values[position[concl.left]] != values[position[concl.right]]:
-                    forbidden.add(mask)
-            else:
-                head = bit[Edge(concl.symbol, tuple(values[position[a]] for a in concl.args))]
-                if not mask & head:
-                    rules.add((mask, head))
+            for slot, read in lookups:
+                mask |= slot[read(values)]
+            head = heads[read_head(values)]
+            if not mask & head:
+                rules.add((mask, head))
+    for n, premises, (left, right) in equality_axioms:
+        lookups = [(bits[s], read) for s, read in premises]
+        for values in itertools.product(carrier, repeat=n):
+            if values[left] != values[right]:
+                mask = 0
+                for slot, read in lookups:
+                    mask |= slot[read(values)]
+                forbidden.add(mask)
     return GroundTheory(tuple(sorted(rules)), tuple(sorted(forbidden)))
 
 

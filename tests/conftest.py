@@ -67,7 +67,7 @@ from hornmod.schema import (
     apply_combine,
     expand_instances,
 )
-from hornmod.semantics import FreeModelResult, _value_tuples, entails
+from hornmod.semantics import FreeModelResult, GroundTheory, _value_tuples, entails
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -193,6 +193,63 @@ def reference_find_isomorphism(x: Structure, y: Structure):
         if validate_morphism(inverse):
             return h
     return None
+
+
+# The Edge-per-valuation grounding and the per-point profile scan that the
+# plan-then-ground kernel and the one-pass profiles replaced.
+
+def reference_ground_axioms(
+    theory: Theory, carrier: tuple[str, ...], slots: Sequence[Edge]
+) -> GroundTheory:
+    """Every valuation of every axiom into the carrier, over the given edge slots.
+
+    An edge conclusion gives the rule ``(premise_mask, conclusion_bit)`` unless
+    it is among its own premises; an equality conclusion under a valuation
+    with two distinct values gives the forbidden mask ``premise_mask``.  The
+    slots must cover every edge over the carrier.
+    """
+    bit = {e: 1 << i for i, e in enumerate(slots)}
+    rules: set[tuple[int, int]] = set()
+    forbidden: set[int] = set()
+    for ax in theory.all_axioms():
+        variables = tuple(sorted(ax.variables()))
+        position = {v: i for i, v in enumerate(variables)}
+        premises = [(e.symbol, tuple(position[a] for a in e.args)) for e in ax.premises]
+        concl = ax.conclusion
+        for values in itertools.product(carrier, repeat=len(variables)):
+            mask = 0
+            for symbol, args in premises:
+                mask |= bit[Edge(symbol, tuple(values[i] for i in args))]
+            if isinstance(concl, Equality):
+                if values[position[concl.left]] != values[position[concl.right]]:
+                    forbidden.add(mask)
+            else:
+                head = bit[Edge(concl.symbol, tuple(values[position[a]] for a in concl.args))]
+                if not mask & head:
+                    rules.add((mask, head))
+    return GroundTheory(tuple(sorted(rules)), tuple(sorted(forbidden)))
+
+
+def reference_canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
+    """The least relabelled edge tuple of a structure and the carrier order giving it.
+
+    A point's profile lists the ``(symbol, argument position)`` of each of its
+    edge occurrences, sorted.  Only the orders that list points by profile and
+    permute points of equal profile are tried.  Isomorphisms keep profiles, so
+    same-size structures have equal keys iff they are isomorphic.
+    """
+    profile = {a: sorted((s, i) for s, args in x.edges for i, b in enumerate(args) if b == a)
+               for a in x.carrier}
+    ranked = sorted(x.carrier, key=lambda a: (profile[a], a))
+    groups = [tuple(g) for _, g in itertools.groupby(ranked, key=profile.__getitem__)]
+
+    def relabelled(parts: tuple[tuple[str, ...], ...]) -> tuple[tuple, tuple[str, ...]]:
+        label = {a: i for i, a in enumerate(itertools.chain.from_iterable(parts))}
+        key = tuple(sorted((s, tuple(map(label.__getitem__, args))) for s, args in x.edges))
+        return key, tuple(label)  # a dict keeps insertion order
+
+    orders = itertools.product(*map(itertools.permutations, groups))
+    return min(map(relabelled, orders), key=lambda labelled: labelled[0])
 
 
 def preorder_to_boolean_vcat(struct):

@@ -4,7 +4,8 @@
 the plain filter ``is_model`` over ``all_structures``, which must give the
 same list in the same order.  ``iso_key``, ``find_isomorphism`` and the
 test-side ``dedup_morphisms`` share one canonical labelling; the references
-are the permutation scans it replaced.
+are the permutation scans it replaced.  ``ground_axioms`` and the labelling's
+profiles are checked against the code they replaced, kept in ``conftest``.
 """
 import itertools
 
@@ -13,15 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornmod as hm
-from hornmod.core import Edge, Structure
-from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots, iso_key
+from hornmod.core import Edge, HornmodError, Structure, StructureError
+from hornmod.families import (
+    _canonical_labelling,
+    all_models,
+    all_structures,
+    canonical_carrier,
+    dedup_by_iso,
+    default_test_family,
+    edge_slots,
+    iso_key,
+)
 
 from conftest import (
     HORN_SIGNATURE,
     dedup_morphisms,
     horn_theories,
     morphism_iso_key,
+    reference_canonical_labelling,
     reference_find_isomorphism,
+    reference_ground_axioms,
     reference_iso_key,
 )
 
@@ -45,6 +57,7 @@ def filtered_models(theory, max_size, cap=None, seed=0):
 
 
 def assert_generated_equals_filtered(theory, max_size):
+    assert_grounding_equals_reference(theory, max_size)
     want = filtered_models(theory, max_size)
     assert all_models(theory, max_size, iso=False, cap=None) == want
     assert all_models(theory, max_size, iso=True, cap=None) == dedup_by_iso(want)
@@ -90,6 +103,46 @@ def test_ground_axioms_of_preorders_on_two_points():
     assert ground.forbidden == (2 | 4,)
 
 
+def assert_grounding_equals_reference(theory, max_size):
+    # Canonical slots, and the same slots reversed, so that slot bits do not
+    # follow the order in which valuations meet the edges.
+    for size in range(max_size + 1):
+        carrier = canonical_carrier(size)
+        slots = edge_slots(theory.signature, carrier)
+        for order in (slots, slots[::-1]):
+            assert hm.ground_axioms(theory, carrier, order) == reference_ground_axioms(
+                theory, carrier, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(horn_theories())
+def test_grounding_of_random_horn_theories_equals_reference(theory):
+    assert_grounding_equals_reference(theory, 3)
+
+
+def test_ground_axioms_refuses_slots_that_miss_or_repeat_an_edge():
+    carrier = canonical_carrier(2)
+    slots = edge_slots(hm.preorder_theory().signature, carrier)
+    with pytest.raises(StructureError) as missed:
+        hm.ground_axioms(hm.preorder_theory(), carrier, slots[:-1])
+    assert str(missed.value) == "edge slots miss Edge(symbol='le', args=('e1', 'e1'))"
+    with pytest.raises(StructureError) as repeated:
+        hm.ground_axioms(hm.preorder_theory(), carrier, slots + [slots[1]])
+    assert str(repeated.value) == "edge slots list Edge(symbol='le', args=('e0', 'e1')) twice"
+
+
+def test_negative_size_bounds_are_refused():
+    preord = hm.preorder_theory()
+    message = "family size bound must be at least 0, got -1"
+    for call in (lambda: all_models(preord, -1),
+                 lambda: all_structures(preord.signature, -1),
+                 lambda: default_test_family(preord.signature, -1),
+                 lambda: default_test_family(preord.signature, -1, theory=preord)):
+        with pytest.raises(HornmodError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 # The canonical labelling behind iso_key and find_isomorphism, against the
 # permutation scans it replaced.
 POINT_NAMES = ("p", "q", "r", "s", "t", "u")
@@ -116,6 +169,8 @@ def structure_pairs(draw):
 @given(structure_pairs())
 def test_canonical_labelling_against_permutation_scans(pair):
     x, y = pair
+    for z in pair:  # one-pass profiles give the same key and order as the per-point scan
+        assert _canonical_labelling(z) == reference_canonical_labelling(z)
     carrier = x.sorted_carrier()
     for perm in itertools.permutations(carrier):
         assert iso_key(relabel(x, dict(zip(carrier, perm)))) == iso_key(x)
