@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
@@ -40,7 +39,7 @@ from .limits import (
     product,
     pullback,
 )
-from .semantics import _value_tuples, free_model, is_model
+from .semantics import _reader, _value_tuples, free_model, is_model
 
 STR_VARIANT = "str"
 REFLEXIVE_VARIANT = "refl"
@@ -256,11 +255,8 @@ def _joined_ids(
 
 def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], tuple]:
     """The transpose of an image tuple h of Q: ``ev_at[h[i], b]`` for each cell (i, b)."""
-    positions, bs = [i for i, _ in cells], [b for _, b in cells]
+    pick, bs = _reader([i for i, _ in cells]), [b for _, b in cells]
     ev = ev_at.__getitem__
-    # itemgetter returns a tuple only for two or more positions
-    pick = (itemgetter(*positions) if len(positions) > 1
-            else lambda h: tuple(h[i] for i in positions))
     return lambda h: tuple(map(ev, zip(pick(h), bs)))
 
 

@@ -271,25 +271,20 @@ class SymbolOrder:
     def is_complete_heyting(self) -> bool:
         """Complete lattice in which binary meets distribute over all joins.
 
-        Checked in both the binary form a /\\ (b \\/ c) and the arbitrary-join
-        form a /\\ \\/S over every subset S of the (finite) carrier.
+        Checked in the binary form a /\\ (b \\/ c), which on a finite lattice
+        gives the form a /\\ \\/S for every subset S (see :meth:`_distributive`).
         """
         if self._heyting is None:
             self._heyting = self._lattice and self._distributive()
         return self._heyting
 
     def _distributive(self) -> bool:
-        meet, join, symbols = self._meet, self._join, self.symbols
-        for a, b, c in itertools.product(symbols, repeat=3):
-            if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                return False
-        for a in symbols:
-            for r in range(len(symbols) + 1):
-                for subset in itertools.combinations(symbols, r):
-                    lhs = meet[a, self.join_of_set(subset)]
-                    if lhs != self.join_of_set(meet[a, s] for s in subset):
-                        return False
-        return True
+        # On a finite lattice \/S folds \/ over S from bottom, so the binary law
+        # gives every join by induction on |S|: a /\ \/{} = a /\ bottom = bottom
+        # = \/{}, and a /\ (\/S \/ s) = (a /\ \/S) \/ (a /\ s).
+        meet, join = self._meet, self._join
+        return all(meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+                   for a, b, c in itertools.product(self.symbols, repeat=3))
 
 
 def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
@@ -522,6 +517,8 @@ class Theory:
     _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     # The lifting oracle's free models, aligned with convexity.eligible_axioms.
     _lifting_models: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # The compiled axioms (semantics._Rule), aligned with all_axioms().
+    _rules: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", tuple(self.axioms))

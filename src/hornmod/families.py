@@ -18,7 +18,7 @@ import random
 from typing import Iterator, Optional
 
 from .core import DEFAULT_CAP, Edge, HornmodError, Signature, Structure, StructureError, Theory
-from .semantics import grounding, is_model
+from .semantics import ground_axioms, is_model
 
 
 def canonical_carrier(size: int) -> tuple[str, ...]:
@@ -37,7 +37,11 @@ def edge_slots(sig: Signature, carrier: tuple[str, ...]) -> list[Edge]:
 def structures_on_carrier(
     sig: Signature, size: int, cap: Optional[int] = DEFAULT_CAP, seed: int = 0
 ) -> Iterator[Structure]:
-    """All structures on the canonical carrier of a size, sampled beyond the cap."""
+    """All structures on the canonical carrier of a size, sampled beyond the cap.
+
+    A negative ``size`` raises ``HornmodError`` when the first structure is asked for.
+    """
+    _check_size_bound(size)
     carrier = canonical_carrier(size)
     slots = edge_slots(sig, carrier)
     total = 2 ** len(slots)
@@ -133,12 +137,11 @@ def all_models(
     mask order of :func:`structures_on_carrier`.  A size whose 2^slots
     structures exceed ``cap`` is sampled as structures, as in
     :func:`all_structures`, and the sample is filtered to its models.  Each
-    axiom's grounding plan is built once per call and shared by every size.
-    A negative ``max_size`` raises ``HornmodError``.
+    size is grounded once, from the compiled axioms the theory keeps.  A
+    negative ``max_size`` raises ``HornmodError``.
     """
     _check_size_bound(max_size)
     sig = theory.signature
-    ground = grounding(theory)
     models: list[Structure] = []
     for size in range(max_size + 1):
         carrier = canonical_carrier(size)
@@ -147,7 +150,7 @@ def all_models(
             models.extend(s for s in structures_on_carrier(sig, size, cap, seed)
                           if is_model(s, theory))
             continue
-        clauses = ground(carrier, slots)
+        clauses = ground_axioms(theory, carrier, slots)
         for mask in _closed_masks(clauses.rules, len(slots)):
             if not any(mask & f == f for f in clauses.forbidden):
                 models.append(_structure_of_mask(sig, carrier, slots, mask))

@@ -6,9 +6,12 @@ a formula's premises is a morphism from the structure they present, so it
 also finds hom-sets, function tables, fibre valuations and mediating maps for
 :mod:`hornmod.limits`, :mod:`hornmod.closure` and :mod:`hornmod.convexity`.
 
+Each axiom is compiled once, on its theory, into a :class:`_Rule`: its
+variable order and argument readers.  The model check, the chase and the
+grounding of :mod:`hornmod.families` all read it.
+
 The free model is computed by a semi-naive chase that matches premises with
-the same search, split into its plan (:func:`_checks`) and its run
-(:func:`_run`), over tuple sets per symbol that the chase keeps itself.  A
+the same search, over tuple sets per symbol that the chase keeps itself.  A
 round matches the axioms against the edges as they stand at its start;
 equality conclusions merge elements through a union-find whose representatives
 are class minima, and edge conclusions add edges.  A round matches only the
@@ -21,24 +24,21 @@ depend on the order of matching.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Edge,
     Equality,
     HornFormula,
     Morphism,
-    Signature,
     SignatureError,
     Structure,
     StructureError,
     Theory,
     fresh_variables,
-    var_set,
 )
 
 
@@ -76,8 +76,10 @@ def _checks(
 
 
 def _reader(at: Sequence[int]) -> Callable:
-    """A function reading the values at positions ``at`` as a tuple, a 1-tuple too."""
-    return itemgetter(*at) if len(at) > 1 else lambda vs, p=at[0]: (vs[p],)
+    """A function reading the values at positions ``at`` as a tuple, of any length."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return (lambda vs, p=at[0]: (vs[p],)) if at else (lambda vs: ())
 
 
 def _run(
@@ -148,19 +150,11 @@ def satisfying_valuations(
         yield dict(zip(variables, values))
 
 
-def _conclusion_holds(x: Structure, concl: Edge | Equality, val: Mapping[str, str]) -> bool:
-    if isinstance(concl, Equality):
-        return val[concl.left] == val[concl.right]
-    return x.holds(concl.symbol, tuple(val[a] for a in concl.args))
-
-
 def find_formula_violation(x: Structure, formula: HornFormula) -> Optional[dict[str, str]]:
     """The first (canonical-order) valuation violating the formula, or None."""
-    variables = tuple(sorted(formula.variables()))
-    for val in satisfying_valuations(x, formula.premises, variables):
-        if not _conclusion_holds(x, formula.conclusion, val):
-            return val
-    return None
+    rule = _Rule(formula)
+    values = rule.violation(x)
+    return None if values is None else dict(zip(rule.variables, values))
 
 
 def satisfies_formula(x: Structure, formula: HornFormula) -> bool:
@@ -172,10 +166,10 @@ def check_model(x: Structure, theory: Theory) -> Optional[Violation]:
     """The first violated axiom with its valuation, or None if ``x`` is a model."""
     if x.signature != theory.signature:
         raise SignatureError("structure and theory use different signatures")
-    for ax in theory.all_axioms():
-        val = find_formula_violation(x, ax)
-        if val is not None:
-            return Violation(ax, tuple(sorted(val.items())))
+    for rule in _rules(theory):
+        values = rule.violation(x)
+        if values is not None:
+            return Violation(rule.axiom, tuple(zip(rule.variables, values)))
     return None
 
 
@@ -205,79 +199,36 @@ def ground_axioms(
     it is among its own premises; an equality conclusion under a valuation
     with two distinct values gives the forbidden mask ``premise_mask``.  The
     slots must list every edge over the carrier once: a slot list that misses
-    an edge or repeats one raises ``StructureError`` naming that edge.
+    an edge or repeats one raises ``StructureError`` naming that edge.  With
+    one dict per symbol from argument tuple to slot bit, a valuation of a kept
+    :class:`_Rule` costs one lookup per premise.
     """
-    return grounding(theory)(carrier, slots)
-
-
-def grounding(theory: Theory) -> Callable[[tuple[str, ...], Sequence[Edge]], GroundTheory]:
-    """:func:`ground_axioms` of one theory, as a function of the carrier and the slots.
-
-    The plan is built here, once, and shared by every carrier: per axiom its
-    variable count, one ``(symbol, reader)`` per premise, the reader taking a
-    value tuple over the sorted variables to the premise's argument tuple, and
-    its conclusion, read the same way if it is an edge and as two positions if
-    it is an equality.  The function returned builds one dict per symbol from
-    argument tuple to slot bit, so a valuation's premise mask costs one lookup
-    per premise.
-    """
-    edge_axioms: list = []
-    equality_axioms: list = []
-    for ax in theory.all_axioms():
-        variables = sorted(ax.variables())
-        premises = [_edge_reader(variables, e) for e in ax.premises]
-        concl = ax.conclusion
-        if isinstance(concl, Equality):
-            at = (variables.index(concl.left), variables.index(concl.right))
-            equality_axioms.append((len(variables), premises, at))
-        else:
-            edge_axioms.append((len(variables), premises, _edge_reader(variables, concl)))
-    return functools.partial(_ground, edge_axioms, equality_axioms, theory.signature)
-
-
-def _edge_reader(variables: Sequence[str], e: Edge) -> tuple[str, Callable]:
-    return e.symbol, _reader(tuple(map(variables.index, e.args)))
-
-
-def _ground(
-    edge_axioms: list,
-    equality_axioms: list,
-    signature: Signature,
-    carrier: tuple[str, ...],
-    slots: Sequence[Edge],
-) -> GroundTheory:
-    """The grounding on one carrier, from the plan :func:`grounding` builds."""
-    bits: dict[str, dict[tuple[str, ...], int]] = {s.name: {} for s in signature.symbols}
+    bits: dict[str, dict[tuple[str, ...], int]] = {s.name: {} for s in theory.signature.symbols}
     for i, (symbol, args) in enumerate(slots):
         slot = bits.setdefault(symbol, {})
         if args in slot:
             raise StructureError(f"edge slots list {Edge(symbol, args)} twice")
         slot[args] = 1 << i
-    for s in signature.symbols:
+    for s in theory.signature.symbols:
         for args in itertools.product(carrier, repeat=s.arity):
             if args not in bits[s.name]:
                 raise StructureError(f"edge slots miss {Edge(s.name, args)}")
 
     rules: set[tuple[int, int]] = set()
     forbidden: set[int] = set()
-    for n, premises, (symbol, read_head) in edge_axioms:
-        lookups = [(bits[s], read) for s, read in premises]
-        heads = bits[symbol]
-        for values in itertools.product(carrier, repeat=n):
+    for rule in _rules(theory):
+        lookups = [(bits[s], read) for s, _, read in rule.plan]
+        heads, read_head = bits.get(rule.symbol), rule.read_head  # no heads for an equality
+        for values in itertools.product(carrier, repeat=len(rule.variables)):
             mask = 0
             for slot, read in lookups:
                 mask |= slot[read(values)]
-            head = heads[read_head(values)]
-            if not mask & head:
-                rules.add((mask, head))
-    for n, premises, (left, right) in equality_axioms:
-        lookups = [(bits[s], read) for s, read in premises]
-        for values in itertools.product(carrier, repeat=n):
-            if values[left] != values[right]:
-                mask = 0
-                for slot, read in lookups:
-                    mask |= slot[read(values)]
-                forbidden.add(mask)
+            head = read_head(values)
+            if heads is None:
+                if head[0] != head[1]:
+                    forbidden.add(mask)
+            elif not mask & (bit := heads[head]):
+                rules.add((mask, bit))
     return GroundTheory(tuple(sorted(rules)), tuple(sorted(forbidden)))
 
 
@@ -318,46 +269,78 @@ def _pairs(tuples: dict) -> Iterator[tuple[str, tuple[str, ...]]]:
 
 
 class _Rule:
-    """An axiom compiled for the chase.
+    """An axiom compiled once, for the model check, the chase and the grounding.
 
-    Its variables are the premise variables in canonical order, then the
-    conclusion-only variables, which range over the carrier at every match.
+    A value tuple lists one value per variable, in canonical order.  Per
+    premise, in canonical order, ``plan`` holds ``(symbol, level, reader)``:
+    the reader takes a value tuple to the argument tuple, and a search checks
+    the premise at its level, the position of its last variable.  ``symbol``
+    is the conclusion's, None for an equality; ``read_head`` reads the
+    conclusion's arguments, or the equality's two sides.
     """
 
     def __init__(self, ax: HornFormula) -> None:
+        self.axiom = ax
+        self.variables = tuple(sorted(ax.variables()))
         self.premises = ax.sorted_premises()
-        self.conclusion = ax.conclusion
-        prem_vars = var_set(self.premises)
-        self.variables = tuple(sorted(prem_vars)) + tuple(sorted(ax.variables() - prem_vars))
-        concl = self.conclusion
-        head = (concl.left, concl.right) if isinstance(concl, Equality) else concl.args
-        self.head = tuple(map(self.variables.index, head))
+        position = {v: k for k, v in enumerate(self.variables)}.__getitem__
+        at = [tuple(map(position, p.args)) for p in self.premises]
+        self.plan = tuple((p.symbol, max(a), _reader(a)) for p, a in zip(self.premises, at))
+        concl, equality = ax.conclusion, isinstance(ax.conclusion, Equality)
+        self.symbol = None if equality else concl.symbol
+        head = (concl.left, concl.right) if equality else concl.args
+        self.read_head = _reader(tuple(map(position, head)))
+
+    def _search(self, tuple_sets: Sequence[Container], domains: Sequence[Iterable[str]]):
+        """:func:`_run` over ``domains`` with premise j checked against ``tuple_sets[j]``."""
+        checks: list[list[tuple[Container, Callable]]] = [[] for _ in self.variables]
+        for (_, level, read), tuples in zip(self.plan, tuple_sets):
+            checks[level].append((tuples, read))
+        return _run(checks, domains)
+
+    def violation(self, x: Structure) -> Optional[tuple[str, ...]]:
+        """The first value tuple over the sorted carrier under which every premise
+        holds in ``x`` and the conclusion fails, or None."""
+        tuples = x.tuples
+        found = self._search([tuples(s) for s, _, _ in self.plan],
+                             [x.sorted_carrier()] * len(self.variables))
+        for values in found:
+            head = self.read_head(values)
+            if (head[0] != head[1]) if self.symbol is None else (head not in tuples(self.symbol)):
+                return values
+        return None
 
     def matches(self, carrier, edges: dict, old: dict, delta: dict):
-        """The value tuples of one round (see :func:`free_model`), one plan per
-        premise i with delta tuples; premise i's variables range over the values
-        the delta holds at their positions, the others over the carrier."""
+        """The value tuples of one chase round (see :func:`free_model`), one
+        search per premise i with delta tuples; premise i's variables range over
+        the values the delta holds at their positions, the others over the carrier."""
         premises, variables = self.premises, self.variables
         if not (premises or old):  # premise-free: only while no edge is old
             yield from itertools.product(carrier, repeat=len(variables))
         for i, premise in enumerate(premises):
             sources = [old] * i + [delta] + [edges] * (len(premises) - i - 1)
-            constraints = [(src.get(p.symbol), p.args) for src, p in zip(sources, premises)]
-            if not all(tuples for tuples, _ in constraints):
+            tuple_sets = [src.get(p.symbol) for src, p in zip(sources, premises)]
+            if not all(tuple_sets):
                 continue  # some premise has no tuples to match
-            fresh = constraints[i][0]
             at = {a: k for k, a in enumerate(premise.args)}
-            domains = [sorted({t[at[v]] for t in fresh}) if v in at else carrier
+            domains = [sorted({t[at[v]] for t in tuple_sets[i]}) if v in at else carrier
                        for v in variables]
-            yield from _run(_checks(variables, constraints), domains)
+            yield from self._search(tuple_sets, domains)
 
     def fire(self, values, edges: dict, merges: list, additions: set) -> None:
-        head = tuple(values[k] for k in self.head)
-        if isinstance(self.conclusion, Equality):
+        head = self.read_head(values)
+        if self.symbol is None:
             if head[0] != head[1]:
                 merges.append(head)
-        elif head not in edges.get(self.conclusion.symbol, ()):
-            additions.add((self.conclusion.symbol, head))
+        elif head not in edges.get(self.symbol, ()):
+            additions.add((self.symbol, head))
+
+
+def _rules(theory: Theory) -> tuple[_Rule, ...]:
+    """The :class:`_Rule` of each of ``theory.all_axioms()``, in order, kept on the theory."""
+    if theory._rules is None:
+        object.__setattr__(theory, "_rules", tuple(map(_Rule, theory.all_axioms())))
+    return theory._rules
 
 
 def free_model(theory: Theory, x: Structure) -> FreeModelResult:
@@ -378,7 +361,6 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     """
     if x.signature != theory.signature:
         raise SignatureError("structure and theory use different signatures")
-    rules = [_Rule(ax) for ax in theory.all_axioms()]
     uf = _UnionFind(x.sorted_carrier())
     carrier = x.sorted_carrier()
     edges = _add({}, x.edges)
@@ -386,7 +368,7 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     while True:
         merges: list[tuple[str, str]] = []
         additions: set[tuple[str, tuple[str, ...]]] = set()
-        for rule in rules:
+        for rule in _rules(theory):
             for values in rule.matches(carrier, edges, old, delta):
                 rule.fire(values, edges, merges, additions)
         merged = False
@@ -416,14 +398,10 @@ def entails(theory: Theory, formula: HornFormula) -> bool:
     conclusion is checked on the saturation under the generic valuation.
     """
     theory.signature.check_formula(formula, "formula")
-    variables = sorted(formula.variables())
-    generic = Structure(theory.signature, variables, formula.premises)
-    result = free_model(theory, generic)
-    unit = result.unit_map
-    if isinstance(formula.conclusion, Equality):
-        return unit(formula.conclusion.left) == unit(formula.conclusion.right)
-    concl = formula.conclusion
-    return result.model.holds(concl.symbol, tuple(unit(a) for a in concl.args))
+    rule = _Rule(formula)
+    result = free_model(theory, Structure(theory.signature, rule.variables, formula.premises))
+    head = rule.read_head(tuple(map(result.unit_map, rule.variables)))
+    return head[0] == head[1] if rule.symbol is None else result.model.holds(rule.symbol, head)
 
 
 def is_reflexive(x: Structure) -> bool:

@@ -67,7 +67,7 @@ from hornmod.schema import (
     apply_combine,
     expand_instances,
 )
-from hornmod.semantics import FreeModelResult, GroundTheory, _value_tuples, entails
+from hornmod.semantics import FreeModelResult, GroundTheory, Violation, _value_tuples, entails
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -195,8 +195,24 @@ def reference_find_isomorphism(x: Structure, y: Structure):
     return None
 
 
+def reference_distributive(order: SymbolOrder) -> bool:
+    """The replaced distributivity check of a complete lattice's tables: the
+    binary law, then a /\\ \\/S = \\/(a /\\ s for s in S) over every subset S."""
+    meet, join, symbols = order._meet, order._join, order.symbols
+    for a, b, c in itertools.product(symbols, repeat=3):
+        if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
+            return False
+    for a in symbols:
+        for r in range(len(symbols) + 1):
+            for subset in itertools.combinations(symbols, r):
+                lhs = meet[a, order.join_of_set(subset)]
+                if lhs != order.join_of_set(meet[a, s] for s in subset):
+                    return False
+    return True
+
+
 # The Edge-per-valuation grounding and the per-point profile scan that the
-# plan-then-ground kernel and the one-pass profiles replaced.
+# per-position slot-bit lookups and the one-pass profiles replaced.
 
 def reference_ground_axioms(
     theory: Theory, carrier: tuple[str, ...], slots: Sequence[Edge]
@@ -434,6 +450,22 @@ def reference_satisfying_valuations(
             full.append(val)
     full.sort(key=lambda v: tuple(v[u] for u in variables))
     yield from full
+
+
+def reference_check_model(x: Structure, theory) -> Violation | None:
+    """The first violated axiom with its valuation, or None: per axiom the
+    valuations of its sorted variables in canonical order, each conclusion
+    checked on a dict, as the per-call model check that ``_Rule`` replaced."""
+    for ax in theory.all_axioms():
+        concl = ax.conclusion
+        for val in reference_satisfying_valuations(x, ax.premises, tuple(sorted(ax.variables()))):
+            if isinstance(concl, Equality):
+                holds = val[concl.left] == val[concl.right]
+            else:
+                holds = x.holds(concl.symbol, tuple(val[a] for a in concl.args))
+            if not holds:
+                return Violation(ax, tuple(sorted(val.items())))
+    return None
 
 
 class _UnionFind:

@@ -4,7 +4,7 @@ import itertools
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.core import Edge, SymbolOrder, base_axioms, is_base_axiom
@@ -14,6 +14,7 @@ from conftest import (
     TRUST_SIGNATURE,
     ReferenceStructure,
     interp_fail_morphism,
+    reference_distributive,
     reference_validate_morphism,
     trust_structures,
 )
@@ -340,12 +341,13 @@ def test_join_of_a_set_without_pairwise_joins():
     assert_lattice_matches_scan(order)
 
 
-@pytest.mark.parametrize("pairs", [
-    # M3: three atoms between 0 and 1
-    (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")),
-    # N5: 0 < a < b < 1 and 0 < c < 1
-    (("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")),
-], ids=["M3", "N5"])
+# M3: three atoms between 0 and 1
+M3 = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
+# N5: 0 < a < b < 1 and 0 < c < 1
+N5 = (("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"))
+
+
+@pytest.mark.parametrize("pairs", [M3, N5], ids=["M3", "N5"])
 def test_non_distributive_lattices_are_not_heyting(pairs):
     names = sorted({s for pair in pairs for s in pair})
     sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in names), hm.EXPLICIT, pairs)
@@ -353,6 +355,28 @@ def test_non_distributive_lattices_are_not_heyting(pairs):
     assert order.is_complete_lattice()
     assert not order.is_complete_heyting()
     assert_lattice_matches_scan(order)
+
+
+@st.composite
+def moore_lattices(draw):
+    """Inclusion on a random Moore family over {0, 1, 2}: the full set and every
+    intersection of drawn subsets, so always a lattice, chains, M3 and N5 among them."""
+    subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
+    family = {frozenset(range(3))}
+    for s in draw(st.lists(st.sampled_from(subsets), max_size=6)):
+        family |= {s & t for t in family} | {s}
+    name = {s: "".join(map(str, sorted(s))) or "-" for s in family}
+    return SymbolOrder(name.values(), [(name[s], name[t]) for s in family for t in family if s < t])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_preorder(), moore_lattices()))
+@example(SymbolOrder("01abc", M3))
+@example(SymbolOrder("01abc", N5))
+@example(SymbolOrder("abcd", [("a", "b"), ("b", "c"), ("c", "d")]))
+def test_binary_distributivity_decides_heyting_like_the_subset_check(order):
+    assert order.is_complete_heyting() == (
+        order.is_complete_lattice() and reference_distributive(order))
 
 
 def test_signature_lookups():

@@ -24,6 +24,7 @@ from hornmod.families import (
     default_test_family,
     edge_slots,
     iso_key,
+    structures_on_carrier,
 )
 
 from conftest import (
@@ -136,6 +137,7 @@ def test_negative_size_bounds_are_refused():
     message = "family size bound must be at least 0, got -1"
     for call in (lambda: all_models(preord, -1),
                  lambda: all_structures(preord.signature, -1),
+                 lambda: list(structures_on_carrier(preord.signature, -1)),
                  lambda: default_test_family(preord.signature, -1),
                  lambda: default_test_family(preord.signature, -1, theory=preord)):
         with pytest.raises(HornmodError) as refused:

@@ -17,6 +17,7 @@ from conftest import (
     equality_axioms,
     horn_edges,
     horn_theories,
+    reference_check_model,
     reference_entails,
     reference_free_model,
     reference_satisfying_valuations,
@@ -217,6 +218,27 @@ def test_satisfying_valuations_match_reference(x, premises, extra, data):
     variables = tuple(data.draw(st.permutations(needed)))
     got = list(satisfying_valuations(x, premises, variables))
     assert got == list(reference_satisfying_valuations(x, premises, variables))
+
+
+@settings(max_examples=200, deadline=None)
+@given(horn_theories(), horn_structures())
+# The conclusion-only x sorts before the premise variables y and z.
+@example(hm.Theory(HORN_SIGNATURE, (hm.horn([hm.edge("R", "y", "z")], hm.edge("P", "x")),), (),
+                   base_flag=False),
+         hm.Structure(HORN_SIGNATURE, ["e1", "e2"], [hm.edge("P", "e2"), hm.edge("R", "e2", "e1")]))
+# Binding the premise variable y first would report x e2, y e1, not x e1, y e2.
+@example(hm.Theory(HORN_SIGNATURE, (hm.horn([hm.edge("P", "y")], hm.edge("R", "x", "y")),), (),
+                   base_flag=False),
+         hm.Structure(HORN_SIGNATURE, ["e1", "e2"], [hm.edge("P", "e1"), hm.edge("P", "e2"),
+                                                      hm.edge("R", "e1", "e1")]))
+def test_check_model_matches_reference(theory, x):
+    assert check_model(x, theory) == reference_check_model(x, theory)
+
+
+def test_reader_reads_any_number_of_positions():
+    values = ("a", "b", "c")
+    assert [semantics._reader(at)(values) for at in ((), (1,), (2, 0, 2))] == [
+        (), ("b",), ("c", "a", "c")]
 
 
 @st.composite
