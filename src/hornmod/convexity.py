@@ -64,6 +64,11 @@ def _require_discrete(theory: Theory) -> None:
         raise SignatureError("convexity in this form is defined over discrete signatures")
 
 
+def _require_signature(f: Morphism, theory: Theory) -> None:
+    if f.source.signature != theory.signature or f.target.signature != theory.signature:
+        raise SignatureError("morphism and theory use different signatures")
+
+
 def _lift_order(variables: tuple[str, ...], concl_args: tuple[str, ...]) -> tuple[str, ...]:
     """The variables of a lift tuple: the conclusion's by first occurrence, then the rest."""
     return tuple(dict.fromkeys(concl_args + variables))
@@ -108,8 +113,10 @@ def _cases(concl_fibres, groups):
 def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityReport:
     """Convexity of a morphism with respect to one equality-free axiom."""
     _require_discrete(theory)
+    _require_signature(f, theory)
     if axiom.has_equality():
         raise TheoryError("convexity is defined for axioms with edge conclusions")
+    theory.signature.check_formula(axiom, "axiom")
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
     x, premises, variables = f.source, axiom.premises, tuple(sorted(axiom.variables()))
@@ -124,6 +131,7 @@ def is_convex_wrt(f: Morphism, axiom: HornFormula, theory: Theory) -> ConvexityR
 def convexity_report(f: Morphism, theory: Theory) -> ConvexityReport:
     """Convexity with respect to every eligible axiom, with the first counterexample."""
     _require_discrete(theory)
+    _require_signature(f, theory)
     for ax in eligible_axioms(theory):
         report = is_convex_wrt(f, ax, theory)
         if not report.convex:

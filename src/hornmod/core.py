@@ -150,10 +150,20 @@ class Signature:
         return tuple(s.name for s in self.symbols if s.arity == n)
 
     def order(self, n: int) -> "SymbolOrder":
-        """The (closed) preorder on the symbols of arity ``n``, built on first use and kept."""
+        """The (closed) preorder on the symbols of arity ``n``, built on first use and kept.
+
+        A quantale signature orders its symbols ``~v`` as the quantale orders ``v``.
+        """
         order = self._orders.get(n)
         if order is None:
-            order = self._orders[n] = signature_order_closure(self, n)
+            symbols = self.symbols_of_arity(n)
+            if self.quantale is not None:
+                pairs = [(quantale_symbol_name(a), quantale_symbol_name(b))
+                         for a, b in self.quantale.leq_pairs]
+            else:
+                pairs = self.order_pairs if self.order_kind == EXPLICIT else ()
+            order = self._orders[n] = SymbolOrder(
+                symbols, [(a, b) for a, b in pairs if a in symbols])
         return order
 
 
@@ -288,15 +298,8 @@ class SymbolOrder:
 
 
 def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
-    """The per-arity preorder of a signature, closed under reflexivity and transitivity.
-
-    A quantale signature shares its quantale's :meth:`~Quantale.symbol_order`.
-    """
-    if sig.quantale is not None and n == 2:
-        return sig.quantale.symbol_order()
-    symbols = sig.symbols_of_arity(n)
-    explicit = sig.order_kind == EXPLICIT
-    return SymbolOrder(symbols, [(a, b) for a, b in sig.order_pairs if explicit and a in symbols])
+    """The per-arity preorder of a signature, closed under reflexivity and transitivity."""
+    return sig.order(n)
 
 
 class Structure:
@@ -575,22 +578,33 @@ def base_axioms(sig: Signature) -> tuple[HornFormula, ...]:
         return tuple(out)
     for n in sig.arities():
         order = sig.order(n)
-        vs = fresh_variables(n)
-        for high in order.symbols:
-            for low in order.symbols:
-                if low != high and order.leq(low, high):
-                    out.append(horn((Edge(high, vs),), Edge(low, vs)))
-        if order.is_complete_heyting():
-            bot = order.bottom()
-            assert bot is not None
-            out.append(horn((), Edge(bot, vs)))
-            for a, b in itertools.combinations(order.symbols, 2):
-                if order.leq(a, b) or order.leq(b, a):
-                    continue  # join is already one of the two premises
-                j = order.join2(a, b)
-                assert j is not None
-                out.append(horn((Edge(a, vs), Edge(b, vs)), Edge(j, vs)))
+        out.extend(_order_axioms(order, fresh_variables(n), order.is_complete_heyting()))
     return tuple(out)
+
+
+def _order_axioms(
+    order: SymbolOrder, variables: tuple[str, ...], joins: bool
+) -> list[HornFormula]:
+    """The downward axioms of ``order`` over ``variables``, then its join axioms if ``joins``.
+
+    R vs => S vs whenever R > S; the join axioms are the empty join (bottom
+    holds everywhere) and the binary join of each incomparable pair, so
+    ``joins`` needs a complete lattice.
+    """
+    out = [horn((Edge(high, variables),), Edge(low, variables))
+           for high in order.symbols for low in order.symbols
+           if low != high and order.leq(low, high)]
+    if joins:
+        bot = order.bottom()
+        assert bot is not None
+        out.append(horn((), Edge(bot, variables)))
+        for a, b in itertools.combinations(order.symbols, 2):
+            if order.leq(a, b) or order.leq(b, a):
+                continue  # join is already one of the two premises
+            j = order.join2(a, b)
+            assert j is not None
+            out.append(horn((Edge(a, variables), Edge(b, variables)), Edge(j, variables)))
+    return out
 
 
 def is_base_axiom(ax: HornFormula, sig: Signature) -> bool:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .core import (
+    _order_axioms,
     Edge,
     Equality,
-    HornFormula,
     HornmodError,
     Morphism,
     RelationSymbol,
@@ -41,8 +41,8 @@ class Quantale:
     is taken at construction.  Laws are not enforced here: run
     :func:`check_quantale_laws` (the theory generators do).  The quantale
     holds only tuples, so :meth:`law_report` computes that report once and
-    keeps it, :meth:`symbol_order` likewise the order on its symbols, and
-    :func:`signature_of` the signature.
+    keeps it, and :func:`signature_of` likewise the signature, which keeps
+    the order on the symbols ``~v``.
     """
 
     elements: tuple[str, ...]
@@ -74,19 +74,14 @@ class Quantale:
         closed = tuple((a, b) for a in elements for b in elements if order.leq(a, b))
         object.__setattr__(self, "leq_pairs", closed)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_leq_set", frozenset(closed))
         object.__setattr__(self, "_tensor", tensor)
         # Kept by signature_of.  Not a field: the signature holds this quantale, so
         # asdict would recurse forever; set on every instance, so all share one layout.
         object.__setattr__(self, "_signature", None)
 
     order: SymbolOrder = field(default=None, init=False, compare=False, repr=False)
-    _leq_set: frozenset = field(default=frozenset(), compare=False, repr=False)
     _tensor: dict = field(default_factory=dict, compare=False, repr=False)
     _laws: Optional["QuantaleLawReport"] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _symbol_order: Optional[SymbolOrder] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -96,16 +91,8 @@ class Quantale:
             object.__setattr__(self, "_laws", check_quantale_laws(self))
         return self._laws
 
-    def symbol_order(self) -> SymbolOrder:
-        """The order on the symbols ``~v``, kept: every signature over this quantale reads it."""
-        if self._symbol_order is None:
-            pairs = [(quantale_symbol_name(a), quantale_symbol_name(b)) for a, b in self.leq_pairs]
-            symbols = [quantale_symbol_name(v) for v in self.elements]
-            object.__setattr__(self, "_symbol_order", SymbolOrder(symbols, pairs))
-        return self._symbol_order
-
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self._leq_set
+        return self.order.leq(a, b)
 
     def tensor(self, a: str, b: str) -> str:
         return self._tensor[(a, b)]
@@ -252,88 +239,60 @@ def _require_laws(v: Quantale) -> None:
         raise QuantaleError(f"quantale law check failed: {report.failures[0]}")
 
 
-def _sym(e: str) -> str:
-    return quantale_symbol_name(e)
+def _ladder(v: Quantale, reflexive: bool, schemas: tuple = (), extra: tuple = ()) -> Theory:
+    """One rung of the theory ladder over ``v``, reflexive or not, with ``schemas`` and ``extra``.
 
+    When the rung is reflexive, the unit is top and the lattice is Heyting,
+    the base theory holds the rung's graph axioms, joins included, so the rung
+    is ``extra`` and ``schemas`` over it.  Otherwise it is flat: the order and
+    join axioms, the unit's reflexivity if asked, the schemas' instances, then
+    ``extra``.
+    """
+    _require_laws(v)
+    sig = signature_of(v)
+    if reflexive and v.unit == v.top() and is_heyting(v):
+        return Theory(sig, extra, schemas, base_flag=True)
+    axioms = _order_axioms(sig.order(2), ("x", "y"), joins=True)
+    if reflexive:
+        axioms.append(horn((), Edge(quantale_symbol_name(v.unit), ("x", "x"))))
+    if schemas:
+        from .schema import expand_instances
 
-def _flat_graph_axioms(v: Quantale) -> list[HornFormula]:
-    x, y = "x", "y"
-    out: list[HornFormula] = []
-    for hi in v.elements:
-        for lo in v.elements:
-            if lo != hi and v.leq(lo, hi):
-                out.append(horn((Edge(_sym(hi), (x, y)),), Edge(_sym(lo), (x, y))))
-    out.append(horn((), Edge(_sym(v.bottom()), (x, y))))
-    for a, b in itertools.combinations(v.elements, 2):
-        if v.leq(a, b) or v.leq(b, a):
-            continue
-        out.append(
-            horn(
-                (Edge(_sym(a), (x, y)), Edge(_sym(b), (x, y))),
-                Edge(_sym(v.join2(a, b)), (x, y)),
-            )
-        )
-    return out
-
-
-def _schematic_ok(v: Quantale) -> bool:
-    return v.unit == v.top() and is_heyting(v)
+        warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
+        axioms.extend(inst.formula for s in schemas for inst in expand_instances(s, sig))
+    return Theory(sig, tuple(axioms) + extra, (), base_flag=False)
 
 
 def theory_vgph(v: Quantale) -> Theory:
     """V-graphs: down-closed, join-closed edge labels; no reflexivity."""
-    _require_laws(v)
-    return Theory(signature_of(v), tuple(_flat_graph_axioms(v)), (), base_flag=False)
+    return _ladder(v, reflexive=False)
 
 
 def theory_vrgph(v: Quantale) -> Theory:
-    """Reflexive V-graphs; coincides with the base theory when the unit is top."""
-    _require_laws(v)
-    sig = signature_of(v)
-    if v.unit == v.top():
-        return Theory(sig, (), (), base_flag=True)
-    axioms = _flat_graph_axioms(v) + [horn((), Edge(_sym(v.unit), ("x", "x")))]
-    return Theory(sig, tuple(axioms), (), base_flag=False)
-
-
-def _reflexive_ladder(v: Quantale, with_symmetry: bool) -> Theory:
-    """Reflexive V-graphs with generalized transitivity, and symmetry if asked.
-
-    Schematic over the base theory when the unit is top and the lattice is
-    Heyting; otherwise the reflexive V-graph axioms plus the flat instances
-    of the same schemas.
-    """
-    from .schema import expand_instances, generalized_transitivity_schema, symmetry_schema
-
-    _require_laws(v)
-    sig = signature_of(v)
-    schemas = (generalized_transitivity_schema(),)
-    if with_symmetry:
-        schemas += (symmetry_schema(),)
-    if _schematic_ok(v):
-        return Theory(sig, (), schemas, base_flag=True)
-    warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
-    base = theory_vrgph(v)
-    instances = tuple(inst.formula for s in schemas for inst in expand_instances(s, sig))
-    return Theory(sig, base.axioms + instances, (), base_flag=base.base_flag)
+    """Reflexive V-graphs: V-graphs with every loop at least the unit."""
+    return _ladder(v, reflexive=True)
 
 
 def theory_vcat(v: Quantale) -> Theory:
     """V-categories: reflexive V-graphs with tensor transitivity."""
-    return _reflexive_ladder(v, with_symmetry=False)
+    from .schema import generalized_transitivity_schema
+
+    return _ladder(v, True, (generalized_transitivity_schema(),))
 
 
 def theory_pmet(v: Quantale) -> Theory:
     """Pseudo-V-metric spaces: symmetric V-categories."""
-    return _reflexive_ladder(v, with_symmetry=True)
+    from .schema import generalized_transitivity_schema, symmetry_schema
+
+    return _ladder(v, True, (generalized_transitivity_schema(), symmetry_schema()))
 
 
 def theory_met(v: Quantale) -> Theory:
     """V-metric spaces: pseudo-metric plus the separation equality axiom."""
-    base = theory_pmet(v)
-    x, y = "x", "y"
-    separation = horn((Edge(_sym(v.unit), (x, y)),), Equality(x, y))
-    return Theory(base.signature, base.axioms + (separation,), base.schemas, base.base_flag)
+    from .schema import generalized_transitivity_schema, symmetry_schema
+
+    separation = horn((Edge(quantale_symbol_name(v.unit), ("x", "y")),), Equality("x", "y"))
+    return _ladder(v, True, (generalized_transitivity_schema(), symmetry_schema()), (separation,))
 
 
 @dataclass(frozen=True)
@@ -422,12 +381,13 @@ def structure_to_vgraph(x: Structure) -> VGraph:
     if sig.order_kind != QUANTALE or sig.quantale is None:
         raise QuantaleError("structure is not over a quantale-induced signature")
     v = sig.quantale
-    below = v.symbol_order().below
+    below = signature_of(v).order(2).below
     dist = []
     for a in x.sorted_carrier():
         for b in x.sorted_carrier():
-            labels = [e for e in v.elements if x.holds(_sym(e), (a, b))]
-            down_closed = all(x.holds(lo, (a, b)) for hi in labels for lo in below(_sym(hi)))
+            labels = [e for e in v.elements if x.holds(quantale_symbol_name(e), (a, b))]
+            down_closed = all(x.holds(lo, (a, b))
+                              for hi in labels for lo in below(quantale_symbol_name(hi)))
             if not down_closed or v.join(labels) not in labels:
                 raise QuantaleError(
                     f"edge labels at ({a!r}, {b!r}) are not down-closed and join-closed"
@@ -441,34 +401,28 @@ def vgraph_to_structure(g: VGraph) -> Structure:
 
     Each pair's edges are the kept down-set of ``~d(a, b)`` in the symbol order.
     """
-    v = g.quantale
-    below = v.symbol_order().below
-    edges = [Edge(s, (a, b)) for a in g.carrier for b in g.carrier for s in below(_sym(g.d(a, b)))]
-    return Structure(signature_of(v), g.carrier, edges)
+    sig = signature_of(g.quantale)
+    below = sig.order(2).below
+    edges = [Edge(s, (a, b)) for a in g.carrier for b in g.carrier
+             for s in below(quantale_symbol_name(g.d(a, b)))]
+    return Structure(sig, g.carrier, edges)
 
 
 def vfunctor_to_morphism(h: VFunctor) -> Morphism:
     return Morphism(vgraph_to_structure(h.source), vgraph_to_structure(h.target), dict(h.mapping))
 
 
-def all_vgraphs(v: Quantale, size: int, reflexive: bool = False, transitive: bool = False,
-                symmetric: bool = False) -> Iterator[VGraph]:
-    """All V-graphs on the canonical carrier of the given size, filtered by class."""
+def all_vgraphs(v: Quantale, size: int) -> Iterator[VGraph]:
+    """All V-graphs on the canonical carrier of the given size."""
     carrier = tuple(f"e{i}" for i in range(size))
     slots = [(a, b) for a in carrier for b in carrier]
     for values in itertools.product(v.elements, repeat=len(slots)):
-        g = VGraph(v, carrier, tuple((a, b, d) for (a, b), d in zip(slots, values)))
-        if reflexive and not g.is_reflexive():
-            continue
-        if transitive and not g.is_transitive():
-            continue
-        if symmetric and not g.is_symmetric():
-            continue
-        yield g
+        yield VGraph(v, carrier, tuple((a, b, d) for (a, b), d in zip(slots, values)))
 
 
 def all_vcategories(v: Quantale, size: int) -> Iterator[VGraph]:
-    return all_vgraphs(v, size, reflexive=True, transitive=True)
+    """The V-graphs of :func:`all_vgraphs` that are reflexive and transitive."""
+    return (g for g in all_vgraphs(v, size) if g.is_reflexive() and g.is_transitive())
 
 
 def all_vfunctors(source: VGraph, target: VGraph) -> Iterator[VFunctor]:

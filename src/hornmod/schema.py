@@ -42,6 +42,7 @@ from .convexity import (
     _collapse,
     _fibre_lifts,
     _lift_order,
+    _require_signature,
     eligible_axioms,
 )
 from .limits import bang
@@ -381,6 +382,7 @@ def is_schema_convex_wrt_instance(
     The endpoints are assumed to be models of the signature's base theory.
     The instance's formula must be the one its labels expand to.
     """
+    _require_signature(f, theory)
     sig = theory.signature
     symbols = sig.symbols_of_arity(schema.arity)
     unknown = tuple(label for label in instance.labels if label not in symbols)
@@ -393,6 +395,7 @@ def is_schema_convex_wrt_instance(
 
 def is_schema_convex(f: Morphism, theory: Theory) -> SchemaConvexityReport:
     """Convexity with respect to every instance of every schema of the theory."""
+    _require_signature(f, theory)
     for schema in theory.schemas:
         labellings = _label_tuples(schema, theory.signature)
         report = _first_nonconvex(f, schema, labellings, theory.signature)
@@ -426,7 +429,10 @@ def ch_condition_oracle(h: VFunctor, v: Quantale) -> bool:
     built once per call, ``u`` and ``u'`` range over the order's down-sets,
     and the right-hand join folds the join table from bottom (the Heyting
     gate guarantees a complete lattice, so an empty fibre gives bottom).
+    ``v`` must be the quantale ``h`` is over.
     """
+    if h.source.quantale != v:
+        raise QuantaleError("the V-functor is over another quantale")
     if not is_heyting(v):
         raise QuantaleError("the distance-form condition needs a Heyting lattice")
     dx, dz = h.source, h.target

@@ -152,6 +152,7 @@ def satisfying_valuations(
 
 def find_formula_violation(x: Structure, formula: HornFormula) -> Optional[dict[str, str]]:
     """The first (canonical-order) valuation violating the formula, or None."""
+    x.signature.check_formula(formula, "formula")
     rule = _Rule(formula)
     values = rule.violation(x)
     return None if values is None else dict(zip(rule.variables, values))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,6 +42,7 @@ from hornmod.core import (
     TheoryError,
     compose,
     horn,
+    quantale_symbol_name as _sym,
     validate_morphism,
     var_set,
 )
@@ -54,7 +56,7 @@ from hornmod.limits import (
     product,
     pullback,
 )
-from hornmod.quantale import _sym
+from hornmod.quantale import _require_laws, signature_of
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -915,6 +917,100 @@ def reference_transitivity_instances(v: hm.Quantale) -> list[HornFormula]:
 def reference_symmetry_instances(v: hm.Quantale) -> list[HornFormula]:
     x, y = "x", "y"
     return [horn((Edge(_sym(a), (x, y)),), Edge(_sym(a), (y, x))) for a in v.elements]
+
+
+# The quantale ladder as each rung built itself before `quantale._ladder` served
+# them all.  `reference_theory_vrgph` took the base theory when the unit is
+# top, while the schematic rungs also asked for a Heyting lattice, so over a
+# non-Heyting lattice with unit top the reflexive rungs lacked the join axioms.
+
+def reference_flat_graph_axioms(v: hm.Quantale) -> list[HornFormula]:
+    x, y = "x", "y"
+    out: list[HornFormula] = []
+    for hi in v.elements:
+        for lo in v.elements:
+            if lo != hi and v.leq(lo, hi):
+                out.append(horn((Edge(_sym(hi), (x, y)),), Edge(_sym(lo), (x, y))))
+    out.append(horn((), Edge(_sym(v.bottom()), (x, y))))
+    for a, b in itertools.combinations(v.elements, 2):
+        if v.leq(a, b) or v.leq(b, a):
+            continue
+        out.append(
+            horn(
+                (Edge(_sym(a), (x, y)), Edge(_sym(b), (x, y))),
+                Edge(_sym(v.join2(a, b)), (x, y)),
+            )
+        )
+    return out
+
+
+def reference_schematic_ok(v: hm.Quantale) -> bool:
+    return v.unit == v.top() and hm.is_heyting(v)
+
+
+def reference_theory_vgph(v: hm.Quantale) -> Theory:
+    """V-graphs: down-closed, join-closed edge labels; no reflexivity."""
+    _require_laws(v)
+    return Theory(signature_of(v), tuple(reference_flat_graph_axioms(v)), (), base_flag=False)
+
+
+def reference_theory_vrgph(v: hm.Quantale) -> Theory:
+    """Reflexive V-graphs; coincides with the base theory when the unit is top."""
+    _require_laws(v)
+    sig = signature_of(v)
+    if v.unit == v.top():
+        return Theory(sig, (), (), base_flag=True)
+    axioms = reference_flat_graph_axioms(v) + [horn((), Edge(_sym(v.unit), ("x", "x")))]
+    return Theory(sig, tuple(axioms), (), base_flag=False)
+
+
+def reference_reflexive_ladder(v: hm.Quantale, with_symmetry: bool) -> Theory:
+    """Reflexive V-graphs with generalized transitivity, and symmetry if asked.
+
+    Schematic over the base theory when the unit is top and the lattice is
+    Heyting; otherwise the reflexive V-graph axioms plus the flat instances
+    of the same schemas.
+    """
+    from hornmod.schema import generalized_transitivity_schema, symmetry_schema
+
+    _require_laws(v)
+    sig = signature_of(v)
+    schemas = (generalized_transitivity_schema(),)
+    if with_symmetry:
+        schemas += (symmetry_schema(),)
+    if reference_schematic_ok(v):
+        return Theory(sig, (), schemas, base_flag=True)
+    warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
+    base = reference_theory_vrgph(v)
+    instances = tuple(inst.formula for s in schemas for inst in expand_instances(s, sig))
+    return Theory(sig, base.axioms + instances, (), base_flag=base.base_flag)
+
+
+def reference_theory_vcat(v: hm.Quantale) -> Theory:
+    """V-categories: reflexive V-graphs with tensor transitivity."""
+    return reference_reflexive_ladder(v, with_symmetry=False)
+
+
+def reference_theory_pmet(v: hm.Quantale) -> Theory:
+    """Pseudo-V-metric spaces: symmetric V-categories."""
+    return reference_reflexive_ladder(v, with_symmetry=True)
+
+
+def reference_theory_met(v: hm.Quantale) -> Theory:
+    """V-metric spaces: pseudo-metric plus the separation equality axiom."""
+    base = reference_theory_pmet(v)
+    x, y = "x", "y"
+    separation = horn((Edge(_sym(v.unit), (x, y)),), Equality(x, y))
+    return Theory(base.signature, base.axioms + (separation,), base.schemas, base.base_flag)
+
+
+REFERENCE_LADDER = {
+    "vgph": reference_theory_vgph,
+    "vrgph": reference_theory_vrgph,
+    "vcat": reference_theory_vcat,
+    "pmet": reference_theory_pmet,
+    "met": reference_theory_met,
+}
 
 
 # Hom-sets, products and pullbacks: the naive forms that the tuple kernel and

@@ -129,6 +129,18 @@ def test_malformed_document_is_one_line_input_error(tmp_path, argv):
     assert_one_line_input_error(*args)
 
 
+@pytest.mark.parametrize("command, theory, morphism", [
+    ("convexity", "preord.theory.json", "vcat-interp-fail.morphism.json"),
+    ("schema-convexity", "boolean-vcat.theory.json", "interp-fail.morphism.json"),
+    ("schema-convexity", "chain3-meet-vcat.theory.json", "vcat-interp-fail.morphism.json"),
+], ids=["discrete-theory", "quantale-theory", "other-quantale"])
+def test_convexity_of_a_map_over_another_signature_is_one_line_input_error(
+        command, theory, morphism):
+    err = assert_one_line_input_error(command, "--theory", corpus(theory),
+                                      "--morphism", corpus(morphism))
+    assert "different signatures" in err
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mutated_corpus_commands_keep_exit_contract(data):

@@ -83,6 +83,28 @@ def test_convexity_requires_discrete_signature():
         hm.is_convex(hm.identity_morphism(one), theory)
 
 
+def test_convexity_refuses_a_map_over_another_signature(preord):
+    # a map of boolean V-categories, a map over a discrete signature without
+    # `le`, and a map from a preorder into a structure over that signature
+    vcat_map = hm.identity_morphism(hm.terminal(hm.signature_of(hm.boolean_quantale())))
+    other = hm.identity_morphism(hm.terminal(hm.Signature((hm.RelationSymbol("R", 2),))))
+    into_other = hm.Morphism(hm.terminal(preord.signature), other.target, {"*": "*"})
+    for f in (vcat_map, other, into_other):
+        for decide in (lambda: hm.convexity_report(f, preord), lambda: hm.is_convex(f, preord),
+                       lambda: hm.is_convex_wrt(f, preord.axioms[0], preord)):
+            with pytest.raises(hm.SignatureError, match="different signatures"):
+                decide()
+    for x in (vcat_map.source, other.source):
+        with pytest.raises(hm.SignatureError, match="different signatures"):
+            hm.is_object_convex(x, preord)
+
+
+def test_convexity_refuses_an_axiom_outside_the_signature(preord, chain2):
+    axiom = hm.horn((hm.edge("Q", "x", "y"),), hm.edge("Q", "y", "x"))
+    with pytest.raises(hm.TheoryError, match="unknown symbol 'Q'"):
+        hm.is_convex_wrt(hm.identity_morphism(chain2), axiom, preord)
+
+
 def test_equality_axiom_rejected(pos, chain2):
     with pytest.raises(hm.TheoryError):
         hm.is_convex_wrt(hm.identity_morphism(chain2), pos.axioms[1], pos)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 import hornmod as hm
-from hornmod.families import all_structures
+from hornmod.families import all_models, all_structures
 from hornmod.quantale import LawFailure, all_vcategories, all_vgraphs
 
 from conftest import (
+    REFERENCE_LADDER,
     non_join_preserving_quantale,
     reference_symmetry_instances,
     reference_transitivity_instances,
@@ -285,6 +286,68 @@ def test_pmet_fallback_warns_once():
         warnings.simplefilter("always")
         hm.theory_pmet(unit_below_top_quantale())
     assert [w.category for w in caught] == [UserWarning]
+
+
+def m3_top_quantale():
+    """M3 with a top added (0 < a, b, c < m < T), unit T, every product without T is 0.
+
+    A lawful integral quantale whose lattice is not distributive, so not Heyting.
+    """
+    elements = ("0", "a", "b", "c", "m", "T")
+    return hm.Quantale(
+        elements=elements,
+        leq_pairs=(("0", "a"), ("0", "b"), ("0", "c"), ("a", "m"), ("b", "m"), ("c", "m"),
+                   ("m", "T")),
+        tensor_pairs=tuple((x, y, x if y == "T" else y if x == "T" else "0")
+                           for x in elements for y in elements),
+        unit="T",
+    )
+
+
+def translates(x):
+    try:
+        hm.structure_to_vgraph(x)
+    except hm.QuantaleError:
+        return False
+    return True
+
+
+def axiom_list(theory):
+    return [(ax.sorted_premises(), ax.conclusion) for ax in theory.all_axioms()]
+
+
+@pytest.mark.parametrize("make", [
+    hm.boolean_quantale, lambda: hm.chain_meet_quantale(3), lambda: hm.chain_meet_quantale(4),
+    hm.lukasiewicz_quantale, unit_below_top_quantale,
+], ids=["boolean", "chain3", "chain4", "lukasiewicz", "unit-below-top"])
+@pytest.mark.parametrize("kind", list(REFERENCE_LADDER))
+def test_ladder_matches_reference(make, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        theory = getattr(hm, f"theory_{kind}")(make())
+        reference = REFERENCE_LADDER[kind](make())
+    assert theory.base_flag == reference.base_flag
+    assert theory.schemas == reference.schemas
+    assert axiom_list(theory) == axiom_list(reference)
+
+
+def test_reflexive_rungs_over_a_non_heyting_lattice_carry_the_join_axioms():
+    # Unit = top is not enough for the base theory: over a lattice that is not
+    # Heyting it has no join axioms, and the reference ladder's reflexive
+    # V-graphs then include 85 models of 123 whose labels are not join-closed.
+    v = m3_top_quantale()
+    assert hm.check_quantale_laws(v).ok and v.unit == v.top() and not hm.is_heyting(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rungs = [hm.theory_vrgph(v), hm.theory_vcat(v), hm.theory_pmet(v), hm.theory_met(v)]
+        old_vrgph = REFERENCE_LADDER["vrgph"](v)
+    for theory in rungs:
+        assert not theory.base_flag and not theory.schemas
+        models = list(all_models(theory, 2, iso=False, cap=None))
+        assert models
+        assert all(hm.structure_to_vgraph(x).is_reflexive() for x in models)
+    old_models = list(all_models(old_vrgph, 2, iso=False, cap=None))
+    assert (len(old_models), sum(not translates(x) for x in old_models)) == (123, 85)
 
 
 def test_free_models_exist_over_quantale_theories():

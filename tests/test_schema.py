@@ -160,6 +160,20 @@ def test_instance_labels_outside_the_signature_raise():
                                          theory)
 
 
+def test_schema_convexity_refuses_a_map_over_another_signature():
+    theory = hm.theory_vcat(hm.boolean_quantale())
+    schema = theory.schemas[0]
+    instance = expand_instances(schema, theory.signature)[0]
+    # a map of posets, and a map of V-categories over another quantale
+    chain3_map = hm.identity_morphism(hm.terminal(hm.signature_of(hm.chain_meet_quantale(3))))
+    for f in (interp_fail_morphism(), chain3_map):
+        for decide in (lambda: hm.is_schema_convex(f, theory),
+                       lambda: hm.is_schema_object_convex(f.source, theory),
+                       lambda: hm.is_schema_convex_wrt_instance(f, schema, instance, theory)):
+            with pytest.raises(hm.SignatureError, match="different signatures"):
+                decide()
+
+
 def test_instance_formula_must_match_its_labels():
     v = hm.chain_meet_quantale(3)
     theory = hm.theory_vcat(v)
@@ -458,6 +472,14 @@ def test_ch_oracle_requires_heyting():
     g = hm.VGraph(broken, ("p",), (("p", "p", "1"),))
     with pytest.raises(hm.QuantaleError):
         hm.ch_condition_oracle(hm.VFunctor(g, g, (("p", "p"),)), broken)
+
+
+def test_ch_oracle_refuses_a_map_over_another_quantale():
+    v = hm.chain_meet_quantale(3)
+    g = hm.VGraph(v, ("p",), (("p", "p", "2"),))
+    with pytest.raises(hm.QuantaleError, match="another quantale"):
+        hm.ch_condition_oracle(hm.VFunctor(g, g, (("p", "p"),)), hm.boolean_quantale())
+    assert hm.ch_condition_oracle(hm.VFunctor(g, g, (("p", "p"),)), hm.chain_meet_quantale(3))
 
 
 def test_symmetry_schema_very_safe():

@@ -167,6 +167,13 @@ def test_satisfaction_invariant_under_renaming(preord, chain2):
         assert hm.satisfies_formula(x, original) == hm.satisfies_formula(x, renamed)
 
 
+def test_formula_checks_refuse_symbols_outside_the_signature(chain2):
+    formula = hm.horn((hm.edge("Q", "x", "y"),), hm.edge("Q", "y", "x"))
+    for check in (hm.find_formula_violation, hm.satisfies_formula):
+        with pytest.raises(hm.TheoryError, match="formula premise uses unknown symbol 'Q'"):
+            check(chain2, formula)
+
+
 @pytest.mark.parametrize("premises, conclusion, message", [
     ([], hm.edge("nope", "x", "x"), "formula conclusion uses unknown symbol 'nope'"),
     ([], hm.edge("le", "x"), "formula conclusion .* has wrong arity"),
