@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "closure": (
         "ExponentialResult", "PartialProductResult", "VerificationReport", "exponential_object",
-        "internal_hom", "partial_product_refl", "partial_product_str", "tensor", "tensor_unit",
-        "verify_exponential", "verify_partial_product",
+        "internal_hom", "partial_product", "partial_product_refl", "partial_product_str",
+        "tensor", "tensor_unit", "verify_exponential", "verify_partial_product",
     ),
     "convexity": (
         "ConvexityReport", "SafetyResult", "TheoryClassification", "classify_theory",

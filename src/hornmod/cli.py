@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "exponential", help="the structure of maps with evaluation",
-        description="Build the exponential Y^X of --base X and --target Y in the category of "
-                    "all structures over their signature; neither needs to be a model. A "
+        description="Build the exponential Y^X of --base X and --target Y among the models "
+                    "of their signature's base theory; neither needs to be a model. A "
                     "--theory over another signature is an input error.")
     p.add_argument("--theory", required=True,
                    help="chooses only the is_model check of the result and the --verify "

@@ -1,15 +1,15 @@
 """Closed-structure constructions and their brute-force verifiers.
 
-Exponentials, internal homs and both partial products are one function
-space: its points over a key (a codomain element, or none for the
-exponential's single fibre) are maps of that key's fibre into the object,
-and an edge joins maps that send the tuples it must preserve to edges of the
-object.  The plain partial product takes arbitrary functions on the fibres
-and preserves the edge's own symbol; the reflexive one takes edge-preserving
-maps and preserves every symbol below the edge's symbol; the exponential and
-the internal hom take edge-preserving maps of X and preserve the edges of X
-or its diagonal.  Points and edges both come from the valuation search of
-:mod:`hornmod.semantics`, the edges over tagged copies of the fibres' points.
+Partial products and exponentials are one construction, P*, read off the
+free models of a theory T.  In T's models a point is a map from F(v), the
+free model on one point, and an s-edge a map from F(s(v1..vn)), the free
+model on one s-edge; so the partial product of Y over f : X -> Z, when it
+exists, has the maps F(v) x_Z X -> Y as its points and gets an s-edge from
+each map F(s(v1..vn)) x_Z X -> Y.  The plain partial product is P* over the
+empty theory, the reflexive one over the signature's base theory, and the
+exponential Y^X the base theory's P* along X -> 1.  Points and edges both
+come from the valuation search of :mod:`hornmod.semantics`, the edges over
+tagged copies of the fibres' points.  The internal hom joins maps pointwise.
 The verifiers replay the universal properties exhaustively over a family of
 test objects Q, without the builder: they join Q x X or Q x_Z X as pair ids
 and edges, and count every map into the candidate at its transpose.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     Edge,
@@ -28,18 +28,19 @@ from .core import (
     Structure,
     StructureError,
     Theory,
+    fresh_variables,
     validate_morphism,
 )
 from .limits import (
     _hom_tuples,
     _pair_edges,
     _pair_ids,
-    fibre_structure,
+    bang,
     pair_id,
     product,
     pullback,
 )
-from .semantics import _reader, _value_tuples, free_model, is_model
+from .semantics import FreeModelResult, _reader, _value_tuples, free_model, is_model
 
 STR_VARIANT = "str"
 REFLEXIVE_VARIANT = "refl"
@@ -69,130 +70,153 @@ class ExponentialResult:
     components: dict = field(compare=False, repr=False, default_factory=dict)
 
 
-def _function_space(
-    y: Structure,
-    fibres: dict[Optional[str], Structure],
-    keep_edges: bool,
-    over: Iterable[tuple[str, tuple[Optional[str], ...], Iterable[Edge]]],
-) -> tuple[Structure, dict[str, tuple[dict[str, str], Optional[str]]]]:
-    """A structure whose points over each key are maps of that key's fibre into y.
+def _partial_product(
+    theory: Theory, y: Structure, f: Morphism, key: Callable[[str], Optional[str]]
+) -> tuple[Structure, dict[str, tuple[dict[str, str], str]]]:
+    """P*, the partial product of y over f that the theory's free models present.
 
-    The points over a key are the maps of its fibre into ``y``, edge-preserving
-    when ``keep_edges``, named by ``function_id(table, key)``.  Each
-    ``(s, keys, preserved)`` of ``over`` adds the s-edges between points over
-    ``keys``: the tuples of maps that send every edge ``t(xs)`` of
-    ``preserved``, with ``xs[i]`` in the fibre of ``keys[i]``, to a t-edge of y.
-    Both come from the valuation search; the edges' variables are tagged copies
-    ``(i, a)`` of the fibres' points.
+    The points over a point c of Z are the maps F(v) x_Z X -> y along
+    c : F(v) -> Z, F(v) the free model on one point, named
+    ``function_id(table, key(c))`` by their table on c's fibre.  For each
+    symbol s and each k : F(s(v1..vn)) -> Z, each map F(s(v1..vn)) x_Z X -> y
+    adds the s-edge on the points it restricts to at v1..vn; variables the
+    chase merged are one point of the free model, so they share one copy.
+    The maps over a k come from the valuation search over tagged copies
+    ``(u, a)``, u a point of the free model and a one of k(u)'s fibre: each
+    t-edge of the free model is zipped with the t-edges of X over its image.
     """
-    tgt = y.sorted_carrier()
-    points: dict[str, tuple[dict[str, str], Optional[str]]] = {}
-    named: dict[tuple[Optional[str], tuple[str, ...]], str] = {}
-    for key, fibre in fibres.items():
-        src = fibre.sorted_carrier()
-        for images in _value_tuples(y, src, [tgt] * len(src), fibre.edges if keep_edges else ()):
-            table = dict(zip(src, images))
-            pid = function_id(table, key)
-            if pid in points:
-                raise StructureError("carrier names collide under function-table rendering")
-            points[pid] = (table, key)
-            named[key, images] = pid
-    edges = []
-    for s, keys, preserved in over:
-        copies = [[(i, a) for a in fibres[c].sorted_carrier()] for i, c in enumerate(keys)]
-        variables = [v for copy in copies for v in copy]
-        premises = [Edge(e.symbol, tuple(enumerate(e.args))) for e in preserved]
-        if keep_edges:
-            premises += [Edge(e.symbol, tuple((i, a) for a in e.args))
-                         for i, c in enumerate(keys) for e in fibres[c].edges]
-        ends = list(itertools.accumulate(map(len, copies)))
-        spans = list(zip(keys, [0] + ends, ends))
-        for values in _value_tuples(y, variables, [tgt] * len(variables), premises):
-            edges.append(Edge(s, tuple(named[c, values[lo:hi]] for c, lo, hi in spans)))
-    return Structure(y.signature, points, edges), points
-
-
-def _partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProductResult:
     x, z = f.source, f.target
     sig = x.signature
     if sig != y.signature or sig != z.signature:
         raise SignatureError("partial product needs a shared signature")
-    fibres = {c: fibre_structure(f, c) for c in z.sorted_carrier()}
-    # over_z[t, zs] = the t-edges of x whose image under f is zs
-    over_z: dict[tuple[str, tuple[str, ...]], list[Edge]] = {}
-    for e in x.edges:
-        over_z.setdefault((e.symbol, tuple(map(f, e.args))), []).append(e)
-    over = []
+    fibre: dict[str, list[str]] = {c: [] for c in z.carrier}
+    for a in x.sorted_carrier():
+        fibre[f(a)].append(a)
+    # over_z[t, zs] = the argument tuples of the t-edges of x whose image under f is zs
+    over_z: dict[tuple[str, tuple[str, ...]], list[tuple[str, ...]]] = {}
+    for t, args in x.edges:
+        over_z.setdefault((t, tuple(map(f, args))), []).append(args)
+    tgt = y.sorted_carrier()
+
+    def maps(free: FreeModelResult, vs: Sequence[str]) -> Iterator[tuple]:
+        """Each map F x_Z X -> y over each k : F -> Z, F the free model, read at
+        the images of ``vs`` as a ``(k(u), images of u's copy)`` pair per point u."""
+        us = free.model.sorted_carrier()
+        at = [us.index(free.unit_map(v)) for v in vs]
+        for k in _hom_tuples(free.model, z):
+            over = dict(zip(us, k))
+            copies = [[(u, a) for a in fibre[c]] for u, c in zip(us, k)]
+            variables = [v for copy in copies for v in copy]
+            premises = [Edge(t, tuple(zip(ws, args))) for t, ws in free.model.edges
+                        for args in over_z.get((t, tuple(map(over.__getitem__, ws))), ())]
+            ends = list(itertools.accumulate(map(len, copies)))
+            cells = [(k[i], ends[i] - len(copies[i]), ends[i]) for i in at]
+            for values in _value_tuples(y, variables, [tgt] * len(variables), premises):
+                yield tuple((c, values[lo:hi]) for c, lo, hi in cells)
+
+    points: dict[str, tuple[dict[str, str], str]] = {}
+    named: dict[tuple[str, tuple[str, ...]], str] = {}
+    one = fresh_variables(1)
+    for (c, images), in maps(free_model(theory, Structure(sig, one, ())), one):
+        table = dict(zip(fibre[c], images))
+        pid = function_id(table, key(c))
+        if pid in points:
+            raise StructureError("carrier names collide under function-table rendering")
+        points[pid] = (table, c)
+        named[c, images] = pid
+    edges = []
     for s in sig.symbols:
-        below = sig.order(s.arity).below(s.name) if reflexive else (s.name,)
-        for zs in z.tuples(s.name):
-            over.append((s.name, zs, [e for t in below for e in over_z.get((t, zs), ())]))
-    struct, points = _function_space(y, fibres, reflexive, over)
+        vs = fresh_variables(s.arity)
+        for cells in maps(free_model(theory, Structure(sig, vs, [Edge(s.name, vs)])), vs):
+            edges.append(Edge(s.name, tuple(map(named.__getitem__, cells))))
+    return Structure(sig, points, edges), points
+
+
+def _result(theory: Theory, y: Structure, f: Morphism, variant: str) -> PartialProductResult:
+    """P* with its anchor p : P* -> Z and its evaluation P* x_Z X -> y."""
+    struct, points = _partial_product(theory, y, f, lambda c: c)
     ids = sorted(points)
-    p = Morphism(struct, z, {pid: points[pid][1] for pid in ids})
+    p = Morphism(struct, f.target, {pid: points[pid][1] for pid in ids})
     pb = pullback(p, f)
-    eval_map = {
-        pair_id(pid, a): points[pid][0][a]
-        for pid in ids
-        for a in fibres[points[pid][1]].carrier
-    }
-    eps = Morphism(pb.structure, y, eval_map)
-    return PartialProductResult(
-        struct, p, eps, REFLEXIVE_VARIANT if reflexive else STR_VARIANT, dict(points)
-    )
+    eval_map = {pair_id(pid, a): b for pid in ids for a, b in points[pid][0].items()}
+    return PartialProductResult(struct, p, Morphism(pb.structure, y, eval_map), variant,
+                                dict(points))
+
+
+def _check_models(theory: Theory, y: Structure, f: Morphism, what: str) -> None:
+    for struct, name in ((f.source, "source"), (f.target, "target"), (y, "object")):
+        if not is_model(struct, theory):
+            raise StructureError(f"partial product {name} is not {what}")
+
+
+def partial_product(theory: Theory, y: Structure, f: Morphism) -> PartialProductResult:
+    """P*(y, f) in the theory's models, which y and the ends of f must be.
+
+    It is the partial product whenever one exists, so a P* that is not a
+    model shows that f is not exponentiable.  The variant is ``refl`` when
+    the theory includes its signature's base axioms, else ``str``.
+    """
+    _check_models(theory, y, f, "a model of the theory")
+    return _result(theory, y, f, REFLEXIVE_VARIANT if theory.base_flag else STR_VARIANT)
 
 
 def partial_product_str(y: Structure, f: Morphism) -> PartialProductResult:
-    """The partial product whose points are arbitrary functions on the fibres."""
-    return _partial_product(y, f, reflexive=False)
+    """The partial product among all structures: its points are arbitrary
+    functions on the fibres, and an s-edge's maps send the s-edges of X over
+    it to s-edges of y."""
+    return _result(Theory(f.source.signature, (), (), base_flag=False), y, f, STR_VARIANT)
 
 
 def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
-    """The partial product whose points are edge-preserving maps on the fibres.
+    """The partial product among the base theory's models, which the inputs must be.
 
-    The inputs must be models of the signature's base theory; the edge
-    condition quantifies over every symbol below the edge's symbol in the
-    signature order.
+    Its points are edge-preserving maps on the fibres, and an s-edge's maps
+    send every t-edge of X over it, for t below s in the signature order, to
+    a t-edge of y.
     """
     base = Theory(f.source.signature, (), (), base_flag=True)
-    for struct, name in ((f.source, "source"), (f.target, "target"), (y, "object")):
-        if not is_model(struct, base):
-            raise StructureError(f"partial product {name} is not a base-theory model")
-    return _partial_product(y, f, reflexive=True)
-
-
-def _hom_structure(
-    x: Structure, y: Structure, preserved: dict[str, Iterable[tuple[str, ...]]]
-) -> tuple[Structure, dict[str, dict[str, str]]]:
-    """The edge-preserving maps x -> y, joined by an s-edge when they send every
-    tuple of ``preserved[s]`` to an s-edge of y: the one-fibre function space."""
-    over = [(s.name, (None,) * s.arity, [Edge(s.name, xs) for xs in preserved[s.name]])
-            for s in x.signature.symbols]
-    struct, points = _function_space(y, {None: x}, True, over)
-    return struct, {pid: table for pid, (table, _) in points.items()}
+    _check_models(base, y, f, "a base-theory model")
+    return _result(base, y, f, REFLEXIVE_VARIANT)
 
 
 def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
-    """The structure of edge-preserving maps x -> y with the evaluation morphism.
+    """The exponential y^x among the base theory's models, with its evaluation.
 
-    An edge holds between maps iff they send every related tuple of ``x`` to
-    a related tuple of ``y``.
+    It is the base theory's partial product of y along x -> 1, with the
+    terminal point keyed None, so a point is the edge-preserving map x -> y
+    named ``function_id(table)``.  Neither input needs to be a model: two maps
+    are joined by an s-edge iff they send every t-edge of x, for t below s in
+    the signature order, to a t-edge of y; the result is a base-theory model
+    when x and y are.
     """
     if x.signature != y.signature:
         raise SignatureError("exponential needs a shared signature")
-    struct, points = _hom_structure(x, y, {s.name: x.tuples(s.name) for s in x.signature.symbols})
+    base = Theory(x.signature, (), (), base_flag=True)
+    struct, points = _partial_product(base, y, bang(x), lambda c: None)
+    tables = {pid: table for pid, (table, _) in points.items()}
     prod = product(struct, x)
-    eval_map = {pair_id(pid, a): points[pid][a] for pid in sorted(points) for a in x.carrier}
-    return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), points)
+    eval_map = {pair_id(pid, a): b for pid in sorted(tables) for a, b in tables[pid].items()}
+    return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), tables)
 
 
 def internal_hom(theory: Theory, x: Structure, y: Structure) -> Structure:
-    """The monoidal-closed hom: model morphisms with the pointwise edge condition."""
+    """The monoidal-closed hom: model morphisms with the pointwise edge condition.
+
+    Maps h1..hn are joined by an s-edge iff s(h1(a), .., hn(a)) holds in y
+    for every point a of x.
+    """
     for struct in (x, y):
         if not is_model(struct, theory):
             raise StructureError("internal hom needs model endpoints")
-    diagonal = {s.name: [(a,) * s.arity for a in x.carrier] for s in x.signature.symbols}
-    return _hom_structure(x, y, diagonal)[0]
+    src = x.sorted_carrier()
+    homs = _hom_tuples(x, y)
+    ids = {h: function_id(dict(zip(src, h))) for h in homs}
+    if len(set(ids.values())) != len(homs):
+        raise StructureError("carrier names collide under function-table rendering")
+    edges = [Edge(s.name, tuple(map(ids.get, hs))) for s in x.signature.symbols
+             for hs in itertools.product(homs, repeat=s.arity)
+             if all(map(y.tuples(s.name).__contains__, zip(*hs)))]
+    return Structure(x.signature, ids.values(), edges)
 
 
 def tensor(theory: Theory, x: Structure, y: Structure) -> Structure:

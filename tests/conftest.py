@@ -1347,6 +1347,50 @@ def _reference_fibre_condition(
     return True
 
 
+# P* as the category theory states it, with no valuation search: a point
+# over c is a morphism F(v) x_Z X -> Y along c : F(v) -> Z, and each
+# morphism F(s(v1..vn)) x_Z X -> Y along some k : F(s(v1..vn)) -> Z gives an
+# s-edge on its restrictions at v1..vn.  Every candidate map is built on the
+# pullback and kept when ``validate_morphism`` accepts it.  The free models
+# come from the naive chase.  ``partial_product`` is tested against it.
+
+def reference_partial_product_star(
+    theory: Theory, y: Structure, f: Morphism
+) -> tuple[Structure, dict[str, tuple[dict[str, str], str]]]:
+    """P*(y, f) over the theory, with its points' function tables and keys."""
+    sig, z = theory.signature, f.target
+
+    def maps_from(free: Structure):
+        """Each morphism k : free -> Z with each morphism free x_Z X -> y over it."""
+        for images in itertools.product(z.sorted_carrier(), repeat=len(free.carrier)):
+            k = Morphism(free, z, dict(zip(free.sorted_carrier(), images)))
+            if not validate_morphism(k):
+                continue
+            pb = pullback(k, f)
+            src = pb.structure.sorted_carrier()
+            for values in itertools.product(y.sorted_carrier(), repeat=len(src)):
+                g = Morphism(pb.structure, y, dict(zip(src, values)))
+                if validate_morphism(g):
+                    yield k, pb, g
+
+    def restriction(k, pb, g, u):
+        table = {pb.right(q): g(q) for q in pb.structure.carrier if pb.left(q) == u}
+        return function_id(table, k(u))
+
+    points = {}
+    point = reference_free_model(theory, Structure(sig, ("u",), ())).model
+    for k, pb, g in maps_from(point):
+        pid = restriction(k, pb, g, "u")
+        points[pid] = ({pb.right(q): g(q) for q in pb.structure.carrier}, k("u"))
+    edges = []
+    for s in sig.symbols:
+        vs = tuple(f"u{i}" for i in range(s.arity))
+        free = reference_free_model(theory, Structure(sig, vs, [Edge(s.name, vs)]))
+        for k, pb, g in maps_from(free.model):
+            edges.append(Edge(s.name, tuple(restriction(k, pb, g, free.unit_map(v)) for v in vs)))
+    return Structure(sig, points, edges), points
+
+
 def reference_ch_condition_oracle(h: hm.VFunctor, v: hm.Quantale) -> bool:
     """The distance-form condition by the defining loop: each fibre rebuilt per
     (x1, x3, z2), u and u' found by scanning every element, the join folded by

@@ -394,9 +394,27 @@ def _structure_file(tmp_path, name, carrier, le_pairs):
     return x, str(path)
 
 
-# `exponential` builds Y^X among all structures of the signature; --theory only
-# picks the is_model check and the --verify family, so inputs are not checked.
+# `exponential` builds Y^X among the base theory's models; --theory only picks
+# the is_model check and the --verify family, so inputs are not checked.
 LOOPS = [("a", "a"), ("b", "b"), ("c", "c")]
+
+
+def test_exponential_verify_fails_on_a_family_outside_the_base_theory(tmp_path):
+    # Under the empty theory the family holds the loop-free point Q: four maps
+    # Q x chain2 -> chain2, but only three maps Q -> Y^X.
+    doc = json.loads(Path(corpus("preord.theory.json")).read_text(encoding="utf-8"))
+    doc.update(base=False, axioms=[])
+    path = tmp_path / "empty.theory.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(
+        "exponential", "--theory", str(path), "--base", corpus("chain2.structure.json"),
+        "--target", corpus("chain2.structure.json"), "--verify",
+    )
+    assert code == 1
+    report = json.loads(out)["verification"]
+    assert report["passed"] is False
+    assert [t["detail"] for t in report["tests"] if t["detail"]][0] == (
+        "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c0'}")
 
 
 def test_exponential_accepts_a_non_transitive_base(tmp_path):

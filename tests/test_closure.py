@@ -8,10 +8,13 @@ from hornmod.closure import ExponentialResult, VerificationEntry, VerificationRe
 from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
 
 from conftest import (
+    HORN_SIGNATURE,
     TRUST_SIGNATURE,
+    horn_theories,
     interp_fail_morphism,
     reference_hom_structure,
     reference_partial_product,
+    reference_partial_product_star,
     reference_verify_exponential,
     reference_verify_partial_product,
 )
@@ -448,10 +451,10 @@ COLLIDING_NAMES = ("p", "p,a1:p", "q")
 
 
 @st.composite
-def structures_on(draw, sig, names, dense=st.booleans()):
-    """A random structure over ``sig`` on a prefix of ``names``: a few edges, or
-    all but a few when ``dense`` draws true."""
-    carrier = names[:draw(st.integers(0, len(names)))]
+def structures_on(draw, sig, names, dense=st.booleans(), min_size=0):
+    """A random structure over ``sig`` on a prefix of ``names``, of at least
+    ``min_size`` points: a few edges, or all but a few when ``dense`` draws true."""
+    carrier = names[:draw(st.integers(min_size, len(names)))]
     slots = edge_slots(sig, carrier)
     edges = draw(st.sets(st.sampled_from(slots))) if slots else set()
     return hm.Structure(sig, carrier, set(slots) - edges if draw(dense) else edges)
@@ -551,6 +554,88 @@ def test_partial_products_match_reference(case):
     y, f, reflexive = case
     assert or_error(partial_product, y, f, reflexive) == or_error(
         reference_partial_product_with_components, y, f, reflexive)
+
+
+@st.composite
+def theory_partial_product_inputs(draw):
+    """A random Horn theory over ``{P/1, R/2}``, equality axioms included, with
+    Y and a map f : X -> Z between free models of random structures."""
+    theory = draw(horn_theories())
+
+    def model(names):
+        seed = draw(structures_on(HORN_SIGNATURE, names, min_size=1))
+        return hm.free_model(theory, seed).model
+
+    x, z, y = model(("a0", "a1")), model(("c0", "c1")), model(("b0", "b1", "b2"))
+    homs = hm.enumerate_morphisms(x, z)
+    assume(homs)
+    return theory, y, draw(st.sampled_from(homs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theory_partial_product_inputs())
+def test_partial_product_matches_brute_force_reference(case):
+    theory, y, f = case
+    pp = hm.partial_product(theory, y, f)
+    assert (pp.structure, pp.components) == reference_partial_product_star(theory, y, f)
+    # P* is the partial product exactly when it is a model
+    if hm.is_model(pp.structure, theory):
+        assert hm.verify_partial_product(f, y, pp, all_models(theory, 1)).passed
+
+
+def test_partial_product_rejects_non_models(preord, chain2):
+    loopless = hm.Structure(preord.signature, ["a"], [])
+    with pytest.raises(hm.StructureError, match="partial product object is not a model"):
+        hm.partial_product(preord, loopless, hm.bang(chain2))
+
+
+# Explicitly ordered, lo <= hi with ot incomparable: no complete lattice, so
+# the base theory is reflexivity and hi => lo.
+LO_HI = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in ("hi", "lo", "ot")),
+                     order_kind=hm.EXPLICIT, order_pairs=(("lo", "hi"),))
+
+
+def lo_hi_structure(carrier, edges):
+    loops = [hm.edge(s, a, a) for s in ("hi", "lo", "ot") for a in carrier]
+    return hm.Structure(LO_HI, carrier, loops + [hm.edge(*e) for e in edges])
+
+
+def test_exponential_over_an_ordered_signature_is_a_base_model():
+    # An hi-edge of Y^X must also send lo(a, b) to a lo-edge: joined on the
+    # hi-edges of X alone, [a:p,b:s] and [a:q,b:r] would be hi- but not
+    # lo-related, since lo(p, r) fails, which breaks hi => lo.
+    base = hm.Theory(LO_HI, (), (), base_flag=True)
+    x = lo_hi_structure("ab", [("lo", "a", "b")])
+    y = lo_hi_structure("pqrs", [(s, a, b) for s in ("hi", "lo") for a, b in ("pq", "sr")]
+                        + [("lo", "p", "s"), ("lo", "q", "r")])
+    exp = hm.exponential_object(x, y)
+    assert hm.is_model(exp.structure, base)
+    assert len(exp.structure.edges) == 42
+    assert not exp.structure.holds("hi", ("[a:p,b:s]", "[a:q,b:r]"))
+    assert hm.verify_exponential(x, y, exp, all_models(base, 2, cap=None)).passed
+    pp = hm.partial_product_refl(y, hm.bang(x)).structure
+    name = {pid: pid.removesuffix("@*") for pid in pp.carrier}
+    assert exp.structure == hm.Structure(
+        LO_HI, name.values(), [hm.Edge(s, tuple(map(name.get, args))) for s, args in pp.edges])
+
+
+def test_a_map_that_is_exponentiable_but_not_convex():
+    # The theory is not reflexive, so convexity is not necessary here: P* is a
+    # model, and the partial product, for every Y on at most 3 points.
+    le = hm.Signature((hm.RelationSymbol("le", 2),))
+    theory = hm.Theory(le, (hm.horn([hm.edge("le", "x", "y")], hm.edge("le", "x", "x")),), (),
+                       base_flag=False)
+    x = hm.Structure(le, ["e0"], [hm.edge("le", "e0", "e0")])
+    z = hm.Structure(le, ["e0", "e1"], [hm.edge("le", "e0", "e0"), hm.edge("le", "e0", "e1")])
+    f = hm.Morphism(x, z, {"e0": "e0"})
+    assert not hm.is_convex(f, theory)
+    assert not hm.is_convex_via_lifting(f, theory)
+    ys, family = all_models(theory, 3), all_models(theory, 2)
+    assert len(ys) == 39
+    for y in ys:
+        pp = hm.partial_product(theory, y, f)
+        assert hm.is_model(pp.structure, theory)
+        assert hm.verify_partial_product(f, y, pp, family).passed
 
 
 def test_currying_naturality(preord, chain2):

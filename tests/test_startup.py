@@ -43,12 +43,12 @@ PUBLIC_NAMES = [
     "is_reflexive", "is_reflexive_theory", "is_safe_axiom", "is_schema_convex",
     "is_schema_convex_wrt_instance", "is_schema_object_convex", "is_schema_safe",
     "is_schema_very_safe", "is_total_order", "is_transitive", "is_very_safe_axiom",
-    "lukasiewicz_quantale", "pair_id", "partial_product_refl", "partial_product_str",
-    "poset_theory", "preorder_theory", "product", "pullback", "reflexive_symmetric_theory",
-    "reflexive_theory", "sample_family", "satisfies_formula", "signature_of",
-    "signature_order_closure", "structure_to_vgraph", "symmetry_schema", "tensor",
-    "tensor_unit", "terminal", "theory_met", "theory_pmet", "theory_vcat", "theory_vgph",
-    "theory_vrgph", "validate_morphism", "var_set", "verify_exponential",
+    "lukasiewicz_quantale", "pair_id", "partial_product", "partial_product_refl",
+    "partial_product_str", "poset_theory", "preorder_theory", "product", "pullback",
+    "reflexive_symmetric_theory", "reflexive_theory", "sample_family", "satisfies_formula",
+    "signature_of", "signature_order_closure", "structure_to_vgraph", "symmetry_schema",
+    "tensor", "tensor_unit", "terminal", "theory_met", "theory_pmet", "theory_vcat",
+    "theory_vgph", "theory_vrgph", "validate_morphism", "var_set", "verify_exponential",
     "verify_partial_product", "vfunctor_to_morphism", "vgraph_to_structure",
 ]
 
