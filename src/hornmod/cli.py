@@ -178,24 +178,24 @@ def cmd_exponential(args) -> tuple[dict, int]:
 
 
 def cmd_partial_product(args) -> tuple[dict, int]:
-    from .closure import partial_product_refl, partial_product_str, verify_partial_product
+    from .closure import partial_product, verify_partial_product
     from .families import default_test_family
 
     f = _load_morphism(args.morphism)
     y = parse_structure(_load(args.target))
-    build = partial_product_str if args.variant == "str" else partial_product_refl
-    result: PartialProductResult = build(y, f)
+    # the variant names the theory: the empty one (all structures) or the base one
+    theory = Theory(f.source.signature, base_flag=args.variant == "refl")
+    result: PartialProductResult = partial_product(theory, y, f)
     payload: dict[str, Any] = {
-        "variant": args.variant,
+        "variant": result.variant,
         "P": structure_to_jsonable(result.structure),
         "p": dict(sorted(result.p.mapping.items())),
         "eval": dict(sorted(result.eval.mapping.items())),
     }
     code = OK
     if args.verify:
-        base = Theory(f.source.signature, (), (), base_flag=True)
-        family = default_test_family(base.signature, args.max_q, args.cap, args.seed,
-                                     theory=base if args.variant == "refl" else None)
+        family = default_test_family(theory.signature, args.max_q, args.cap, args.seed,
+                                     theory=theory)
         report = verify_partial_product(f, y, result, family)
         payload["verification"] = _verification_payload(report)
         code = OK if report.passed else NEGATIVE

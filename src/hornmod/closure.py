@@ -5,7 +5,8 @@ free models of a theory T.  In T's models a point is a map from F(v), the
 free model on one point, and an s-edge a map from F(s(v1..vn)), the free
 model on one s-edge; so the partial product of Y over f : X -> Z, when it
 exists, has the maps F(v) x_Z X -> Y as its points and gets an s-edge from
-each map F(s(v1..vn)) x_Z X -> Y.  The plain partial product is P* over the
+each map F(s(v1..vn)) x_Z X -> Y.  The theory is the variant: all structures
+are the empty theory's models, so the plain partial product is P* over the
 empty theory, the reflexive one over the signature's base theory, and the
 exponential Y^X the base theory's P* along X -> 1.  Points and edges both
 come from the valuation search of :mod:`hornmod.semantics`, the edges over
@@ -37,7 +38,6 @@ from .limits import (
     _pair_ids,
     bang,
     pair_id,
-    product,
     pullback,
 )
 from .semantics import FreeModelResult, _reader, _value_tuples, free_model, is_model
@@ -87,8 +87,6 @@ def _partial_product(
     """
     x, z = f.source, f.target
     sig = x.signature
-    if sig != y.signature or sig != z.signature:
-        raise SignatureError("partial product needs a shared signature")
     fibre: dict[str, list[str]] = {c: [] for c in z.carrier}
     for a in x.sorted_carrier():
         fibre[f(a)].append(a)
@@ -132,21 +130,17 @@ def _partial_product(
     return Structure(sig, points, edges), points
 
 
-def _result(theory: Theory, y: Structure, f: Morphism, variant: str) -> PartialProductResult:
-    """P* with its anchor p : P* -> Z and its evaluation P* x_Z X -> y."""
-    struct, points = _partial_product(theory, y, f, lambda c: c)
+def _result(theory: Theory, y: Structure, f: Morphism, key: Callable) -> PartialProductResult:
+    """P* with its anchor p : P* -> Z and its evaluation P* x_Z X -> y; ``key``
+    names the points over each point of Z, as in :func:`_partial_product`."""
+    struct, points = _partial_product(theory, y, f, key)
     ids = sorted(points)
     p = Morphism(struct, f.target, {pid: points[pid][1] for pid in ids})
     pb = pullback(p, f)
     eval_map = {pair_id(pid, a): b for pid in ids for a, b in points[pid][0].items()}
+    variant = REFLEXIVE_VARIANT if theory.base_flag else STR_VARIANT
     return PartialProductResult(struct, p, Morphism(pb.structure, y, eval_map), variant,
                                 dict(points))
-
-
-def _check_models(theory: Theory, y: Structure, f: Morphism, what: str) -> None:
-    for struct, name in ((f.source, "source"), (f.target, "target"), (y, "object")):
-        if not is_model(struct, theory):
-            raise StructureError(f"partial product {name} is not {what}")
 
 
 def partial_product(theory: Theory, y: Structure, f: Morphism) -> PartialProductResult:
@@ -156,15 +150,19 @@ def partial_product(theory: Theory, y: Structure, f: Morphism) -> PartialProduct
     model shows that f is not exponentiable.  The variant is ``refl`` when
     the theory includes its signature's base axioms, else ``str``.
     """
-    _check_models(theory, y, f, "a model of the theory")
-    return _result(theory, y, f, REFLEXIVE_VARIANT if theory.base_flag else STR_VARIANT)
+    if not f.source.signature == y.signature == f.target.signature:
+        raise SignatureError("partial product needs a shared signature")
+    for struct, name in ((f.source, "source"), (f.target, "target"), (y, "object")):
+        if not is_model(struct, theory):
+            raise StructureError(f"partial product {name} is not a model of the theory")
+    return _result(theory, y, f, lambda c: c)
 
 
 def partial_product_str(y: Structure, f: Morphism) -> PartialProductResult:
-    """The partial product among all structures: its points are arbitrary
-    functions on the fibres, and an s-edge's maps send the s-edges of X over
-    it to s-edges of y."""
-    return _result(Theory(f.source.signature, (), (), base_flag=False), y, f, STR_VARIANT)
+    """The partial product among all structures, the empty theory's models: its
+    points are arbitrary functions on the fibres, and an s-edge's maps send the
+    s-edges of X over it to s-edges of y."""
+    return partial_product(Theory(f.source.signature, base_flag=False), y, f)
 
 
 def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
@@ -174,9 +172,7 @@ def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
     send every t-edge of X over it, for t below s in the signature order, to
     a t-edge of y.
     """
-    base = Theory(f.source.signature, (), (), base_flag=True)
-    _check_models(base, y, f, "a base-theory model")
-    return _result(base, y, f, REFLEXIVE_VARIANT)
+    return partial_product(Theory(f.source.signature, base_flag=True), y, f)
 
 
 def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
@@ -191,12 +187,9 @@ def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
     """
     if x.signature != y.signature:
         raise SignatureError("exponential needs a shared signature")
-    base = Theory(x.signature, (), (), base_flag=True)
-    struct, points = _partial_product(base, y, bang(x), lambda c: None)
-    tables = {pid: table for pid, (table, _) in points.items()}
-    prod = product(struct, x)
-    eval_map = {pair_id(pid, a): b for pid in sorted(tables) for a, b in tables[pid].items()}
-    return ExponentialResult(struct, Morphism(prod.structure, y, eval_map), tables)
+    pp = _result(Theory(x.signature, base_flag=True), y, bang(x), lambda c: None)
+    tables = {pid: table for pid, (table, _) in pp.components.items()}
+    return ExponentialResult(pp.structure, pp.eval, tables)
 
 
 def internal_hom(theory: Theory, x: Structure, y: Structure) -> Structure:

@@ -148,7 +148,7 @@ def _axiom_free_models(axiom: HornFormula, theory: Theory):
     assert isinstance(axiom.conclusion, Edge)
     concl = axiom.conclusion
     n = len(concl.args)
-    generators = fresh_variables(n, avoid=axiom.variables(), base="g")
+    generators = fresh_variables(n)
     generic = Structure(theory.signature, generators, (Edge(concl.symbol, generators),))
     edge_model = free_model(theory, generic)
     variables = sorted(axiom.variables())

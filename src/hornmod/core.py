@@ -490,18 +490,9 @@ def var_set(edges: Iterable[Edge]) -> frozenset[str]:
     return frozenset(out)
 
 
-def fresh_variables(count: int, avoid: Iterable[str] = (), base: str = "v") -> tuple[str, ...]:
-    """Deterministic fresh variable names not clashing with ``avoid``."""
-    taken = set(avoid)
-    out: list[str] = []
-    i = 0
-    while len(out) < count:
-        name = f"{base}{i}"
-        if name not in taken:
-            out.append(name)
-            taken.add(name)
-        i += 1
-    return tuple(out)
+def fresh_variables(count: int) -> tuple[str, ...]:
+    """The deterministic variable names ``v0`` .. ``v{count-1}``."""
+    return tuple(f"v{i}" for i in range(count))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Deterministic families of small structures used as test objects.
 
 Structures are edge subsets of canonical carriers (e0, e1, ...), numbered by
-bitmask over the edge slots (bit 0 is the first slot).  Families of all
-structures enumerate every mask, sampling with a fixed seed once a carrier
-has more masks than a cap.  Families of models are generated, not filtered:
-on a fixed carrier the models of the edge axioms are the closed sets of a
-closure system, listed by Ganter's NextClosure in increasing mask order, and
-the equality axioms then drop some of them.  Either family can be reduced to
+bitmask over the edge slots (bit 0 is the first slot).  The family is named
+by a theory alone: all structures are the models of the empty theory.  Models
+are generated, not filtered: on a fixed carrier the models of the edge axioms
+are the closed sets of a closure system, listed by Ganter's NextClosure in
+increasing mask order (every mask, for no axioms), and the equality axioms
+then drop some of them.  A carrier with more masks than a cap is sampled with
+a fixed seed and filtered to its models.  A family can be reduced to
 isomorphism-class representatives by one canonical labelling, which
 ``limits.find_isomorphism`` shares.  All output orders are canonical, so the
 same inputs always give the same family.
@@ -65,15 +66,9 @@ def _structure_of_mask(
 def all_structures(
     sig: Signature, max_size: int, cap: Optional[int] = DEFAULT_CAP, seed: int = 0
 ) -> list[Structure]:
-    """All structures with carrier size up to ``max_size`` (sampled per size beyond cap).
-
-    A negative ``max_size`` raises ``HornmodError``, as in :func:`all_models`.
-    """
-    _check_size_bound(max_size)
-    out: list[Structure] = []
-    for size in range(max_size + 1):
-        out.extend(structures_on_carrier(sig, size, cap, seed))
-    return out
+    """All structures with carrier size up to ``max_size`` (sampled per size beyond cap):
+    the models of the empty theory, in mask order."""
+    return all_models(Theory(sig, base_flag=False), max_size, iso=False, cap=cap, seed=seed)
 
 
 def _check_size_bound(max_size: int) -> None:
@@ -135,10 +130,9 @@ def all_models(
 
     Per carrier size the models are generated as closed edge sets, in the
     mask order of :func:`structures_on_carrier`.  A size whose 2^slots
-    structures exceed ``cap`` is sampled as structures, as in
-    :func:`all_structures`, and the sample is filtered to its models.  Each
-    size is grounded once, from the compiled axioms the theory keeps.  A
-    negative ``max_size`` raises ``HornmodError``.
+    structures exceed ``cap`` is sampled by that function and filtered to
+    its models.  Each size is grounded once, from the compiled axioms the
+    theory keeps.  A negative ``max_size`` raises ``HornmodError``.
     """
     _check_size_bound(max_size)
     sig = theory.signature
@@ -213,11 +207,9 @@ def default_test_family(
 ) -> list[Structure]:
     """The default family for the universal-property verifiers.
 
-    One representative per isomorphism class of structures (or of the
-    theory's models, when given) up to the size bound, sampled past the cap.
+    One representative per isomorphism class of the theory's models up to
+    the size bound, sampled past the cap; with no theory, of all structures,
+    the models of the empty theory over ``sig``.
     """
-    if theory is not None:
-        family = all_models(theory, max_size, iso=True, cap=None)
-    else:
-        family = dedup_by_iso(all_structures(sig, max_size, cap=None))
-    return sample_family(family, cap, seed)
+    theory = theory or Theory(sig, base_flag=False)
+    return sample_family(all_models(theory, max_size, iso=True, cap=None), cap, seed)

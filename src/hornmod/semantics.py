@@ -133,23 +133,6 @@ def _value_tuples(
     return _run(_checks(variables, ((x.tuples(s), args) for s, args in edges)), domains)
 
 
-def satisfying_valuations(
-    x: Structure,
-    premises: frozenset[Edge] | tuple[Edge, ...],
-    variables: tuple[str, ...],
-) -> Iterator[dict[str, str]]:
-    """All valuations of ``variables`` into the carrier making every premise hold.
-
-    Every premise variable must be in ``variables``.  Variables are bound in
-    the order of ``variables``, each over the sorted carrier, by
-    :func:`_value_tuples`, so valuations come out lazily in lexicographic
-    order of the variable tuple.
-    """
-    carrier = x.sorted_carrier()
-    for values in _value_tuples(x, variables, [carrier] * len(variables), premises):
-        yield dict(zip(variables, values))
-
-
 def find_formula_violation(x: Structure, formula: HornFormula) -> Optional[dict[str, str]]:
     """The first (canonical-order) valuation violating the formula, or None."""
     x.signature.check_formula(formula, "formula")

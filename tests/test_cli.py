@@ -215,6 +215,17 @@ def test_partial_product_refl():
     assert json.loads(out)["verification"]["passed"] is True
 
 
+def test_partial_product_refl_of_a_non_base_model_is_one_line_input_error(tmp_path):
+    doc = json.loads(Path(corpus("chain2.structure.json")).read_text(encoding="utf-8"))
+    doc["edges"] = [e for e in doc["edges"] if e["args"] != ["c1", "c1"]]  # no loop at c1
+    path = tmp_path / "loopless.structure.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    stderr = assert_one_line_input_error(
+        "partial-product", "--variant", "refl",
+        "--morphism", corpus("interp-fail.morphism.json"), "--target", str(path))
+    assert stderr == "error: partial product object is not a model of the theory\n"
+
+
 def test_convexity_both_methods_agree():
     code, out = run_cli(
         "convexity", "--theory", corpus("preord.theory.json"),

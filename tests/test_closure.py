@@ -65,10 +65,15 @@ def test_partial_product_refl_terminal_object(preord, chain3):
 
 
 def test_partial_product_refl_rejects_non_models(preord, chain2):
+    # with the message of partial_product over the base theory
     loopless = hm.Structure(preord.signature, ["a"], [])
     f = hm.Morphism(loopless, loopless, {"a": "a"})
-    with pytest.raises(hm.StructureError):
+    with pytest.raises(hm.StructureError,
+                       match="^partial product source is not a model of the theory$"):
         hm.partial_product_refl(chain2, f)
+    with pytest.raises(hm.StructureError,
+                       match="^partial product object is not a model of the theory$"):
+        hm.partial_product_refl(loopless, hm.bang(chain2))
 
 
 def test_partial_product_refl_discrete_agrees_on_morphism_points(preord, chain2):
@@ -461,10 +466,10 @@ def structures_on(draw, sig, names, dense=st.booleans(), min_size=0):
 
 
 def function_space_objects(sig):
-    """Y on 0-3 points, on plain names or on names whose function ids can collide;
-    mostly dense, so that many maps land in it."""
+    """Y on 1-3 points, on plain names or on names whose function ids can collide;
+    mostly dense, so that many maps land in it.  An empty Y is an explicit example."""
     return st.sampled_from([("b0", "b1", "b2"), COLLIDING_NAMES]).flatmap(
-        lambda names: structures_on(sig, names, st.integers(0, 2).map(bool)))
+        lambda names: structures_on(sig, names, st.integers(0, 2).map(bool), min_size=1))
 
 
 def or_error(build, *args):
@@ -495,11 +500,22 @@ def reference_function_space(x, y, diagonal):
     return struct, points, hm.Morphism(hm.product(struct, x).structure, y, eval_map)
 
 
+EMPTY = hm.Structure(TRUST_SIGNATURE, [], [])
+LOOPED_X = hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [hm.edge("R", "a0", "a0"),
+                                                        hm.edge("P", "a1")])
+
+
+# X and Y are drawn non-empty; the empty ones, where the function space is one
+# point or none, are the explicit examples.
 @settings(max_examples=300, deadline=None)
-@given(structures_on(TRUST_SIGNATURE, ("a0", "a1", "a2")),
+@given(structures_on(TRUST_SIGNATURE, ("a0", "a1", "a2"), min_size=1),
        function_space_objects(TRUST_SIGNATURE), st.booleans())
 @example(hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], []),
          hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], []), False)
+@example(EMPTY, hm.Structure(TRUST_SIGNATURE, ["b0"], [hm.edge("P", "b0")]), False)
+@example(EMPTY, EMPTY, True)
+@example(LOOPED_X, EMPTY, False)
+@example(LOOPED_X, EMPTY, True)
 def test_exponential_and_internal_hom_match_reference(x, y, diagonal):
     assert or_error(function_space, x, y, diagonal) == or_error(
         reference_function_space, x, y, diagonal)
@@ -516,8 +532,8 @@ def partial_product_inputs(draw):
     reflexive = draw(st.booleans())
     sig = draw(st.sampled_from([TRUST_SIGNATURE, ORDERED_SIGNATURE])) if reflexive \
         else TRUST_SIGNATURE
-    x = draw(structures_on(sig, ("a0", "a1", "a2")))
-    z = draw(structures_on(sig, ("c0", "c1", "c2")).filter(lambda z: z.carrier or not x.carrier))
+    x = draw(structures_on(sig, ("a0", "a1", "a2"), min_size=1))
+    z = draw(structures_on(sig, ("c0", "c1", "c2"), min_size=1))
     y = draw(function_space_objects(sig))
     if reflexive:
         x, z, y = (base_model(sig, s.carrier, s.edges) for s in (x, z, y))
@@ -550,6 +566,17 @@ BELOW_S = (
 @example((hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], []),
           hm.bang(hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [])), False))
 @example(BELOW_S)
+# X and Y are drawn non-empty, so the empty ones are examples: an empty X over
+# an empty Z (P* is empty), and an empty Y (no point over a non-empty fibre).
+@example((hm.Structure(TRUST_SIGNATURE, ["b0"], []),
+          hm.Morphism(EMPTY, EMPTY, {}), False))
+@example((base_model(TRUST_SIGNATURE, ["b0"], []),
+          hm.Morphism(EMPTY, EMPTY, {}), True))
+@example((EMPTY, hm.Morphism(LOOPED_X, hm.Structure(TRUST_SIGNATURE, ["c0", "c1"], [
+    hm.edge("R", "c0", "c0"), hm.edge("P", "c1")]), {"a0": "c0", "a1": "c1"}), False))
+@example((EMPTY, hm.Morphism(
+    base_model(TRUST_SIGNATURE, ["a0"], []), base_model(TRUST_SIGNATURE, ["c0", "c1"], []),
+    {"a0": "c1"}), True))
 def test_partial_products_match_reference(case):
     y, f, reflexive = case
     assert or_error(partial_product, y, f, reflexive) == or_error(
@@ -587,6 +614,18 @@ def test_partial_product_rejects_non_models(preord, chain2):
     loopless = hm.Structure(preord.signature, ["a"], [])
     with pytest.raises(hm.StructureError, match="partial product object is not a model"):
         hm.partial_product(preord, loopless, hm.bang(chain2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda y, f: hm.partial_product(hm.Theory(f.source.signature, (), (), base_flag=True), y, f),
+    hm.partial_product_str, hm.partial_product_refl,
+], ids=["partial_product", "str", "refl"])
+def test_partial_products_check_the_shared_signature_first(chain2, build):
+    # A Y over another signature is reported as such, not as a structure over
+    # another signature than the theory's.
+    y = hm.Structure(TRUST_SIGNATURE, ["b0"], [])
+    with pytest.raises(hm.SignatureError, match="^partial product needs a shared signature$"):
+        build(y, hm.bang(chain2))
 
 
 # Explicitly ordered, lo <= hi with ot incomparable: no complete lattice, so

@@ -6,21 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod import semantics
-from hornmod.core import var_set
 from hornmod.families import all_structures
-from hornmod.semantics import _value_tuples, check_model, satisfying_valuations
+from hornmod.semantics import _value_tuples, check_model
 
 from conftest import (
     HORN_SIGNATURE,
     TRUST_SIGNATURE,
     edge_axioms,
     equality_axioms,
-    horn_edges,
     horn_theories,
     reference_check_model,
     reference_entails,
     reference_free_model,
-    reference_satisfying_valuations,
     reference_value_tuples,
     trust_edges,
     trust_structures,
@@ -213,18 +210,6 @@ def horn_structures(draw, max_size=4):
     slots += [hm.edge("R", a, b) for a in carrier for b in carrier]
     keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     return hm.Structure(HORN_SIGNATURE, carrier, [e for e, k in zip(slots, keep) if k])
-
-
-@settings(max_examples=200, deadline=None)
-@given(horn_structures(), st.frozensets(horn_edges(("x", "y", "z", "w")), max_size=3),
-       st.lists(st.sampled_from(("w", "x", "y", "z")), unique=True, max_size=4), st.data())
-def test_satisfying_valuations_match_reference(x, premises, extra, data):
-    # ``variables`` holds every premise variable, in any order, and may name
-    # variables of no premise (they range over the carrier).
-    needed = sorted(var_set(premises) | set(extra))
-    variables = tuple(data.draw(st.permutations(needed)))
-    got = list(satisfying_valuations(x, premises, variables))
-    assert got == list(reference_satisfying_valuations(x, premises, variables))
 
 
 @settings(max_examples=200, deadline=None)
