@@ -7,7 +7,6 @@ every enumeration in the package is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -44,16 +43,26 @@ class TheoryError(HornmodError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class RelationSymbol:
-    """A relation symbol with a fixed arity >= 1."""
-
+class _RelationSymbol(NamedTuple):
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise SignatureError(f"arity of {self.name!r} must be >= 1, got {self.arity}")
+
+class RelationSymbol(_RelationSymbol):
+    """A relation symbol with a fixed arity >= 1, ordered by (name, arity)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, arity: int) -> "RelationSymbol":
+        if not isinstance(name, str):
+            raise SignatureError(f"symbol name must be a string, got {name!r}")
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise SignatureError(f"arity of {name!r} must be an integer, got {arity!r}")
+        if arity < 1:
+            raise SignatureError(f"arity of {name!r} must be >= 1, got {arity}")
+        return tuple.__new__(cls, (name, arity))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 class Edge(NamedTuple):
@@ -72,8 +81,32 @@ def quantale_symbol_name(element: str) -> str:
     return "~" + element
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Value:
+    """A value with read-only public fields, kept data besides, and explicit equality.
+
+    ``__getstate__`` gives the compared fields, the constructor's arguments:
+    ``==`` and ``hash`` read it, and pickling and copying restore it through
+    ``__setstate__``, which sets the fields and empty kept data unchecked.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(_Value):
     """A finite relational signature, optionally carrying a per-arity preorder.
 
     The preorder is one of: discrete (equality only), explicit (the
@@ -82,23 +115,28 @@ class Signature:
     exactly the binary symbols named ``~v`` for the quantale elements ``v``.
     """
 
-    symbols: tuple[RelationSymbol, ...]
-    order_kind: str = DISCRETE
-    order_pairs: tuple[tuple[str, str], ...] = ()
-    quantale: Optional["Quantale"] = None
-    _arities: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("symbols", "order_kind", "order_pairs", "quantale", "_arities", "_orders",
+                 "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(sorted(set(self.symbols))))
-        object.__setattr__(self, "order_pairs", tuple(sorted(set(self.order_pairs))))
+    def __init__(
+        self,
+        symbols: Iterable[RelationSymbol],
+        order_kind: str = DISCRETE,
+        order_pairs: Iterable[tuple[str, str]] = (),
+        quantale: Optional["Quantale"] = None,
+    ) -> None:
+        order_pairs = tuple(order_pairs)
+        for pair in order_pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(name, str) for name in pair)):
+                raise SignatureError(f"order pair {pair!r} is not a pair of symbol names")
+        self.__setstate__((tuple(sorted(set(symbols))), order_kind,
+                           tuple(sorted(set(order_pairs))), quantale))
         if self.order_kind not in ORDER_KINDS:
             raise SignatureError(f"unknown order kind {self.order_kind!r}")
-        names = [s.name for s in self.symbols]
-        if len(set(names)) != len(names):
+        arities = self._arities
+        if len(arities) != len(self.symbols):
             raise SignatureError("duplicate symbol names in signature")
-        arities = {s.name: s.arity for s in self.symbols}
-        object.__setattr__(self, "_arities", arities)
         for low, high in self.order_pairs:
             if low not in arities or high not in arities:
                 raise SignatureError(f"order pair ({low!r}, {high!r}) uses unknown symbols")
@@ -119,6 +157,19 @@ class Signature:
                 )
         elif self.quantale is not None:
             raise SignatureError("only quantale-induced signatures carry a quantale")
+
+    def __getstate__(self) -> tuple:
+        return (self.symbols, self.order_kind, self.order_pairs, self.quantale)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(("symbols", "order_kind", "order_pairs", "quantale"), state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
+        object.__setattr__(self, "_orders", {})
+
+    def __repr__(self) -> str:
+        return (f"Signature(symbols={self.symbols!r}, order_kind={self.order_kind!r}, "
+                f"order_pairs={self.order_pairs!r}, quantale={self.quantale!r})")
 
     def arity(self, name: str) -> int:
         try:
@@ -434,16 +485,19 @@ def validate_morphism(h: Morphism) -> bool:
     return all(tuple(map(image, args)) in target.tuples(name) for name, args in h.source.edges)
 
 
-@dataclass(frozen=True)
-class Equality:
+class Equality(NamedTuple):
     """An equality conclusion between two variables."""
 
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class HornFormula:
+class _HornFormula(NamedTuple):
+    premises: frozenset[Edge]
+    conclusion: Edge | Equality
+
+
+class HornFormula(_HornFormula):
     """An implication from a finite set of premise edges to an edge or equality.
 
     All variables are implicitly universally quantified, including any that
@@ -451,25 +505,22 @@ class HornFormula:
     variables to be exactly the two equated variables.
     """
 
-    premises: frozenset[Edge]
-    conclusion: Edge | Equality
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "premises", frozenset(self.premises))
-        if isinstance(self.conclusion, Equality):
-            vs = var_set(self.premises)
-            if vs != {self.conclusion.left, self.conclusion.right}:
-                raise TheoryError(
-                    "equality conclusion requires the premise variables to be "
-                    "exactly the equated pair"
-                )
+    def __new__(cls, premises: Iterable[Edge], conclusion: Edge | Equality) -> "HornFormula":
+        premises = frozenset(premises)
+        if isinstance(conclusion, Equality) and var_set(premises) != set(conclusion):
+            raise TheoryError(
+                "equality conclusion requires the premise variables to be "
+                "exactly the equated pair"
+            )
+        return tuple.__new__(cls, (premises, conclusion))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def variables(self) -> frozenset[str]:
-        if isinstance(self.conclusion, Equality):
-            extra = {self.conclusion.left, self.conclusion.right}
-        else:
-            extra = set(self.conclusion.args)
-        return frozenset(var_set(self.premises) | extra)
+        concl = self.conclusion
+        return var_set(self.premises) | set(concl if isinstance(concl, Equality) else concl.args)
 
     def has_equality(self) -> bool:
         return isinstance(self.conclusion, Equality)
@@ -495,8 +546,7 @@ def fresh_variables(count: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(count))
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(_Value):
     """A relational Horn theory: a signature, axioms, and optional axiom schemas.
 
     When ``base_flag`` is set the base axioms of the signature (reflexivity,
@@ -504,19 +554,20 @@ class Theory:
     axioms) are implicitly part of the theory.
     """
 
-    signature: Signature
-    axioms: tuple[HornFormula, ...] = ()
-    schemas: tuple = ()
-    base_flag: bool = True
-    _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    # The lifting oracle's free models, aligned with convexity.eligible_axioms.
-    _lifting_models: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    # The compiled axioms (semantics._Rule), aligned with all_axioms().
-    _rules: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # Kept data: all_axioms(); the lifting oracle's free models, aligned with
+    # convexity.eligible_axioms; the compiled axioms (semantics._Rule), aligned
+    # with all_axioms().
+    __slots__ = ("signature", "axioms", "schemas", "base_flag", "_all_axioms",
+                 "_lifting_models", "_rules", "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axioms", tuple(self.axioms))
-        object.__setattr__(self, "schemas", tuple(self.schemas))
+    def __init__(
+        self,
+        signature: Signature,
+        axioms: Iterable[HornFormula] = (),
+        schemas: Iterable = (),
+        base_flag: bool = True,
+    ) -> None:
+        self.__setstate__((signature, tuple(axioms), tuple(schemas), base_flag))
         for ax in self.axioms:
             self.signature.check_formula(ax, "axiom")
         if self.schemas:
@@ -530,6 +581,19 @@ class Theory:
                 )
             for s in self.schemas:
                 s.check_signature(self.signature)
+
+    def __getstate__(self) -> tuple:
+        return (self.signature, self.axioms, self.schemas, self.base_flag)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(("signature", "axioms", "schemas", "base_flag"), state):
+            object.__setattr__(self, name, value)
+        for name in ("_all_axioms", "_lifting_models", "_rules"):
+            object.__setattr__(self, name, None)
+
+    def __repr__(self) -> str:
+        return (f"Theory(signature={self.signature!r}, axioms={self.axioms!r}, "
+                f"schemas={self.schemas!r}, base_flag={self.base_flag!r})")
 
     def all_axioms(self) -> tuple[HornFormula, ...]:
         """Base axioms, explicit axioms and expanded schema instances, in that order, kept."""

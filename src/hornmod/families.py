@@ -18,7 +18,9 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .core import DEFAULT_CAP, Edge, HornmodError, Signature, Structure, StructureError, Theory
+from .core import (
+    DEFAULT_CAP, Edge, HornmodError, Signature, SignatureError, Structure, StructureError, Theory,
+)
 from .semantics import ground_axioms, is_model
 
 
@@ -209,7 +211,11 @@ def default_test_family(
 
     One representative per isomorphism class of the theory's models up to
     the size bound, sampled past the cap; with no theory, of all structures,
-    the models of the empty theory over ``sig``.
+    the models of the empty theory over ``sig``.  A theory over another
+    signature than ``sig`` raises ``SignatureError``.
     """
-    theory = theory or Theory(sig, base_flag=False)
+    if theory is None:
+        theory = Theory(sig, base_flag=False)
+    elif theory.signature != sig:
+        raise SignatureError("test family and theory use different signatures")
     return sample_family(all_models(theory, max_size, iso=True, cap=None), cap, seed)

@@ -25,9 +25,8 @@ depend on the order of matching.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Edge,
@@ -42,8 +41,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A failed axiom together with the valuation that witnesses the failure."""
 
     axiom: HornFormula
@@ -53,8 +51,7 @@ class Violation:
         return dict(self.valuation)
 
 
-@dataclass(frozen=True)
-class FreeModelResult:
+class FreeModelResult(NamedTuple):
     model: Structure
     unit_map: Morphism
 
@@ -161,8 +158,7 @@ def is_model(x: Structure, theory: Theory) -> bool:
     return check_model(x, theory) is None
 
 
-@dataclass(frozen=True)
-class GroundTheory:
+class GroundTheory(NamedTuple):
     """A theory's axioms instantiated on one carrier, as bitmask clauses.
 
     Bit ``i`` of a mask stands for the ``i``-th edge slot.  An edge set is a
@@ -272,7 +268,7 @@ class _Rule:
         self.plan = tuple((p.symbol, max(a), _reader(a)) for p, a in zip(self.premises, at))
         concl, equality = ax.conclusion, isinstance(ax.conclusion, Equality)
         self.symbol = None if equality else concl.symbol
-        head = (concl.left, concl.right) if equality else concl.args
+        head = concl if equality else concl.args  # an Equality is its two sides
         self.read_head = _reader(tuple(map(position, head)))
 
     def _search(self, tuple_sets: Sequence[Container], domains: Sequence[Iterable[str]]):

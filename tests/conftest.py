@@ -1,8 +1,10 @@
 import itertools
 import json
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Optional, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -1458,3 +1460,156 @@ def small_vfunctors(draw, max_size: int = 3):
     gx = hm.VGraph(v, src, tuple((a, b, d) for (a, b), d in dx.items()))
     gz = hm.VGraph(v, tgt, tuple((a, b, d) for (a, b), d in dz.items()))
     return v, hm.VFunctor(gx, gz, tuple(images.items()))
+
+
+# The value types of core and semantics as the frozen dataclasses they were
+# before they became NamedTuples and slotted classes, so that a CLI request
+# imports no ``dataclasses``.  Each reference keeps the name of the type it
+# stood for, so that reprs compare byte for byte, and borrows the methods that
+# did not change; the converted types are tested against them.
+
+@dataclass(frozen=True, order=True)
+class ReferenceRelationSymbol:
+    __qualname__ = "RelationSymbol"
+
+    name: str
+    arity: int
+
+    def __post_init__(self) -> None:
+        if self.arity < 1:
+            raise SignatureError(f"arity of {self.name!r} must be >= 1, got {self.arity}")
+
+
+@dataclass(frozen=True)
+class ReferenceSignature:
+    __qualname__ = "Signature"
+
+    symbols: tuple
+    order_kind: str = hm.DISCRETE
+    order_pairs: tuple[tuple[str, str], ...] = ()
+    quantale: Optional[hm.Quantale] = None
+    _arities: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symbols", tuple(sorted(set(self.symbols))))
+        object.__setattr__(self, "order_pairs", tuple(sorted(set(self.order_pairs))))
+        if self.order_kind not in hm.core.ORDER_KINDS:
+            raise SignatureError(f"unknown order kind {self.order_kind!r}")
+        names = [s.name for s in self.symbols]
+        if len(set(names)) != len(names):
+            raise SignatureError("duplicate symbol names in signature")
+        arities = {s.name: s.arity for s in self.symbols}
+        object.__setattr__(self, "_arities", arities)
+        for low, high in self.order_pairs:
+            if low not in arities or high not in arities:
+                raise SignatureError(f"order pair ({low!r}, {high!r}) uses unknown symbols")
+            if arities[low] != arities[high]:
+                raise SignatureError(
+                    f"order pair ({low!r}, {high!r}) relates symbols of different arities"
+                )
+        if self.order_kind == hm.QUANTALE:
+            if self.quantale is None:
+                raise SignatureError("quantale-induced signature needs a quantale")
+            expected = sorted(ReferenceRelationSymbol(_sym(v), 2) for v in self.quantale.elements)
+            if list(self.symbols) != expected:
+                raise SignatureError(
+                    "quantale-induced signature must have exactly the binary "
+                    "symbols ~v for the quantale elements v"
+                )
+        elif self.quantale is not None:
+            raise SignatureError("only quantale-induced signatures carry a quantale")
+
+    arity, has_symbol, check_formula = Signature.arity, Signature.has_symbol, Signature.check_formula
+    arities, symbols_of_arity, order = Signature.arities, Signature.symbols_of_arity, Signature.order
+
+
+@dataclass(frozen=True)
+class ReferenceEquality:
+    __qualname__ = "Equality"
+
+    left: str
+    right: str
+
+
+@dataclass(frozen=True)
+class ReferenceHornFormula:
+    __qualname__ = "HornFormula"
+
+    premises: frozenset[Edge]
+    conclusion: Edge | ReferenceEquality
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "premises", frozenset(self.premises))
+        if isinstance(self.conclusion, ReferenceEquality):
+            vs = var_set(self.premises)
+            if vs != {self.conclusion.left, self.conclusion.right}:
+                raise TheoryError(
+                    "equality conclusion requires the premise variables to be "
+                    "exactly the equated pair"
+                )
+
+
+@dataclass(frozen=True)
+class ReferenceTheory:
+    __qualname__ = "Theory"
+
+    signature: ReferenceSignature
+    axioms: tuple[ReferenceHornFormula, ...] = ()
+    schemas: tuple = ()
+    base_flag: bool = True
+    _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _lifting_models: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _rules: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "axioms", tuple(self.axioms))
+        object.__setattr__(self, "schemas", tuple(self.schemas))
+        for ax in self.axioms:
+            self.signature.check_formula(ax, "axiom")
+        if self.schemas:
+            heyting = self.signature.order_kind != hm.DISCRETE and all(
+                self.signature.order(n).is_complete_heyting() for n in self.signature.arities()
+            )
+            if not heyting:
+                raise TheoryError(
+                    "axiom schemas require a complete-Heyting symbol order "
+                    "(quantale-induced, or explicit passing the Heyting check)"
+                )
+            for s in self.schemas:
+                s.check_signature(self.signature)
+
+
+@dataclass(frozen=True)
+class ReferenceViolation:
+    __qualname__ = "Violation"
+
+    axiom: ReferenceHornFormula
+    valuation: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class ReferenceFreeModelResult:
+    __qualname__ = "FreeModelResult"
+
+    model: Structure
+    unit_map: Morphism
+
+
+@dataclass(frozen=True)
+class ReferenceGroundTheory:
+    __qualname__ = "GroundTheory"
+
+    rules: tuple[tuple[int, int], ...]
+    forbidden: tuple[int, ...]
+
+
+CONVERTED_TYPES = SimpleNamespace(
+    RelationSymbol=RelationSymbol, Signature=Signature, Equality=Equality,
+    HornFormula=HornFormula, Theory=Theory, Violation=Violation,
+    FreeModelResult=FreeModelResult, GroundTheory=GroundTheory)
+REFERENCE_TYPES = SimpleNamespace(
+    RelationSymbol=ReferenceRelationSymbol, Signature=ReferenceSignature,
+    Equality=ReferenceEquality, HornFormula=ReferenceHornFormula, Theory=ReferenceTheory,
+    Violation=ReferenceViolation, FreeModelResult=ReferenceFreeModelResult,
+    GroundTheory=ReferenceGroundTheory)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import weakref
 
 import pytest
@@ -8,14 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.core import Edge, SymbolOrder, base_axioms, is_base_axiom
+from hornmod.families import edge_slots
 from hornmod.limits import _hom_tuples
 
 from conftest import (
+    CONVERTED_TYPES,
+    REFERENCE_TYPES,
     TRUST_SIGNATURE,
     ReferenceStructure,
     interp_fail_morphism,
     reference_distributive,
     reference_validate_morphism,
+    trust_edges,
     trust_structures,
 )
 
@@ -127,6 +133,29 @@ def test_explicit_pairs_across_arities_rejected():
             hm.EXPLICIT,
             (("R", "S"),),
         )
+
+
+@pytest.mark.parametrize("name, arity, message", [
+    ("R", True, "arity of 'R' must be an integer, got True"),
+    ("R", 2.0, "arity of 'R' must be an integer, got 2.0"),
+    ("R", "2", "arity of 'R' must be an integer, got '2'"),
+    ("R", None, "arity of 'R' must be an integer, got None"),
+    (2, 2, "symbol name must be a string, got 2"),
+    (None, 1, "symbol name must be a string, got None"),
+    ("R", 0, "arity of 'R' must be >= 1, got 0"),
+])
+def test_relation_symbols_refuse_bad_names_and_arities(name, arity, message):
+    with pytest.raises(hm.SignatureError) as refused:
+        hm.RelationSymbol(name, arity)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("pair", [("R",), ("R", "S", "R"), ["R", "S"], ("R", 2), "RS", None])
+def test_signatures_refuse_order_pairs_that_are_not_two_names(pair):
+    symbols = (hm.RelationSymbol("R", 2), hm.RelationSymbol("S", 2))
+    with pytest.raises(hm.SignatureError) as refused:
+        hm.Signature(symbols, hm.EXPLICIT, (pair,))
+    assert str(refused.value) == f"order pair {pair!r} is not a pair of symbol names"
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -444,5 +473,207 @@ def test_a_theory_that_ran_the_lifting_oracle_is_freed():
 def test_kept_lifting_models_are_not_part_of_the_theory():
     used, fresh = lifting_theory(), hm.preorder_theory()
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    assert dataclasses.astuple(used)[:4] == dataclasses.astuple(fresh)[:4]
-    assert dataclasses.asdict(used)["axioms"] == dataclasses.asdict(fresh)["axioms"]
+
+
+# The value types against the frozen dataclasses they replaced (kept in
+# conftest): the same errors, and within a type the same ``==``, ``hash``,
+# ``repr`` and order, since set iteration order and every output byte depend
+# on them.
+
+SYMBOL_NAMES = ("P", "R", "S", "~0", "~1")
+BOOLEAN = hm.boolean_quantale()
+symbol_specs = st.tuples(st.sampled_from(SYMBOL_NAMES), st.integers(min_value=0, max_value=3))
+
+
+@st.composite
+def signature_specs(draw):
+    """Raw signature arguments: symbols as (name, arity) pairs, an order kind,
+    order pairs and a quantale.  A quarter of the draws may be invalid anywhere;
+    the others are the boolean quantale's signature or a discrete or explicit
+    one whose order pairs name its own symbols."""
+    shape = draw(st.sampled_from(["raw", "quantale", "plain", "plain"]))
+    if shape == "quantale":
+        return (("~0", 2), ("~1", 2)), hm.QUANTALE, (), BOOLEAN
+    if shape == "raw":
+        kind = draw(st.sampled_from([hm.DISCRETE, hm.EXPLICIT, hm.QUANTALE, "dense"]))
+        quantale = draw(st.sampled_from([None, BOOLEAN]))
+        symbols = draw(st.lists(symbol_specs, max_size=3))
+        names = SYMBOL_NAMES
+    else:
+        kind, quantale = draw(st.sampled_from([hm.DISCRETE, hm.EXPLICIT])), None
+        names = draw(st.lists(st.sampled_from(SYMBOL_NAMES), min_size=1, max_size=3, unique=True))
+        symbols = [(n, draw(st.integers(min_value=1, max_value=2))) for n in names]
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), max_size=2))
+    return tuple(symbols), kind, tuple(pairs), quantale
+
+
+def formula_specs(names=SYMBOL_NAMES):
+    """Raw formula arguments: premises as (name, args) and an edge or equality conclusion."""
+    edges = st.tuples(st.sampled_from(names),
+                      st.lists(st.sampled_from("xyz"), min_size=1, max_size=2).map(tuple))
+    conclusions = st.one_of(edges.map(lambda e: ("edge", *e)),
+                            st.tuples(st.just("eq"), st.sampled_from("xyz"), st.sampled_from("xyz")))
+    return st.tuples(st.lists(edges, max_size=2).map(tuple), conclusions)
+
+
+@st.composite
+def theory_specs(draw):
+    """A signature spec, formula specs over its symbol names, and a base flag."""
+    sig = draw(signature_specs())
+    names = sorted({name for name, _ in sig[0]}) or SYMBOL_NAMES
+    axioms = draw(st.lists(formula_specs(names), max_size=2))
+    return sig, tuple(axioms), draw(st.booleans())
+
+
+def build_signature(types, spec):
+    symbols, kind, pairs, quantale = spec
+    return types.Signature(tuple(types.RelationSymbol(n, a) for n, a in symbols), kind, pairs,
+                           quantale)
+
+
+def build_formula(types, spec):
+    premises, (tag, *conclusion) = spec
+    conclusion = Edge(*conclusion) if tag == "edge" else types.Equality(*conclusion)
+    return types.HornFormula(frozenset(Edge(*p) for p in premises), conclusion)
+
+
+def build_theory(types, spec):
+    sig, axioms, base_flag = spec
+    return types.Theory(build_signature(types, sig),
+                        tuple(build_formula(types, ax) for ax in axioms), (), base_flag)
+
+
+VALUE_KINDS = {"signature": (build_signature, signature_specs()),
+            "formula": (build_formula, formula_specs()),
+            "theory": (build_theory, theory_specs())}
+
+
+def built(build, types, spec):
+    """``(error, None)`` if building ``spec`` with ``types`` raises, else ``(None, value)``."""
+    try:
+        return None, build(types, spec)
+    except Exception as exc:
+        return (type(exc), str(exc)), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(VALUE_KINDS)), st.data())
+def test_value_types_match_their_dataclass_references(kind, data):
+    build, specs = VALUE_KINDS[kind]
+    first = data.draw(specs)
+    second = data.draw(st.one_of(st.just(first), specs))
+    values = []
+    for spec in (first, second):
+        error, value = built(build, CONVERTED_TYPES, spec)
+        ref_error, ref = built(build, REFERENCE_TYPES, spec)
+        assert error == ref_error
+        if value is not None:
+            assert repr(value) == repr(ref) and hash(value) == hash(ref)
+            values.append((value, ref))
+    if len(values) == 2:
+        (a, ref_a), (b, ref_b) = values
+        assert (a == b) == (ref_a == ref_b)
+        assert (hash(a) == hash(b)) == (hash(ref_a) == hash(ref_b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SYMBOL_NAMES), st.integers(min_value=1, max_value=3)),
+                max_size=5))
+def test_relation_symbols_order_like_their_reference(specs):
+    new = [hm.RelationSymbol(*spec) for spec in specs]
+    ref = [REFERENCE_TYPES.RelationSymbol(*spec) for spec in specs]
+    assert [repr(s) for s in sorted(new)] == [repr(s) for s in sorted(ref)]
+    for (a, ref_a), (b, ref_b) in itertools.product(zip(new, ref), repeat=2):
+        assert (a < b, a <= b, a == b) == (ref_a < ref_b, ref_a <= ref_b, ref_a == ref_b)
+
+
+def test_replace_checks_like_dataclasses_replace():
+    spec = ((("R", ("x", "y")),), ("edge", "R", ("y", "x")))
+    cases = [(lambda t: t.RelationSymbol("R", 2), lambda t: {"arity": 0}),
+             (lambda t: build_formula(t, spec), lambda t: {"conclusion": t.Equality("x", "z")})]
+    for build, change in cases:
+        errors = []
+        for types, replace in ((CONVERTED_TYPES, lambda value, **kw: value._replace(**kw)),
+                               (REFERENCE_TYPES, dataclasses.replace)):
+            with pytest.raises(hm.HornmodError) as refused:
+                replace(build(types), **change(types))
+            errors.append((type(refused.value), str(refused.value)))
+        assert errors[0] == errors[1]
+
+
+def reference_formula(formula):
+    """The reference dataclass form of a formula."""
+    conclusion = formula.conclusion
+    if isinstance(conclusion, hm.Equality):
+        conclusion = REFERENCE_TYPES.Equality(*conclusion)
+    return REFERENCE_TYPES.HornFormula(formula.premises, conclusion)
+
+
+def semantics_results(theory, x) -> list:
+    """The free model, grounding and violation (None for a model) of ``x``, each
+    paired with its reference dataclass form."""
+    result, violation = hm.free_model(theory, x), hm.check_model(x, theory)
+    carrier = x.sorted_carrier()
+    ground = hm.ground_axioms(theory, carrier, edge_slots(x.signature, carrier))
+    return [(result, REFERENCE_TYPES.FreeModelResult(*result)),
+            (ground, REFERENCE_TYPES.GroundTheory(*ground)),
+            (violation, None if violation is None else REFERENCE_TYPES.Violation(
+                reference_formula(violation.axiom), violation.valuation))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(trust_structures("a", max_size=2), st.data(), st.lists(trust_edges("xyz"), max_size=2),
+       trust_edges("xyz"), st.booleans())
+def test_semantics_results_match_their_dataclass_references(x, data, premises, conclusion, base):
+    y = data.draw(st.one_of(st.just(x), trust_structures("a", max_size=2)))
+    theory = hm.Theory(x.signature, (hm.horn(premises, conclusion),), (), base)
+    for (a, ref_a), (b, ref_b) in zip(semantics_results(theory, x), semantics_results(theory, y)):
+        for value, ref in ((a, ref_a), (b, ref_b)):
+            assert repr(value) == repr(ref) and (value is None or hash(value) == hash(ref))
+        assert (a == b) == (ref_a == ref_b)
+
+
+def fill_kept_data(theory) -> None:
+    """Fill what a theory and its signature keep on first use."""
+    from hornmod.semantics import _rules
+
+    for n in theory.signature.arities():
+        theory.signature.order(n)
+    _rules(theory)
+    object.__setattr__(theory, "_lifting_models", ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(theory_specs())
+@example(((((("~0", 2), ("~1", 2)), hm.QUANTALE, (), BOOLEAN), (), True)))
+def test_signature_and_theory_keep_their_dataclass_contract(spec):
+    error, theory = built(build_theory, CONVERTED_TYPES, spec)
+    if error is not None:
+        return
+    fill_kept_data(theory)
+    fresh = build_theory(CONVERTED_TYPES, spec)
+    for value, other, fields in [(theory, fresh, ("signature", "axioms", "schemas", "base_flag")),
+                                 (theory.signature, fresh.signature,
+                                  ("symbols", "order_kind", "order_pairs", "quantale"))]:
+        assert value == other and hash(value) == hash(other) and repr(value) == repr(other)
+        for name in fields + ("_rules" if value is theory else "_orders", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert weakref.ref(value)() is value
+        # A copy rebuilds each premise frozenset, whose iteration order, and so
+        # the repr, can change; equality and hash cannot.
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+
+
+def test_a_quantale_theory_survives_a_copy_and_a_pickle_round_trip():
+    v = hm.chain_meet_quantale(3)
+    theory = hm.theory_vcat(v)
+    fill_kept_data(theory)
+    for copied in (copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
+        assert copied == theory and hash(copied) == hash(theory)
+        assert copied.signature.quantale._signature is copied.signature
+        assert hm.is_model(hm.Structure(copied.signature, [], []), copied)

@@ -145,6 +145,17 @@ def test_negative_size_bounds_are_refused():
         assert str(refused.value) == message
 
 
+def test_a_test_family_over_another_signature_than_its_theory_is_refused():
+    preord = hm.preorder_theory()
+    unary = hm.Signature((hm.RelationSymbol("P", 1),))
+    with pytest.raises(hm.SignatureError) as refused:
+        default_test_family(unary, 1, theory=preord)
+    assert str(refused.value) == "test family and theory use different signatures"
+    same = hm.Signature(preord.signature.symbols)
+    assert same is not preord.signature
+    assert default_test_family(same, 1, theory=preord) == all_models(preord, 1)
+
+
 # The canonical labelling behind iso_key and find_isomorphism, against the
 # permutation scans it replaced.
 POINT_NAMES = ("p", "q", "r", "s", "t", "u")

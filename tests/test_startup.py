@@ -66,14 +66,15 @@ def fresh(code: str) -> str:
 LOADED = "sorted(m for m in sys.modules if m == 'hornmod' or m.startswith('hornmod.'))"
 
 
-def modules_after_command(*argv: str) -> tuple[int, list[str]]:
-    """The exit code of ``hornmod.cli.main(argv)`` and the hornmod modules it left loaded."""
+def modules_after_command(*argv: str, loaded: str = LOADED) -> tuple[int, list[str]]:
+    """The exit code of ``hornmod.cli.main(argv)`` and the modules it left loaded,
+    as the expression ``loaded`` lists them: by default the hornmod modules."""
     out = fresh(
         "import contextlib, io, json, sys\n"
         "from hornmod.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({list(argv)!r})\n"
-        f"print(json.dumps([code, {LOADED}]))\n")
+        f"print(json.dumps([code, {loaded}]))\n")
     code, loaded = json.loads(out)
     return code, loaded
 
@@ -97,6 +98,22 @@ def test_importing_the_cli_loads_only_its_own_modules():
 ], ids=lambda argv: argv[0])
 def test_schema_free_commands_load_only_semantics_besides(argv):
     assert modules_after_command(*argv) == (0, sorted(CLI_MODULES + ["hornmod.semantics"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-model", "--theory", corpus("preord.theory.json"),
+     "--structure", corpus("chain2.structure.json")),
+    ("free-model", "--theory", corpus("pos.theory.json"),
+     "--structure", corpus("chain3.structure.json")),
+    ("entails", "--theory", corpus("preord.theory.json"),
+     "--formula", corpus("refl-entail.formula.json")),
+    ("limit", "product", "--left", corpus("chain2.structure.json"),
+     "--right", corpus("chain3.structure.json")),
+], ids=lambda argv: argv[0])
+def test_corpus_requests_import_neither_dataclasses_nor_inspect(argv):
+    # core and semantics declare no dataclass, so these commands skip both imports.
+    skipped = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    assert modules_after_command(*argv, loaded=skipped) == (0, [])
 
 
 def test_schematic_check_model_imports_schema_on_demand(tmp_path):
