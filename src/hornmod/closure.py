@@ -11,9 +11,10 @@ empty theory, the reflexive one over the signature's base theory, and the
 exponential Y^X the base theory's P* along X -> 1.  Points and edges both
 come from the valuation search of :mod:`hornmod.semantics`, the edges over
 tagged copies of the fibres' points.  The internal hom joins maps pointwise.
-The verifiers replay the universal properties exhaustively over a family of
-test objects Q, without the builder: they join Q x X or Q x_Z X as pair ids
-and edges, and count every map into the candidate at its transpose.
+One universal-property check replays P*'s over a family of test objects Q,
+without the builder: it joins each Q x_Z X as pair ids and edges, and counts
+every map into the candidate at its transpose.  The exponential's check is
+this one along X -> 1, where Q x_1 X is Q x X.
 """
 from __future__ import annotations
 
@@ -255,12 +256,6 @@ def _rejected(struct: Structure, detail: str) -> VerificationReport:
     return VerificationReport(False, (VerificationEntry(struct, 0, False, detail),))
 
 
-def _product_pairs(a: Structure, b: Structure) -> list[tuple[str, str]]:
-    if a.signature != b.signature:
-        raise SignatureError("product needs a shared signature")
-    return [(u, v) for u in a.sorted_carrier() for v in b.sorted_carrier()]
-
-
 def _joined_ids(
     domain: Structure, a: Structure, b: Structure, pairs: list[tuple[str, str]]
 ) -> Optional[dict[tuple[str, str], str]]:
@@ -284,8 +279,6 @@ def _joined_homs(
     cell (position in Q, point of X) of each, and its maps into y as image tuples
     over those ids in the order ``_hom_tuples`` gives for the built structure."""
     ids = _pair_ids(pairs)
-    if q.signature != y.signature:
-        raise SignatureError("hom-set needs a shared signature")
     at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
     layout = sorted((pid, at_q[a], b) for (a, b), pid in ids.items())
     names = [pid for pid, _, _ in layout]
@@ -300,33 +293,14 @@ def verify_exponential(
     candidate: ExponentialResult,
     test_family: Sequence[Structure],
 ) -> VerificationReport:
-    """Check the currying bijection Hom(Q, C) = Hom(Q x X, Y) over a family of Q.
+    """Check y^x's universal property as the partial product of y along x -> 1.
 
-    Every h : Q -> C is counted at its transpose eval . (h x X); each map
-    Q x X -> Y must be hit exactly once.
+    The candidate C is anchored by its map into the terminal structure, so
+    C x_1 X is C x X and each Q has one map into 1: every h : Q -> C is counted
+    at its transpose eval . (h x X), and each map Q x X -> Y must be hit once.
     """
     c = candidate.structure
-    if not validate_morphism(candidate.eval):
-        return _rejected(c, "evaluation map is not a morphism")
-    if candidate.eval.target != y:
-        return _rejected(c, "evaluation codomain is not Y")
-    ids = _joined_ids(candidate.eval.source, c, x, _product_pairs(c, x))
-    if ids is None:
-        return _rejected(c, "evaluation domain is not C x X")
-    # ev_at[c, b] = eval at the point (c, b) of C x X
-    ev_at = {pair: candidate.eval.mapping[pid] for pair, pid in ids.items()}
-    entries = []
-    for q in test_family:
-        # maps Q x X -> Y are image tuples over the sorted pair ids of Q x X
-        names, cells, targets = _joined_homs(q, x, _product_pairs(q, x), y)
-        hits = dict.fromkeys(targets, 0)
-        # each transpose eval . (h x X) composes morphisms, so it is one of the targets
-        for g in map(_transposer(cells, ev_at), _hom_tuples(q, c)):
-            hits[g] += 1
-        missed = [k for k, n in hits.items() if n != 1]
-        detail = f"currying is not a bijection at {dict(zip(names, missed[0]))}" if missed else ""
-        entries.append(VerificationEntry(q, len(targets), not missed, detail))
-    return VerificationReport(all(e.ok for e in entries), tuple(entries))
+    return _verify_partial_product(bang(x), y, c, bang(c), candidate.eval, test_family)
 
 
 def verify_partial_product(
@@ -342,8 +316,14 @@ def verify_partial_product(
     are enumerated once and counted at their transposes; the g are walked in
     canonical order, and the first one not hit exactly once fails the check.
     """
-    p, ev = candidate.p, candidate.eval
-    struct = candidate.structure
+    return _verify_partial_product(f, y, candidate.structure, candidate.p, candidate.eval,
+                                   test_family)
+
+
+def _verify_partial_product(f: Morphism, y: Structure, struct: Structure, p: Morphism,
+                            ev: Morphism, test_family: Sequence[Structure]) -> VerificationReport:
+    """:func:`verify_partial_product` of the candidate ``(struct, p, ev)``; both
+    public verifiers call it, so the tracer counts each case once."""
     if not validate_morphism(p) or not validate_morphism(ev):
         return _rejected(struct, "anchor or evaluation is invalid")
     if ev.target != y:

@@ -125,7 +125,10 @@ class Signature(_Value):
         order_pairs: Iterable[tuple[str, str]] = (),
         quantale: Optional["Quantale"] = None,
     ) -> None:
-        order_pairs = tuple(order_pairs)
+        symbols, order_pairs = tuple(symbols), tuple(order_pairs)
+        for s in symbols:
+            if not isinstance(s, RelationSymbol):
+                raise SignatureError(f"signature symbol {s!r} is not a RelationSymbol")
         for pair in order_pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and all(isinstance(name, str) for name in pair)):
@@ -353,6 +356,14 @@ def signature_order_closure(sig: Signature, n: int) -> SymbolOrder:
     return sig.order(n)
 
 
+def _as_edge(e: object) -> Edge:
+    """The ``Edge`` of a (symbol, argument tuple or list) pair, else StructureError."""
+    if not (isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], (tuple, list))):
+        raise StructureError(f"edge {e!r} is not a (symbol, argument tuple) pair")
+    return Edge(e[0], tuple(e[1]))
+
+
 class Structure:
     """A finite carrier with a set of edges over a signature, checked in one pass."""
 
@@ -362,7 +373,7 @@ class Structure:
         self.signature = signature
         self.carrier = carrier = frozenset(carrier)
         self.edges = frozenset(e if type(e) is Edge and type(e[1]) is tuple
-                               else Edge(e[0], tuple(e[1])) for e in edges)
+                               else _as_edge(e) for e in edges)
         arities = signature._arities
         by_symbol: dict[str, set[tuple[str, ...]]] = {name: set() for name in arities}
         for e in self.edges:
@@ -481,8 +492,9 @@ def validate_morphism(h: Morphism) -> bool:
         raise SignatureError("morphism endpoints have different signatures")
     if h.mapping.keys() != h.source.carrier or not h.target.carrier.issuperset(h.mapping.values()):
         raise MorphismError("mapping is not a total function into the target carrier")
-    image, target = h.mapping.__getitem__, h.target
-    return all(tuple(map(image, args)) in target.tuples(name) for name, args in h.source.edges)
+    image, tuples = h.mapping.__getitem__, h.target._by_symbol
+    return all(tuples[name].issuperset([tuple(map(image, args)) for args in ts])
+               for name, ts in h.source._by_symbol.items())
 
 
 class Equality(NamedTuple):
@@ -569,6 +581,8 @@ class Theory(_Value):
     ) -> None:
         self.__setstate__((signature, tuple(axioms), tuple(schemas), base_flag))
         for ax in self.axioms:
+            if not isinstance(ax, HornFormula):
+                raise TheoryError(f"axiom {ax!r} is not a HornFormula")
             self.signature.check_formula(ax, "axiom")
         if self.schemas:
             heyting = self.signature.order_kind != DISCRETE and all(

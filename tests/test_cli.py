@@ -424,8 +424,26 @@ def test_exponential_verify_fails_on_a_family_outside_the_base_theory(tmp_path):
     assert code == 1
     report = json.loads(out)["verification"]
     assert report["passed"] is False
-    assert [t["detail"] for t in report["tests"] if t["detail"]][0] == (
-        "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c0'}")
+    # every test is pinned: the detail names the first map Q x X -> Y that no
+    # h : Q -> Y^X curries to, and `checked` counts the maps walked up to it
+    q1, q2 = "q={'e0': '*'}", "q={'e0': '*', 'e1': '*'}"
+    g2 = "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c1', '(e1,c1)': 'c0'}"
+    assert [(t["checked"], t["ok"], t["detail"]) for t in report["tests"]] == [
+        (1, True, ""),
+        (3, False, f"0 mediating morphisms for {q1}, g={{'(e0,c0)': 'c1', '(e0,c1)': 'c0'}}"),
+        (3, True, ""),
+        (3, False, f"0 mediating morphisms for {q2}, {g2}"),
+        (3, False, f"0 mediating morphisms for {q2}, {g2}"),
+        (3, False, f"0 mediating morphisms for {q2}, {g2}"),
+        (3, False, f"0 mediating morphisms for {q2}, {g2}"),
+        (6, False, f"0 mediating morphisms for {q2}, "
+                   "g={'(e0,c0)': 'c1', '(e0,c1)': 'c1', '(e1,c0)': 'c1', '(e1,c1)': 'c0'}"),
+        (3, True, ""),
+        (3, True, ""),
+        (9, True, ""),
+        (6, True, ""),
+        (3, True, ""),
+    ]
 
 
 def test_exponential_accepts_a_non_transitive_base(tmp_path):

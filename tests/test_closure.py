@@ -218,16 +218,18 @@ def test_verify_exponential_detects_corruption(preord, chain2):
     report = hm.verify_exponential(chain2, chain2, bad, family)
     assert not report.passed
     # the detail reaches `exponential --verify` stdout, so every entry is pinned;
-    # a pruned edge loses maps Q -> C, so some map Q x X -> Y has no preimage
+    # a pruned edge loses maps Q -> C, so some map Q x X -> Y has no preimage;
+    # `checked` counts the maps Q x X -> Y walked up to the first one
     assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
         (1, True, ""),
-        (3, False, "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c1'}"),
-        (9, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
-                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
-        (6, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
-                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
-        (3, False, "currying is not a bijection at {'(e0,c0)': 'c1', '(e0,c1)': 'c1', "
-                   "'(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+        (3, False, "0 mediating morphisms for q={'e0': '*'}, "
+                   "g={'(e0,c0)': 'c1', '(e0,c1)': 'c1'}"),
+        (3, False, "0 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+        (3, False, "0 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
+        (3, False, "0 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c1', '(e0,c1)': 'c1', '(e1,c0)': 'c1', '(e1,c1)': 'c1'}"),
     ]
 
 
@@ -248,28 +250,31 @@ def test_verify_exponential_detects_a_duplicated_point(preord, chain2):
                                                  chain2, ev))
     report = hm.verify_exponential(chain2, chain2, bad, family)
     assert not report.passed
-    # both copies curry to the same map, so it is hit twice
+    # both copies curry to the same map, so it is hit twice, and four times
+    # from a two-point Q, one copy per point
     assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
         (1, True, ""),
-        (3, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0'}"),
-        (9, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
-                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
-        (6, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
-                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
-        (3, False, "currying is not a bijection at {'(e0,c0)': 'c0', '(e0,c1)': 'c0', "
-                   "'(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+        (1, False, "2 mediating morphisms for q={'e0': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0'}"),
+        (1, False, "4 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+        (1, False, "4 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
+        (1, False, "4 mediating morphisms for q={'e0': '*', 'e1': '*'}, "
+                   "g={'(e0,c0)': 'c0', '(e0,c1)': 'c0', '(e1,c0)': 'c0', '(e1,c1)': 'c0'}"),
     ]
 
 
 def test_verify_exponential_rejects_an_extra_edge_at_evaluation(preord, chain2):
     # A transpose is eval . (h x X), a composite of morphisms once eval is checked,
-    # so an edge that breaks currying is caught as a broken evaluation map.
+    # so an edge that breaks currying is caught as a broken evaluation map (the
+    # anchor C -> 1 is always a morphism).
     exp = hm.exponential_object(chain2, chain2)
     extra = exp.structure.with_edges([hm.edge("le", "[c0:c1,c1:c1]", "[c0:c0,c1:c0]")])
     ev = hm.Morphism(hm.product(extra, chain2).structure, chain2, dict(exp.eval.mapping))
     report = hm.verify_exponential(chain2, chain2, ExponentialResult(extra, ev), [chain2])
     assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
-        (0, False, "evaluation map is not a morphism")]
+        (0, False, "anchor or evaluation is invalid")]
 
 
 def retargeted(ev, target):
@@ -465,11 +470,13 @@ def structures_on(draw, sig, names, dense=st.booleans(), min_size=0):
     return hm.Structure(sig, carrier, set(slots) - edges if draw(dense) else edges)
 
 
-def function_space_objects(sig):
-    """Y on 1-3 points, on plain names or on names whose function ids can collide;
-    mostly dense, so that many maps land in it.  An empty Y is an explicit example."""
+def function_space_objects(sig, max_size=3):
+    """Y on 1 to ``max_size`` points, on plain names or on names whose function ids
+    can collide; mostly dense, so that many maps land in it.  An empty Y is an
+    explicit example."""
     return st.sampled_from([("b0", "b1", "b2"), COLLIDING_NAMES]).flatmap(
-        lambda names: structures_on(sig, names, st.integers(0, 2).map(bool), min_size=1))
+        lambda names: structures_on(sig, names[:max_size], st.integers(0, 2).map(bool),
+                                    min_size=1))
 
 
 def or_error(build, *args):
@@ -480,12 +487,9 @@ def or_error(build, *args):
         return str(exc)
 
 
-ANY_STRUCTURE = hm.Theory(TRUST_SIGNATURE, (), (), base_flag=False)
-
-
 def function_space(x, y, diagonal):
     if diagonal:
-        return hm.internal_hom(ANY_STRUCTURE, x, y)
+        return hm.internal_hom(hm.Theory(x.signature, (), (), base_flag=False), x, y)
     exp = hm.exponential_object(x, y)
     return exp.structure, exp.components, exp.eval
 
@@ -505,18 +509,39 @@ LOOPED_X = hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [hm.edge("R", "a0", "a0")
                                                         hm.edge("P", "a1")])
 
 
+@st.composite
+def function_space_inputs(draw):
+    """X and Y, each on 1-3 points, but a 3-point X only against a Y of at most 2:
+    with 3 points each, Y^X can have 27 points, and T/3 gives the reference 27^3
+    triples to scan, seconds per draw; a 2-point X into the same Y takes
+    milliseconds."""
+    x = draw(structures_on(TRUST_SIGNATURE, ("a0", "a1", "a2"), min_size=1))
+    return x, draw(function_space_objects(TRUST_SIGNATURE, 2 if len(x.carrier) == 3 else 3))
+
+
+PR_SIGNATURE = hm.Signature((hm.RelationSymbol("P", 1), hm.RelationSymbol("R", 2)))
+# 3 points each over {P/1, R/2}: 12 of the 27 maps X -> Y preserve the edges
+X3 = hm.Structure(PR_SIGNATURE, ["a0", "a1", "a2"], [hm.edge("R", "a0", "a1"),
+                                                     hm.edge("R", "a1", "a1"), hm.edge("P", "a2")])
+Y3 = hm.Structure(PR_SIGNATURE, ["b0", "b1", "b2"], [
+    hm.edge("R", f"b{i}", f"b{j}") for i, j in ("00", "01", "11", "12", "22", "20")]
+    + [hm.edge("P", "b0"), hm.edge("P", "b2")])
+
+
 # X and Y are drawn non-empty; the empty ones, where the function space is one
 # point or none, are the explicit examples.
 @settings(max_examples=300, deadline=None)
-@given(structures_on(TRUST_SIGNATURE, ("a0", "a1", "a2"), min_size=1),
-       function_space_objects(TRUST_SIGNATURE), st.booleans())
-@example(hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], []),
-         hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], []), False)
-@example(EMPTY, hm.Structure(TRUST_SIGNATURE, ["b0"], [hm.edge("P", "b0")]), False)
-@example(EMPTY, EMPTY, True)
-@example(LOOPED_X, EMPTY, False)
-@example(LOOPED_X, EMPTY, True)
-def test_exponential_and_internal_hom_match_reference(x, y, diagonal):
+@given(function_space_inputs(), st.booleans())
+@example((hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], []),
+          hm.Structure(TRUST_SIGNATURE, COLLIDING_NAMES[:2], [])), False)
+@example((EMPTY, hm.Structure(TRUST_SIGNATURE, ["b0"], [hm.edge("P", "b0")])), False)
+@example((EMPTY, EMPTY), True)
+@example((LOOPED_X, EMPTY), False)
+@example((LOOPED_X, EMPTY), True)
+@example((X3, Y3), False)
+@example((X3, Y3), True)
+def test_exponential_and_internal_hom_match_reference(inputs, diagonal):
+    x, y = inputs
     assert or_error(function_space, x, y, diagonal) == or_error(
         reference_function_space, x, y, diagonal)
 
@@ -751,6 +776,12 @@ def exponential_candidates(draw):
     return x, y, ExponentialResult(c, hm.Morphism(domain, codomain, ev)), family
 
 
+def along_bang(candidate):
+    """An exponential candidate C as a partial product along X -> 1, anchored by C -> 1."""
+    return hm.PartialProductResult(candidate.structure, hm.bang(candidate.structure),
+                                   candidate.eval, "refl")
+
+
 CHAIN2 = hm.chain(2)
 CHAIN2_EXP = hm.exponential_object(CHAIN2, CHAIN2)
 
@@ -761,7 +792,15 @@ CHAIN2_EXP = hm.exponential_object(CHAIN2, CHAIN2)
     CHAIN2_EXP.structure.with_edges([hm.edge("le", "[c0:c1,c1:c1]", "[c0:c0,c1:c0]")]),
     CHAIN2_EXP.eval), [CHAIN2]))
 def test_verify_exponential_matches_reference(case):
-    assert hm.verify_exponential(*case) == reference_verify_exponential(*case)
+    # The report is the partial-product check's along X -> 1, word for word;
+    # the currying check of C x X agrees on every verdict.
+    x, y, candidate, family = case
+    report = hm.verify_exponential(*case)
+    assert report == reference_verify_partial_product(
+        hm.bang(x), y, along_bang(candidate), family)
+    currying = reference_verify_exponential(*case)
+    assert report.passed == currying.passed
+    assert [e.ok for e in report.entries] == [e.ok for e in currying.entries]
 
 
 def or_hornmod_error(verify, *args):
@@ -779,21 +818,24 @@ def test_verifiers_raise_as_their_references(preord):
     clash = hm.Structure(TRUST_SIGNATURE, ["p", "p,q"], [])
     other = hm.Structure(preord.signature, ["b0"], [])
     collision = ("StructureError", "carrier names collide under pair rendering")
-    product_signatures = ("SignatureError", "product needs a shared signature")
+    hom_signatures = ("SignatureError", "hom-set needs a shared signature")
     exp, f = hm.exponential_object(x, y), hm.bang(x)
     pp = hm.partial_product_str(y, f)
-    for verify, reference, args, error in [
-        (hm.verify_exponential, reference_verify_exponential, (x, y, exp, [y, clash]),
-         collision),  # in Q x X
-        (hm.verify_exponential, reference_verify_exponential,
-         (x, y, ExponentialResult(clash, exp.eval), [y]), collision),  # in C x X
-        (hm.verify_exponential, reference_verify_exponential,
-         (x, y, ExponentialResult(other, exp.eval), [y]), product_signatures),
-        (hm.verify_exponential, reference_verify_exponential, (x, y, exp, [other]),
-         product_signatures),
-        (hm.verify_partial_product, reference_verify_partial_product, (f, y, pp, [clash]),
-         collision),  # in Q x_Z X
-        (hm.verify_partial_product, reference_verify_partial_product, (f, y, pp, [other]),
-         ("SignatureError", "hom-set needs a shared signature")),  # Q against Y
+    # a C over another signature has no map into X's terminal structure, so the
+    # evaluation domain is rejected as for a partial product
+    other_c = ExponentialResult(other, exp.eval)
+    other_domain = VerificationReport(False, (
+        VerificationEntry(other, 0, False, "evaluation domain is not P x_Z X"),))
+    for candidate, family, outcome in [
+        (exp, [y, clash], collision),  # in Q x X
+        (ExponentialResult(clash, exp.eval), [y], collision),  # in C x X
+        (other_c, [y], other_domain),
+        (exp, [other], hom_signatures),  # Q against 1
     ]:
-        assert or_hornmod_error(verify, *args) == or_hornmod_error(reference, *args) == error
+        assert or_hornmod_error(hm.verify_exponential, x, y, candidate, family) == outcome
+        assert or_hornmod_error(reference_verify_partial_product,
+                                f, y, along_bang(candidate), family) == outcome
+    for family, error in [([clash], collision),  # in Q x_Z X
+                          ([other], hom_signatures)]:  # Q against Y
+        assert or_hornmod_error(hm.verify_partial_product, f, y, pp, family) == error
+        assert or_hornmod_error(reference_verify_partial_product, f, y, pp, family) == error

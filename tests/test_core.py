@@ -158,6 +158,25 @@ def test_signatures_refuse_order_pairs_that_are_not_two_names(pair):
     assert str(refused.value) == f"order pair {pair!r} is not a pair of symbol names"
 
 
+@pytest.mark.parametrize("symbol", [("R", 2), "R", None])
+def test_signatures_refuse_symbols_that_are_not_relation_symbols(symbol):
+    with pytest.raises(hm.SignatureError) as refused:
+        hm.Signature((hm.RelationSymbol("S", 1), symbol))
+    assert str(refused.value) == f"signature symbol {symbol!r} is not a RelationSymbol"
+
+
+# ("R", "ab") would otherwise read as R(a, b), and the others fail in the
+# constructor's unpacking with an AttributeError, IndexError or TypeError
+@pytest.mark.parametrize("bad", [
+    ("R", "ab"), Edge("R", "ab"), ("R", ("a", "b"), "c"), ("R",), "Rab", ("R", None),
+    (2, ("a", "b")), None,
+])
+def test_structures_refuse_edges_that_are_not_symbol_argument_pairs(bad):
+    with pytest.raises(hm.StructureError) as refused:
+        hm.Structure(TRUST_SIGNATURE, ["a", "b"], [Edge("P", ("a",)), bad])
+    assert str(refused.value) == f"edge {bad!r} is not a (symbol, argument tuple) pair"
+
+
 @pytest.mark.parametrize("bad, message", [
     (Edge("Q", ("a",)), "edge uses unknown symbol 'Q'"),
     (Edge("R", ("a",)), "edge Edge(symbol='R', args=('a',)) has wrong arity for 'R'"),
@@ -233,6 +252,15 @@ def test_equality_conclusion_variable_condition():
     with pytest.raises(hm.TheoryError):
         hm.horn([hm.edge("le", "x", "y"), hm.edge("le", "y", "z")], hm.Equality("x", "y"))
     hm.horn([hm.edge("le", "x", "y"), hm.edge("le", "y", "x")], hm.Equality("x", "y"))
+
+
+@pytest.mark.parametrize("axiom", [
+    (frozenset({hm.edge("le", "x", "y")}), hm.edge("le", "y", "x")), hm.edge("le", "x", "x"), None,
+])
+def test_theories_refuse_axioms_that_are_not_horn_formulas(preord, axiom):
+    with pytest.raises(hm.TheoryError) as refused:
+        hm.Theory(preord.signature, [axiom])
+    assert str(refused.value) == f"axiom {axiom!r} is not a HornFormula"
 
 
 def test_base_axioms_discrete_are_reflexivity_only(preord):
