@@ -12,9 +12,17 @@ exponential Y^X the base theory's P* along X -> 1.  Points and edges both
 come from the valuation search of :mod:`hornmod.semantics`, the edges over
 tagged copies of the fibres' points.  The internal hom joins maps pointwise.
 One universal-property check replays P*'s over a family of test objects Q,
-without the builder: it joins each Q x_Z X as pair ids and edges, and counts
-every map into the candidate at its transpose.  The exponential's check is
-this one along X -> 1, where Q x_1 X is Q x X.
+without the builder: it joins each Q x_Z X as pair ids and edges, and decides
+each q : Q -> Z by counting.  Two facts are checked once per candidate: the
+evaluation is a morphism on exactly P x_Z X, so every transpose
+eval . (h x_Z X) of a map h : Q -> P over q is a map g : Q x_Z X -> Y; and
+the points of P over each point of Z have pairwise distinct evaluation
+tables, so h is read back off its transpose.  Then h -> transpose is
+injective, and every g is hit exactly once iff the h over q are as many as
+the g.  When the tables collide or the counts differ, every h is counted at
+its transpose and the g are walked in canonical order to the first one not
+hit exactly once.  The exponential's check is this one along X -> 1, where
+Q x_1 X is Q x X.
 """
 from __future__ import annotations
 
@@ -38,8 +46,6 @@ from .limits import (
     _pair_edges,
     _pair_ids,
     bang,
-    pair_id,
-    pullback,
 )
 from .semantics import FreeModelResult, _reader, _value_tuples, free_model, is_model
 
@@ -137,10 +143,13 @@ def _result(theory: Theory, y: Structure, f: Morphism, key: Callable) -> Partial
     struct, points = _partial_product(theory, y, f, key)
     ids = sorted(points)
     p = Morphism(struct, f.target, {pid: points[pid][1] for pid in ids})
-    pb = pullback(p, f)
-    eval_map = {pair_id(pid, a): b for pid in ids for a, b in points[pid][0].items()}
+    # P x_Z X pairs each point of P with the fibre its table is defined on
+    pair_ids = _pair_ids([(pid, a) for pid in ids for a in points[pid][0]])
+    domain = Structure(struct.signature, pair_ids.values(),
+                       _pair_edges(struct.signature, pair_ids, struct, f.source))
+    eval_map = {pair_ids[pid, a]: b for pid in ids for a, b in points[pid][0].items()}
     variant = REFLEXIVE_VARIANT if theory.base_flag else STR_VARIANT
-    return PartialProductResult(struct, p, Morphism(pb.structure, y, eval_map), variant,
+    return PartialProductResult(struct, p, Morphism(domain, y, eval_map), variant,
                                 dict(points))
 
 
@@ -274,17 +283,17 @@ def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], 
 
 def _joined_homs(
     q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure
-) -> tuple[list[str], list[tuple[int, str]], list[tuple[str, ...]]]:
+) -> tuple[list[str], list[tuple[int, str]], Iterator[tuple[str, ...]]]:
     """Q and X joined over ``pairs``, as no ``Structure``: its sorted pair ids, the
     cell (position in Q, point of X) of each, and its maps into y as image tuples
-    over those ids in the order ``_hom_tuples`` gives for the built structure."""
+    over those ids, lazily, in the order ``_hom_tuples`` gives for the built structure."""
     ids = _pair_ids(pairs)
     at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
     layout = sorted((pid, at_q[a], b) for (a, b), pid in ids.items())
     names = [pid for pid, _, _ in layout]
     edges = _pair_edges(q.signature, ids, q, x)
     targets = _value_tuples(y, names, [y.sorted_carrier()] * len(names), edges)
-    return names, [(i, b) for _, i, b in layout], list(targets)
+    return names, [(i, b) for _, i, b in layout], targets
 
 
 def verify_exponential(
@@ -312,9 +321,9 @@ def verify_partial_product(
     """Check the partial-product universal property over a family of test objects.
 
     For every q : Q -> Z and g : Q x_Z X -> Y there must be exactly one
-    h : Q -> P with p . h = q and eval . (h x_Z id) = g.  The h over each q
-    are enumerated once and counted at their transposes; the g are walked in
-    canonical order, and the first one not hit exactly once fails the check.
+    h : Q -> P with p . h = q and eval . (h x_Z id) = g.  The first g, in
+    canonical order, that is not hit exactly once fails the check; ``checked``
+    counts the g up to it, or all of them.
     """
     return _verify_partial_product(f, y, candidate.structure, candidate.p, candidate.eval,
                                    test_family)
@@ -323,7 +332,17 @@ def verify_partial_product(
 def _verify_partial_product(f: Morphism, y: Structure, struct: Structure, p: Morphism,
                             ev: Morphism, test_family: Sequence[Structure]) -> VerificationReport:
     """:func:`verify_partial_product` of the candidate ``(struct, p, ev)``; both
-    public verifiers call it, so the tracer counts each case once."""
+    public verifiers call it, so the tracer counts each case once.
+
+    Once ev is a morphism on exactly P x_Z X, each transpose eval . (h x_Z X)
+    is one of the targets g : Q x_Z X -> Y.  When moreover the points of P over
+    each point c of Z have pairwise distinct tables ``ev_at[pid, a]``, a over
+    c's fibre, h -> transpose is injective, so every g is hit exactly once iff
+    the h over q are as many as the g: both sides are counted, and ``checked``
+    grows by the count.  When the tables collide or the counts differ, the h
+    are counted at their transposes and the g walked in canonical order, so
+    the first g not hit exactly once and ``checked`` are the walk's either way.
+    """
     if not validate_morphism(p) or not validate_morphism(ev):
         return _rejected(struct, "anchor or evaluation is invalid")
     if ev.target != y:
@@ -337,15 +356,24 @@ def _verify_partial_product(f: Morphism, y: Structure, struct: Structure, p: Mor
         return _rejected(struct, "evaluation domain is not P x_Z X")
     # ev_at[pid, a] = eval at the point (pid, a) of P x_Z X
     ev_at = {pair: ev.mapping[pid] for pair, pid in ids.items()}
+    # distinct tables over each c: an h is read back off its transpose
+    tables = {(c, tuple(ev_at[pid, a] for a in fibre_of[c])) for c in over for pid in over[c]}
+    injective = len(tables) == len(struct.carrier)
     entries = []
     for q_obj in test_family:
         checked, detail = 0, ""
         q_src = q_obj.sorted_carrier()
         for q in _hom_tuples(q_obj, z):
             pairs = [(a, s) for a, c in zip(q_src, q) for s in fibre_of[c]]
+            domains = [over[c] for c in q]  # h(a) ranges over the points above q(a)
+            if injective:
+                n = sum(1 for _ in _joined_homs(q_obj, x, pairs, y)[2])
+                if sum(1 for _ in _value_tuples(struct, q_src, domains, q_obj.edges)) == n:
+                    checked += n
+                    continue
             names, cells, targets = _joined_homs(q_obj, x, pairs, y)
-            # h(a) ranges over the points above q(a); each h lands at its transpose
-            hs = _value_tuples(struct, q_src, [over[c] for c in q], q_obj.edges)
+            # each h lands at its transpose
+            hs = _value_tuples(struct, q_src, domains, q_obj.edges)
             hits = Counter(map(_transposer(cells, ev_at), hs))
             for g in targets:
                 checked += 1

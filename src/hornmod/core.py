@@ -504,6 +504,14 @@ class Equality(NamedTuple):
     right: str
 
 
+_is_str = str.__instancecheck__  # isinstance(v, str) as one C function, for map
+
+
+def _is_variable_edge(e: object) -> bool:
+    """Whether ``e`` is an ``Edge`` of a symbol name and a tuple of variable names."""
+    return isinstance(e, Edge) and _is_str(e[0]) and type(e[1]) is tuple and all(map(_is_str, e[1]))
+
+
 class _HornFormula(NamedTuple):
     premises: frozenset[Edge]
     conclusion: Edge | Equality
@@ -514,12 +522,21 @@ class HornFormula(_HornFormula):
 
     All variables are implicitly universally quantified, including any that
     appear only in the conclusion. Equality conclusions require the premise
-    variables to be exactly the two equated variables.
+    variables to be exactly the two equated variables. Every premise, and an
+    edge conclusion, must be an ``Edge`` whose args are a tuple of strings.
     """
 
     __slots__ = ()
 
     def __new__(cls, premises: Iterable[Edge], conclusion: Edge | Equality) -> "HornFormula":
+        # checked before hashing; a frozenset is kept as it is, so its repr does not move
+        premises = premises if isinstance(premises, frozenset) else tuple(premises)
+        for e in premises:
+            if not _is_variable_edge(e):
+                raise TheoryError(f"premise {e!r} is not an Edge over a tuple of variable names")
+        if not (isinstance(conclusion, Equality) or _is_variable_edge(conclusion)):
+            raise TheoryError(f"conclusion {conclusion!r} is neither an Equality nor an Edge "
+                              "over a tuple of variable names")
         premises = frozenset(premises)
         if isinstance(conclusion, Equality) and var_set(premises) != set(conclusion):
             raise TheoryError(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hornmod as hm
+from hornmod import closure
 from hornmod.closure import ExponentialResult, VerificationEntry, VerificationReport
 from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
 
@@ -371,9 +372,11 @@ def partial_product_candidates(draw):
 
     A corruption drops an edge of P, adds an edge to P, adds a missing edge to P
     but keeps the old evaluation map on the old P x_Z X, duplicates a point of P
-    with its edges, anchor and evaluation row, moves one value of the
-    evaluation map, or keeps the evaluation map but into Y with a new point;
-    the anchor keeps its mapping, and a duplicate lies over its twin's anchor.
+    with its edges, anchor and evaluation row, drops a point of P with the same,
+    moves one value of the evaluation map, or keeps the evaluation map but into
+    Y with a new point; the anchor keeps its mapping, and a duplicate lies over
+    its twin's anchor.  A dropped point keeps the tables distinct, so only the
+    counts can tell; a duplicate makes two tables collide.
     """
     variant = draw(st.sampled_from(["str", "refl"]))
     pool = SMALL_STRUCTURES if variant == "str" else SMALL_BASE_MODELS
@@ -384,7 +387,8 @@ def partial_product_candidates(draw):
     pp = (hm.partial_product_str if variant == "str" else hm.partial_product_refl)(y, f)
     struct, anchor, eval_map = pp.structure, dict(pp.p.mapping), dict(pp.eval.mapping)
     corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "stale-domain",
-                                       "duplicate", "eval-value", "wrong-codomain"]))
+                                       "duplicate", "drop-point", "eval-value",
+                                       "wrong-codomain"]))
     ids = struct.sorted_carrier()
     missing = [hm.edge("le", a, b) for a in ids for b in ids if not struct.holds("le", (a, b))]
     if corruption == "drop-edge" and struct.edges:
@@ -400,6 +404,13 @@ def partial_product_candidates(draw):
         struct, anchor = duplicated(struct, twin), {**anchor, "dup": anchor[twin]}
         eval_map.update({hm.pair_id("dup", a): eval_map[hm.pair_id(twin, a)]
                          for a in x.carrier if f(a) == anchor[twin]})
+    elif corruption == "drop-point" and ids:
+        dropped = draw(st.sampled_from(ids))
+        struct = struct.induced(set(ids) - {dropped})
+        for a in x.carrier:
+            if f(a) == anchor[dropped]:
+                del eval_map[hm.pair_id(dropped, a)]
+        del anchor[dropped]
     elif corruption == "eval-value" and eval_map:
         eval_map[draw(st.sampled_from(sorted(eval_map)))] = draw(
             st.sampled_from(y.sorted_carrier()))
@@ -449,6 +460,38 @@ def test_verify_partial_product_rejects_an_anchor_into_another_codomain(chain2):
     assert report == reference_verify_partial_product(f, chain2, bad, [chain2])
     assert [(e.checked, e.ok, e.detail) for e in report.entries] == [
         (0, False, "evaluation domain is not P x_Z X")]
+
+
+def test_an_unreached_duplicate_makes_the_check_walk_and_pass(preord, chain2, monkeypatch):
+    # z1 has no loop, so a Q with a loop on its one point maps only to z0; a
+    # duplicate over z1 makes two tables collide, so the counts cannot decide
+    # and the targets are walked, but no q reaches the duplicate
+    sig = preord.signature
+    z = hm.Structure(sig, ["z0", "z1"], [hm.edge("le", "z0", "z0")])
+    f = hm.Morphism(hm.Structure(sig, ["a0", "a1"], []), z, {"a0": "z0", "a1": "z1"})
+    pp = hm.partial_product_str(chain2, f)
+    twin = "[a1:c0]@z1"
+    struct = duplicated(pp.structure, twin)
+    p = hm.Morphism(struct, z, {**pp.p.mapping, "dup": "z1"})
+    ev = hm.Morphism(hm.pullback(p, f).structure, chain2,
+                     {**pp.eval.mapping, hm.pair_id("dup", "a1"): pp.eval(hm.pair_id(twin, "a1"))})
+    dup = hm.PartialProductResult(struct, p, ev, pp.variant, dict(pp.components))
+    family = [hm.Structure(sig, ["q"], [hm.edge("le", "q", "q")])]
+    walks = []
+    transposer = closure._transposer
+    monkeypatch.setattr(closure, "_transposer", lambda *a: walks.append(a) or transposer(*a))
+    assert hm.verify_partial_product(f, chain2, pp, family) == VerificationReport(
+        True, (VerificationEntry(family[0], 2, True),))
+    assert not walks  # distinct tables and equal counts decide it
+    report = hm.verify_partial_product(f, chain2, dup, family)
+    assert report == reference_verify_partial_product(f, chain2, dup, family)
+    assert report == VerificationReport(True, (VerificationEntry(family[0], 2, True),))
+    assert len(walks) == 1  # the one q : Q -> Z was walked
+    # a Q on no edge reaches z1, where the duplicate is a second mediating map
+    loose = [hm.Structure(sig, ["q"], [])]
+    report = hm.verify_partial_product(f, chain2, dup, loose)
+    assert report == reference_verify_partial_product(f, chain2, dup, loose)
+    assert not report.passed
 
 
 # Explicitly ordered, and no complete lattice, so no base axiom makes a symbol full.
@@ -738,8 +781,8 @@ def exponential_candidates(draw):
     symbol on 27 maps would give C x X half a million edges); each Q has up
     to 2 points.  A corruption drops an edge of C, adds an edge to C (eval on
     the new C x X, or kept on the old one), duplicates a point of C with its
-    edges and eval row, moves one value of eval, or keeps eval but into Y with a
-    new point.
+    edges and eval row, drops a point of C with the same, moves one value of
+    eval, or keeps eval but into Y with a new point.
     """
     if draw(st.booleans()):
         x, y = draw(st.sampled_from(PREORDERS)), draw(st.sampled_from(PREORDERS))
@@ -752,7 +795,8 @@ def exponential_candidates(draw):
     c, ev = exp.structure, dict(exp.eval.mapping)
     ids = c.sorted_carrier()
     corruption = draw(st.sampled_from(["none", "drop-edge", "add-edge", "stale-domain",
-                                       "duplicate", "eval-value", "wrong-codomain"]))
+                                       "duplicate", "drop-point", "eval-value",
+                                       "wrong-codomain"]))
     if corruption == "drop-edge" and c.edges:
         c = hm.Structure(c.signature, ids, c.edges - {draw(st.sampled_from(c.sorted_edges()))})
     elif corruption == "add-edge" and ids:
@@ -768,6 +812,11 @@ def exponential_candidates(draw):
         twin = draw(st.sampled_from(ids))
         c = duplicated(c, twin)
         ev.update({hm.pair_id("dup", b): ev[hm.pair_id(twin, b)] for b in x.carrier})
+    elif corruption == "drop-point" and ids:
+        dropped = draw(st.sampled_from(ids))
+        c = c.induced(set(ids) - {dropped})
+        for b in x.carrier:
+            del ev[hm.pair_id(dropped, b)]
     elif corruption == "eval-value" and ev:
         ev[draw(st.sampled_from(sorted(ev)))] = draw(st.sampled_from(y.sorted_carrier()))
     domain = exp.eval.source if corruption == "stale-domain" else hm.product(c, x).structure

@@ -263,6 +263,29 @@ def test_theories_refuse_axioms_that_are_not_horn_formulas(preord, axiom):
     assert str(refused.value) == f"axiom {axiom!r} is not a HornFormula"
 
 
+@pytest.mark.parametrize("premises, conclusion, message", [
+    ([hm.edge("le", "x", "y")], "le", "conclusion 'le' is neither an Equality nor an Edge "
+                                      "over a tuple of variable names"),
+    ([("le", ("x", "y"))], hm.edge("le", "y", "x"),
+     "premise ('le', ('x', 'y')) is not an Edge over a tuple of variable names"),
+    ([Edge("le", "xy")], hm.edge("le", "y", "x"),
+     "premise Edge(symbol='le', args='xy') is not an Edge over a tuple of variable names"),
+    ([hm.edge("le", "x", "y")], Edge("le", "yx"), "conclusion Edge(symbol='le', args='yx') is "
+                                                 "neither an Equality nor an Edge over a tuple "
+                                                 "of variable names"),
+    ([Edge("le", ("x", 1))], hm.edge("le", "x", "x"),
+     "premise Edge(symbol='le', args=('x', 1)) is not an Edge over a tuple of variable names"),
+])
+def test_horn_formulas_refuse_premises_and_conclusions_of_the_wrong_shape(
+        premises, conclusion, message):
+    # unchecked, the first two raised AttributeError in Theory and the third read as le(x, y)
+    with pytest.raises(hm.TheoryError) as refused:
+        hm.HornFormula(premises, conclusion)
+    assert str(refused.value) == message
+    with pytest.raises(hm.TheoryError):
+        hm.horn(premises, conclusion)
+
+
 def test_base_axioms_discrete_are_reflexivity_only(preord):
     axs = base_axioms(preord.signature)
     assert len(axs) == 1
