@@ -47,7 +47,17 @@ from .limits import (
     _pair_ids,
     bang,
 )
-from .semantics import FreeModelResult, _reader, _value_tuples, free_model, is_model
+from .semantics import (
+    FreeModelResult,
+    _checks,
+    _count,
+    _hom_checks,
+    _reader,
+    _run,
+    _value_tuples,
+    free_model,
+    is_model,
+)
 
 STR_VARIANT = "str"
 REFLEXIVE_VARIANT = "refl"
@@ -281,6 +291,15 @@ def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], 
     return lambda h: tuple(map(ev, zip(pick(h), bs)))
 
 
+def _joined_count(q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure) -> int:
+    """The number of maps into y of Q and X joined over ``pairs``, the targets of
+    :func:`_joined_homs`, counted from the join alone: no names, cells or layout."""
+    ids = _pair_ids(pairs)
+    edges = _pair_edges(q.signature, ids, q, x)
+    checks = _checks(list(ids.values()), ((y.tuples(s), args) for s, args in edges))
+    return _count(checks, [y.sorted_carrier()] * len(ids))
+
+
 def _joined_homs(
     q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure
 ) -> tuple[list[str], list[tuple[int, str]], Iterator[tuple[str, ...]]]:
@@ -363,18 +382,19 @@ def _verify_partial_product(f: Morphism, y: Structure, struct: Structure, p: Mor
     for q_obj in test_family:
         checked, detail = 0, ""
         q_src = q_obj.sorted_carrier()
-        for q in _hom_tuples(q_obj, z):
+        qs = _hom_tuples(q_obj, z)
+        h_checks = _hom_checks(q_obj, struct)  # h : Q -> P preserves Q's edges
+        for q in qs:
             pairs = [(a, s) for a, c in zip(q_src, q) for s in fibre_of[c]]
             domains = [over[c] for c in q]  # h(a) ranges over the points above q(a)
             if injective:
-                n = sum(1 for _ in _joined_homs(q_obj, x, pairs, y)[2])
-                if sum(1 for _ in _value_tuples(struct, q_src, domains, q_obj.edges)) == n:
+                n = _joined_count(q_obj, x, pairs, y)
+                if _count(h_checks, domains) == n:
                     checked += n
                     continue
             names, cells, targets = _joined_homs(q_obj, x, pairs, y)
             # each h lands at its transpose
-            hs = _value_tuples(struct, q_src, domains, q_obj.edges)
-            hits = Counter(map(_transposer(cells, ev_at), hs))
+            hits = Counter(map(_transposer(cells, ev_at), _run(h_checks, domains)))
             for g in targets:
                 checked += 1
                 if hits[g] != 1:

@@ -365,9 +365,18 @@ def _as_edge(e: object) -> Edge:
 
 
 class Structure:
-    """A finite carrier with a set of edges over a signature, checked in one pass."""
+    """A finite carrier with a set of edges over a signature, checked in one pass.
 
-    __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash", "_sorted_carrier")
+    Besides the compared fields it keeps derived data: the edges filed by
+    symbol, set at construction; the hash and the sorted carrier, computed when
+    first asked for; and the hom-search plan of :func:`semantics._hom_checks`,
+    whose slot is set only when a search first needs it.  Pickling and copying
+    carry the compared fields alone and construct the copy from them, so
+    nothing kept crosses into another process, whose string hashes differ.
+    """
+
+    __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash", "_sorted_carrier",
+                 "_plan")
 
     def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
         self.signature = signature
@@ -389,6 +398,12 @@ class Structure:
         self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
         self._hash: Optional[int] = None
         self._sorted_carrier: Optional[tuple[str, ...]] = None
+
+    def __getstate__(self) -> tuple:
+        return (self.signature, self.carrier, self.edges)
+
+    def __setstate__(self, state: tuple) -> None:
+        Structure.__init__(self, *state)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -436,7 +451,11 @@ class Structure:
 
 
 class Morphism:
-    """A carrier function between structures; edge preservation is checked, not assumed."""
+    """A carrier function between structures; edge preservation is checked, not assumed.
+
+    Its hash is kept once computed; pickling and copying carry the compared
+    fields alone, as for :class:`Structure`.
+    """
 
     __slots__ = ("source", "target", "mapping", "_hash")
 
@@ -449,6 +468,12 @@ class Morphism:
         if not target.carrier.issuperset(self.mapping.values()):
             raise MorphismError("mapping has values outside the target carrier")
         self._hash: Optional[int] = None
+
+    def __getstate__(self) -> tuple:
+        return (self.source, self.target, self.mapping)
+
+    def __setstate__(self, state: tuple) -> None:
+        Morphism.__init__(self, *state)
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -493,7 +518,8 @@ def validate_morphism(h: Morphism) -> bool:
     if h.mapping.keys() != h.source.carrier or not h.target.carrier.issuperset(h.mapping.values()):
         raise MorphismError("mapping is not a total function into the target carrier")
     image, tuples = h.mapping.__getitem__, h.target._by_symbol
-    return all(tuples[name].issuperset([tuple(map(image, args)) for args in ts])
+    # column-wise: the images of each argument position, zipped back into tuples
+    return all(tuples[name].issuperset(zip(*[map(image, column) for column in zip(*ts)]))
                for name, ts in h.source._by_symbol.items())
 
 
@@ -546,6 +572,13 @@ class HornFormula(_HornFormula):
         return tuple.__new__(cls, (premises, conclusion))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __repr__(self) -> str:
+        # the premises in sorted order, as Structure prints its edges, so that
+        # equal formulas print alike whatever their frozensets' insertion history
+        premises = ", ".join(map(repr, self.sorted_premises()))
+        premises = f"frozenset({{{premises}}})" if premises else "frozenset()"
+        return f"HornFormula(premises={premises}, conclusion={self.conclusion!r})"
 
     def variables(self) -> frozenset[str]:
         concl = self.conclusion

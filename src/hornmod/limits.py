@@ -23,7 +23,7 @@ from .core import (
     Theory,
 )
 from .families import _canonical_labelling
-from .semantics import _value_tuples, is_model
+from .semantics import _hom_checks, _run, is_model
 
 TERMINAL_ELEMENT = "*"
 
@@ -75,21 +75,32 @@ def _pair_edges(
     sig: Signature, ids: dict[tuple[str, str], str], x: Structure, y: Structure
 ) -> list[Edge]:
     """The edge join over the pairs of ``ids``: each s-edge of x zipped with each
-    s-edge of y, kept when every component pair is a point."""
-    rows: dict[str, dict[str, str]] = {}  # rows[a][b] = the id of (a, b)
+    s-edge of y, kept when every component pair is a point.
+
+    Per symbol the loop runs over the side with fewer edges, and the other
+    side is read a column at a time: its argument lists per position, each
+    mapped to the ids paired with the outer edge's point there.  The order of
+    the list is not part of the contract.
+    """
+    by_x: dict[str, dict[str, str]] = {}  # by_x[a][b] = by_y[b][a] = the id of (a, b)
+    by_y: dict[str, dict[str, str]] = {}
     for (a, b), pid in ids.items():
-        rows.setdefault(a, {})[b] = pid
+        by_x.setdefault(a, {})[b] = pid
+        by_y.setdefault(b, {})[a] = pid
     edges = []
     for s in sig.symbols:
-        ys_of = y.tuples(s.name)
-        for xs in x.tuples(s.name):
-            row = [rows.get(a, {}) for a in xs]
-            if not all(row):  # some point of xs is paired with nothing
+        name = s.name
+        outer, inner, rows = x.tuples(name), y.tuples(name), by_x
+        if len(inner) < len(outer):
+            outer, inner, rows = inner, outer, by_y
+        columns = list(zip(*inner))  # columns[i] = the i-th points of the inner edges
+        for args in outer:
+            row = [rows.get(a) for a in args]
+            if None in row:  # some point of args is paired with nothing
                 continue
-            for ys in ys_of:
-                args = tuple(map(dict.get, row, ys))
-                if None not in args:
-                    edges.append(_new_tuple(Edge, (s.name, args)))
+            edges += [_new_tuple(Edge, (name, joined))
+                      for joined in zip(*map(map, [r.get for r in row], columns))
+                      if None not in joined]
     return edges
 
 
@@ -141,14 +152,14 @@ def fibre_structure(f: Morphism, z: str) -> Structure:
 def _hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:
     """The edge-preserving maps x -> y as image tuples over ``x.sorted_carrier()``.
 
-    One call of the valuation search: x's points are the variables, each over
-    the sorted carrier of y, and x's edges are the premises.  The tuples come
-    in canonical (lexicographic) order.
+    One run of the valuation search: x's points are the variables, each over
+    the sorted carrier of y, and x's edges are the premises, read through the
+    plan kept on x and bound to y's tuple sets (:func:`semantics._hom_checks`).
+    The tuples come in canonical (lexicographic) order.
     """
     if x.signature != y.signature:
         raise SignatureError("hom-set needs a shared signature")
-    src = x.sorted_carrier()
-    return list(_value_tuples(y, src, [y.sorted_carrier()] * len(src), x.edges))
+    return list(_run(_hom_checks(x, y), [y.sorted_carrier()] * len(x.carrier)))
 
 
 def enumerate_morphisms(

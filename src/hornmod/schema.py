@@ -33,6 +33,7 @@ from .core import (
     Structure,
     SymbolOrder,
     Theory,
+    _is_variable_edge,
     horn,
     var_set,
 )
@@ -107,7 +108,11 @@ class AxiomSchema:
     monotone: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "premises", tuple(sorted(set(self.premises))))
+        premises = tuple(self.premises)
+        for e in premises + (self.conclusion,):
+            if not _is_variable_edge(e):
+                raise SchemaError(f"schema shape {e!r} is not an Edge over a tuple of variable names")
+        object.__setattr__(self, "premises", tuple(sorted(set(premises))))
         for e in self.premises + (self.conclusion,):
             if e.symbol != PLACEHOLDER:
                 raise SchemaError("schema shapes must use the placeholder symbol")

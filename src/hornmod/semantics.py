@@ -8,7 +8,10 @@ also finds hom-sets, function tables, fibre valuations and mediating maps for
 
 Each axiom is compiled once, on its theory, into a :class:`_Rule`: its
 variable order and argument readers.  The model check, the chase and the
-grounding of :mod:`hornmod.families` all read it.
+grounding of :mod:`hornmod.families` all read it.  In the same way a search
+for maps out of a structure keeps its readers on that structure and binds
+them to each target (:func:`_hom_checks`); :func:`_count` counts what a
+search would yield without yielding it.
 
 The free model is computed by a semi-naive chase that matches premises with
 the same search, over tuple sets per symbol that the chase keeps itself.  A
@@ -25,6 +28,7 @@ depend on the order of matching.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -72,6 +76,27 @@ def _checks(
     return checks
 
 
+def _hom_checks(x: Structure, y: Structure) -> list[list[tuple[Container, Callable]]]:
+    """The plan of a search for maps x -> y, as :func:`_run` and :func:`_count` take it.
+
+    It is x's kept plan bound to y's tuple sets.  The kept plan lists, per
+    position of ``x.sorted_carrier()``, the ``(symbol, reader)`` of each edge
+    of x whose last point sits there.  It holds no tuple set, so one plan
+    serves every target: it is built on the first search out of x and kept on
+    x, in a slot its constructor leaves unset.
+    """
+    plan = getattr(x, "_plan", None)
+    if plan is None:
+        position = {a: k for k, a in enumerate(x.sorted_carrier())}.__getitem__
+        levels: list[list[tuple[str, Callable]]] = [[] for _ in x.carrier]
+        for symbol, args in x.edges:
+            at = tuple(map(position, args))
+            levels[max(at)].append((symbol, _reader(at)))
+        plan = x._plan = tuple(map(tuple, levels))
+    tuples = y._by_symbol
+    return [[(tuples[symbol], read) for symbol, read in level] for level in plan]
+
+
 def _reader(at: Sequence[int]) -> Callable:
     """A function reading the values at positions ``at`` as a tuple, of any length."""
     if len(at) > 1:
@@ -110,6 +135,35 @@ def _run(
             yield tuple(values)
         else:
             levels.append(iter(domains[k + 1]))
+
+
+def _count(
+    checks: Sequence[Sequence[tuple[Container, Callable]]], domains: Sequence[Sequence[str]]
+) -> int:
+    """The number of tuples :func:`_run` yields for the same plan and domains.
+
+    The prefixes come from :func:`_run` over every position but the last, and
+    the last is counted in a plain loop, so no tuple is built and no generator
+    resumed per counted tuple.
+    """
+    if not any(checks):
+        return math.prod(map(len, domains))  # the product, one empty tuple for no positions
+    *head, last = checks
+    k = len(head)
+    tail, values = domains[k], [""] * (k + 1)
+    if not last:
+        return len(tail) * sum(1 for _ in _run(head, domains[:k]))
+    count = 0
+    for prefix in _run(head, domains[:k]):
+        values[:k] = prefix
+        for value in tail:
+            values[k] = value
+            for tuples, read in last:
+                if read(values) not in tuples:
+                    break
+            else:
+                count += 1
+    return count
 
 
 def _value_tuples(

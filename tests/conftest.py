@@ -1118,6 +1118,13 @@ def trust_edges(variables):
             lambda args: Edge(s.name, args)))
 
 
+def reference_hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:
+    """The hom search as it ran before its plan was kept on the source: one
+    ``_value_tuples`` call, whose plan is built from x's edges at the call."""
+    src = x.sorted_carrier()
+    return list(_value_tuples(y, src, [y.sorted_carrier()] * len(src), x.edges))
+
+
 def reference_value_tuples(x: Structure, variables, domains, edges) -> list[tuple[str, ...]]:
     """The valuation kernel's oracle: each tuple of the domains' product under
     which every edge holds in ``x``, in product order."""
@@ -1548,6 +1555,13 @@ class ReferenceHornFormula:
                     "equality conclusion requires the premise variables to be "
                     "exactly the equated pair"
                 )
+
+    def __repr__(self) -> str:
+        # The dataclass repr with the premises in sorted order: a formula's repr
+        # is canonical, where the dataclass printed frozenset iteration order.
+        inner = ", ".join(repr(e) for e in sorted(self.premises))
+        premises = "frozenset({" + inner + "})" if self.premises else "frozenset()"
+        return f"HornFormula(premises={premises}, conclusion={self.conclusion!r})"
 
 
 @dataclass(frozen=True)

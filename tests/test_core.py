@@ -2,8 +2,12 @@ import copy
 import dataclasses
 import gc
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -713,11 +717,11 @@ def test_signature_and_theory_keep_their_dataclass_contract(spec):
             with pytest.raises(AttributeError):
                 delattr(value, name)
         assert weakref.ref(value)() is value
-        # A copy rebuilds each premise frozenset, whose iteration order, and so
-        # the repr, can change; equality and hash cannot.
+        # A copy rebuilds each premise frozenset, whose iteration order can
+        # change; equality, hash and the sorted repr cannot.
         for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value)
-            assert copied == value and hash(copied) == hash(value)
+            assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
 
 
 def test_a_quantale_theory_survives_a_copy_and_a_pickle_round_trip():
@@ -728,3 +732,87 @@ def test_a_quantale_theory_survives_a_copy_and_a_pickle_round_trip():
         assert copied == theory and hash(copied) == hash(theory)
         assert copied.signature.quantale._signature is copied.signature
         assert hm.is_model(hm.Structure(copied.signature, [], []), copied)
+
+
+# A formula prints its premises sorted, so equal formulas print alike.
+
+def test_formula_reprs_are_pinned():
+    le = hm.edge
+    cases = [
+        (hm.horn([le("le", "y", "z"), le("le", "x", "y")], le("le", "x", "z")),
+         "HornFormula(premises=frozenset({Edge(symbol='le', args=('x', 'y')), "
+         "Edge(symbol='le', args=('y', 'z'))}), conclusion=Edge(symbol='le', args=('x', 'z')))"),
+        (hm.horn([], le("le", "v0", "v0")),
+         "HornFormula(premises=frozenset(), conclusion=Edge(symbol='le', args=('v0', 'v0')))"),
+        (hm.horn([le("le", "y", "x"), le("le", "x", "y")], hm.Equality("x", "y")),
+         "HornFormula(premises=frozenset({Edge(symbol='le', args=('x', 'y')), "
+         "Edge(symbol='le', args=('y', 'x'))}), conclusion=Equality(left='x', right='y'))"),
+    ]
+    for formula, text in cases:
+        assert repr(formula) == text
+        assert eval(text, {"HornFormula": hm.HornFormula, "Edge": Edge,
+                           "Equality": hm.Equality}) == formula
+
+
+def test_two_premise_formulas_print_alike_after_a_round_trip():
+    edges = [hm.edge("le", a, b) for a in "wxyz" for b in "wxyz"]
+    formulas = [hm.horn(pair, hm.edge("le", "w", "z"))
+                for pair in itertools.combinations(edges, 2)]
+    assert len(formulas) == 120
+    for formula in formulas:
+        for copied in (copy.deepcopy(formula), pickle.loads(pickle.dumps(formula))):
+            assert copied == formula and repr(copied) == repr(formula)
+        assert repr(formula) == repr(hm.HornFormula(reversed(formula.sorted_premises()),
+                                                    formula.conclusion))
+
+
+# Pickling a Structure or Morphism carries the compared fields alone: no kept
+# hash, sorted carrier or hom-search plan.
+
+ROUND_TRIP_VALUES = """
+import hornmod as hm
+x = hm.Structure(hm.preorder_theory().signature, ["a", "b"],
+                 [hm.edge("le", "a", "a"), hm.edge("le", "b", "b"), hm.edge("le", "a", "b")])
+h = hm.Morphism(x, hm.chain(2), {"a": "c0", "b": "c1"})
+"""
+
+DUMP = ROUND_TRIP_VALUES + """
+import pickle, sys
+hash(x), hash(h), x.sorted_carrier(), hm.hom_count(x, x)
+sys.stdout.buffer.write(pickle.dumps((x, h)))
+"""
+
+LOAD = ROUND_TRIP_VALUES + """
+import pickle, sys
+loaded_x, loaded_h = pickle.loads(sys.stdin.buffer.read())
+print(loaded_x == x, loaded_x in {x}, loaded_h == h, loaded_h in {h})
+"""
+
+
+def run_under_hash_seed(code: str, seed: str, stdin: bytes = b"") -> bytes:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_a_pickled_structure_and_morphism_hash_afresh_in_another_process():
+    dumped = run_under_hash_seed(DUMP, "1")
+    assert run_under_hash_seed(LOAD, "2", dumped).split() == [b"True"] * 4
+
+
+def test_a_structure_pickles_after_a_hom_search():
+    x = hm.chain(3)
+    h = hm.Morphism(x, x, {a: a for a in x.carrier})
+    assert _hom_tuples(x, x) and x._plan is not None
+    hash(x), hash(h)
+    for copied_x, copied_h in (copy.deepcopy((x, h)), pickle.loads(pickle.dumps((x, h)))):
+        assert not hasattr(copied_x, "_plan") and copied_x._hash is None
+        assert copied_x._sorted_carrier is None and copied_h._hash is None
+        assert copied_x == x and hash(copied_x) == hash(x) and copied_h == h
+        assert copied_x.sorted_carrier() == x.sorted_carrier()
+        assert copied_x.tuples("le") == x.tuples("le") and copied_h.source is copied_x
+        assert _hom_tuples(copied_x, copied_x) == _hom_tuples(x, x)

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 import hornmod as hm
 from hornmod.core import Edge
 from hornmod.families import all_structures, dedup_by_iso
-from hornmod.limits import _pair_edges, _pair_ids
+from hornmod import semantics
+from hornmod.limits import _hom_tuples, _pair_edges, _pair_ids
 
 from conftest import (
     TRUST_SIGNATURE,
     reference_enumerate_morphisms,
+    reference_hom_tuples,
     reference_pair_edges,
     reference_paired_structure,
     trust_structures,
@@ -263,6 +265,36 @@ def test_hom_search_against_the_naive_enumeration(x, y):
 
 
 @settings(max_examples=300, deadline=None)
+@given(trust_structures("a"), trust_structures("b"))
+def test_hom_tuples_against_the_per_call_plan(x, y):
+    expected = reference_hom_tuples(x, y)
+    assert _hom_tuples(x, y) == expected  # the same list in the same order
+    assert _hom_tuples(x, y) == expected  # and again, through the kept plan
+
+
+def test_a_hom_plan_is_built_once_per_source(monkeypatch):
+    x, targets = hm.chain(3), [hm.chain(2), hm.chain(4)]
+    assert not hasattr(x, "_plan")  # the constructor leaves the slot unset
+    readers = []
+    reader = semantics._reader
+    monkeypatch.setattr(semantics, "_reader", lambda at: readers.append(at) or reader(at))
+    got = [_hom_tuples(x, y) for y in targets]
+    plan = x._plan
+    assert [_hom_tuples(x, y) for y in targets] == got
+    assert x._plan is plan and len(readers) == len(x.edges)  # one reader per edge, once
+    assert got == [reference_hom_tuples(x, y) for y in targets]
+
+
+def test_the_verifier_keeps_each_test_objects_plan(preord, chain2):
+    family = hm.default_test_family(preord.signature, 2, theory=preord)
+    exp = hm.exponential_object(chain2, chain2)
+    assert hm.verify_exponential(chain2, chain2, exp, family).passed
+    plans = [q._plan for q in family]
+    assert hm.verify_exponential(chain2, chain2, exp, family).passed
+    assert all(q._plan is plan for q, plan in zip(family, plans))
+
+
+@settings(max_examples=300, deadline=None)
 @given(trust_structures("a"), trust_structures("b"), st.data())
 def test_pair_edges_against_the_nested_loop(x, y, data):
     pairs = [(a, b) for a in x.sorted_carrier() for b in y.sorted_carrier()]
@@ -271,7 +303,9 @@ def test_pair_edges_against_the_nested_loop(x, y, data):
     for chosen in (pairs, [p for p, k in zip(pairs, keep) if k]):
         ids = _pair_ids(chosen)
         got = _pair_edges(TRUST_SIGNATURE, ids, x, y)
-        assert got == reference_pair_edges(TRUST_SIGNATURE, ids, x, y)
+        reference = reference_pair_edges(TRUST_SIGNATURE, ids, x, y)
+        # a join's list order is not a contract: a Structure takes it as a frozenset
+        assert len(got) == len(reference) and sorted(got) == sorted(reference)
         assert all(type(e) is Edge for e in got)
 
 

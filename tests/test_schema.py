@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornmod as hm
+from hornmod.core import Edge
 from hornmod.families import all_models
 from hornmod.limits import TERMINAL_ELEMENT
 from hornmod.quantale import all_vcategories, all_vfunctors, all_vgraphs, vfunctor_to_morphism
@@ -68,6 +69,17 @@ def test_expand_arity_mismatch():
     sig = hm.Signature((hm.RelationSymbol("R", 1),))
     with pytest.raises(SchemaError):
         hm.expand_instances(hm.generalized_transitivity_schema(), sig)
+
+
+def test_a_schema_refuses_shape_edges_that_are_not_over_a_tuple_of_names():
+    good = Edge(PLACEHOLDER, ("y", "x"))
+    for premise, conclusion in [(Edge(PLACEHOLDER, "xy"), good),
+                                (Edge(PLACEHOLDER, ["x", "y"]), good),
+                                (Edge(PLACEHOLDER, ("x", 1)), good),
+                                (("?", ("x", "y")), good),
+                                (good, Edge(PLACEHOLDER, "yx"))]:
+        with pytest.raises(SchemaError, match="is not an Edge over a tuple of variable names"):
+            hm.AxiomSchema("bad", 2, (premise,), conclusion, PremiseProjection(0))
 
 
 def test_identity_is_schema_convex():

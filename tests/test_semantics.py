@@ -264,6 +264,21 @@ def test_value_tuples_match_product_filter(case):
         x, variables, domains, edges)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+# No positions; an empty domain; an empty carrier; a last position with no check.
+@example((KERNEL_STRUCTURE, (), [], []))
+@example((KERNEL_STRUCTURE, ("u", "v"), [["a1", "a0"], []], [hm.edge("R", "u", "v")]))
+@example((hm.Structure(TRUST_SIGNATURE, [], []), ("u", "v"), [[], []], [hm.edge("P", "u")]))
+@example((KERNEL_STRUCTURE, ("u", "v", "w"), [["a0", "a1"], ["a1", "a0"], ["a0", "a1"]],
+          [hm.edge("R", "u", "v"), hm.edge("P", "u")]))
+@example((KERNEL_STRUCTURE, ("u",), [["a1", "a0"]], [hm.edge("R", "u", "u")]))
+def test_count_matches_the_run(case):
+    x, variables, domains, edges = case
+    checks = semantics._checks(variables, ((x.tuples(s), args) for s, args in edges))
+    assert semantics._count(checks, domains) == sum(1 for _ in semantics._run(checks, domains))
+
+
 def _r(a, b):
     return hm.edge("R", a, b)
 
