@@ -7,10 +7,12 @@ are generated, not filtered: on a fixed carrier the models of the edge axioms
 are the closed sets of a closure system, listed by Ganter's NextClosure in
 increasing mask order (every mask, for no axioms), and the equality axioms
 then drop some of them.  A carrier with more masks than a cap is sampled with
-a fixed seed and filtered to its models.  A family can be reduced to
-isomorphism-class representatives by one canonical labelling, which
-``limits.find_isomorphism`` shares.  All output orders are canonical, so the
-same inputs always give the same family.
+a fixed seed and filtered to its models.  A family can be reduced to one model
+per isomorphism class: a generated carrier keeps the least mask of each orbit
+under relabelling its points, by table lookups and no labelling; a sampled one
+keeps the first model per canonical labelling, which ``limits.find_isomorphism``
+shares.  All output orders are canonical, so the same inputs always give the
+same family.
 """
 from __future__ import annotations
 
@@ -42,9 +44,10 @@ def structures_on_carrier(
 ) -> Iterator[Structure]:
     """All structures on the canonical carrier of a size, sampled beyond the cap.
 
-    A negative ``size`` raises ``HornmodError`` when the first structure is asked for.
+    A ``size`` that is not an int of at least 0, or a ``cap`` that is not
+    ``None`` or an int of at least 1, raises ``HornmodError`` when iterated.
     """
-    _check_size_bound(size)
+    _check_bounds(size, cap)
     carrier = canonical_carrier(size)
     slots = edge_slots(sig, carrier)
     total = 2 ** len(slots)
@@ -73,9 +76,13 @@ def all_structures(
     return all_models(Theory(sig, base_flag=False), max_size, iso=False, cap=cap, seed=seed)
 
 
-def _check_size_bound(max_size: int) -> None:
+def _check_bounds(max_size: int, cap: Optional[int]) -> None:
+    if isinstance(max_size, bool) or not isinstance(max_size, int):
+        raise HornmodError(f"family size bound must be an int, got {max_size!r}")
     if max_size < 0:
         raise HornmodError(f"family size bound must be at least 0, got {max_size}")
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+        raise HornmodError(f"family cap must be an int of at least 1, got {cap!r}")
 
 
 def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
@@ -110,7 +117,11 @@ def iso_key(x: Structure) -> tuple:
 
 
 def dedup_by_iso(structures: list[Structure]) -> list[Structure]:
-    """Keep the first representative of each isomorphism class, preserving order."""
+    """Keep the first representative of each isomorphism class, preserving order.
+
+    In the library only ``all_models`` calls it, on a sampled carrier size;
+    generated sizes are reduced by mask orbits, with this as their reference.
+    """
     seen = set()
     out = []
     for s in structures:
@@ -134,23 +145,48 @@ def all_models(
     mask order of :func:`structures_on_carrier`.  A size whose 2^slots
     structures exceed ``cap`` is sampled by that function and filtered to
     its models.  Each size is grounded once, from the compiled axioms the
-    theory keeps.  A negative ``max_size`` raises ``HornmodError``.
+    theory keeps.  One per iso class keeps the least mask of each orbit under
+    relabelling the carrier (a sampled size keeps :func:`dedup_by_iso`'s
+    choice).  Bounds are checked as in :func:`structures_on_carrier`.
     """
-    _check_size_bound(max_size)
+    _check_bounds(max_size, cap)
     sig = theory.signature
     models: list[Structure] = []
     for size in range(max_size + 1):
         carrier = canonical_carrier(size)
         slots = edge_slots(sig, carrier)
         if cap is not None and 2 ** len(slots) > cap:
-            models.extend(s for s in structures_on_carrier(sig, size, cap, seed)
-                          if is_model(s, theory))
+            sampled = [s for s in structures_on_carrier(sig, size, cap, seed)
+                       if is_model(s, theory)]
+            models.extend(dedup_by_iso(sampled) if iso else sampled)
             continue
         clauses = ground_axioms(theory, carrier, slots)
-        for mask in _closed_masks(clauses.rules, len(slots)):
-            if not any(mask & f == f for f in clauses.forbidden):
-                models.append(_structure_of_mask(sig, carrier, slots, mask))
-    return dedup_by_iso(models) if iso else models
+        masks = (mask for mask in _closed_masks(clauses.rules, len(slots))
+                 if not any(mask & f == f for f in clauses.forbidden))
+        models.extend(_structure_of_mask(sig, carrier, slots, mask)
+                      for mask in (_least_of_orbits(masks, carrier, slots) if iso else masks))
+    return models
+
+
+def _least_of_orbits(masks: Iterator[int], carrier: tuple[str, ...], slots: list[Edge]
+                     ) -> Iterator[int]:
+    """The first mask of each orbit under relabelling the carrier, from increasing masks.
+
+    Entry ``i`` of each non-identity relabelling's table is the bit of slot
+    ``i``'s relabelled edge; tables permute bits, so a mask's image is the sum
+    of its bits' entries.  A kept mask marks its images as seen.
+    """
+    bit = {e: 1 << i for i, e in enumerate(slots)}
+    renames = (dict(zip(carrier, perm)) for perm in itertools.permutations(carrier))
+    next(renames)  # the identity
+    tables = [[bit[Edge(s, tuple(map(rename.__getitem__, args)))] for s, args in slots]
+              for rename in renames]
+    seen: set[int] = set()
+    for mask in masks:
+        if mask not in seen:
+            yield mask
+            bits = [i for i in range(len(slots)) if mask >> i & 1]
+            seen.update(sum(map(table.__getitem__, bits)) for table in tables)
 
 
 def _closed_masks(rules: tuple[tuple[int, int], ...], width: int) -> Iterator[int]:

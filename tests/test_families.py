@@ -2,7 +2,9 @@
 
 ``all_models`` generates models as closed edge sets; the reference here is
 the plain filter ``is_model`` over ``all_structures``, which must give the
-same list in the same order.  ``iso_key``, ``find_isomorphism`` and the
+same list in the same order; its one model per class, the least mask of each
+orbit under relabelling, must equal the reference labelling's first
+representatives.  ``iso_key``, ``find_isomorphism`` and the
 test-side ``dedup_morphisms`` share one canonical labelling; the references
 are the permutation scans it replaced.  ``ground_axioms`` and the labelling's
 profiles are checked against the code they replaced, kept in ``conftest``.
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornmod as hm
-from hornmod.core import Edge, HornmodError, Structure, StructureError
+from hornmod.core import DEFAULT_CAP, Edge, HornmodError, Structure, StructureError
 from hornmod.families import (
     _canonical_labelling,
     all_models,
@@ -145,6 +147,27 @@ def test_negative_size_bounds_are_refused():
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("max_size, cap, message", [
+    (2, 0, "family cap must be an int of at least 1, got 0"),
+    (2, -1, "family cap must be an int of at least 1, got -1"),
+    (2, 2.5, "family cap must be an int of at least 1, got 2.5"),
+    (2, True, "family cap must be an int of at least 1, got True"),
+    (2.0, DEFAULT_CAP, "family size bound must be an int, got 2.0"),
+    (True, DEFAULT_CAP, "family size bound must be an int, got True"),
+    ("2", DEFAULT_CAP, "family size bound must be an int, got '2'"),
+], ids=["cap-0", "cap-negative", "cap-float", "cap-bool", "size-float", "size-bool", "size-str"])
+def test_bad_size_bounds_and_caps_are_refused(max_size, cap, message):
+    # Before, cap=0 dropped even the empty structure, cap=-1 and the floats
+    # raised ValueError or TypeError, and max_size=True was read as 1.
+    preord = hm.preorder_theory()
+    for call in (lambda: all_models(preord, max_size, cap=cap),
+                 lambda: all_structures(preord.signature, max_size, cap=cap),
+                 lambda: list(structures_on_carrier(preord.signature, max_size, cap=cap))):
+        with pytest.raises(HornmodError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 def test_a_test_family_over_another_signature_than_its_theory_is_refused():
     preord = hm.preorder_theory()
     unary = hm.Signature((hm.RelationSymbol("P", 1),))
@@ -216,3 +239,44 @@ def test_dedup_morphisms_equals_reference_dedup():
     posets = all_models(hm.poset_theory(), 2, iso=False, cap=None)
     maps = [f for x in posets for z in posets for f in hm.enumerate_morphisms(x, z)]
     assert dedup_morphisms(maps) == dedup_by(morphism_iso_key, maps)
+
+
+# One model per class on generated sizes: the least mask of each orbit under
+# relabelling, against the reference labelling over the labelled models.
+
+@settings(max_examples=80, deadline=None)
+@given(horn_theories())
+def test_orbit_representatives_equal_reference_dedup_up_to_three_points(theory):
+    models = all_models(theory, 3, iso=False, cap=None)
+    assert all_models(theory, 3, iso=True, cap=None) == dedup_by(reference_iso_key, models)
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("preorder", 33),  # OEIS A001930
+    ("poset", 16),  # A000112
+    ("reflexive_symmetric", 11),  # A000088
+])
+def test_class_counts_at_exactly_four_points(name, classes):
+    family = all_models(DISCRETE_THEORIES[name](), 4, iso=True, cap=None)
+    assert sum(len(x.carrier) == 4 for x in family) == classes
+
+
+def test_three_point_vgph_family_has_one_model_per_class():
+    family = all_models(hm.theory_vgph(hm.chain_meet_quantale(3)), 3, iso=True, cap=None)
+    assert len(family) == 3460
+    assert len(set(map(iso_key, family))) == 3460
+
+
+@pytest.mark.parametrize("name", sorted(DISCRETE_THEORIES))
+def test_an_iso_family_builds_only_its_representatives(name, monkeypatch):
+    theory = DISCRETE_THEORIES[name]()
+    built = []
+    init = Structure.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Structure, "__init__", counting_init)
+    family = all_models(theory, 3, iso=True, cap=None)
+    assert len(built) == len(family)
