@@ -635,6 +635,11 @@ class Theory(_Value):
                 raise TheoryError(f"axiom {ax!r} is not a HornFormula")
             self.signature.check_formula(ax, "axiom")
         if self.schemas:
+            from .schema import AxiomSchema  # schema-free theories never load schema
+
+            for s in self.schemas:
+                if not isinstance(s, AxiomSchema):
+                    raise TheoryError(f"schema {s!r} is not an AxiomSchema")
             heyting = self.signature.order_kind != DISCRETE and all(
                 self.signature.order(n).is_complete_heyting() for n in self.signature.arities()
             )

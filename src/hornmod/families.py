@@ -81,7 +81,12 @@ def _check_bounds(max_size: int, cap: Optional[int]) -> None:
         raise HornmodError(f"family size bound must be an int, got {max_size!r}")
     if max_size < 0:
         raise HornmodError(f"family size bound must be at least 0, got {max_size}")
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+    if cap is not None:
+        _check_cap(cap)
+
+
+def _check_cap(cap: object) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise HornmodError(f"family cap must be an int of at least 1, got {cap!r}")
 
 
@@ -226,9 +231,11 @@ def _closed_masks(rules: tuple[tuple[int, int], ...], width: int) -> Iterator[in
 
 
 def sample_family(structures: list[Structure], cap: int, seed: int) -> list[Structure]:
-    """A deterministic subfamily: everything when under the cap, else a seeded sample."""
-    if cap < 1:
-        raise HornmodError(f"family cap must be at least 1, got {cap}")
+    """A deterministic subfamily: everything when under the cap, else a seeded sample.
+
+    A ``cap`` that is not an int of at least 1 raises ``HornmodError``.
+    """
+    _check_cap(cap)
     if len(structures) <= cap:
         return list(structures)
     rng = random.Random(seed)

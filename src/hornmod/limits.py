@@ -127,6 +127,8 @@ def pullback(f: Morphism, g: Morphism) -> PullbackResult:
     if f.target != g.target:
         raise StructureError("pullback needs a common codomain")
     x, y = f.source, g.source
+    if not x.signature == y.signature == f.target.signature:
+        raise SignatureError("pullback needs a shared signature")
     pairs = [
         (a, b) for a in x.sorted_carrier() for b in y.sorted_carrier() if f(a) == g(b)
     ]

@@ -1,10 +1,7 @@
 import itertools
 import json
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -12,9 +9,6 @@ from hypothesis import strategies as st
 import hornmod as hm
 import hornmod.convexity as convexity
 from hornmod.closure import (
-    REFLEXIVE_VARIANT,
-    STR_VARIANT,
-    ExponentialResult,
     PartialProductResult,
     VerificationEntry,
     VerificationReport,
@@ -53,12 +47,9 @@ from hornmod.limits import (
     _hom_tuples,
     _pair_ids,
     enumerate_morphisms,
-    fibre_structure,
     pair_id,
-    product,
     pullback,
 )
-from hornmod.quantale import _require_laws, signature_of
 from hornmod.schema import (
     AxiomSchema,
     SchemaConvexityReport,
@@ -71,7 +62,7 @@ from hornmod.schema import (
     apply_combine,
     expand_instances,
 )
-from hornmod.semantics import FreeModelResult, GroundTheory, Violation, _value_tuples, entails
+from hornmod.semantics import FreeModelResult, GroundTheory, Violation, entails
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hornmod" / "corpus"
 
@@ -901,120 +892,6 @@ def reference_is_reflexive_theory(theory: Theory) -> bool:
     )
 
 
-# The flat V-category and symmetry instances as the quantale ladder built
-# them by hand before its flat fallback expanded its own schemas.
-
-def reference_transitivity_instances(v: hm.Quantale) -> list[HornFormula]:
-    x, y, z = "x", "y", "z"
-    return [
-        horn(
-            (Edge(_sym(a), (x, y)), Edge(_sym(b), (y, z))),
-            Edge(_sym(v.tensor(a, b)), (x, z)),
-        )
-        for a in v.elements
-        for b in v.elements
-    ]
-
-
-def reference_symmetry_instances(v: hm.Quantale) -> list[HornFormula]:
-    x, y = "x", "y"
-    return [horn((Edge(_sym(a), (x, y)),), Edge(_sym(a), (y, x))) for a in v.elements]
-
-
-# The quantale ladder as each rung built itself before `quantale._ladder` served
-# them all.  `reference_theory_vrgph` took the base theory when the unit is
-# top, while the schematic rungs also asked for a Heyting lattice, so over a
-# non-Heyting lattice with unit top the reflexive rungs lacked the join axioms.
-
-def reference_flat_graph_axioms(v: hm.Quantale) -> list[HornFormula]:
-    x, y = "x", "y"
-    out: list[HornFormula] = []
-    for hi in v.elements:
-        for lo in v.elements:
-            if lo != hi and v.leq(lo, hi):
-                out.append(horn((Edge(_sym(hi), (x, y)),), Edge(_sym(lo), (x, y))))
-    out.append(horn((), Edge(_sym(v.bottom()), (x, y))))
-    for a, b in itertools.combinations(v.elements, 2):
-        if v.leq(a, b) or v.leq(b, a):
-            continue
-        out.append(
-            horn(
-                (Edge(_sym(a), (x, y)), Edge(_sym(b), (x, y))),
-                Edge(_sym(v.join2(a, b)), (x, y)),
-            )
-        )
-    return out
-
-
-def reference_schematic_ok(v: hm.Quantale) -> bool:
-    return v.unit == v.top() and hm.is_heyting(v)
-
-
-def reference_theory_vgph(v: hm.Quantale) -> Theory:
-    """V-graphs: down-closed, join-closed edge labels; no reflexivity."""
-    _require_laws(v)
-    return Theory(signature_of(v), tuple(reference_flat_graph_axioms(v)), (), base_flag=False)
-
-
-def reference_theory_vrgph(v: hm.Quantale) -> Theory:
-    """Reflexive V-graphs; coincides with the base theory when the unit is top."""
-    _require_laws(v)
-    sig = signature_of(v)
-    if v.unit == v.top():
-        return Theory(sig, (), (), base_flag=True)
-    axioms = reference_flat_graph_axioms(v) + [horn((), Edge(_sym(v.unit), ("x", "x")))]
-    return Theory(sig, tuple(axioms), (), base_flag=False)
-
-
-def reference_reflexive_ladder(v: hm.Quantale, with_symmetry: bool) -> Theory:
-    """Reflexive V-graphs with generalized transitivity, and symmetry if asked.
-
-    Schematic over the base theory when the unit is top and the lattice is
-    Heyting; otherwise the reflexive V-graph axioms plus the flat instances
-    of the same schemas.
-    """
-    from hornmod.schema import generalized_transitivity_schema, symmetry_schema
-
-    _require_laws(v)
-    sig = signature_of(v)
-    schemas = (generalized_transitivity_schema(),)
-    if with_symmetry:
-        schemas += (symmetry_schema(),)
-    if reference_schematic_ok(v):
-        return Theory(sig, (), schemas, base_flag=True)
-    warnings.warn("schematic form needs unit = top and a Heyting lattice; using flat instances")
-    base = reference_theory_vrgph(v)
-    instances = tuple(inst.formula for s in schemas for inst in expand_instances(s, sig))
-    return Theory(sig, base.axioms + instances, (), base_flag=base.base_flag)
-
-
-def reference_theory_vcat(v: hm.Quantale) -> Theory:
-    """V-categories: reflexive V-graphs with tensor transitivity."""
-    return reference_reflexive_ladder(v, with_symmetry=False)
-
-
-def reference_theory_pmet(v: hm.Quantale) -> Theory:
-    """Pseudo-V-metric spaces: symmetric V-categories."""
-    return reference_reflexive_ladder(v, with_symmetry=True)
-
-
-def reference_theory_met(v: hm.Quantale) -> Theory:
-    """V-metric spaces: pseudo-metric plus the separation equality axiom."""
-    base = reference_theory_pmet(v)
-    x, y = "x", "y"
-    separation = horn((Edge(_sym(v.unit), (x, y)),), Equality(x, y))
-    return Theory(base.signature, base.axioms + (separation,), base.schemas, base.base_flag)
-
-
-REFERENCE_LADDER = {
-    "vgph": reference_theory_vgph,
-    "vrgph": reference_theory_vrgph,
-    "vcat": reference_theory_vcat,
-    "pmet": reference_theory_pmet,
-    "met": reference_theory_met,
-}
-
-
 # Hom-sets, products and pullbacks: the naive forms that the tuple kernel and
 # the edge join replaced.
 
@@ -1047,32 +924,9 @@ def reference_paired_structure(
     return struct, left, right
 
 
-# Value construction, the morphism check and the edge join as they ran before
-# each did one pass with one lookup per edge: ``Structure``, ``validate_morphism``
-# and ``limits._pair_edges`` are tested against them.
-
-class ReferenceStructure(Structure):
-    """``Structure`` with the ``__init__`` body that rebuilt every edge, checked it
-    through ``has_symbol`` and ``arity`` and hashed the value at once."""
-
-    __slots__ = ()
-
-    def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
-        self.signature = signature
-        self.carrier = frozenset(carrier)
-        self.edges = frozenset(Edge(e[0], tuple(e[1])) for e in edges)
-        by_symbol: dict[str, set[tuple[str, ...]]] = {s.name: set() for s in signature.symbols}
-        for e in self.edges:
-            if not signature.has_symbol(e.symbol):
-                raise StructureError(f"edge uses unknown symbol {e.symbol!r}")
-            if len(e.args) != signature.arity(e.symbol):
-                raise StructureError(f"edge {e} has wrong arity for {e.symbol!r}")
-            if not set(e.args) <= self.carrier:
-                raise StructureError(f"edge {e} mentions elements outside the carrier")
-            by_symbol[e.symbol].add(e.args)
-        self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
-        self._hash = hash((self.signature, self.carrier, self.edges))
-
+# The morphism check and the edge join as they ran before each did one pass
+# with one lookup per edge: ``validate_morphism`` and ``limits._pair_edges`` are
+# tested against them.
 
 def reference_validate_morphism(h: Morphism) -> bool:
     if h.source.signature != h.target.signature:
@@ -1116,13 +970,6 @@ def trust_edges(variables):
     return st.sampled_from(TRUST_SIGNATURE.symbols).flatmap(
         lambda s: st.tuples(*[st.sampled_from(variables)] * s.arity).map(
             lambda args: Edge(s.name, args)))
-
-
-def reference_hom_tuples(x: Structure, y: Structure) -> list[tuple[str, ...]]:
-    """The hom search as it ran before its plan was kept on the source: one
-    ``_value_tuples`` call, whose plan is built from x's edges at the call."""
-    src = x.sorted_carrier()
-    return list(_value_tuples(y, src, [y.sorted_carrier()] * len(src), x.edges))
 
 
 def reference_value_tuples(x: Structure, variables, domains, edges) -> list[tuple[str, ...]]:
@@ -1215,59 +1062,9 @@ def reference_verify_partial_product(
     return VerificationReport(all_ok, tuple(entries))
 
 
-# The exponential verifier as it ran before Q x X was joined without being
-# built: ``product`` builds C x X once and every Q x X, and the targets are the
-# hom-set of the built product.  ``verify_exponential`` is tested against it.
-
-def reference_verify_exponential(
-    x: Structure,
-    y: Structure,
-    candidate: ExponentialResult,
-    test_family: Sequence[Structure],
-) -> VerificationReport:
-    """Check the currying bijection Hom(Q, C) = Hom(Q x X, Y) over a family of Q."""
-    c = candidate.structure
-    if not validate_morphism(candidate.eval):
-        return VerificationReport(
-            False, (VerificationEntry(c, 0, False, "evaluation map is not a morphism"),)
-        )
-    if candidate.eval.target != y:
-        return VerificationReport(
-            False, (VerificationEntry(c, 0, False, "evaluation codomain is not Y"),)
-        )
-    prod_cx = product(c, x)
-    if candidate.eval.source != prod_cx.structure:
-        return VerificationReport(
-            False, (VerificationEntry(c, 0, False, "evaluation domain is not C x X"),)
-        )
-    # ev_at[c, b] = eval at the point (c, b) of C x X
-    ev_at = {(prod_cx.left(k), prod_cx.right(k)): v for k, v in candidate.eval.mapping.items()}
-    entries = []
-    all_ok = True
-    for q in test_family:
-        prod_qx = product(q, x)
-        # maps Q x X -> Y are image tuples over the sorted carrier of Q x X
-        layout = prod_qx.structure.sorted_carrier()
-        targets = _hom_tuples(prod_qx.structure, y)
-        hits = dict.fromkeys(targets, 0)
-        at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
-        cells = [(at_q[prod_qx.left(k)], prod_qx.right(k)) for k in layout]
-        for h in _hom_tuples(q, c):
-            # the transpose eval . (h x X) composes morphisms, so it is one of the targets
-            hits[tuple(ev_at[h[i], b] for i, b in cells)] += 1
-        missed = [k for k, n in hits.items() if n != 1]
-        ok = not missed
-        detail = f"currying is not a bijection at {dict(zip(layout, missed[0]))}" if missed else ""
-        entries.append(VerificationEntry(q, len(targets), ok, detail))
-        all_ok &= ok
-    return VerificationReport(all_ok, tuple(entries))
-
-
-# The function-space constructions as they ran before one valuation search
-# built their edges: the exponential and internal-hom edges scan every
-# |Hom(X, Y)| ** arity tuple of maps, the partial-product edges every
-# |P| ** arity tuple of points.  The closure constructions are tested against
-# them.
+# The function space as it was built before one valuation search built its
+# edges: the exponential and internal-hom edges scan every |Hom(X, Y)| ** arity
+# tuple of maps.  ``exponential_object`` and ``internal_hom`` are tested against it.
 
 def reference_hom_structure(
     x: Structure, y: Structure, tuples: dict[str, Iterable[tuple[str, ...]]]
@@ -1291,77 +1088,14 @@ def reference_hom_structure(
     return Structure(x.signature, ids, edges), points
 
 
-def reference_partial_product(y: Structure, f: Morphism, reflexive: bool) -> PartialProductResult:
-    x, z = f.source, f.target
-    sig = x.signature
-    if sig != y.signature or sig != z.signature:
-        raise SignatureError("partial product needs a shared signature")
-    fibres = {c: fibre_structure(f, c) for c in z.sorted_carrier()}
-
-    points: dict[str, tuple[dict[str, str], str]] = {}
-    tgt = y.sorted_carrier()
-    for c in z.sorted_carrier():
-        # A function on the fibre is a hom from the edgeless fibre.
-        src = fibres[c].sorted_carrier()
-        edges = fibres[c].edges if reflexive else ()
-        for images in _value_tuples(y, src, [tgt] * len(src), edges):
-            table = dict(zip(src, images))
-            pid = function_id(table, c)
-            if pid in points:
-                raise StructureError("carrier names collide under function-table rendering")
-            points[pid] = (table, c)
-
-    order_cache = {n: sig.order(n) for n in sig.arities()}
-    edges: list[Edge] = []
-    ids = sorted(points)
-    for s in sig.symbols:
-        below = order_cache[s.arity].below(s.name) if reflexive else (s.name,)
-        for combo in itertools.product(ids, repeat=s.arity):
-            zs = tuple(points[pid][1] for pid in combo)
-            if not z.holds(s.name, zs):
-                continue
-            if _reference_fibre_condition(x, y, points, combo, zs, below, fibres):
-                edges.append(Edge(s.name, combo))
-    struct = Structure(sig, ids, edges)
-    p = Morphism(struct, z, {pid: points[pid][1] for pid in ids})
-    pb = pullback(p, f)
-    eval_map = {
-        pair_id(pid, a): points[pid][0][a]
-        for pid in ids
-        for a in fibres[points[pid][1]].carrier
-    }
-    eps = Morphism(pb.structure, y, eval_map)
-    return PartialProductResult(
-        struct, p, eps, REFLEXIVE_VARIANT if reflexive else STR_VARIANT, dict(points)
-    )
-
-
-def _reference_fibre_condition(
-    x: Structure,
-    y: Structure,
-    points: dict[str, tuple[dict[str, str], str]],
-    combo: tuple[str, ...],
-    zs: tuple[str, ...],
-    symbols: tuple[str, ...],
-    fibres: dict[str, Structure],
-) -> bool:
-    fibre_sets = [fibres[c].sorted_carrier() for c in zs]
-    for s in symbols:
-        for xs in itertools.product(*fibre_sets):
-            if not x.holds(s, xs):
-                continue
-            mapped = tuple(points[pid][0][a] for pid, a in zip(combo, xs))
-            if not y.holds(s, mapped):
-                return False
-    return True
-
-
 # P* as the category theory states it, with no valuation search: a point
 # over c is a morphism F(v) x_Z X -> Y along c : F(v) -> Z, and each
 # morphism F(s(v1..vn)) x_Z X -> Y along some k : F(s(v1..vn)) -> Z gives an
-# s-edge on its restrictions at v1..vn.  Every candidate map is built on the
-# pullback and kept when ``validate_morphism`` accepts it.  The free models
-# come from the naive chase.  ``partial_product`` is tested against it.
+# s-edge on its restrictions at v1..vn.  Every candidate k is built and kept
+# when ``validate_morphism`` accepts it; every function on its pullback is kept
+# when it sends each edge there to an edge of Y.  The free models come from
+# the naive chase.  ``partial_product`` and the ``str`` and ``refl`` partial
+# products are tested against it.
 
 def reference_partial_product_star(
     theory: Theory, y: Structure, f: Morphism
@@ -1378,8 +1112,8 @@ def reference_partial_product_star(
             pb = pullback(k, f)
             src = pb.structure.sorted_carrier()
             for values in itertools.product(y.sorted_carrier(), repeat=len(src)):
-                g = Morphism(pb.structure, y, dict(zip(src, values)))
-                if validate_morphism(g):
+                g = dict(zip(src, values)).__getitem__
+                if all(y.holds(s, tuple(map(g, args))) for s, args in pb.structure.edges):
                     yield k, pb, g
 
     def restriction(k, pb, g, u):
@@ -1390,7 +1124,9 @@ def reference_partial_product_star(
     point = reference_free_model(theory, Structure(sig, ("u",), ())).model
     for k, pb, g in maps_from(point):
         pid = restriction(k, pb, g, "u")
-        points[pid] = ({pb.right(q): g(q) for q in pb.structure.carrier}, k("u"))
+        entry = ({pb.right(q): g(q) for q in pb.structure.carrier}, k("u"))
+        if points.setdefault(pid, entry) != entry:
+            raise StructureError("carrier names collide under function-table rendering")
     edges = []
     for s in sig.symbols:
         vs = tuple(f"u{i}" for i in range(s.arity))
@@ -1467,163 +1203,3 @@ def small_vfunctors(draw, max_size: int = 3):
     gx = hm.VGraph(v, src, tuple((a, b, d) for (a, b), d in dx.items()))
     gz = hm.VGraph(v, tgt, tuple((a, b, d) for (a, b), d in dz.items()))
     return v, hm.VFunctor(gx, gz, tuple(images.items()))
-
-
-# The value types of core and semantics as the frozen dataclasses they were
-# before they became NamedTuples and slotted classes, so that a CLI request
-# imports no ``dataclasses``.  Each reference keeps the name of the type it
-# stood for, so that reprs compare byte for byte, and borrows the methods that
-# did not change; the converted types are tested against them.
-
-@dataclass(frozen=True, order=True)
-class ReferenceRelationSymbol:
-    __qualname__ = "RelationSymbol"
-
-    name: str
-    arity: int
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise SignatureError(f"arity of {self.name!r} must be >= 1, got {self.arity}")
-
-
-@dataclass(frozen=True)
-class ReferenceSignature:
-    __qualname__ = "Signature"
-
-    symbols: tuple
-    order_kind: str = hm.DISCRETE
-    order_pairs: tuple[tuple[str, str], ...] = ()
-    quantale: Optional[hm.Quantale] = None
-    _arities: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _orders: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(sorted(set(self.symbols))))
-        object.__setattr__(self, "order_pairs", tuple(sorted(set(self.order_pairs))))
-        if self.order_kind not in hm.core.ORDER_KINDS:
-            raise SignatureError(f"unknown order kind {self.order_kind!r}")
-        names = [s.name for s in self.symbols]
-        if len(set(names)) != len(names):
-            raise SignatureError("duplicate symbol names in signature")
-        arities = {s.name: s.arity for s in self.symbols}
-        object.__setattr__(self, "_arities", arities)
-        for low, high in self.order_pairs:
-            if low not in arities or high not in arities:
-                raise SignatureError(f"order pair ({low!r}, {high!r}) uses unknown symbols")
-            if arities[low] != arities[high]:
-                raise SignatureError(
-                    f"order pair ({low!r}, {high!r}) relates symbols of different arities"
-                )
-        if self.order_kind == hm.QUANTALE:
-            if self.quantale is None:
-                raise SignatureError("quantale-induced signature needs a quantale")
-            expected = sorted(ReferenceRelationSymbol(_sym(v), 2) for v in self.quantale.elements)
-            if list(self.symbols) != expected:
-                raise SignatureError(
-                    "quantale-induced signature must have exactly the binary "
-                    "symbols ~v for the quantale elements v"
-                )
-        elif self.quantale is not None:
-            raise SignatureError("only quantale-induced signatures carry a quantale")
-
-    arity, has_symbol, check_formula = Signature.arity, Signature.has_symbol, Signature.check_formula
-    arities, symbols_of_arity, order = Signature.arities, Signature.symbols_of_arity, Signature.order
-
-
-@dataclass(frozen=True)
-class ReferenceEquality:
-    __qualname__ = "Equality"
-
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
-class ReferenceHornFormula:
-    __qualname__ = "HornFormula"
-
-    premises: frozenset[Edge]
-    conclusion: Edge | ReferenceEquality
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "premises", frozenset(self.premises))
-        if isinstance(self.conclusion, ReferenceEquality):
-            vs = var_set(self.premises)
-            if vs != {self.conclusion.left, self.conclusion.right}:
-                raise TheoryError(
-                    "equality conclusion requires the premise variables to be "
-                    "exactly the equated pair"
-                )
-
-    def __repr__(self) -> str:
-        # The dataclass repr with the premises in sorted order: a formula's repr
-        # is canonical, where the dataclass printed frozenset iteration order.
-        inner = ", ".join(repr(e) for e in sorted(self.premises))
-        premises = "frozenset({" + inner + "})" if self.premises else "frozenset()"
-        return f"HornFormula(premises={premises}, conclusion={self.conclusion!r})"
-
-
-@dataclass(frozen=True)
-class ReferenceTheory:
-    __qualname__ = "Theory"
-
-    signature: ReferenceSignature
-    axioms: tuple[ReferenceHornFormula, ...] = ()
-    schemas: tuple = ()
-    base_flag: bool = True
-    _all_axioms: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _lifting_models: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _rules: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axioms", tuple(self.axioms))
-        object.__setattr__(self, "schemas", tuple(self.schemas))
-        for ax in self.axioms:
-            self.signature.check_formula(ax, "axiom")
-        if self.schemas:
-            heyting = self.signature.order_kind != hm.DISCRETE and all(
-                self.signature.order(n).is_complete_heyting() for n in self.signature.arities()
-            )
-            if not heyting:
-                raise TheoryError(
-                    "axiom schemas require a complete-Heyting symbol order "
-                    "(quantale-induced, or explicit passing the Heyting check)"
-                )
-            for s in self.schemas:
-                s.check_signature(self.signature)
-
-
-@dataclass(frozen=True)
-class ReferenceViolation:
-    __qualname__ = "Violation"
-
-    axiom: ReferenceHornFormula
-    valuation: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class ReferenceFreeModelResult:
-    __qualname__ = "FreeModelResult"
-
-    model: Structure
-    unit_map: Morphism
-
-
-@dataclass(frozen=True)
-class ReferenceGroundTheory:
-    __qualname__ = "GroundTheory"
-
-    rules: tuple[tuple[int, int], ...]
-    forbidden: tuple[int, ...]
-
-
-CONVERTED_TYPES = SimpleNamespace(
-    RelationSymbol=RelationSymbol, Signature=Signature, Equality=Equality,
-    HornFormula=HornFormula, Theory=Theory, Violation=Violation,
-    FreeModelResult=FreeModelResult, GroundTheory=GroundTheory)
-REFERENCE_TYPES = SimpleNamespace(
-    RelationSymbol=ReferenceRelationSymbol, Signature=ReferenceSignature,
-    Equality=ReferenceEquality, HornFormula=ReferenceHornFormula, Theory=ReferenceTheory,
-    Violation=ReferenceViolation, FreeModelResult=ReferenceFreeModelResult,
-    GroundTheory=ReferenceGroundTheory)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import itertools
 import os
@@ -18,10 +17,7 @@ from hornmod.families import edge_slots
 from hornmod.limits import _hom_tuples
 
 from conftest import (
-    CONVERTED_TYPES,
-    REFERENCE_TYPES,
     TRUST_SIGNATURE,
-    ReferenceStructure,
     interp_fail_morphism,
     reference_distributive,
     reference_validate_morphism,
@@ -139,6 +135,13 @@ def test_explicit_pairs_across_arities_rejected():
         )
 
 
+def test_duplicate_symbol_names_rejected():
+    # one name at two arities is two RelationSymbols but one name
+    with pytest.raises(hm.SignatureError) as refused:
+        hm.Signature((hm.RelationSymbol("R", 1), hm.RelationSymbol("R", 2)))
+    assert str(refused.value) == "duplicate symbol names in signature"
+
+
 @pytest.mark.parametrize("name, arity, message", [
     ("R", True, "arity of 'R' must be an integer, got True"),
     ("R", 2.0, "arity of 'R' must be an integer, got 2.0"),
@@ -218,29 +221,40 @@ def structure_inputs(draw):
     return x.sorted_carrier(), draw(st.permutations(edges))
 
 
-def _built(cls, carrier, edges):
-    try:
-        return cls(TRUST_SIGNATURE, carrier, edges)
-    except hm.HornmodError as exc:
-        return type(exc), str(exc)
+def reference_structure(carrier, edges):
+    """What the constructor must give, read edge by edge: the ``StructureError``
+    message each bad edge would raise, and the edges as ``Edge``s over tuples."""
+    arities, points = {s.name: s.arity for s in TRUST_SIGNATURE.symbols}, set(carrier)
+    edges = {Edge(symbol, tuple(args)) for symbol, args in edges}
+    errors = set()
+    for e in edges:
+        if e.symbol not in arities:
+            errors.add(f"edge uses unknown symbol {e.symbol!r}")
+        elif len(e.args) != arities[e.symbol]:
+            errors.add(f"edge {e} has wrong arity for {e.symbol!r}")
+        elif not set(e.args) <= points:
+            errors.add(f"edge {e} mentions elements outside the carrier")
+    return errors, edges
 
 
 @settings(max_examples=300, deadline=None)
 @given(structure_inputs())
 def test_structure_against_the_reference_constructor(inputs):
     carrier, edges = inputs
-    got, ref = _built(hm.Structure, carrier, edges), _built(ReferenceStructure, carrier, edges)
-    if isinstance(ref, tuple):
-        assert got == ref
+    errors, expected = reference_structure(carrier, edges)
+    if errors:
+        with pytest.raises(hm.StructureError) as refused:
+            hm.Structure(TRUST_SIGNATURE, carrier, edges)
+        assert str(refused.value) in errors
         return
-    assert got.carrier == ref.carrier and got.edges == ref.edges
+    got = hm.Structure(TRUST_SIGNATURE, carrier, edges)
+    assert got.carrier == frozenset(carrier) and got.edges == expected
     assert all(type(e) is Edge and type(e.args) is tuple for e in got.edges)
     for s in TRUST_SIGNATURE.symbols:
-        assert got.tuples(s.name) == ref.tuples(s.name)
-    assert got == ref and ref == got and hash(got) == hash(ref)
+        assert got.tuples(s.name) == {e.args for e in expected if e.symbol == s.name}
     assert hash(got) == hash((got.signature, got.carrier, got.edges))
     # sorted once, on first use, and kept
-    assert got.sorted_carrier() == tuple(sorted(ref.carrier))
+    assert got.sorted_carrier() == tuple(sorted(carrier))
     assert got.sorted_carrier() is got.sorted_carrier()
 
 
@@ -265,6 +279,16 @@ def test_theories_refuse_axioms_that_are_not_horn_formulas(preord, axiom):
     with pytest.raises(hm.TheoryError) as refused:
         hm.Theory(preord.signature, [axiom])
     assert str(refused.value) == f"axiom {axiom!r} is not a HornFormula"
+
+
+@pytest.mark.parametrize("schema", [
+    "x", hm.horn([hm.edge("~1", "x", "y")], hm.edge("~1", "y", "x")), None,
+])
+def test_theories_refuse_schemas_that_are_not_axiom_schemas(schema):
+    sig = hm.signature_of(hm.boolean_quantale())
+    with pytest.raises(hm.TheoryError) as refused:
+        hm.Theory(sig, (), (schema,))
+    assert str(refused.value) == f"schema {schema!r} is not an AxiomSchema"
 
 
 @pytest.mark.parametrize("premises, conclusion, message", [
@@ -530,10 +554,48 @@ def test_kept_lifting_models_are_not_part_of_the_theory():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
-# The value types against the frozen dataclasses they replaced (kept in
-# conftest): the same errors, and within a type the same ``==``, ``hash``,
-# ``repr`` and order, since set iteration order and every output byte depend
-# on them.
+# The value types against the contract of the frozen dataclasses they
+# replaced: a value is its fields, so ``==`` and order compare them, ``hash``
+# hashes their tuple and ``repr`` prints them by name, a formula's premises
+# sorted; set iteration order and every output byte depend on it.  A spec
+# that is refused is refused with a ``HornmodError``.
+
+VALUE_FIELDS = {
+    "RelationSymbol": ("name", "arity"),
+    "Signature": ("symbols", "order_kind", "order_pairs", "quantale"),
+    "Equality": ("left", "right"),
+    "HornFormula": ("premises", "conclusion"),
+    "Theory": ("signature", "axioms", "schemas", "base_flag"),
+    "Violation": ("axiom", "valuation"),
+    "FreeModelResult": ("model", "unit_map"),
+    "GroundTheory": ("rules", "forbidden"),
+}
+
+
+def fields_of(value) -> tuple:
+    return tuple(getattr(value, name) for name in VALUE_FIELDS[type(value).__name__])
+
+
+def field_repr(value) -> str:
+    """The dataclass repr of a value's fields, with a formula's premises sorted."""
+    def shown(name, field):
+        if name != "premises":
+            return repr(field)
+        return f"frozenset({{{', '.join(map(repr, sorted(field)))}}})" if field else "frozenset()"
+
+    cls = type(value).__name__
+    fields = zip(VALUE_FIELDS[cls], fields_of(value))
+    return f"{cls}({', '.join(f'{name}={shown(name, field)}' for name, field in fields)})"
+
+
+def assert_field_contract(a, b) -> None:
+    """``a`` and ``b`` (each a value or None) keep the field contract, alone and as a pair."""
+    for value in (a, b):
+        if value is not None:
+            assert repr(value) == field_repr(value) and hash(value) == hash(fields_of(value))
+    state = [None if value is None else fields_of(value) for value in (a, b)]
+    assert (a == b) == (state[0] == state[1])
+
 
 SYMBOL_NAMES = ("P", "R", "S", "~0", "~1")
 BOOLEAN = hm.boolean_quantale()
@@ -580,22 +642,20 @@ def theory_specs(draw):
     return sig, tuple(axioms), draw(st.booleans())
 
 
-def build_signature(types, spec):
+def build_signature(spec):
     symbols, kind, pairs, quantale = spec
-    return types.Signature(tuple(types.RelationSymbol(n, a) for n, a in symbols), kind, pairs,
-                           quantale)
+    return hm.Signature(tuple(hm.RelationSymbol(n, a) for n, a in symbols), kind, pairs, quantale)
 
 
-def build_formula(types, spec):
+def build_formula(spec):
     premises, (tag, *conclusion) = spec
-    conclusion = Edge(*conclusion) if tag == "edge" else types.Equality(*conclusion)
-    return types.HornFormula(frozenset(Edge(*p) for p in premises), conclusion)
+    conclusion = Edge(*conclusion) if tag == "edge" else hm.Equality(*conclusion)
+    return hm.HornFormula(frozenset(Edge(*p) for p in premises), conclusion)
 
 
-def build_theory(types, spec):
+def build_theory(spec):
     sig, axioms, base_flag = spec
-    return types.Theory(build_signature(types, sig),
-                        tuple(build_formula(types, ax) for ax in axioms), (), base_flag)
+    return hm.Theory(build_signature(sig), tuple(build_formula(ax) for ax in axioms), (), base_flag)
 
 
 VALUE_KINDS = {"signature": (build_signature, signature_specs()),
@@ -603,10 +663,10 @@ VALUE_KINDS = {"signature": (build_signature, signature_specs()),
             "theory": (build_theory, theory_specs())}
 
 
-def built(build, types, spec):
-    """``(error, None)`` if building ``spec`` with ``types`` raises, else ``(None, value)``."""
+def built(build, spec):
+    """``(error, None)`` if building ``spec`` raises, else ``(None, value)``."""
     try:
-        return None, build(types, spec)
+        return None, build(spec)
     except Exception as exc:
         return (type(exc), str(exc)), None
 
@@ -617,18 +677,10 @@ def test_value_types_match_their_dataclass_references(kind, data):
     build, specs = VALUE_KINDS[kind]
     first = data.draw(specs)
     second = data.draw(st.one_of(st.just(first), specs))
-    values = []
-    for spec in (first, second):
-        error, value = built(build, CONVERTED_TYPES, spec)
-        ref_error, ref = built(build, REFERENCE_TYPES, spec)
-        assert error == ref_error
-        if value is not None:
-            assert repr(value) == repr(ref) and hash(value) == hash(ref)
-            values.append((value, ref))
-    if len(values) == 2:
-        (a, ref_a), (b, ref_b) = values
-        assert (a == b) == (ref_a == ref_b)
-        assert (hash(a) == hash(b)) == (hash(ref_a) == hash(ref_b))
+    (error_a, a), (error_b, b) = built(build, first), built(build, second)
+    for error in (error_a, error_b):
+        assert error is None or issubclass(error[0], hm.HornmodError)
+    assert_field_contract(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,44 +688,34 @@ def test_value_types_match_their_dataclass_references(kind, data):
                 max_size=5))
 def test_relation_symbols_order_like_their_reference(specs):
     new = [hm.RelationSymbol(*spec) for spec in specs]
-    ref = [REFERENCE_TYPES.RelationSymbol(*spec) for spec in specs]
-    assert [repr(s) for s in sorted(new)] == [repr(s) for s in sorted(ref)]
-    for (a, ref_a), (b, ref_b) in itertools.product(zip(new, ref), repeat=2):
-        assert (a < b, a <= b, a == b) == (ref_a < ref_b, ref_a <= ref_b, ref_a == ref_b)
+    assert [repr(s) for s in sorted(new)] == [field_repr(s) for s in sorted(new, key=fields_of)]
+    for a, b in itertools.product(new, repeat=2):
+        fa, fb = fields_of(a), fields_of(b)
+        assert (a < b, a <= b, a == b) == (fa < fb, fa <= fb, fa == fb)
 
 
 def test_replace_checks_like_dataclasses_replace():
+    # dataclasses.replace builds a new value from the changed fields, so
+    # _replace refuses what the constructor refuses
     spec = ((("R", ("x", "y")),), ("edge", "R", ("y", "x")))
-    cases = [(lambda t: t.RelationSymbol("R", 2), lambda t: {"arity": 0}),
-             (lambda t: build_formula(t, spec), lambda t: {"conclusion": t.Equality("x", "z")})]
-    for build, change in cases:
+    cases = [(hm.RelationSymbol("R", 2), {"arity": 0}),
+             (build_formula(spec), {"conclusion": hm.Equality("x", "z")})]
+    for value, change in cases:
+        fields = dict(zip(VALUE_FIELDS[type(value).__name__], fields_of(value)), **change)
         errors = []
-        for types, replace in ((CONVERTED_TYPES, lambda value, **kw: value._replace(**kw)),
-                               (REFERENCE_TYPES, dataclasses.replace)):
+        for replace in (lambda: value._replace(**change), lambda: type(value)(**fields)):
             with pytest.raises(hm.HornmodError) as refused:
-                replace(build(types), **change(types))
+                replace()
             errors.append((type(refused.value), str(refused.value)))
         assert errors[0] == errors[1]
 
 
-def reference_formula(formula):
-    """The reference dataclass form of a formula."""
-    conclusion = formula.conclusion
-    if isinstance(conclusion, hm.Equality):
-        conclusion = REFERENCE_TYPES.Equality(*conclusion)
-    return REFERENCE_TYPES.HornFormula(formula.premises, conclusion)
-
-
 def semantics_results(theory, x) -> list:
-    """The free model, grounding and violation (None for a model) of ``x``, each
-    paired with its reference dataclass form."""
-    result, violation = hm.free_model(theory, x), hm.check_model(x, theory)
+    """The free model, grounding and violation (None for a model) of ``x``."""
     carrier = x.sorted_carrier()
-    ground = hm.ground_axioms(theory, carrier, edge_slots(x.signature, carrier))
-    return [(result, REFERENCE_TYPES.FreeModelResult(*result)),
-            (ground, REFERENCE_TYPES.GroundTheory(*ground)),
-            (violation, None if violation is None else REFERENCE_TYPES.Violation(
-                reference_formula(violation.axiom), violation.valuation))]
+    return [hm.free_model(theory, x),
+            hm.ground_axioms(theory, carrier, edge_slots(x.signature, carrier)),
+            hm.check_model(x, theory)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -682,10 +724,8 @@ def semantics_results(theory, x) -> list:
 def test_semantics_results_match_their_dataclass_references(x, data, premises, conclusion, base):
     y = data.draw(st.one_of(st.just(x), trust_structures("a", max_size=2)))
     theory = hm.Theory(x.signature, (hm.horn(premises, conclusion),), (), base)
-    for (a, ref_a), (b, ref_b) in zip(semantics_results(theory, x), semantics_results(theory, y)):
-        for value, ref in ((a, ref_a), (b, ref_b)):
-            assert repr(value) == repr(ref) and (value is None or hash(value) == hash(ref))
-        assert (a == b) == (ref_a == ref_b)
+    for a, b in zip(semantics_results(theory, x), semantics_results(theory, y)):
+        assert_field_contract(a, b)
 
 
 def fill_kept_data(theory) -> None:
@@ -702,11 +742,11 @@ def fill_kept_data(theory) -> None:
 @given(theory_specs())
 @example(((((("~0", 2), ("~1", 2)), hm.QUANTALE, (), BOOLEAN), (), True)))
 def test_signature_and_theory_keep_their_dataclass_contract(spec):
-    error, theory = built(build_theory, CONVERTED_TYPES, spec)
+    error, theory = built(build_theory, spec)
     if error is not None:
         return
     fill_kept_data(theory)
-    fresh = build_theory(CONVERTED_TYPES, spec)
+    fresh = build_theory(spec)
     for value, other, fields in [(theory, fresh, ("signature", "axioms", "schemas", "base_flag")),
                                  (theory.signature, fresh.signature,
                                   ("symbols", "order_kind", "order_pairs", "quantale"))]:

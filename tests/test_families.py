@@ -26,6 +26,7 @@ from hornmod.families import (
     default_test_family,
     edge_slots,
     iso_key,
+    sample_family,
     structures_on_carrier,
 )
 
@@ -155,14 +156,23 @@ def test_negative_size_bounds_are_refused():
     (2.0, DEFAULT_CAP, "family size bound must be an int, got 2.0"),
     (True, DEFAULT_CAP, "family size bound must be an int, got True"),
     ("2", DEFAULT_CAP, "family size bound must be an int, got '2'"),
-], ids=["cap-0", "cap-negative", "cap-float", "cap-bool", "size-float", "size-bool", "size-str"])
+    (2, "3", "family cap must be an int of at least 1, got '3'"),
+    (2, None, "family cap must be an int of at least 1, got None"),
+], ids=["cap-0", "cap-negative", "cap-float", "cap-bool", "size-float", "size-bool", "size-str",
+        "cap-str", "cap-none"])
 def test_bad_size_bounds_and_caps_are_refused(max_size, cap, message):
     # Before, cap=0 dropped even the empty structure, cap=-1 and the floats
-    # raised ValueError or TypeError, and max_size=True was read as 1.
+    # raised ValueError or TypeError, and max_size=True was read as 1; a
+    # sampled test family raised a bare TypeError and read cap=True as 1.
     preord = hm.preorder_theory()
-    for call in (lambda: all_models(preord, max_size, cap=cap),
-                 lambda: all_structures(preord.signature, max_size, cap=cap),
-                 lambda: list(structures_on_carrier(preord.signature, max_size, cap=cap))):
+    calls = [lambda: default_test_family(preord.signature, max_size, cap=cap)]
+    if message.startswith("family cap"):
+        calls.append(lambda: sample_family([], cap, 0))
+    if cap is not None:  # no cap is a generator's default, not a sample's
+        calls += [lambda: all_models(preord, max_size, cap=cap),
+                  lambda: all_structures(preord.signature, max_size, cap=cap),
+                  lambda: list(structures_on_carrier(preord.signature, max_size, cap=cap))]
+    for call in calls:
         with pytest.raises(HornmodError) as refused:
             call()
         assert str(refused.value) == message

@@ -12,9 +12,9 @@ from hornmod.limits import _hom_tuples, _pair_edges, _pair_ids
 from conftest import (
     TRUST_SIGNATURE,
     reference_enumerate_morphisms,
-    reference_hom_tuples,
     reference_pair_edges,
     reference_paired_structure,
+    reference_value_tuples,
     trust_structures,
 )
 
@@ -76,6 +76,19 @@ def test_pullback_over_terminal_is_product(chain2):
     res = hm.pullback(hm.bang(chain2), hm.bang(chain2))
     prod = hm.product(chain2, chain2)
     assert res.structure == prod.structure
+
+
+@pytest.mark.parametrize("other_side", ["left", "right"])
+def test_pullback_refuses_a_leg_over_another_signature(chain2, other_side):
+    # A Morphism does not check signatures, so a leg whose source is over
+    # another signature than the shared target can be built; the join of edges
+    # would look up that signature's symbols in the other.
+    other = hm.Structure(hm.Signature((hm.RelationSymbol("R", 2),)), ["a"], [])
+    leg = hm.Morphism(other, chain2, {"a": "c0"})
+    legs = (leg, hm.identity_morphism(chain2))
+    with pytest.raises(hm.SignatureError) as refused:
+        hm.pullback(*(legs if other_side == "left" else legs[::-1]))
+    assert str(refused.value) == "pullback needs a shared signature"
 
 
 def test_pullback_of_point_is_fibre(chain3):
@@ -264,9 +277,15 @@ def test_hom_search_against_the_naive_enumeration(x, y):
     assert hm.hom_count(x, y) == len(expected)
 
 
+def reference_hom_tuples(x, y):
+    """The maps x -> y as image tuples over x's sorted carrier, by the product filter."""
+    src = x.sorted_carrier()
+    return reference_value_tuples(y, src, [y.sorted_carrier()] * len(src), x.edges)
+
+
 @settings(max_examples=300, deadline=None)
 @given(trust_structures("a"), trust_structures("b"))
-def test_hom_tuples_against_the_per_call_plan(x, y):
+def test_hom_tuples_against_the_product_filter(x, y):
     expected = reference_hom_tuples(x, y)
     assert _hom_tuples(x, y) == expected  # the same list in the same order
     assert _hom_tuples(x, y) == expected  # and again, through the kept plan
