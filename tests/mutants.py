@@ -12,15 +12,19 @@ there, and runs
 
     python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 <tests>
 
-with the copy as working directory and ``PYTHONPATH=<copy>/src``, so the
-repository's own ``.hypothesis/`` and ``.pytest_cache/`` are never written and
-every run draws the same examples.  A row is killed only when pytest exits 1;
-exit 0 means the mutant survived, and any other exit (a collection or usage
-error, no test collected, a timeout) means the row itself is broken.  Before
-the first row a child process checks that ``hornmod`` is imported from the
-copy, so an installed package cannot shadow the mutant.  The script prints
-one line per row and the total wall time, and exits non-zero on any
-survivor, any broken row and any snippet that does not occur exactly once.
+with the copy as working directory, ``PYTHONPATH=<copy>/src`` and
+``PYTHONHASHSEED=0``, so the repository's own ``.hypothesis/`` and
+``.pytest_cache/`` are never written, and every run draws the same examples
+and iterates its sets in the same order.  A row is killed only when pytest
+exits 1; exit 0 means the mutant survived, and any other exit (a collection
+or usage error, no test collected, a timeout) means the row itself is broken.
+Before the first row, on an unmutated copy, a child process checks that
+``hornmod`` is imported from the copy, so an installed package cannot shadow
+a mutant, and every test the table names is run once and must pass, so a
+kill is owed to the mutant and not to the copy.  The script prints one line
+per row and the total wall time, and exits non-zero if that check fails, on
+any survivor, any broken row and any snippet that does not occur exactly
+once.
 
 A change that edits a mutated snippet updates its row in the same change;
 ``tests/test_mutants.py`` (tier-1) fails until it does.  The table follows
@@ -365,10 +369,30 @@ MUTANTS: tuple[Mutant, ...] = (
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too''',
        '''        return tuple.__new__(cls, (name, arity))''',
        f"{CORE}::test_replace_checks_like_dataclasses_replace"),
+    _m("signature: unknown order kind accepted", "core.py",
+       "        if self.order_kind not in ORDER_KINDS:",
+       "        if False:",
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
     _m("signature: duplicate symbol names accepted", "core.py",
        "        if len(arities) != len(self.symbols):",
        "        if False:",
-       f"{CORE}::test_duplicate_symbol_names_rejected"),
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
+    _m("signature: order pairs over unknown symbols accepted", "core.py",
+       "            if low not in arities or high not in arities:",
+       "            if False:",
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
+    _m("signature: a quantale-induced signature without a quantale accepted", "core.py",
+       "            if self.quantale is None:",
+       "            if False:",
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
+    _m("signature: quantale symbols unchecked", "core.py",
+       "            if list(self.symbols) != expected:",
+       "            if False:",
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
+    _m("signature: a quantale on another order kind accepted", "core.py",
+       "        elif self.quantale is not None:",
+       "        elif False:",
+       f"{CORE}::test_signatures_refuse_with_their_messages"),
     _m("signature: order pairs of different arities accepted", "core.py",
        "            if arities[low] != arities[high]:",
        "            if False:",
@@ -427,11 +451,23 @@ def _copy(dest: Path) -> None:
 
 
 def _env(copy: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(copy / "src")}
+    return {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONHASHSEED": "0"}
 
 
-def _imports_from_copy() -> bool:
-    """Whether a child process started as a row's run imports ``hornmod`` from the copy."""
+def _pytest(copy: Path, tests: tuple[str, ...]) -> int | None:
+    """The exit code of pytest on ``tests`` in ``copy``, or None on a timeout."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *tests]
+    try:
+        return subprocess.run(command, cwd=copy, env=_env(copy), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def check_copy() -> str:
+    """Why an unmutated copy cannot judge the rows, or "" if it can: a child
+    process must import ``hornmod`` from the copy, and every named test must pass."""
     with tempfile.TemporaryDirectory(prefix="hornmod-mutant-") as tmp:
         copy = Path(tmp)
         _copy(copy)
@@ -439,7 +475,13 @@ def _imports_from_copy() -> bool:
             [sys.executable, "-c", "import hornmod; print(hornmod.__file__)"],
             cwd=copy, env=_env(copy), capture_output=True, text=True)
         path = Path(found.stdout.strip()).resolve()
-        return found.returncode == 0 and path.is_relative_to(copy.resolve())
+        if found.returncode != 0 or not path.is_relative_to(copy.resolve()):
+            return ("hornmod does not import from the copy of src/; "
+                    "an installed package may shadow it")
+        code = _pytest(copy, tuple(dict.fromkeys(t for row in MUTANTS for t in row.tests)))
+        if code != 0:
+            return f"the named tests do not all pass on the unmutated copy (pytest exit {code})"
+    return ""
 
 
 def run_row(row: Mutant) -> tuple[str, str]:
@@ -453,13 +495,9 @@ def run_row(row: Mutant) -> tuple[str, str]:
         path = copy / "src" / "hornmod" / row.file
         path.write_text(path.read_text(encoding="utf-8").replace(row.old, row.new),
                         encoding="utf-8")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", *row.tests]
-        try:
-            code = subprocess.run(command, cwd=copy, env=_env(copy), stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
-        except subprocess.TimeoutExpired:
-            return "BROKEN", f"no exit within {TIMEOUT_S} s"
+        code = _pytest(copy, row.tests)
+    if code is None:
+        return "BROKEN", f"no exit within {TIMEOUT_S} s"
     if code == 1:
         return "killed", ""
     return ("SURVIVED", "") if code == 0 else ("BROKEN", f"pytest exit {code}")
@@ -467,8 +505,9 @@ def run_row(row: Mutant) -> tuple[str, str]:
 
 def main() -> int:
     start = time.perf_counter()
-    if not _imports_from_copy():
-        print("hornmod does not import from the copy of src/; an installed package may shadow it")
+    problem = check_copy()
+    if problem:
+        print(problem)
         return 2
     failures = 0
     for row in MUTANTS:

@@ -135,11 +135,34 @@ def test_explicit_pairs_across_arities_rejected():
         )
 
 
-def test_duplicate_symbol_names_rejected():
+R1, R2, S2 = hm.RelationSymbol("R", 1), hm.RelationSymbol("R", 2), hm.RelationSymbol("S", 2)
+BOOLEAN_SYMBOLS = (hm.RelationSymbol("~0", 2), hm.RelationSymbol("~1", 2))
+
+
+@pytest.mark.parametrize("symbols, kind, pairs, quantale, message", [
+    ((R2,), "dense", (), None, "unknown order kind 'dense'"),
     # one name at two arities is two RelationSymbols but one name
+    ((R1, R2), hm.DISCRETE, (), None, "duplicate symbol names in signature"),
+    ((R2,), hm.EXPLICIT, (("R", "S"),), None, "order pair ('R', 'S') uses unknown symbols"),
+    ((R1, S2), hm.EXPLICIT, (("R", "S"),), None,
+     "order pair ('R', 'S') relates symbols of different arities"),
+    (BOOLEAN_SYMBOLS, hm.QUANTALE, (), None, "quantale-induced signature needs a quantale"),
+    (BOOLEAN_SYMBOLS[:1], hm.QUANTALE, (), hm.boolean_quantale(),
+     "quantale-induced signature must have exactly the binary symbols ~v for the quantale "
+     "elements v"),
+    (BOOLEAN_SYMBOLS + (S2,), hm.QUANTALE, (), hm.boolean_quantale(),
+     "quantale-induced signature must have exactly the binary symbols ~v for the quantale "
+     "elements v"),
+    (BOOLEAN_SYMBOLS, hm.DISCRETE, (), hm.boolean_quantale(),
+     "only quantale-induced signatures carry a quantale"),
+    (BOOLEAN_SYMBOLS, hm.EXPLICIT, (), hm.boolean_quantale(),
+     "only quantale-induced signatures carry a quantale"),
+], ids=["kind", "duplicate-names", "pair-unknown", "pair-arities", "no-quantale",
+        "quantale-too-few", "quantale-too-many", "discrete-quantale", "explicit-quantale"])
+def test_signatures_refuse_with_their_messages(symbols, kind, pairs, quantale, message):
     with pytest.raises(hm.SignatureError) as refused:
-        hm.Signature((hm.RelationSymbol("R", 1), hm.RelationSymbol("R", 2)))
-    assert str(refused.value) == "duplicate symbol names in signature"
+        hm.Signature(symbols, kind, pairs, quantale)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("name, arity, message", [
@@ -267,7 +290,8 @@ def test_edge_sets_deduplicate(preord):
 
 
 def test_equality_conclusion_variable_condition():
-    with pytest.raises(hm.TheoryError):
+    with pytest.raises(hm.TheoryError, match="^equality conclusion requires the premise "
+                                             "variables to be exactly the equated pair$"):
         hm.horn([hm.edge("le", "x", "y"), hm.edge("le", "y", "z")], hm.Equality("x", "y"))
     hm.horn([hm.edge("le", "x", "y"), hm.edge("le", "y", "x")], hm.Equality("x", "y"))
 
@@ -558,7 +582,8 @@ def test_kept_lifting_models_are_not_part_of_the_theory():
 # replaced: a value is its fields, so ``==`` and order compare them, ``hash``
 # hashes their tuple and ``repr`` prints them by name, a formula's premises
 # sorted; set iteration order and every output byte depend on it.  A spec
-# that is refused is refused with a ``HornmodError``.
+# is refused exactly when it breaks one of the constructors' checks, with
+# that check's error and message.
 
 VALUE_FIELDS = {
     "RelationSymbol": ("name", "arity"),
@@ -658,9 +683,74 @@ def build_theory(spec):
     return hm.Theory(build_signature(sig), tuple(build_formula(ax) for ax in axioms), (), base_flag)
 
 
-VALUE_KINDS = {"signature": (build_signature, signature_specs()),
-            "formula": (build_formula, formula_specs()),
-            "theory": (build_theory, theory_specs())}
+# What building a spec must raise, read off the spec in the constructors'
+# order of checks: ``(error type, the messages it may carry)``, or None when
+# the spec must be built.  More than one message is allowed only where the
+# constructor checks a frozenset's members, in an order no spec fixes.
+
+def signature_refusal(spec):
+    symbols, kind, pairs, quantale = spec
+    for name, arity in symbols:
+        if arity < 1:
+            return hm.SignatureError, {f"arity of {name!r} must be >= 1, got {arity}"}
+    distinct = set(symbols)
+    arities = dict(distinct)
+    if kind not in (hm.DISCRETE, hm.EXPLICIT, hm.QUANTALE):
+        return hm.SignatureError, {f"unknown order kind {kind!r}"}
+    if len(arities) != len(distinct):
+        return hm.SignatureError, {"duplicate symbol names in signature"}
+    for low, high in sorted(set(pairs)):
+        if low not in arities or high not in arities:
+            return hm.SignatureError, {f"order pair ({low!r}, {high!r}) uses unknown symbols"}
+        if arities[low] != arities[high]:
+            return hm.SignatureError, {
+                f"order pair ({low!r}, {high!r}) relates symbols of different arities"}
+    if kind == hm.QUANTALE:
+        if quantale is None:
+            return hm.SignatureError, {"quantale-induced signature needs a quantale"}
+        if distinct != {("~" + v, 2) for v in quantale.elements}:
+            return hm.SignatureError, {
+                "quantale-induced signature must have exactly the binary symbols ~v for the "
+                "quantale elements v"}
+    elif quantale is not None:
+        return hm.SignatureError, {"only quantale-induced signatures carry a quantale"}
+    return None
+
+
+def formula_refusal(spec):
+    premises, (tag, *conclusion) = spec
+    if tag == "eq" and {v for _, args in premises for v in args} != set(conclusion):
+        return hm.TheoryError, {"equality conclusion requires the premise variables to be "
+                                "exactly the equated pair"}
+    return None
+
+
+def theory_refusal(spec):
+    sig, axioms, _ = spec
+    for refusal in [signature_refusal(sig)] + [formula_refusal(ax) for ax in axioms]:
+        if refusal is not None:
+            return refusal
+    arities = dict(sig[0])
+
+    def faults(part, edges):
+        for name, args in edges:
+            if name not in arities:
+                yield f"axiom {part} uses unknown symbol {name!r}"
+            elif len(args) != arities[name]:
+                yield f"axiom {part} {Edge(name, args)} has wrong arity"
+
+    for premises, (tag, *conclusion) in axioms:
+        messages = set(faults("premise", premises))
+        if not messages and tag == "edge":
+            messages = set(faults("conclusion", [conclusion]))
+        if messages:
+            return hm.TheoryError, messages
+    return None
+
+
+VALUE_KINDS = {"signature": (build_signature, signature_refusal, signature_specs()),
+               "formula": (build_formula, formula_refusal, formula_specs()),
+               "theory": (build_theory, theory_refusal, theory_specs())}
 
 
 def built(build, spec):
@@ -674,13 +764,19 @@ def built(build, spec):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(VALUE_KINDS)), st.data())
 def test_value_types_match_their_dataclass_references(kind, data):
-    build, specs = VALUE_KINDS[kind]
+    build, refusal, specs = VALUE_KINDS[kind]
     first = data.draw(specs)
     second = data.draw(st.one_of(st.just(first), specs))
-    (error_a, a), (error_b, b) = built(build, first), built(build, second)
-    for error in (error_a, error_b):
-        assert error is None or issubclass(error[0], hm.HornmodError)
-    assert_field_contract(a, b)
+    values = []
+    for spec in (first, second):
+        error, value = built(build, spec)
+        expected = refusal(spec)
+        if expected is None:
+            assert error is None
+        else:
+            assert error is not None and error[0] is expected[0] and error[1] in expected[1]
+        values.append(value)
+    assert_field_contract(*values)
 
 
 @settings(max_examples=200, deadline=None)
