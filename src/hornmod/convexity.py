@@ -187,6 +187,7 @@ def is_convex_via_lifting(f: Morphism, theory: Theory) -> bool:
     inputs and shares none of its search; the pair is a dual-oracle check.
     """
     _require_discrete(theory)
+    _require_signature(f, theory)
     x, z = f.source, f.target
     for edge_model, impl_model, comparison in _lifting_models(theory):
         filled = {

@@ -18,8 +18,8 @@ QUANTALE = "quantale"
 
 ORDER_KINDS = (DISCRETE, EXPLICIT, QUANTALE)
 
-# Most structures a test family holds per carrier size before it is sampled;
-# the CLI's --cap default.
+# The budget of all_models and all_structures, the most edge sets their largest
+# carrier may have, and the most objects sample_family keeps: the CLI's --cap.
 DEFAULT_CAP = 512
 
 

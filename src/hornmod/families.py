@@ -6,13 +6,13 @@ by a theory alone: all structures are the models of the empty theory.  Models
 are generated, not filtered: on a fixed carrier the models of the edge axioms
 are the closed sets of a closure system, listed by Ganter's NextClosure in
 increasing mask order (every mask, for no axioms), and the equality axioms
-then drop some of them.  A carrier with more masks than a cap is sampled with
-a fixed seed and filtered to its models.  A family can be reduced to one model
-per isomorphism class: a generated carrier keeps the least mask of each orbit
-under relabelling its points, by table lookups and no labelling; a sampled one
-keeps the first model per canonical labelling, which ``limits.find_isomorphism``
-shares.  All output orders are canonical, so the same inputs always give the
-same family.
+then drop some of them.  A family is exact: a request whose largest carrier
+has more edge sets than a cap is refused before anything is generated, and
+only :func:`sample_family` samples, from a finished family.  A family can be
+reduced to one model per isomorphism class, the least mask of each orbit
+under relabelling its points, by table lookups and no labelling; ``iso_key``
+and ``limits.find_isomorphism`` share one canonical labelling instead.  All
+output orders are canonical, so the same inputs always give the same family.
 """
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from .core import (
-    DEFAULT_CAP, Edge, HornmodError, Signature, SignatureError, Structure, StructureError, Theory,
-)
-from .semantics import ground_axioms, is_model
+from .core import DEFAULT_CAP, Edge, HornmodError, Signature, SignatureError, Structure, Theory
+from .semantics import ground_axioms
 
 
 def canonical_carrier(size: int) -> tuple[str, ...]:
@@ -39,41 +37,17 @@ def edge_slots(sig: Signature, carrier: tuple[str, ...]) -> list[Edge]:
     return out
 
 
-def structures_on_carrier(
-    sig: Signature, size: int, cap: Optional[int] = DEFAULT_CAP, seed: int = 0
-) -> Iterator[Structure]:
-    """All structures on the canonical carrier of a size, sampled beyond the cap.
-
-    A ``size`` that is not an int of at least 0, or a ``cap`` that is not
-    ``None`` or an int of at least 1, raises ``HornmodError`` when iterated.
-    """
-    _check_bounds(size, cap)
-    carrier = canonical_carrier(size)
-    slots = edge_slots(sig, carrier)
-    total = 2 ** len(slots)
-    if cap is None or total <= cap:
-        chosen: Iterator[int] = iter(range(total))
-    else:
-        if len(slots) > 62:
-            raise StructureError("edge-slot space too large to sample by index")
-        rng = random.Random(seed)
-        chosen = iter(sorted(rng.sample(range(total), cap)))
-    for mask in chosen:
-        yield _structure_of_mask(sig, carrier, slots, mask)
-
-
 def _structure_of_mask(
     sig: Signature, carrier: tuple[str, ...], slots: list[Edge], mask: int
 ) -> Structure:
     return Structure(sig, carrier, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
-def all_structures(
-    sig: Signature, max_size: int, cap: Optional[int] = DEFAULT_CAP, seed: int = 0
-) -> list[Structure]:
-    """All structures with carrier size up to ``max_size`` (sampled per size beyond cap):
-    the models of the empty theory, in mask order."""
-    return all_models(Theory(sig, base_flag=False), max_size, iso=False, cap=cap, seed=seed)
+def all_structures(sig: Signature, max_size: int, cap: Optional[int] = DEFAULT_CAP
+                   ) -> list[Structure]:
+    """All structures with carrier size up to ``max_size``: the models of the empty
+    theory, in mask order.  Bounds and the cap are checked as in :func:`all_models`."""
+    return all_models(Theory(sig, base_flag=False), max_size, iso=False, cap=cap)
 
 
 def _check_bounds(max_size: int, cap: Optional[int]) -> None:
@@ -117,15 +91,16 @@ def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
 
 
 def iso_key(x: Structure) -> tuple:
-    """A canonical form invariant under carrier relabelling."""
-    return (len(x.carrier), _canonical_labelling(x)[0])
+    """A canonical form invariant under carrier relabelling: equal exactly for
+    isomorphic structures, so structures over different signatures differ."""
+    return (x.signature, len(x.carrier), _canonical_labelling(x)[0])
 
 
 def dedup_by_iso(structures: list[Structure]) -> list[Structure]:
     """Keep the first representative of each isomorphism class, preserving order.
 
-    In the library only ``all_models`` calls it, on a sampled carrier size;
-    generated sizes are reduced by mask orbits, with this as their reference.
+    The library does not call it: ``all_models`` reduces by mask orbits, with
+    this as their reference.
     """
     seen = set()
     out = []
@@ -138,33 +113,30 @@ def dedup_by_iso(structures: list[Structure]) -> list[Structure]:
 
 
 def all_models(
-    theory: Theory,
-    max_size: int,
-    iso: bool = True,
-    cap: Optional[int] = DEFAULT_CAP,
-    seed: int = 0,
+    theory: Theory, max_size: int, iso: bool = True, cap: Optional[int] = DEFAULT_CAP
 ) -> list[Structure]:
     """All models of the theory up to a carrier size, optionally one per iso class.
 
-    Per carrier size the models are generated as closed edge sets, in the
-    mask order of :func:`structures_on_carrier`.  A size whose 2^slots
-    structures exceed ``cap`` is sampled by that function and filtered to
-    its models.  Each size is grounded once, from the compiled axioms the
-    theory keeps.  One per iso class keeps the least mask of each orbit under
-    relabelling the carrier (a sampled size keeps :func:`dedup_by_iso`'s
-    choice).  Bounds are checked as in :func:`structures_on_carrier`.
+    Per carrier size the models are generated as closed edge sets, in
+    increasing mask order, each size grounded once from the compiled axioms
+    the theory keeps.  One per iso class keeps the least mask of each orbit
+    under relabelling the carrier.  ``cap`` is a budget on the ``2 ** slots``
+    edge sets of the largest carrier, checked before any size is generated:
+    over it, ``HornmodError`` names the size, and ``cap=None`` lifts it.  A
+    ``max_size`` that is not an int of at least 0, or a ``cap`` that is not
+    ``None`` or an int of at least 1, raises ``HornmodError``.
     """
     _check_bounds(max_size, cap)
     sig = theory.signature
+    if cap is not None:
+        width = sum(max_size ** s.arity for s in sig.symbols)
+        if width >= cap.bit_length():  # 2 ** width > cap, without the power
+            raise HornmodError(f"carrier size {max_size} has 2^{width} edge sets, over the "
+                               f"family cap {cap}; pass cap=None for all of them")
     models: list[Structure] = []
     for size in range(max_size + 1):
         carrier = canonical_carrier(size)
         slots = edge_slots(sig, carrier)
-        if cap is not None and 2 ** len(slots) > cap:
-            sampled = [s for s in structures_on_carrier(sig, size, cap, seed)
-                       if is_model(s, theory)]
-            models.extend(dedup_by_iso(sampled) if iso else sampled)
-            continue
         clauses = ground_axioms(theory, carrier, slots)
         masks = (mask for mask in _closed_masks(clauses.rules, len(slots))
                  if not any(mask & f == f for f in clauses.forbidden))

@@ -117,7 +117,7 @@ MUTANTS: tuple[Mutant, ...] = (
     _m("P*: a map over k checks no fibre edge", "closure.py",
        "            for values in _value_tuples(y, variables, [tgt] * len(variables), premises):",
        "            for values in _value_tuples(y, variables, [tgt] * len(variables), ()):",
-       f"{ACCEPTANCE}::test_criterion_02_str_partial_products"),
+       f"{CLOSURE}::test_partial_products_match_reference"),
     _m("P*: evaluation domain built without edges", "closure.py",
        "                       _pair_edges(struct.signature, pair_ids, struct, f.source))",
        "                       ())",
@@ -232,6 +232,11 @@ MUTANTS: tuple[Mutant, ...] = (
        "    if f.source.signature != theory.signature or f.target.signature != theory.signature:",
        "    if f.source.signature != theory.signature:",
        f"{CONVEXITY}::test_convexity_refuses_a_map_over_another_signature"),
+    _m("lifting oracle: no signature check", "convexity.py",
+       '''    _require_signature(f, theory)
+    x, z = f.source, f.target''',
+       "    x, z = f.source, f.target",
+       f"{CONVEXITY}::test_the_lifting_oracle_refuses_a_map_over_another_signature"),
 
     # The distance-form oracle, the lattice tables and the V-graph translation.
     _m("distance oracle: u over every element", "schema.py",
@@ -306,11 +311,19 @@ MUTANTS: tuple[Mutant, ...] = (
        f"{SEMANTICS}::test_check_model_matches_reference"),
 
     # Families: bounds, labelling and orbit representatives.
-    _m("families: no size check on a carrier", "families.py",
-       '''    _check_bounds(size, cap)
-    carrier = canonical_carrier(size)''',
-       '''    carrier = canonical_carrier(size)''',
+    _m("families: no bounds check", "families.py",
+       '''    _check_bounds(max_size, cap)
+    sig = theory.signature''',
+       "    sig = theory.signature",
        f"{FAMILIES}::test_negative_size_bounds_are_refused"),
+    _m("families: no cap on the edge sets", "families.py",
+       "        if width >= cap.bit_length():  # 2 ** width > cap, without the power",
+       "        if False:",
+       f"{FAMILIES}::test_families_over_their_cap_are_refused_before_anything_is_built"),
+    _m("families: iso keys without the signature", "families.py",
+       "    return (x.signature, len(x.carrier), _canonical_labelling(x)[0])",
+       "    return (len(x.carrier), _canonical_labelling(x)[0])",
+       f"{FAMILIES}::test_iso_keys_tell_signatures_apart"),
     _m("families: unsorted profiles", "families.py",
        '''    for occurrences in profile.values():
         occurrences.sort()

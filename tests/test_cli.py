@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
 from hornmod.cli import main
-from hornmod.serialize import dumps, morphism_to_jsonable, structure_to_jsonable
+from hornmod.serialize import (
+    dumps, morphism_to_jsonable, structure_to_jsonable, theory_to_jsonable,
+)
 
 from conftest import cli_corpus_commands, mutated_document
 
@@ -138,6 +140,16 @@ def test_convexity_of_a_map_over_another_signature_is_one_line_input_error(
         command, theory, morphism):
     err = assert_one_line_input_error(command, "--theory", corpus(theory),
                                       "--morphism", corpus(morphism))
+    assert "different signatures" in err
+
+
+def test_lifting_under_a_theory_over_another_signature_is_one_line_input_error(tmp_path):
+    # A theory over R with no eligible axioms checks no square: the lifting
+    # oracle must still refuse a map over le, as the direct method does.
+    theory = tmp_path / "reflexive.theory.json"
+    theory.write_text(dumps(theory_to_jsonable(hm.reflexive_theory())), encoding="utf-8")
+    err = assert_one_line_input_error("convexity", "--method", "lifting", "--theory", str(theory),
+                                      "--morphism", corpus("chain3-id.morphism.json"))
     assert "different signatures" in err
 
 

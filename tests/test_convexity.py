@@ -99,6 +99,17 @@ def test_convexity_refuses_a_map_over_another_signature(preord):
             hm.is_object_convex(x, preord)
 
 
+def test_the_lifting_oracle_refuses_a_map_over_another_signature(chain2):
+    # With no eligible axioms no square is checked, so only the signature
+    # check keeps a map over le from reading convex under a theory over R.
+    reflexive = hm.reflexive_theory()
+    assert eligible_axioms(reflexive) == ()
+    for decide in (hm.is_convex_via_lifting, hm.convexity_report):
+        with pytest.raises(hm.SignatureError) as refused:
+            decide(hm.identity_morphism(chain2), reflexive)
+        assert str(refused.value) == "morphism and theory use different signatures"
+
+
 def test_convexity_refuses_an_axiom_outside_the_signature(preord, chain2):
     axiom = hm.horn((hm.edge("Q", "x", "y"),), hm.edge("Q", "y", "x"))
     with pytest.raises(hm.TheoryError, match="unknown symbol 'Q'"):

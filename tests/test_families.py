@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornmod as hm
+from hornmod import families
 from hornmod.core import DEFAULT_CAP, Edge, HornmodError, Structure, StructureError
 from hornmod.families import (
     _canonical_labelling,
@@ -27,7 +28,6 @@ from hornmod.families import (
     edge_slots,
     iso_key,
     sample_family,
-    structures_on_carrier,
 )
 
 from conftest import (
@@ -55,8 +55,8 @@ QUANTALES = {
 LADDER = ("vgph", "vrgph", "vcat", "pmet", "met")
 
 
-def filtered_models(theory, max_size, cap=None, seed=0):
-    return [s for s in all_structures(theory.signature, max_size, cap=cap, seed=seed)
+def filtered_models(theory, max_size):
+    return [s for s in all_structures(theory.signature, max_size, cap=None)
             if hm.is_model(s, theory)]
 
 
@@ -77,17 +77,6 @@ def test_discrete_theories_up_to_three_points(name):
 def test_quantale_ladder_up_to_two_points(kind, quantale):
     theory = getattr(hm, f"theory_{kind}")(QUANTALES[quantale]())
     assert_generated_equals_filtered(theory, 2)
-
-
-@pytest.mark.parametrize("cap", [1, 16, 64])
-def test_sampled_sizes_filter_the_sample(cap):
-    # Sizes with more than ``cap`` structures are a seeded sample of
-    # structures, filtered to models, exactly as before generation.
-    preord = hm.preorder_theory()
-    for seed in (0, 5):
-        got = all_models(preord, 3, iso=False, cap=cap, seed=seed)
-        assert got == filtered_models(preord, 3, cap=cap, seed=seed)
-        assert all_models(preord, 3, iso=True, cap=cap, seed=seed) == dedup_by_iso(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +129,6 @@ def test_negative_size_bounds_are_refused():
     message = "family size bound must be at least 0, got -1"
     for call in (lambda: all_models(preord, -1),
                  lambda: all_structures(preord.signature, -1),
-                 lambda: list(structures_on_carrier(preord.signature, -1)),
                  lambda: default_test_family(preord.signature, -1),
                  lambda: default_test_family(preord.signature, -1, theory=preord)):
         with pytest.raises(HornmodError) as refused:
@@ -168,14 +156,49 @@ def test_bad_size_bounds_and_caps_are_refused(max_size, cap, message):
     calls = [lambda: default_test_family(preord.signature, max_size, cap=cap)]
     if message.startswith("family cap"):
         calls.append(lambda: sample_family([], cap, 0))
-    if cap is not None:  # no cap is a generator's default, not a sample's
+    if cap is not None:  # None lifts a generator's budget; a sample needs a cap
         calls += [lambda: all_models(preord, max_size, cap=cap),
-                  lambda: all_structures(preord.signature, max_size, cap=cap),
-                  lambda: list(structures_on_carrier(preord.signature, max_size, cap=cap))]
+                  lambda: all_structures(preord.signature, max_size, cap=cap)]
     for call in calls:
         with pytest.raises(HornmodError) as refused:
             call()
         assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("family", [
+    lambda theory, size, **cap: all_models(theory, size, iso=True, **cap),
+    lambda theory, size, **cap: all_models(theory, size, iso=False, **cap),
+    lambda theory, size, **cap: all_structures(theory.signature, size, **cap),
+], ids=["models-iso", "models-labelled", "structures"])
+def test_families_over_their_cap_are_refused_before_anything_is_built(family, monkeypatch):
+    # A family is exact or refused: the cap bounds the 2 ** slots edge sets of
+    # the largest carrier, and is checked before any carrier is generated.
+    preord, horn = hm.preorder_theory(), hm.Theory(HORN_SIGNATURE, base_flag=False)
+    assert family(horn, 2, cap=64) == family(horn, 2, cap=None)  # 2 + 4 slots at 2 points
+
+    def generated(*args):
+        raise AssertionError("a family over its cap was generated")
+
+    monkeypatch.setattr(families, "canonical_carrier", generated)
+    monkeypatch.setattr(Structure, "__init__", generated)
+    huge = 10 ** 6  # neither its 10 ** 12 slots nor 2 ** slots are built
+    for theory, size, cap, slots in [(horn, 2, {"cap": 63}, 6), (preord, 4, {}, 16),
+                                     (horn, huge, {"cap": 2 ** 64}, huge + huge ** 2)]:
+        with pytest.raises(HornmodError) as refused:
+            family(theory, size, **cap)
+        assert str(refused.value) == (
+            f"carrier size {size} has 2^{slots} edge sets, over the family cap "
+            f"{cap.get('cap', DEFAULT_CAP)}; pass cap=None for all of them")
+
+
+def test_iso_keys_tell_signatures_apart():
+    # Same carrier and edges, other signatures: not isomorphic, so not one class.
+    a = hm.chain(2)
+    b = Structure(hm.Signature(a.signature.symbols + (hm.RelationSymbol("P", 1),)),
+                  a.carrier, a.edges)
+    assert not hm.are_isomorphic(a, b)
+    assert iso_key(a) != iso_key(b)
+    assert dedup_by_iso([a, b]) == [a, b]
 
 
 def test_a_test_family_over_another_signature_than_its_theory_is_refused():
