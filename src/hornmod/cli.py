@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING
 
 # Parsing loads core and serialize for every command, so their names are bound here.
-from .core import DEFAULT_CAP, DISCRETE, HornmodError, Morphism, Theory, validate_morphism
+from .core import DEFAULT_CAP, DISCRETE, HornmodError, Morphism, validate_morphism
 from .serialize import (
     ParseError,
     dumps,
@@ -184,7 +184,7 @@ def cmd_partial_product(args) -> tuple[dict, int]:
     f = _load_morphism(args.morphism)
     y = parse_structure(_load(args.target))
     # the variant names the theory: the empty one (all structures) or the base one
-    theory = Theory(f.source.signature, base_flag=args.variant == "refl")
+    theory = f.source.signature.theory(args.variant == "refl")
     result: PartialProductResult = partial_product(theory, y, f)
     payload: dict[str, Any] = {
         "variant": result.variant,

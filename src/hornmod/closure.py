@@ -8,20 +8,25 @@ exists, has the maps F(v) x_Z X -> Y as its points and gets an s-edge from
 each map F(s(v1..vn)) x_Z X -> Y.  The theory is the variant: all structures
 are the empty theory's models, so the plain partial product is P* over the
 empty theory, the reflexive one over the signature's base theory, and the
-exponential Y^X the base theory's P* along X -> 1.  Points and edges both
-come from the valuation search of :mod:`hornmod.semantics`, the edges over
-tagged copies of the fibres' points.  The internal hom joins maps pointwise.
-One universal-property check replays P*'s over a family of test objects Q,
-without the builder: it joins each Q x_Z X as pair ids and edges, and decides
-each q : Q -> Z by counting.  Two facts are checked once per candidate: the
-evaluation is a morphism on exactly P x_Z X, so every transpose
-eval . (h x_Z X) of a map h : Q -> P over q is a map g : Q x_Z X -> Y; and
-the points of P over each point of Z have pairwise distinct evaluation
-tables, so h is read back off its transpose.  Then h -> transpose is
-injective, and every g is hit exactly once iff the h over q are as many as
-the g.  When the tables collide or the counts differ, every h is counted at
-its transpose and the g are walked in canonical order to the first one not
-hit exactly once.  The exponential's check is this one along X -> 1, where
+exponential Y^X the base theory's P* along X -> 1.  The free models depend
+on the theory alone, so they are chased once and kept on it, and each
+signature keeps its empty and base theories (``Signature.theory``).  Points
+and edges both come from the valuation search of :mod:`hornmod.semantics`,
+the edges over tagged copies of the fibres' points.  The internal hom joins
+maps pointwise.  One universal-property check replays P*'s over a family of
+test objects Q, without the builder or anything it keeps, and decides each
+q : Q -> Z by counting: the maps Q x_Z X -> Y are counted from pair
+positions, with no pair id or edge built, and the pair ids of the whole of
+Q x X are rendered once per Q, to raise when two collide.  Two facts are
+checked once per candidate: the evaluation is a morphism on exactly
+P x_Z X, so every transpose eval . (h x_Z X) of a map h : Q -> P over q is
+a map g : Q x_Z X -> Y; and the points of P over each point of Z have
+pairwise distinct evaluation tables, so h is read back off its transpose.
+Then h -> transpose is injective, and every g is hit exactly once iff the h
+over q are as many as the g.  When the tables collide or the counts differ,
+every h is counted at its transpose and the g, over Q x_Z X joined as pair
+ids and edges, are walked in canonical order to the first one not hit
+exactly once.  The exponential's check is this one along X -> 1, where
 Q x_1 X is Q x X.
 """
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 from .core import (
     Edge,
@@ -46,10 +51,9 @@ from .limits import (
     _pair_edges,
     _pair_ids,
     bang,
+    pair_id,
 )
 from .semantics import (
-    FreeModelResult,
-    _checks,
     _count,
     _hom_checks,
     _reader,
@@ -87,6 +91,30 @@ class ExponentialResult:
     components: dict = field(compare=False, repr=False, default_factory=dict)
 
 
+def _presentation(theory: Theory) -> tuple[tuple[Optional[str], Structure, list[int]], ...]:
+    """The free models that present P* in the theory's models, chased on first use
+    and kept on the theory.
+
+    First F(v), the free model on one point, keyed None; then F(s(v1..vn)), the
+    free model on one s-edge, keyed s, for each symbol s.  Each comes with the
+    positions in its sorted carrier of the points v, resp. v1..vn, land on.
+    """
+    if theory._presentation is None:
+        sig = theory.signature
+        seeds: list[tuple[Optional[str], tuple[str, ...], list[Edge]]] = [
+            (None, fresh_variables(1), [])]
+        for s in sig.symbols:
+            vs = fresh_variables(s.arity)
+            seeds.append((s.name, vs, [Edge(s.name, vs)]))
+        kept = []
+        for name, vs, edges in seeds:
+            free = free_model(theory, Structure(sig, vs, edges))
+            us = free.model.sorted_carrier()
+            kept.append((name, free.model, [us.index(free.unit_map(v)) for v in vs]))
+        object.__setattr__(theory, "_presentation", tuple(kept))
+    return theory._presentation
+
+
 def _partial_product(
     theory: Theory, y: Structure, f: Morphism, key: Callable[[str], Optional[str]]
 ) -> tuple[Structure, dict[str, tuple[dict[str, str], str]]]:
@@ -101,9 +129,9 @@ def _partial_product(
     The maps over a k come from the valuation search over tagged copies
     ``(u, a)``, u a point of the free model and a one of k(u)'s fibre: each
     t-edge of the free model is zipped with the t-edges of X over its image.
+    The free models are the theory's kept :func:`_presentation`.
     """
     x, z = f.source, f.target
-    sig = x.signature
     fibre: dict[str, list[str]] = {c: [] for c in z.carrier}
     for a in x.sorted_carrier():
         fibre[f(a)].append(a)
@@ -113,38 +141,34 @@ def _partial_product(
         over_z.setdefault((t, tuple(map(f, args))), []).append(args)
     tgt = y.sorted_carrier()
 
-    def maps(free: FreeModelResult, vs: Sequence[str]) -> Iterator[tuple]:
-        """Each map F x_Z X -> y over each k : F -> Z, F the free model, read at
-        the images of ``vs`` as a ``(k(u), images of u's copy)`` pair per point u."""
-        us = free.model.sorted_carrier()
-        at = [us.index(free.unit_map(v)) for v in vs]
-        for k in _hom_tuples(free.model, z):
+    def maps(model: Structure, at: list[int]) -> Iterator[tuple]:
+        """Each map model x_Z X -> y over each k : model -> Z, read at the points
+        of the positions ``at`` as a ``(k(u), images of u's copy)`` pair per point u."""
+        us = model.sorted_carrier()
+        for k in _hom_tuples(model, z):
             over = dict(zip(us, k))
             copies = [[(u, a) for a in fibre[c]] for u, c in zip(us, k)]
             variables = [v for copy in copies for v in copy]
-            premises = [Edge(t, tuple(zip(ws, args))) for t, ws in free.model.edges
+            premises = [Edge(t, tuple(zip(ws, args))) for t, ws in model.edges
                         for args in over_z.get((t, tuple(map(over.__getitem__, ws))), ())]
             ends = list(itertools.accumulate(map(len, copies)))
             cells = [(k[i], ends[i] - len(copies[i]), ends[i]) for i in at]
             for values in _value_tuples(y, variables, [tgt] * len(variables), premises):
                 yield tuple((c, values[lo:hi]) for c, lo, hi in cells)
 
+    (_, point, at), *symbols = _presentation(theory)
     points: dict[str, tuple[dict[str, str], str]] = {}
     named: dict[tuple[str, tuple[str, ...]], str] = {}
-    one = fresh_variables(1)
-    for (c, images), in maps(free_model(theory, Structure(sig, one, ())), one):
+    for (c, images), in maps(point, at):
         table = dict(zip(fibre[c], images))
         pid = function_id(table, key(c))
         if pid in points:
             raise StructureError("carrier names collide under function-table rendering")
         points[pid] = (table, c)
         named[c, images] = pid
-    edges = []
-    for s in sig.symbols:
-        vs = fresh_variables(s.arity)
-        for cells in maps(free_model(theory, Structure(sig, vs, [Edge(s.name, vs)])), vs):
-            edges.append(Edge(s.name, tuple(map(named.__getitem__, cells))))
-    return Structure(sig, points, edges), points
+    edges = [Edge(name, tuple(map(named.__getitem__, cells)))
+             for name, model, at in symbols for cells in maps(model, at)]
+    return Structure(x.signature, points, edges), points
 
 
 def _result(theory: Theory, y: Structure, f: Morphism, key: Callable) -> PartialProductResult:
@@ -182,7 +206,7 @@ def partial_product_str(y: Structure, f: Morphism) -> PartialProductResult:
     """The partial product among all structures, the empty theory's models: its
     points are arbitrary functions on the fibres, and an s-edge's maps send the
     s-edges of X over it to s-edges of y."""
-    return partial_product(Theory(f.source.signature, base_flag=False), y, f)
+    return partial_product(f.source.signature.theory(False), y, f)
 
 
 def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
@@ -192,7 +216,7 @@ def partial_product_refl(y: Structure, f: Morphism) -> PartialProductResult:
     send every t-edge of X over it, for t below s in the signature order, to
     a t-edge of y.
     """
-    return partial_product(Theory(f.source.signature, base_flag=True), y, f)
+    return partial_product(f.source.signature.theory(True), y, f)
 
 
 def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
@@ -207,7 +231,7 @@ def exponential_object(x: Structure, y: Structure) -> ExponentialResult:
     """
     if x.signature != y.signature:
         raise SignatureError("exponential needs a shared signature")
-    pp = _result(Theory(x.signature, base_flag=True), y, bang(x), lambda c: None)
+    pp = _result(x.signature.theory(True), y, bang(x), lambda c: None)
     tables = {pid: table for pid, (table, _) in pp.components.items()}
     return ExponentialResult(pp.structure, pp.eval, tables)
 
@@ -291,13 +315,42 @@ def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], 
     return lambda h: tuple(map(ev, zip(pick(h), bs)))
 
 
-def _joined_count(q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure) -> int:
+def _renders_apart(q: Structure, x: Structure) -> bool:
+    """Whether the rendered ids of the pairs of Q x X are pairwise distinct, so
+    that those of every join of Q and X over some of the pairs are too."""
+    return len({pair_id(a, b) for a in q.carrier for b in x.carrier}) == (
+        len(q.carrier) * len(x.carrier))
+
+
+def _joined_count(q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure,
+                  apart: bool = False) -> int:
     """The number of maps into y of Q and X joined over ``pairs``, the targets of
-    :func:`_joined_homs`, counted from the join alone: no names, cells or layout."""
-    ids = _pair_ids(pairs)
-    edges = _pair_edges(q.signature, ids, q, x)
-    checks = _checks(list(ids.values()), ((y.tuples(s), args) for s, args in edges))
-    return _count(checks, [y.sorted_carrier()] * len(ids))
+    :func:`_joined_homs`, counted from pair positions alone: no names, edges or layout.
+
+    The pair at position i of ``pairs`` is variable i.  Per symbol s, each s-edge
+    of Q is zipped with each s-edge of X through ``at[a][b]``, the position of
+    the pair (a, b); a zip whose every pair has a position is one constraint,
+    that the values at those positions be an s-tuple of y.  The pair ids are
+    rendered only to raise as :func:`_joined_homs` does when two collide, and
+    not at all when ``apart`` says that the pairs of the whole of Q x X render
+    apart (:func:`_renders_apart`).
+    """
+    if not apart:
+        _pair_ids(pairs)
+    at: dict[str, dict[str, int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        at.setdefault(a, {})[b] = i
+    checks: list[list[tuple[Container, Callable]]] = [[] for _ in pairs]
+    for s in q.signature.symbols:
+        tuples, columns = y.tuples(s.name), list(zip(*x.tuples(s.name)))
+        for args in q.tuples(s.name):
+            row = [at.get(a) for a in args]
+            if None in row:  # some point of args is paired with nothing
+                continue
+            for joined in zip(*map(map, [r.get for r in row], columns)):
+                if None not in joined:
+                    checks[max(joined)].append((tuples, _reader(joined)))
+    return _count(checks, [y.sorted_carrier()] * len(pairs))
 
 
 def _joined_homs(
@@ -384,11 +437,12 @@ def _verify_partial_product(f: Morphism, y: Structure, struct: Structure, p: Mor
         q_src = q_obj.sorted_carrier()
         qs = _hom_tuples(q_obj, z)
         h_checks = _hom_checks(q_obj, struct)  # h : Q -> P preserves Q's edges
+        apart = injective and _renders_apart(q_obj, x)
         for q in qs:
             pairs = [(a, s) for a, c in zip(q_src, q) for s in fibre_of[c]]
             domains = [over[c] for c in q]  # h(a) ranges over the points above q(a)
             if injective:
-                n = _joined_count(q_obj, x, pairs, y)
+                n = _joined_count(q_obj, x, pairs, y, apart)
                 if _count(h_checks, domains) == n:
                     checked += n
                     continue

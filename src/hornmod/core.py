@@ -115,8 +115,11 @@ class Signature(_Value):
     exactly the binary symbols named ``~v`` for the quantale elements ``v``.
     """
 
+    # Kept data: the name index, the order per arity, and the empty and base
+    # theories (``theory``), keyed by ``base_flag``.  Each theory refers back to
+    # this signature; the cycle is outside ``==``, ``hash``, ``repr`` and pickling.
     __slots__ = ("symbols", "order_kind", "order_pairs", "quantale", "_arities", "_orders",
-                 "__weakref__")
+                 "_theories", "__weakref__")
 
     def __init__(
         self,
@@ -169,6 +172,7 @@ class Signature(_Value):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
         object.__setattr__(self, "_orders", {})
+        object.__setattr__(self, "_theories", {})
 
     def __repr__(self) -> str:
         return (f"Signature(symbols={self.symbols!r}, order_kind={self.order_kind!r}, "
@@ -202,6 +206,15 @@ class Signature(_Value):
 
     def symbols_of_arity(self, n: int) -> tuple[str, ...]:
         return tuple(s.name for s in self.symbols if s.arity == n)
+
+    def theory(self, base_flag: bool) -> "Theory":
+        """The theory with no axioms of its own over this signature, built on first use
+        and kept: the base theory when ``base_flag`` is set, else the empty theory,
+        whose models are all structures."""
+        theory = self._theories.get(base_flag)
+        if theory is None:
+            theory = self._theories[base_flag] = Theory(self, base_flag=base_flag)
+        return theory
 
     def order(self, n: int) -> "SymbolOrder":
         """The (closed) preorder on the symbols of arity ``n``, built on first use and kept.
@@ -618,9 +631,9 @@ class Theory(_Value):
 
     # Kept data: all_axioms(); the lifting oracle's free models, aligned with
     # convexity.eligible_axioms; the compiled axioms (semantics._Rule), aligned
-    # with all_axioms().
+    # with all_axioms(); the free models that present P* (closure._presentation).
     __slots__ = ("signature", "axioms", "schemas", "base_flag", "_all_axioms",
-                 "_lifting_models", "_rules", "__weakref__")
+                 "_lifting_models", "_rules", "_presentation", "__weakref__")
 
     def __init__(
         self,
@@ -657,7 +670,7 @@ class Theory(_Value):
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(("signature", "axioms", "schemas", "base_flag"), state):
             object.__setattr__(self, name, value)
-        for name in ("_all_axioms", "_lifting_models", "_rules"):
+        for name in ("_all_axioms", "_lifting_models", "_rules", "_presentation"):
             object.__setattr__(self, name, None)
 
     def __repr__(self) -> str:

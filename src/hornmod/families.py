@@ -24,6 +24,12 @@ from .core import DEFAULT_CAP, Edge, HornmodError, Signature, SignatureError, St
 from .semantics import ground_axioms
 
 
+# The most edge slots on the largest carrier of a default test family.  Over the
+# empty theory every one of the 2 ** slots edge sets is generated: 16 slots, one
+# binary symbol on 4 points, take about 0.3 s; 6-point preorders (36) are refused.
+TEST_FAMILY_SLOTS = 16
+
+
 def canonical_carrier(size: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(size))
 
@@ -47,7 +53,7 @@ def all_structures(sig: Signature, max_size: int, cap: Optional[int] = DEFAULT_C
                    ) -> list[Structure]:
     """All structures with carrier size up to ``max_size``: the models of the empty
     theory, in mask order.  Bounds and the cap are checked as in :func:`all_models`."""
-    return all_models(Theory(sig, base_flag=False), max_size, iso=False, cap=cap)
+    return all_models(sig.theory(False), max_size, iso=False, cap=cap)
 
 
 def _check_bounds(max_size: int, cap: Optional[int]) -> None:
@@ -227,10 +233,18 @@ def default_test_family(
     One representative per isomorphism class of the theory's models up to
     the size bound, sampled past the cap; with no theory, of all structures,
     the models of the empty theory over ``sig``.  A theory over another
-    signature than ``sig`` raises ``SignatureError``.
+    signature than ``sig`` raises ``SignatureError``.  Its largest carrier may
+    have at most ``TEST_FAMILY_SLOTS`` edge slots, checked before anything is
+    generated; over that, ``HornmodError`` states the size.
     """
     if theory is None:
-        theory = Theory(sig, base_flag=False)
+        theory = sig.theory(False)
     elif theory.signature != sig:
         raise SignatureError("test family and theory use different signatures")
+    _check_bounds(max_size, None)
+    _check_cap(cap)
+    width = sum(max_size ** s.arity for s in sig.symbols)
+    if width > TEST_FAMILY_SLOTS:
+        raise HornmodError(f"test family carrier size {max_size} has {width} edge slots, "
+                           f"over the budget of {TEST_FAMILY_SLOTS}")
     return sample_family(all_models(theory, max_size, iso=True, cap=None), cap, seed)

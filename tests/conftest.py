@@ -665,15 +665,16 @@ def reference_is_convex_via_lifting(f: Morphism, theory: Theory) -> bool:
     return True
 
 
-def count_chases(monkeypatch) -> list[Structure]:
-    """Record every structure that convexity and safety chase from now on."""
-    chase, chased = convexity.free_model, []
+def count_chases(monkeypatch, module=convexity) -> list[Structure]:
+    """Record every structure that ``module`` chases from now on: by default
+    convexity and safety, or the P* builder with :mod:`hornmod.closure`."""
+    chase, chased = module.free_model, []
 
     def counting(theory, x):
         chased.append(x)
         return chase(theory, x)
 
-    monkeypatch.setattr(convexity, "free_model", counting)
+    monkeypatch.setattr(module, "free_model", counting)
     return chased
 
 

@@ -82,6 +82,20 @@ MUTANTS: tuple[Mutant, ...] = (
        "                if _count(h_checks, domains) == n:",
        "                if min(_count(h_checks, domains), 1) == min(n, 1):",
        f"{CLOSURE}::test_verify_partial_product_matches_reference"),
+    _m("verifier: a positional join constraint dropped", "closure.py",
+       "                if None not in joined:",
+       "                if None not in joined and len(set(joined)) > 1:",
+       f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
+    _m("verifier: the count's collision guard skipped", "closure.py",
+       """    if not apart:
+        _pair_ids(pairs)
+""",
+       "",
+       f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
+    _m("verifier: the collision fallback skipped", "closure.py",
+       "        apart = injective and _renders_apart(q_obj, x)",
+       "        apart = injective",
+       f"{CLOSURE}::test_verifiers_raise_as_their_references"),
     _m("verifier: reversed targets", "closure.py",
        "            for g in targets:",
        "            for g in reversed(list(targets)):",
@@ -107,12 +121,22 @@ MUTANTS: tuple[Mutant, ...] = (
 
     # The partial-product construction P*.
     _m("P*: the chase of F(v) skipped", "closure.py",
-       "    for (c, images), in maps(free_model(theory, Structure(sig, one, ())), one):",
-       "    for (c, images), in maps(free_model(Theory(sig, base_flag=False), Structure(sig, one, ())), one):",
+       "            free = free_model(theory, Structure(sig, vs, edges))",
+       "            free = free_model(theory if edges else Theory(sig, base_flag=False),"
+       " Structure(sig, vs, edges))",
        f"{CLOSURE}::test_partial_product_matches_brute_force_reference"),
     _m("P*: s-edges read at the reversed ends", "closure.py",
-       "        at = [us.index(free.unit_map(v)) for v in vs]",
-       "        at = [us.index(free.unit_map(v)) for v in reversed(vs)]",
+       "            kept.append((name, free.model, [us.index(free.unit_map(v)) for v in vs]))",
+       "            kept.append((name, free.model,"
+       " [us.index(free.unit_map(v)) for v in reversed(vs)]))",
+       f"{CLOSURE}::test_partial_products_match_reference"),
+    _m("P*: the presentation chased per call", "closure.py",
+       "    if theory._presentation is None:",
+       "    if True:",
+       f"{CLOSURE}::test_a_second_partial_product_on_a_signature_runs_no_chase"),
+    _m("P*: kept theory keyed without the variant", "core.py",
+       "        theory = self._theories.get(base_flag)",
+       "        theory = next(iter(self._theories.values()), None)",
        f"{CLOSURE}::test_partial_products_match_reference"),
     _m("P*: a map over k checks no fibre edge", "closure.py",
        "            for values in _value_tuples(y, variables, [tgt] * len(variables), premises):",
@@ -444,6 +468,10 @@ MUTANTS: tuple[Mutant, ...] = (
        "                if not isinstance(s, AxiomSchema):",
        "                if False:",
        f"{CORE}::test_theories_refuse_schemas_that_are_not_axiom_schemas"),
+    _m("test family: slot budget unchecked", "families.py",
+       "    if width > TEST_FAMILY_SLOTS:",
+       "    if False:",
+       f"{FAMILIES}::test_a_test_family_over_its_slot_budget_is_refused_before_anything_is_built"),
     _m("family sample: cap unchecked", "families.py",
        '''    _check_cap(cap)
     if len(structures) <= cap:''',

@@ -506,6 +506,16 @@ def test_out_of_range_family_bounds_are_one_line_input_errors(argv):
     assert_one_line_input_error(*argv)
 
 
+@pytest.mark.parametrize("argv, size, slots", [(EXPONENTIAL_CHAIN2, 6, 36),
+                                               (PARTIAL_PRODUCT_STR, 5, 25)],
+                         ids=["exponential", "partial-product"])
+def test_a_test_family_over_its_slot_budget_is_a_one_line_input_error(argv, size, slots):
+    # Before, --max-q 6 generated all 6-point preorders, 15 s, before --cap applied.
+    stderr = assert_one_line_input_error(*argv, "--max-q", str(size))
+    assert stderr == (f"error: test family carrier size {size} has {slots} edge slots, "
+                      "over the budget of 16\n")
+
+
 # chain3 -> chain3 reversing the order breaks the edge le(c0, c1)
 NOT_A_MORPHISM = {"c0": "c2", "c1": "c1", "c2": "c0"}
 

@@ -11,6 +11,7 @@ from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slot
 from conftest import (
     HORN_SIGNATURE,
     TRUST_SIGNATURE,
+    count_chases,
     horn_theories,
     interp_fail_morphism,
     reference_hom_structure,
@@ -892,3 +893,57 @@ def test_verifiers_raise_as_their_references(preord):
                           ([other], hom_signatures)]:  # Q against Y
         assert or_hornmod_error(hm.verify_partial_product, f, y, pp, family) == error
         assert or_hornmod_error(reference_verify_partial_product, f, y, pp, family) == error
+
+
+# The verifier counts the targets g : Q x_Z X -> Y from pair positions; the
+# walk of _joined_homs, which renders and joins the pairs, is its reference.
+# ("p,q", "r") and ("p", "q,r") both render as "(p,q,r)".
+JOIN_NAMES = [(("a0", "a1", "a2"), ("b0", "b1", "b2")), (("p", "p,q", "a2"), ("r", "q,r", "b2"))]
+
+
+@st.composite
+def joins(draw):
+    """Q and X over {P/1, R/2}, possibly on names whose pair ids collide, some of
+    the pairs of Q x X in a drawn order, and Y."""
+    q_names, x_names = draw(st.sampled_from(JOIN_NAMES))
+    q, x = (draw(structures_on(PR_SIGNATURE, names, min_size=1)) for names in (q_names, x_names))
+    product = [(a, b) for a in q.sorted_carrier() for b in x.sorted_carrier()]
+    pairs = draw(st.lists(st.sampled_from(product), min_size=1, max_size=6, unique=True))
+    return q, x, pairs, draw(structures_on(PR_SIGNATURE, ("c0", "c1", "c2"), min_size=1))
+
+
+def walked_targets(q, x, pairs, y):
+    return len(list(closure._joined_homs(q, x, pairs, y)[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(joins())
+@example((hm.Structure(PR_SIGNATURE, ["p", "p,q"], [hm.edge("R", "p", "p,q")]),
+          hm.Structure(PR_SIGNATURE, ["r", "q,r"], [hm.edge("R", "q,r", "r")]),
+          [("p,q", "r"), ("p", "q,r")], hm.Structure(PR_SIGNATURE, ["c0"], [])))
+@example((X3, Y3, [("a0", "b0"), ("a1", "b1"), ("a1", "b0"), ("a2", "b2")], Y3))
+def test_joined_count_matches_the_walked_targets(case):
+    q, x, pairs, y = case
+    assert or_error(closure._joined_count, *case) == or_error(walked_targets, *case)
+    if closure._renders_apart(q, x):  # then no subset of the pairs collides
+        assert closure._joined_count(q, x, pairs, y, True) == walked_targets(*case)
+
+
+def test_a_second_partial_product_on_a_signature_runs_no_chase(monkeypatch):
+    sig = hm.Signature(TRUST_SIGNATURE.symbols)  # kept by no other test
+    x = hm.Structure(sig, ["a0", "a1"], [hm.edge("R", "a0", "a1"), hm.edge("P", "a1")])
+    y = hm.Structure(sig, ["b0", "b1"], [hm.edge("R", "b0", "b1"), hm.edge("R", "b1", "b1"),
+                                         hm.edge("P", "b1")])
+    f = hm.bang(x)
+    chased = count_chases(monkeypatch, closure)
+    first = hm.partial_product_str(y, f)
+    assert len(chased) == 1 + len(sig.symbols)  # F(v), then F(s(v1..vn)) per symbol
+    second = hm.partial_product_str(y, f)
+    assert second == first and second.components == first.components
+    assert len(chased) == 1 + len(sig.symbols)
+    # the base theory is another variant: its P* is chased once, for refl and Y^X
+    refl = hm.partial_product_refl(hm.free_model(sig.theory(True), y).model,
+                                   hm.bang(hm.free_model(sig.theory(True), x).model))
+    exp = hm.exponential_object(x, y)
+    assert len(chased) == 2 * (1 + len(sig.symbols))
+    assert refl.variant == "refl" and exp.structure.carrier

@@ -832,6 +832,8 @@ def fill_kept_data(theory) -> None:
         theory.signature.order(n)
     _rules(theory)
     object.__setattr__(theory, "_lifting_models", ())
+    theory.signature.theory(theory.base_flag)
+    object.__setattr__(theory, "_presentation", ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -858,6 +860,24 @@ def test_signature_and_theory_keep_their_dataclass_contract(spec):
         for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
+
+
+def test_copies_and_pickles_carry_no_kept_theories_or_presentation():
+    from hornmod.closure import _presentation
+
+    sig = hm.Signature(TRUST_SIGNATURE.symbols)
+    empty, base = sig.theory(False), sig.theory(True)
+    assert sig.theory(False) is empty and sig.theory(True) is base and empty != base
+    assert (empty.base_flag, base.base_flag) == (False, True)
+    for theory in (empty, base):
+        assert theory.signature is sig and _presentation(theory) is _presentation(theory)
+    for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        copied_sig, copied_base = copy_of(sig), copy_of(base)
+        assert copied_sig == sig and repr(copied_sig) == repr(sig)
+        assert copied_sig._theories == {}
+        assert copied_base == base and repr(copied_base) == repr(base)
+        assert copied_base._presentation is None and copied_base._rules is None
+        assert copied_sig.theory(True) == base and copied_sig.theory(True) is not base
 
 
 def test_a_quantale_theory_survives_a_copy_and_a_pickle_round_trip():

@@ -191,6 +191,26 @@ def test_families_over_their_cap_are_refused_before_anything_is_built(family, mo
             f"{cap.get('cap', DEFAULT_CAP)}; pass cap=None for all of them")
 
 
+def test_a_test_family_over_its_slot_budget_is_refused_before_anything_is_built(monkeypatch):
+    # Before, 6-point preorders were all generated, 15 s, before the sample.
+    preord = hm.preorder_theory()
+    assert families.TEST_FAMILY_SLOTS == 16
+    assert len(default_test_family(preord.signature, 4, theory=preord)) == 47  # 16 slots
+
+    def generated(*args):
+        raise AssertionError("a test family over its budget was generated")
+
+    monkeypatch.setattr(families, "canonical_carrier", generated)
+    monkeypatch.setattr(Structure, "__init__", generated)
+    for sig, size, theory, slots in [(preord.signature, 6, preord, 36),
+                                     (preord.signature, 5, None, 25),
+                                     (HORN_SIGNATURE, 4, None, 4 + 16)]:
+        with pytest.raises(HornmodError) as refused:
+            default_test_family(sig, size, theory=theory)
+        assert str(refused.value) == (
+            f"test family carrier size {size} has {slots} edge slots, over the budget of 16")
+
+
 def test_iso_keys_tell_signatures_apart():
     # Same carrier and edges, other signatures: not isomorphic, so not one class.
     a = hm.chain(2)
