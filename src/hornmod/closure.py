@@ -12,20 +12,20 @@ exponential Y^X the base theory's P* along X -> 1.  The free models depend
 on the theory alone, so they are chased once and kept on it, and each
 signature keeps its empty and base theories (``Signature.theory``).  Points
 and edges both come from the valuation search of :mod:`hornmod.semantics`,
-the edges over tagged copies of the fibres' points.  The internal hom joins
-maps pointwise.  One universal-property check replays P*'s over a family of
-test objects Q, without the builder or anything it keeps, and decides each
-q : Q -> Z by counting: the maps Q x_Z X -> Y are counted from pair
-positions, with no pair id or edge built, and the pair ids of the whole of
-Q x X are rendered once per Q, to raise when two collide.  Two facts are
-checked once per candidate: the evaluation is a morphism on exactly
-P x_Z X, so every transpose eval . (h x_Z X) of a map h : Q -> P over q is
-a map g : Q x_Z X -> Y; and the points of P over each point of Z have
-pairwise distinct evaluation tables, so h is read back off its transpose.
-Then h -> transpose is injective, and every g is hit exactly once iff the h
-over q are as many as the g.  When the tables collide or the counts differ,
-every h is counted at its transpose and the g, over Q x_Z X joined as pair
-ids and edges, are walked in canonical order to the first one not hit
+the edges over the edge join of a free model and X at pair positions
+(:func:`_joined_checks`).  The internal hom joins maps pointwise.  One
+universal-property check replays P*'s over a family of test objects Q,
+without the builder or anything it keeps, and decides each q : Q -> Z by
+counting: the maps Q x_Z X -> Y are counted over the same join, of Q and X,
+with no pair id rendered, and the pair ids of the whole of Q x X are
+rendered once per Q, to raise when two collide.  Two facts are checked once per candidate: the evaluation is a
+morphism on exactly P x_Z X, so every transpose eval . (h x_Z X) of a map
+h : Q -> P over q is a map g : Q x_Z X -> Y; and the points of P over each
+point of Z have pairwise distinct evaluation tables, so h is read back off
+its transpose.  Then h -> transpose is injective, and every g is hit exactly
+once iff the h over q are as many as the g.  When the tables collide or the
+counts differ, every h is counted at its transpose and the g are walked over
+the same join, its pairs in the order of their ids, to the first one not hit
 exactly once.  The exponential's check is this one along X -> 1, where
 Q x_1 X is Q x X.
 """
@@ -58,7 +58,6 @@ from .semantics import (
     _hom_checks,
     _reader,
     _run,
-    _value_tuples,
     free_model,
     is_model,
 )
@@ -127,18 +126,14 @@ def _partial_product(
     adds the s-edge on the points it restricts to at v1..vn; variables the
     chase merged are one point of the free model, so they share one copy.
     The maps over a k come from the valuation search over tagged copies
-    ``(u, a)``, u a point of the free model and a one of k(u)'s fibre: each
-    t-edge of the free model is zipped with the t-edges of X over its image.
+    ``(u, a)``, u a point of the free model and a one of k(u)'s fibre, joined
+    with X (:func:`_joined_checks`).
     The free models are the theory's kept :func:`_presentation`.
     """
     x, z = f.source, f.target
     fibre: dict[str, list[str]] = {c: [] for c in z.carrier}
     for a in x.sorted_carrier():
         fibre[f(a)].append(a)
-    # over_z[t, zs] = the argument tuples of the t-edges of x whose image under f is zs
-    over_z: dict[tuple[str, tuple[str, ...]], list[tuple[str, ...]]] = {}
-    for t, args in x.edges:
-        over_z.setdefault((t, tuple(map(f, args))), []).append(args)
     tgt = y.sorted_carrier()
 
     def maps(model: Structure, at: list[int]) -> Iterator[tuple]:
@@ -146,14 +141,11 @@ def _partial_product(
         of the positions ``at`` as a ``(k(u), images of u's copy)`` pair per point u."""
         us = model.sorted_carrier()
         for k in _hom_tuples(model, z):
-            over = dict(zip(us, k))
             copies = [[(u, a) for a in fibre[c]] for u, c in zip(us, k)]
-            variables = [v for copy in copies for v in copy]
-            premises = [Edge(t, tuple(zip(ws, args))) for t, ws in model.edges
-                        for args in over_z.get((t, tuple(map(over.__getitem__, ws))), ())]
+            pairs = [pair for copy in copies for pair in copy]
             ends = list(itertools.accumulate(map(len, copies)))
             cells = [(k[i], ends[i] - len(copies[i]), ends[i]) for i in at]
-            for values in _value_tuples(y, variables, [tgt] * len(variables), premises):
+            for values in _run(_joined_checks(model, x, pairs, y), [tgt] * len(pairs)):
                 yield tuple((c, values[lo:hi]) for c, lo, hi in cells)
 
     (_, point, at), *symbols = _presentation(theory)
@@ -322,35 +314,27 @@ def _renders_apart(q: Structure, x: Structure) -> bool:
         len(q.carrier) * len(x.carrier))
 
 
+def _joined_checks(a: Structure, b: Structure, pairs: list[tuple[str, str]],
+                   y: Structure) -> list[list[tuple[Container, Callable]]]:
+    """The plan of a search for the maps into y of a and b joined over ``pairs``,
+    variable i the pair at position i: the edge join labelled by positions, each
+    joined s-edge checked against y's s-tuples at its last position."""
+    checks: list[list[tuple[Container, Callable]]] = [[] for _ in pairs]
+    positions, tuples = {pair: i for i, pair in enumerate(pairs)}, y._by_symbol
+    for name, at in _pair_edges(a.signature, positions, a, b):
+        checks[max(at)].append((tuples[name], _reader(at)))
+    return checks
+
+
 def _joined_count(q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure,
                   apart: bool = False) -> int:
     """The number of maps into y of Q and X joined over ``pairs``, the targets of
-    :func:`_joined_homs`, counted from pair positions alone: no names, edges or layout.
-
-    The pair at position i of ``pairs`` is variable i.  Per symbol s, each s-edge
-    of Q is zipped with each s-edge of X through ``at[a][b]``, the position of
-    the pair (a, b); a zip whose every pair has a position is one constraint,
-    that the values at those positions be an s-tuple of y.  The pair ids are
-    rendered only to raise as :func:`_joined_homs` does when two collide, and
-    not at all when ``apart`` says that the pairs of the whole of Q x X render
-    apart (:func:`_renders_apart`).
-    """
+    :func:`_joined_homs`.  The pair ids are rendered only to raise as it does when
+    two collide, and not at all when ``apart`` says that the pairs of the whole
+    of Q x X render apart (:func:`_renders_apart`)."""
     if not apart:
         _pair_ids(pairs)
-    at: dict[str, dict[str, int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        at.setdefault(a, {})[b] = i
-    checks: list[list[tuple[Container, Callable]]] = [[] for _ in pairs]
-    for s in q.signature.symbols:
-        tuples, columns = y.tuples(s.name), list(zip(*x.tuples(s.name)))
-        for args in q.tuples(s.name):
-            row = [at.get(a) for a in args]
-            if None in row:  # some point of args is paired with nothing
-                continue
-            for joined in zip(*map(map, [r.get for r in row], columns)):
-                if None not in joined:
-                    checks[max(joined)].append((tuples, _reader(joined)))
-    return _count(checks, [y.sorted_carrier()] * len(pairs))
+    return _count(_joined_checks(q, x, pairs, y), [y.sorted_carrier()] * len(pairs))
 
 
 def _joined_homs(
@@ -361,11 +345,9 @@ def _joined_homs(
     over those ids, lazily, in the order ``_hom_tuples`` gives for the built structure."""
     ids = _pair_ids(pairs)
     at_q = {a: i for i, a in enumerate(q.sorted_carrier())}
-    layout = sorted((pid, at_q[a], b) for (a, b), pid in ids.items())
-    names = [pid for pid, _, _ in layout]
-    edges = _pair_edges(q.signature, ids, q, x)
-    targets = _value_tuples(y, names, [y.sorted_carrier()] * len(names), edges)
-    return names, [(i, b) for _, i, b in layout], targets
+    order = sorted(pairs, key=ids.__getitem__)
+    targets = _run(_joined_checks(q, x, order, y), [y.sorted_carrier()] * len(order))
+    return [ids[pair] for pair in order], [(at_q[a], b) for a, b in order], targets
 
 
 def verify_exponential(

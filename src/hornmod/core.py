@@ -643,6 +643,8 @@ class Theory(_Value):
         base_flag: bool = True,
     ) -> None:
         self.__setstate__((signature, tuple(axioms), tuple(schemas), base_flag))
+        if not isinstance(base_flag, bool):
+            raise TheoryError(f"base_flag must be a bool, got {base_flag!r}")
         for ax in self.axioms:
             if not isinstance(ax, HornFormula):
                 raise TheoryError(f"axiom {ax!r} is not a HornFormula")

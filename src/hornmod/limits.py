@@ -11,7 +11,7 @@ at the public boundary.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Hashable, NamedTuple, Optional
 
 from .core import (
     Edge,
@@ -72,26 +72,31 @@ def _pair_ids(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
 
 
 def _pair_edges(
-    sig: Signature, ids: dict[tuple[str, str], str], x: Structure, y: Structure
+    sig: Signature, ids: dict[tuple[str, str], Hashable], x: Structure, y: Structure
 ) -> list[Edge]:
     """The edge join over the pairs of ``ids``: each s-edge of x zipped with each
-    s-edge of y, kept when every component pair is a point.
+    s-edge of y, kept when every component pair is a point, and labelled by
+    ``ids``: rendered pair ids for a structure, or positions for a search plan.
 
     Per symbol the loop runs over the side with fewer edges, and the other
     side is read a column at a time: its argument lists per position, each
-    mapped to the ids paired with the outer edge's point there.  The order of
-    the list is not part of the contract.
+    mapped to the labels paired with the outer edge's point there; the rows
+    by y's points are built only if some symbol needs them.  The order of the
+    list is not part of the contract.
     """
-    by_x: dict[str, dict[str, str]] = {}  # by_x[a][b] = by_y[b][a] = the id of (a, b)
-    by_y: dict[str, dict[str, str]] = {}
-    for (a, b), pid in ids.items():
-        by_x.setdefault(a, {})[b] = pid
-        by_y.setdefault(b, {})[a] = pid
+    by_x: dict[str, dict[str, Hashable]] = {}  # by_x[a][b] = by_y[b][a] = the label of (a, b)
+    for (a, b), label in ids.items():
+        by_x.setdefault(a, {})[b] = label
+    by_y: Optional[dict[str, dict[str, Hashable]]] = None
     edges = []
     for s in sig.symbols:
         name = s.name
         outer, inner, rows = x.tuples(name), y.tuples(name), by_x
         if len(inner) < len(outer):
+            if by_y is None:
+                by_y = {}
+                for (a, b), label in ids.items():
+                    by_y.setdefault(b, {})[a] = label
             outer, inner, rows = inner, outer, by_y
         columns = list(zip(*inner))  # columns[i] = the i-th points of the inner edges
         for args in outer:

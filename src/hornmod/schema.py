@@ -78,15 +78,21 @@ class ConstantSymbol:
 class ExplicitTable:
     """A total table from label tuples (in canonical premise order) to symbols.
 
-    The entries are read into a dict once, when the table is built; equality,
-    hash and repr see only ``entries``.
+    The entries are kept in label order, so equal mappings make equal tables,
+    and a label tuple listed twice is refused.  They are read into a dict once,
+    when the table is built; equality, hash and repr see only ``entries``.
     """
 
     entries: tuple[tuple[tuple[str, ...], str], ...]
     _lookup: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_lookup", dict(self.entries))
+        entries = tuple(sorted(self.entries))
+        for (labels, _), (later, _) in zip(entries, entries[1:]):
+            if labels == later:
+                raise SchemaError(f"table lists the labels {labels} more than once")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_lookup", dict(entries))
 
     def lookup(self) -> dict[tuple[str, ...], str]:
         """The table as a dict, built once; callers must not change it."""

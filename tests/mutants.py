@@ -83,8 +83,12 @@ MUTANTS: tuple[Mutant, ...] = (
        "                if min(_count(h_checks, domains), 1) == min(n, 1):",
        f"{CLOSURE}::test_verify_partial_product_matches_reference"),
     _m("verifier: a positional join constraint dropped", "closure.py",
-       "                if None not in joined:",
-       "                if None not in joined and len(set(joined)) > 1:",
+       "        checks[max(at)].append((tuples[name], _reader(at)))",
+       "        if len(set(at)) > 1:\n            checks[max(at)].append((tuples[name], _reader(at)))",
+       f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
+    _m("verifier: one joined edge unchecked", "closure.py",
+       "    for name, at in _pair_edges(a.signature, positions, a, b):",
+       "    for name, at in _pair_edges(a.signature, positions, a, b)[1:]:",
        f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
     _m("verifier: the count's collision guard skipped", "closure.py",
        """    if not apart:
@@ -108,6 +112,10 @@ MUTANTS: tuple[Mutant, ...] = (
        "    return _verify_partial_product(bang(x), y, c, bang(c), candidate.eval, test_family)",
        "    return _verify_partial_product(bang(x), y, c, bang(c), candidate.eval, test_family[:1])",
        f"{CLOSURE}::test_verify_exponential_matches_reference"),
+    _m("edge join: a swapped symbol read through the rows of x", "limits.py",
+       "            outer, inner, rows = inner, outer, by_y",
+       "            outer, inner, rows = inner, outer, by_x",
+       f"{LIMITS}::test_pair_edges_against_the_nested_loop"),
     _m("edge join: partial pairs kept", "limits.py",
        "                      if None not in joined]",
        "                      ]",
@@ -139,8 +147,8 @@ MUTANTS: tuple[Mutant, ...] = (
        "        theory = next(iter(self._theories.values()), None)",
        f"{CLOSURE}::test_partial_products_match_reference"),
     _m("P*: a map over k checks no fibre edge", "closure.py",
-       "            for values in _value_tuples(y, variables, [tgt] * len(variables), premises):",
-       "            for values in _value_tuples(y, variables, [tgt] * len(variables), ()):",
+       "            for values in _run(_joined_checks(model, x, pairs, y), [tgt] * len(pairs)):",
+       "            for values in _run([[] for _ in pairs], [tgt] * len(pairs)):",
        f"{CLOSURE}::test_partial_products_match_reference"),
     _m("P*: evaluation domain built without edges", "closure.py",
        "                       _pair_edges(struct.signature, pair_ids, struct, f.source))",
@@ -468,6 +476,23 @@ MUTANTS: tuple[Mutant, ...] = (
        "                if not isinstance(s, AxiomSchema):",
        "                if False:",
        f"{CORE}::test_theories_refuse_schemas_that_are_not_axiom_schemas"),
+    _m("theory: a base flag that is not a bool accepted", "core.py",
+       """        if not isinstance(base_flag, bool):
+            raise TheoryError(f"base_flag must be a bool, got {base_flag!r}")
+""",
+       "",
+       f"{CORE}::test_value_types_match_their_dataclass_references"),
+    _m("schema table: entries kept in the order listed", "schema.py",
+       "        entries = tuple(sorted(self.entries))",
+       "        entries = tuple(self.entries)",
+       "tests/test_serialize.py::test_theory_roundtrip"),
+    _m("schema table: a repeated label tuple accepted", "schema.py",
+       """            if labels == later:
+                raise SchemaError(f"table lists the labels {labels} more than once")
+""",
+       """            pass
+""",
+       f"{SCHEMA}::test_explicit_table_builds_its_dict_once_and_compares_by_entries"),
     _m("test family: slot budget unchecked", "families.py",
        "    if width > TEST_FAMILY_SLOTS:",
        "    if False:",

@@ -259,6 +259,23 @@ def test_safety_listing():
     assert entry["witness"]["y"] == "x"
 
 
+def test_safety_of_one_axiom_by_index(tmp_path):
+    sig = hm.preorder_theory().signature
+    symmetry = hm.horn([hm.edge("le", "x", "y")], hm.edge("le", "y", "x"))
+    theory = hm.Theory(sig, hm.preorder_theory().axioms + (symmetry,))
+    path = tmp_path / "equivalence.theory.json"
+    path.write_text(dumps(theory_to_jsonable(theory)))
+    code, out = run_cli("safety", "--theory", str(path))
+    listed = json.loads(out)["axioms"]
+    assert code == 0 and len(listed) == 2
+    for index, entry in enumerate(listed):
+        code, out = run_cli("safety", "--theory", str(path), "--axiom-index", str(index))
+        assert code == 0 and json.loads(out)["axioms"] == [entry]
+    for index in ("5", "-1"):
+        err = assert_one_line_input_error("safety", "--theory", str(path), "--axiom-index", index)
+        assert f"axiom index {index} out of range" in err
+
+
 def test_schema_commands():
     code, out = run_cli(
         "schema-convexity", "--theory", corpus("boolean-vcat.theory.json"),

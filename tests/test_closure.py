@@ -7,6 +7,7 @@ import hornmod as hm
 from hornmod import closure
 from hornmod.closure import ExponentialResult, VerificationEntry, VerificationReport
 from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
+from hornmod.limits import _pair_ids
 
 from conftest import (
     HORN_SIGNATURE,
@@ -15,7 +16,9 @@ from conftest import (
     horn_theories,
     interp_fail_morphism,
     reference_hom_structure,
+    reference_pair_edges,
     reference_partial_product_star,
+    reference_value_tuples,
     reference_verify_partial_product,
 )
 
@@ -895,8 +898,9 @@ def test_verifiers_raise_as_their_references(preord):
         assert or_hornmod_error(reference_verify_partial_product, f, y, pp, family) == error
 
 
-# The verifier counts the targets g : Q x_Z X -> Y from pair positions; the
-# walk of _joined_homs, which renders and joins the pairs, is its reference.
+# The verifier counts and walks the targets g : Q x_Z X -> Y over the edge join
+# at pair positions; the brute-force reference renders the pairs, joins them in
+# a nested loop and filters the product of the domains.
 # ("p,q", "r") and ("p", "q,r") both render as "(p,q,r)".
 JOIN_NAMES = [(("a0", "a1", "a2"), ("b0", "b1", "b2")), (("p", "p,q", "a2"), ("r", "q,r", "b2"))]
 
@@ -912,8 +916,18 @@ def joins(draw):
     return q, x, pairs, draw(structures_on(PR_SIGNATURE, ("c0", "c1", "c2"), min_size=1))
 
 
+def reference_targets(q, x, pairs, y):
+    """The maps into y of Q and X joined over ``pairs``, over the sorted pair ids,
+    with neither ``_pair_edges`` nor the search kernel."""
+    ids = _pair_ids(pairs)  # raises as the verifier does when two ids collide
+    names = sorted(ids.values())
+    edges = reference_pair_edges(q.signature, ids, q, x)
+    return names, reference_value_tuples(y, names, [y.sorted_carrier()] * len(names), edges)
+
+
 def walked_targets(q, x, pairs, y):
-    return len(list(closure._joined_homs(q, x, pairs, y)[2]))
+    names, _, targets = closure._joined_homs(q, x, pairs, y)
+    return names, list(targets)
 
 
 @settings(max_examples=300, deadline=None)
@@ -924,9 +938,12 @@ def walked_targets(q, x, pairs, y):
 @example((X3, Y3, [("a0", "b0"), ("a1", "b1"), ("a1", "b0"), ("a2", "b2")], Y3))
 def test_joined_count_matches_the_walked_targets(case):
     q, x, pairs, y = case
-    assert or_error(closure._joined_count, *case) == or_error(walked_targets, *case)
+    reference = or_error(reference_targets, *case)
+    assert or_error(walked_targets, *case) == reference
+    counted = len(reference[1]) if isinstance(reference, tuple) else reference
+    assert or_error(closure._joined_count, *case) == counted
     if closure._renders_apart(q, x):  # then no subset of the pairs collides
-        assert closure._joined_count(q, x, pairs, y, True) == walked_targets(*case)
+        assert closure._joined_count(q, x, pairs, y, True) == counted
 
 
 def test_a_second_partial_product_on_a_signature_runs_no_chase(monkeypatch):

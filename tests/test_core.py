@@ -489,6 +489,21 @@ def test_non_distributive_lattices_are_not_heyting(pairs):
     assert_lattice_matches_scan(order)
 
 
+def test_binary_join_axioms_are_base_axioms_over_a_heyting_explicit_order():
+    # the four-element Boolean lattice, 0 < a, b < 1, is Heyting and a v b = 1
+    pairs = (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"))
+    sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in "01ab"), hm.EXPLICIT, pairs)
+    axs = base_axioms(sig)
+    assert any(len(ax.premises) == 2 for ax in axs)
+    assert all(is_base_axiom(ax, sig) for ax in axs)
+    premises = [hm.edge("a", "x", "y"), hm.edge("b", "x", "y")]
+    assert is_base_axiom(hm.horn(premises, hm.edge("1", "x", "y")), sig)
+    assert not is_base_axiom(hm.horn(premises, hm.edge("a", "x", "y")), sig)
+    # M3 is a lattice but not Heyting: no join axiom is a base axiom there
+    m3 = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in "01abc"), hm.EXPLICIT, M3)
+    assert not is_base_axiom(hm.horn(premises, hm.edge("1", "x", "y")), m3)
+
+
 @st.composite
 def moore_lattices(draw):
     """Inclusion on a random Moore family over {0, 1, 2}: the full set and every
@@ -660,11 +675,13 @@ def formula_specs(names=SYMBOL_NAMES):
 
 @st.composite
 def theory_specs(draw):
-    """A signature spec, formula specs over its symbol names, and a base flag."""
+    """A signature spec, formula specs over its symbol names, and a base flag,
+    one draw in four not a bool."""
     sig = draw(signature_specs())
     names = sorted({name for name, _ in sig[0]}) or SYMBOL_NAMES
     axioms = draw(st.lists(formula_specs(names), max_size=2))
-    return sig, tuple(axioms), draw(st.booleans())
+    flags = st.one_of(*[st.booleans()] * 3, st.sampled_from(["false", 0, 1, None]))
+    return sig, tuple(axioms), draw(flags)
 
 
 def build_signature(spec):
@@ -726,10 +743,12 @@ def formula_refusal(spec):
 
 
 def theory_refusal(spec):
-    sig, axioms, _ = spec
+    sig, axioms, base_flag = spec
     for refusal in [signature_refusal(sig)] + [formula_refusal(ax) for ax in axioms]:
         if refusal is not None:
             return refusal
+    if type(base_flag) is not bool:
+        return hm.TheoryError, {f"base_flag must be a bool, got {base_flag!r}"}
     arities = dict(sig[0])
 
     def faults(part, edges):

@@ -211,6 +211,19 @@ def test_a_test_family_over_its_slot_budget_is_refused_before_anything_is_built(
             f"test family carrier size {size} has {slots} edge slots, over the budget of 16")
 
 
+def test_a_family_over_its_cap_is_sampled_in_family_order():
+    family = all_models(hm.preorder_theory(), 3)  # 14 classes on at most 3 points
+    assert sample_family(family, len(family), 0) == family
+    for cap in (1, 4, len(family) - 1):
+        for seed in (0, 1, 7):
+            sample = sample_family(family, cap, seed)
+            at = [next(i for i, s in enumerate(family) if s is member) for member in sample]
+            assert len(sample) == cap and at == sorted(set(at))  # cap members, in order
+            assert sample_family(family, cap, seed) == sample
+    assert default_test_family(hm.preorder_theory().signature, 3, cap=4, seed=1,
+                               theory=hm.preorder_theory()) == sample_family(family, 4, 1)
+
+
 def test_iso_keys_tell_signatures_apart():
     # Same carrier and edges, other signatures: not isomorphic, so not one class.
     a = hm.chain(2)

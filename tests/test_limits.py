@@ -320,12 +320,18 @@ def test_pair_edges_against_the_nested_loop(x, y, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     # all pairs, as in a product, and a subset, as in a pullback
     for chosen in (pairs, [p for p, k in zip(pairs, keep) if k]):
-        ids = _pair_ids(chosen)
-        got = _pair_edges(TRUST_SIGNATURE, ids, x, y)
-        reference = reference_pair_edges(TRUST_SIGNATURE, ids, x, y)
-        # a join's list order is not a contract: a Structure takes it as a frozenset
-        assert len(got) == len(reference) and sorted(got) == sorted(reference)
-        assert all(type(e) is Edge for e in got)
+        order = data.draw(st.permutations(chosen))
+        # labelled by rendered ids, as for a structure, and by positions, as for a plan
+        for ids in (_pair_ids(chosen), {pair: i for i, pair in enumerate(order)}):
+            # each side as x, so a symbol with fewer edges on one side runs the
+            # loop over x's edges one way and over y's the other
+            flipped = {(b, a): label for (a, b), label in ids.items()}
+            for left, right, labels in ((x, y, ids), (y, x, flipped)):
+                got = _pair_edges(TRUST_SIGNATURE, labels, left, right)
+                reference = reference_pair_edges(TRUST_SIGNATURE, labels, left, right)
+                # a join's list order is not a contract: a Structure takes it as a frozenset
+                assert len(got) == len(reference) and sorted(got) == sorted(reference)
+                assert all(type(e) is Edge for e in got)
 
 
 @settings(max_examples=300, deadline=None)

@@ -729,6 +729,11 @@ def test_explicit_table_builds_its_dict_once_and_compares_by_entries():
     assert hash(table) == hash((entries,))
     assert repr(table) == "ExplicitTable(entries=((('~0',), '~1'), (('~1',), '~0')))"
     assert dataclasses.replace(table, entries=entries[:1]).lookup() == {("~0",): "~1"}
+    # entries are kept in label order, whatever order they are listed in
+    assert ExplicitTable(entries[::-1]) == table and ExplicitTable(entries[::-1]).entries == entries
+    with pytest.raises(SchemaError) as refused:
+        ExplicitTable(entries + ((("~0",), "~0"),))
+    assert str(refused.value) == "table lists the labels ('~0',) more than once"
 
 
 def test_constant_combine():

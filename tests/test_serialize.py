@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
-from hornmod.schema import ConstantSymbol
+from hornmod.schema import ConstantSymbol, ExplicitTable, PremiseProjection, TensorComposite
 from hornmod.serialize import (
     ParseError,
     dumps,
@@ -58,6 +58,14 @@ def test_theory_roundtrip(preord, pos):
     symmetry = hm.symmetry_schema()
     custom = hm.AxiomSchema("symmetry", 2, symmetry.premises, symmetry.conclusion,
                             ConstantSymbol("~1"))
+    # one custom schema per combine kind; the table is listed out of label order
+    transitivity = hm.generalized_transitivity_schema()
+    table = ExplicitTable(((("~1", "~0"), "~0"), (("~0", "~1"), "~0"),
+                           (("~1", "~1"), "~1"), (("~0", "~0"), "~0")))
+    combines = [(TensorComposite(), True), (PremiseProjection(1), False),
+                (ConstantSymbol("~1"), True), (table, False)]
+    composites = [hm.AxiomSchema("composite", 2, transitivity.premises, transitivity.conclusion,
+                                 combine, monotone) for combine, monotone in combines]
     for theory in (
         preord,
         pos,
@@ -67,6 +75,7 @@ def test_theory_roundtrip(preord, pos):
         hm.theory_met(hm.chain_meet_quantale(3)),
         hm.theory_vgph(hm.boolean_quantale()),
         hm.Theory(hm.signature_of(hm.boolean_quantale()), (), (custom, symmetry)),
+        hm.Theory(hm.signature_of(hm.boolean_quantale()), (), composites),
     ):
         assert parse_theory(theory_to_jsonable(theory)) == theory
 
