@@ -56,6 +56,7 @@ from .limits import (
 from .semantics import (
     _count,
     _hom_checks,
+    _plan,
     _reader,
     _run,
     free_model,
@@ -318,12 +319,9 @@ def _joined_checks(a: Structure, b: Structure, pairs: list[tuple[str, str]],
                    y: Structure) -> list[list[tuple[Container, Callable]]]:
     """The plan of a search for the maps into y of a and b joined over ``pairs``,
     variable i the pair at position i: the edge join labelled by positions, each
-    joined s-edge checked against y's s-tuples at its last position."""
-    checks: list[list[tuple[Container, Callable]]] = [[] for _ in pairs]
-    positions, tuples = {pair: i for i, pair in enumerate(pairs)}, y._by_symbol
-    for name, at in _pair_edges(a.signature, positions, a, b):
-        checks[max(at)].append((tuples[name], _reader(at)))
-    return checks
+    joined s-edge checked against y's s-tuples (:func:`semantics._plan`)."""
+    positions = {pair: i for i, pair in enumerate(pairs)}
+    return _plan(len(pairs), _pair_edges(a.signature, positions, a, b), y._by_symbol)
 
 
 def _joined_count(q: Structure, x: Structure, pairs: list[tuple[str, str]], y: Structure,

@@ -32,7 +32,7 @@ from .core import (
     var_set,
 )
 from .limits import bang, enumerate_morphisms
-from .semantics import _checks, _reader, _run, _value_tuples, free_model, is_reflexive_theory
+from .semantics import _checks, _reader, _run, free_model, is_reflexive_theory
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ def _fibre_lifts(f: Morphism, variables, edges, concl_args: tuple[str, ...], lif
     """
     x, z = f.source, f.target
     lift_vars = _lift_order(variables, concl_args)
-    checks = _checks(lift_vars, ((x.tuples(s), args) for s, args in lift_edges))
+    checks = _checks(lift_vars, lift_edges, x)
     conclusion = _reader(tuple(map(lift_vars.index, concl_args)))
     fibre = {c: tuple(sorted(a for a in x.carrier if f(a) == c)) for c in z.carrier}
-    for values in _value_tuples(z, variables, [z.sorted_carrier()] * len(variables), edges):
+    for values in _run(_checks(variables, edges, z), [z.sorted_carrier()] * len(variables)):
         kz = dict(zip(variables, values))
         groups = itertools.groupby(_run(checks, [fibre[kz[v]] for v in lift_vars]), conclusion)
         yield kz, _cases([fibre[kz[v]] for v in concl_args], groups)
@@ -250,7 +250,7 @@ def _collapse(axiom: HornFormula, chased) -> SafetyResult:
     for v in fixed:
         names.setdefault(chased.unit_map(v), v)
     domains = [(chased.unit_map(v),) for v in fixed] + [tuple(names)] * len(free)
-    for values in _value_tuples(chased.model, fixed + free, domains, axiom.premises):
+    for values in _run(_checks(fixed + free, axiom.premises, chased.model), domains):
         kappa = {v: v for v in fixed}
         kappa.update(zip(free, map(names.__getitem__, values[len(fixed):])))
         return SafetyResult(True, not free, tuple(sorted(kappa.items())))

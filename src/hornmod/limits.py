@@ -78,11 +78,12 @@ def _pair_edges(
     s-edge of y, kept when every component pair is a point, and labelled by
     ``ids``: rendered pair ids for a structure, or positions for a search plan.
 
-    Per symbol the loop runs over the side with fewer edges, and the other
-    side is read a column at a time: its argument lists per position, each
-    mapped to the labels paired with the outer edge's point there; the rows
-    by y's points are built only if some symbol needs them.  The order of the
-    list is not part of the contract.
+    A symbol with no edge on one side is skipped.  Otherwise the loop runs
+    over the side with fewer edges, and the other side is read a column at a
+    time: its argument lists per position, each mapped to the labels paired
+    with the outer edge's point there; the rows by y's points are built only
+    if some symbol needs them.  The order of the list is not part of the
+    contract.
     """
     by_x: dict[str, dict[str, Hashable]] = {}  # by_x[a][b] = by_y[b][a] = the label of (a, b)
     for (a, b), label in ids.items():
@@ -92,6 +93,8 @@ def _pair_edges(
     for s in sig.symbols:
         name = s.name
         outer, inner, rows = x.tuples(name), y.tuples(name), by_x
+        if not (outer and inner):
+            continue  # an empty side joins nothing
         if len(inner) < len(outer):
             if by_y is None:
                 by_y = {}

@@ -63,7 +63,8 @@ class Quantale:
             for x in (a, b, c):
                 if x not in elements:
                     raise QuantaleError(f"tensor entry mentions unknown element {x!r}")
-            tensor[(a, b)] = c
+            if tensor.setdefault((a, b), c) != c:
+                raise QuantaleError(f"tensor lists ({a!r}, {b!r}) with two values")
         missing = [(a, b) for a in elements for b in elements if (a, b) not in tensor]
         if missing:
             raise QuantaleError(f"tensor table is not total, missing {missing[:3]}")
@@ -311,7 +312,8 @@ class VGraph:
                 raise QuantaleError(f"distance entry ({a!r}, {b!r}) outside the carrier")
             if d not in self.quantale.elements:
                 raise QuantaleError(f"distance value {d!r} is not a quantale element")
-            table[(a, b)] = d
+            if table.setdefault((a, b), d) != d:
+                raise QuantaleError(f"distance table lists ({a!r}, {b!r}) with two values")
         for a in self.carrier:
             for b in self.carrier:
                 if (a, b) not in table:
@@ -353,7 +355,10 @@ class VFunctor:
     def __post_init__(self) -> None:
         if self.source.quantale != self.target.quantale:
             raise QuantaleError("V-functor endpoints use different quantales")
-        table = dict(self.mapping)
+        table: dict[str, str] = {}
+        for a, b in self.mapping:
+            if table.setdefault(a, b) != b:
+                raise QuantaleError(f"mapping sends {a!r} to two points")
         if set(table) != set(self.source.carrier):
             raise QuantaleError("mapping must cover exactly the source carrier")
         if not set(table.values()) <= set(self.target.carrier):

@@ -1,17 +1,17 @@
 """Satisfaction of Horn formulas, model checking, free models and entailment.
 
-One search, ``_value_tuples``, assigns values to ordered variables, one domain
-each, checking each edge as soon as its variables are bound.  A valuation of
-a formula's premises is a morphism from the structure they present, so it
-also finds hom-sets, function tables, fibre valuations and mediating maps for
+One search, :func:`_run`, assigns values to positions, one domain each, and
+checks each constraint as soon as its last position is bound; :func:`_count`
+counts what it would yield without yielding it.  A valuation of a formula's
+premises is a morphism from the structure they present, so the same search
+finds hom-sets, function tables, fibre valuations and mediating maps for
 :mod:`hornmod.limits`, :mod:`hornmod.closure` and :mod:`hornmod.convexity`.
-
-Each axiom is compiled once, on its theory, into a :class:`_Rule`: its
-variable order and argument readers.  The model check, the chase and the
-grounding of :mod:`hornmod.families` all read it.  In the same way a search
-for maps out of a structure keeps its readers on that structure and binds
-them to each target (:func:`_hom_checks`); :func:`_count` counts what a
-search would yield without yielding it.
+One builder, :func:`_plan`, lays out what it reads: named variables checked
+against a structure (:func:`_checks`), the points of a structure, kept on it
+and bound to each target (:func:`_hom_checks`), and pair positions of an edge
+join (``closure._joined_checks``).  Each axiom is compiled once, on its
+theory, into a :class:`_Rule`, whose readers the model check, the chase and
+the grounding of :mod:`hornmod.families` read premise by premise.
 
 The free model is computed by a semi-naive chase that matches premises with
 the same search, over tuple sets per symbol that the chase keeps itself.  A
@@ -60,39 +60,46 @@ class FreeModelResult(NamedTuple):
     unit_map: Morphism
 
 
-def _checks(
-    variables: Sequence[str], constraints: Iterable[tuple[Container, Sequence[str]]]
+def _plan(
+    n: int, constraints: Iterable[tuple[str, Sequence[int]]], tuple_sets: dict
 ) -> list[list[tuple[Container, Callable]]]:
-    """The plan of a search: per position, the ``(tuple set, reader)`` checks
-    of the ``(tuple set, args)`` constraints whose last variable sits there.
+    """The plan of a search over ``n`` positions, as :func:`_run` and :func:`_count`
+    take it: per position, the ``(tuple_sets[key], reader)`` check of each
+    ``(key, positions)`` constraint whose largest position it is.
 
-    Every variable of every constraint must be in ``variables``; a reader
-    takes the value list and returns the constraint's argument tuple.
+    A reader takes the value list to the values at the constraint's positions.
     """
-    checks: list[list[tuple[Container, Callable]]] = [[] for _ in variables]
-    for tuples, args in constraints:
-        at = tuple(map(variables.index, args))
-        checks[max(at)].append((tuples, _reader(at)))
-    return checks
+    plan: list[list[tuple[Container, Callable]]] = [[] for _ in range(n)]
+    for key, at in constraints:
+        plan[max(at)].append((tuple_sets[key], _reader(at)))
+    return plan
+
+
+def _checks(
+    variables: Sequence[str], edges: Iterable[tuple[str, Sequence[str]]], x: Structure
+) -> list[list[tuple[Container, Callable]]]:
+    """The plan of a search for the values of ``variables`` under which every
+    ``(symbol, args)`` edge holds in ``x``; every variable of every edge must be
+    in ``variables``."""
+    return _plan(len(variables), ((s, tuple(map(variables.index, args))) for s, args in edges),
+                 x._by_symbol)
 
 
 def _hom_checks(x: Structure, y: Structure) -> list[list[tuple[Container, Callable]]]:
-    """The plan of a search for maps x -> y, as :func:`_run` and :func:`_count` take it.
+    """The plan of a search for maps x -> y, position i the i-th point of
+    ``x.sorted_carrier()``: x's kept plan bound to y's tuple sets.
 
-    It is x's kept plan bound to y's tuple sets.  The kept plan lists, per
-    position of ``x.sorted_carrier()``, the ``(symbol, reader)`` of each edge
-    of x whose last point sits there.  It holds no tuple set, so one plan
-    serves every target: it is built on the first search out of x and kept on
-    x, in a slot its constructor leaves unset.
+    The kept plan is :func:`_plan` of x's edges keyed by symbol, each key its
+    own tuple set, so it holds no tuple set and one plan serves every target:
+    it is built on the first search out of x and kept on x, in a slot its
+    constructor leaves unset.
     """
     plan = getattr(x, "_plan", None)
     if plan is None:
         position = {a: k for k, a in enumerate(x.sorted_carrier())}.__getitem__
-        levels: list[list[tuple[str, Callable]]] = [[] for _ in x.carrier]
-        for symbol, args in x.edges:
-            at = tuple(map(position, args))
-            levels[max(at)].append((symbol, _reader(at)))
-        plan = x._plan = tuple(map(tuple, levels))
+        edges = ((symbol, tuple(map(position, args))) for symbol, args in x.edges)
+        names = {name: name for name in x._by_symbol}
+        plan = x._plan = tuple(map(tuple, _plan(len(x.carrier), edges, names)))
     tuples = y._by_symbol
     return [[(tuples[symbol], read) for symbol, read in level] for level in plan]
 
@@ -164,24 +171,6 @@ def _count(
             else:
                 count += 1
     return count
-
-
-def _value_tuples(
-    x: Structure,
-    variables: Sequence[str],
-    domains: Sequence[Sequence[str]],
-    edges: Iterable[Edge],
-) -> Iterator[tuple[str, ...]]:
-    """The value tuples for ``variables`` under which every edge holds in ``x``.
-
-    Position ``i`` ranges over ``domains[i]``, so tuples come out lazily in
-    lexicographic order of the domains.  Every variable of every edge must be
-    in ``variables``; an edge is checked against ``x.tuples(symbol)`` as soon
-    as its last variable is bound, so a prefix stops at the first edge it breaks.
-    The plan (:func:`_checks`) is built at the call, and the generator returned
-    is its run (:func:`_run`), the product of the domains when there is no edge.
-    """
-    return _run(_checks(variables, ((x.tuples(s), args) for s, args in edges)), domains)
 
 
 def find_formula_violation(x: Structure, formula: HornFormula) -> Optional[dict[str, str]]:
@@ -381,17 +370,16 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
     """The least saturation of ``x`` under the theory, with the projection map.
 
     A semi-naive chase (see the module docstring) that keeps its edges as
-    tuple sets per symbol and finds premise matches with :func:`_run`, the
-    search behind :func:`_value_tuples`.  Each round fires every axiom on the
-    matches that take some premise from the delta: for each such premise i,
-    one plan checks the premises before i against the old edges, premise i
-    against the delta and the premises after i against all edges, so a match
-    is found once, at the first premise it takes from the delta.  The first
-    round and every round after a merge take every edge as the delta and no
-    edge as old; merges canonicalise every edge.  Premise-free axioms fire
-    only while no edge is old, since their matches depend only on the carrier
-    and a merge maps their conclusions onto the representatives.  Only the
-    final model is built as a ``Structure``.
+    tuple sets per symbol and finds premise matches with :func:`_run`.  Each
+    round fires every axiom on the matches that take some premise from the
+    delta: for each such premise i, one plan checks the premises before i
+    against the old edges, premise i against the delta and the premises after
+    i against all edges, so a match is found once, at the first premise it
+    takes from the delta.  The first round and every round after a merge take
+    every edge as the delta and no edge as old; merges canonicalise every
+    edge.  Premise-free axioms fire only while no edge is old, since their
+    matches depend only on the carrier and a merge maps their conclusions onto
+    the representatives.  Only the final model is built as a ``Structure``.
     """
     if x.signature != theory.signature:
         raise SignatureError("structure and theory use different signatures")

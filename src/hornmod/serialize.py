@@ -79,12 +79,23 @@ def _check_format(doc: Any, what: str) -> None:
         raise ParseError(f"unsupported {what} format {doc.get('format')!r}")
 
 
+def _key(names: tuple[str, ...], error: type[HornmodError], what: str) -> str:
+    """``names`` joined by commas, as parsing splits the key; a name with a comma is refused."""
+    for name in names:
+        if "," in name:
+            raise error(f"{what} {name!r} contains a comma, the separator of its written key")
+    return ",".join(names)
+
+
 def quantale_to_jsonable(v: Quantale) -> dict:
+    from .quantale import QuantaleError
+
+    tensor = {_key((a, b), QuantaleError, "quantale element"): c for a, b, c in v.tensor_pairs}
     return {
         "format": FORMAT,
         "elements": list(v.elements),
         "leq": [list(p) for p in v.leq_pairs],
-        "tensor": {f"{a},{b}": c for a, b, c in v.tensor_pairs},
+        "tensor": tensor,
         "unit": v.unit,
     }
 
@@ -212,6 +223,7 @@ def schema_to_jsonable(s: AxiomSchema) -> dict:
     from .schema import (
         ConstantSymbol,
         PremiseProjection,
+        SchemaError,
         TensorComposite,
         generalized_transitivity_schema,
         symmetry_schema,
@@ -228,7 +240,7 @@ def schema_to_jsonable(s: AxiomSchema) -> dict:
     elif isinstance(s.combine, ConstantSymbol):
         combine = {"constant": s.combine.symbol}
     else:
-        combine = {"table": {",".join(k): v for k, v in s.combine.entries}}
+        combine = {"table": {_key(k, SchemaError, "table label"): v for k, v in s.combine.entries}}
     return {
         "schema": {
             "name": s.name,

@@ -83,12 +83,13 @@ MUTANTS: tuple[Mutant, ...] = (
        "                if min(_count(h_checks, domains), 1) == min(n, 1):",
        f"{CLOSURE}::test_verify_partial_product_matches_reference"),
     _m("verifier: a positional join constraint dropped", "closure.py",
-       "        checks[max(at)].append((tuples[name], _reader(at)))",
-       "        if len(set(at)) > 1:\n            checks[max(at)].append((tuples[name], _reader(at)))",
+       "    return _plan(len(pairs), _pair_edges(a.signature, positions, a, b), y._by_symbol)",
+       "    return _plan(len(pairs), [e for e in _pair_edges(a.signature, positions, a, b)\n"
+       "                              if len(set(e[1])) > 1], y._by_symbol)",
        f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
     _m("verifier: one joined edge unchecked", "closure.py",
-       "    for name, at in _pair_edges(a.signature, positions, a, b):",
-       "    for name, at in _pair_edges(a.signature, positions, a, b)[1:]:",
+       "    return _plan(len(pairs), _pair_edges(a.signature, positions, a, b), y._by_symbol)",
+       "    return _plan(len(pairs), _pair_edges(a.signature, positions, a, b)[1:], y._by_symbol)",
        f"{CLOSURE}::test_joined_count_matches_the_walked_targets"),
     _m("verifier: the count's collision guard skipped", "closure.py",
        """    if not apart:
@@ -115,6 +116,10 @@ MUTANTS: tuple[Mutant, ...] = (
     _m("edge join: a swapped symbol read through the rows of x", "limits.py",
        "            outer, inner, rows = inner, outer, by_y",
        "            outer, inner, rows = inner, outer, by_x",
+       f"{LIMITS}::test_pair_edges_against_the_nested_loop"),
+    _m("edge join: a symbol with one edge on a side skipped", "limits.py",
+       "        if not (outer and inner):",
+       "        if not (outer and len(inner) > 1):",
        f"{LIMITS}::test_pair_edges_against_the_nested_loop"),
     _m("edge join: partial pairs kept", "limits.py",
        "                      if None not in joined]",
@@ -244,9 +249,9 @@ MUTANTS: tuple[Mutant, ...] = (
        f"{CONVEXITY}::test_lift_kernel_matches_the_reference_on_every_small_map"),
     _m("flat convexity: lift tuples in sorted-variable order", "convexity.py",
        '''    lift_vars = _lift_order(variables, concl_args)
-    checks = _checks(''',
+    checks = _checks(lift_vars, lift_edges, x)''',
        '''    lift_vars = variables
-    checks = _checks(''',
+    checks = _checks(lift_vars, lift_edges, x)''',
        f"{CONVEXITY}::test_lift_kernel_matches_the_reference_on_every_small_map"),
     _m("lifting oracle: lookup keyed on the top alone", "convexity.py",
        "            if any((top, bottom) not in filled for bottom in bottoms.get(compose(f, top), ())):",
@@ -455,9 +460,15 @@ MUTANTS: tuple[Mutant, ...] = (
        "        self.edges = frozenset(e if type(e) is Edge",
        f"{CORE}::test_structure_against_the_reference_constructor"),
     _m("hom search: each edge checked at its first point", "semantics.py",
-       "            levels[max(at)].append((symbol, _reader(at)))",
-       "            levels[min(at)].append((symbol, _reader(at)))",
+       "        edges = ((symbol, tuple(map(position, args))) for symbol, args in x.edges)",
+       "        edges = ((symbol, tuple(map(position, args[:1]))) for symbol, args in x.edges)",
        f"{LIMITS}::test_hom_tuples_against_the_product_filter"),
+    _m("search plan: each constraint laid out at its least position", "semantics.py",
+       "        plan[max(at)].append((tuple_sets[key], _reader(at)))",
+       "        plan[min(at)].append((tuple_sets[key], _reader(at)))",
+       f"{LIMITS}::test_hom_tuples_against_the_product_filter",
+       f"{CLOSURE}::test_joined_count_matches_the_walked_targets",
+       f"{SEMANTICS}::test_value_tuples_match_product_filter"),
 
     # Serialization.
     _m("serialize: carrier written in set order", "serialize.py",
@@ -493,6 +504,31 @@ MUTANTS: tuple[Mutant, ...] = (
        """            pass
 """,
        f"{SCHEMA}::test_explicit_table_builds_its_dict_once_and_compares_by_entries"),
+    _m("quantale: a tensor pair listed with two values resolved to the last", "quantale.py",
+       """            if tensor.setdefault((a, b), c) != c:
+                raise QuantaleError(f"tensor lists ({a!r}, {b!r}) with two values")
+""",
+       """            tensor[(a, b)] = c
+""",
+       f"{QUANTALE}::test_a_key_listed_with_two_values_is_refused[tensor]"),
+    _m("V-graph: a distance listed with two values resolved to the last", "quantale.py",
+       """            if table.setdefault((a, b), d) != d:
+                raise QuantaleError(f"distance table lists ({a!r}, {b!r}) with two values")
+""",
+       """            table[(a, b)] = d
+""",
+       f"{QUANTALE}::test_a_key_listed_with_two_values_is_refused[distances]"),
+    _m("V-functor: a point mapped twice resolved to the last", "quantale.py",
+       """            if table.setdefault(a, b) != b:
+                raise QuantaleError(f"mapping sends {a!r} to two points")
+""",
+       """            table[a] = b
+""",
+       f"{QUANTALE}::test_a_key_listed_with_two_values_is_refused[mapping]"),
+    _m("serialize: a name with a comma written into a key", "serialize.py",
+       '''        if "," in name:''',
+       "        if False:",
+       "tests/test_serialize.py::test_a_name_with_a_comma_is_refused_at_a_written_key"),
     _m("test family: slot budget unchecked", "families.py",
        "    if width > TEST_FAMILY_SLOTS:",
        "    if False:",

@@ -133,6 +133,19 @@ def test_internal_hom_requires_models(preord, chain2):
         hm.internal_hom(preord, broken, chain2)
 
 
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: hm.exponential_object(hm.chain(2), hm.Structure(hm.Signature(()), ["a"], [])),
+     hm.SignatureError, "exponential needs a shared signature"),
+    (lambda: hm.tensor(hm.preorder_theory(), hm.Structure(hm.chain(2).signature, ["a"], []),
+                       hm.chain(2)),
+     hm.StructureError, "tensor needs model endpoints"),
+], ids=["exponential-signatures", "tensor-endpoints"])
+def test_closed_structure_refuses_with_its_messages(refused, error, message):
+    with pytest.raises(error) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_hom_points_reject_colliding_function_ids(preord):
     # {a: "p,b:q", b: "r"} and {a: "p", b: "q,b:r"} both render as [a:p,b:q,b:r].
     x = hm.Structure(preord.signature, ["a", "b"], [hm.edge("le", "a", "a"), hm.edge("le", "b", "b")])

@@ -219,6 +219,18 @@ def test_structure_errors_name_the_edge(bad, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: hm.chain(2).induced(["c0", "zz"]),
+     hm.StructureError, "induced substructure needs a subset of the carrier"),
+    (lambda: hm.compose(hm.identity_morphism(hm.chain(2)), hm.identity_morphism(hm.chain(3))),
+     hm.MorphismError, "composition needs matching middle structure"),
+], ids=["induced-subset", "compose-ends"])
+def test_structure_operations_refuse_with_their_messages(refused, error, message):
+    with pytest.raises(error) as info:
+        refused()
+    assert str(info.value) == message
+
+
 @st.composite
 def structure_inputs(draw):
     """The carrier and edges of a random structure as raw input: each edge an

@@ -91,6 +91,20 @@ def test_pullback_refuses_a_leg_over_another_signature(chain2, other_side):
     assert str(refused.value) == "pullback needs a shared signature"
 
 
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: hm.pullback(hm.identity_morphism(hm.chain(2)), hm.identity_morphism(hm.chain(3))),
+     hm.StructureError, "pullback needs a common codomain"),
+    (lambda: hm.equalizer(hm.identity_morphism(hm.chain(2)), hm.identity_morphism(hm.chain(3))),
+     hm.StructureError, "equalizer needs a parallel pair"),
+    (lambda: hm.product(hm.chain(2), hm.Structure(hm.Signature(()), ["a"], [])),
+     hm.SignatureError, "product needs a shared signature"),
+], ids=["pullback-codomains", "equalizer-ends", "product-signatures"])
+def test_limits_refuse_with_their_messages(refused, error, message):
+    with pytest.raises(error) as info:
+        refused()
+    assert str(info.value) == message
+
+
 def test_pullback_of_point_is_fibre(chain3):
     from conftest import interp_fail_morphism
 

@@ -227,6 +227,57 @@ def test_quantale_rejects_bad_tables():
         hm.Quantale(("a",), (), (("a", "a", "a"),), "b")  # unknown unit
 
 
+def _boolean_vgraph(carrier, distance="1"):
+    return hm.VGraph(hm.boolean_quantale(), tuple(carrier),
+                     tuple((a, b, distance) for a in carrier for b in carrier))
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: hm.chain_meet_quantale(0), "chain needs at least one element"),
+    (lambda: hm.theory_vgph(non_join_preserving_quantale()),
+     "quantale law check failed: "
+     "LawFailure(law='tensor-join-preservation', witness=('a', 'a', 'b'))"),
+    (lambda: hm.VGraph(hm.boolean_quantale(), ("a",), (("a", "b", "1"), ("a", "a", "1"))),
+     "distance entry ('a', 'b') outside the carrier"),
+    (lambda: hm.VGraph(hm.boolean_quantale(), ("a",), (("a", "a", "2"),)),
+     "distance value '2' is not a quantale element"),
+    (lambda: hm.VGraph(hm.boolean_quantale(), ("a", "b"), (("a", "a", "1"),)),
+     "distance table missing entry ('a', 'b')"),
+    (lambda: hm.VFunctor(_boolean_vgraph("a"), hm.VGraph(
+        hm.chain_meet_quantale(3), ("a",), (("a", "a", "2"),)), (("a", "a"),)),
+     "V-functor endpoints use different quantales"),
+    (lambda: hm.VFunctor(_boolean_vgraph("a"), _boolean_vgraph("pq"), ()),
+     "mapping must cover exactly the source carrier"),
+    (lambda: hm.VFunctor(_boolean_vgraph("a"), _boolean_vgraph("pq"), (("a", "z"),)),
+     "mapping has values outside the target carrier"),
+    (lambda: hm.structure_to_vgraph(hm.chain(2)),
+     "structure is not over a quantale-induced signature"),
+], ids=["empty-chain", "laws", "distance-outside", "distance-value", "distance-missing",
+        "two-quantales", "mapping-cover", "mapping-values", "not-a-quantale-signature"])
+def test_quantale_values_refuse_with_their_messages(refused, message):
+    with pytest.raises(hm.QuantaleError) as error:
+        refused()
+    assert str(error.value) == message
+
+
+BOOLEAN_TENSOR = hm.boolean_quantale().tensor_pairs
+
+
+@pytest.mark.parametrize("make, repeat, conflict, message", [
+    (lambda extra: hm.Quantale(("0", "1"), (("0", "1"),), BOOLEAN_TENSOR + extra, "1"),
+     (("1", "1", "1"),), (("1", "1", "0"),), "tensor lists ('1', '1') with two values"),
+    (lambda extra: hm.VGraph(hm.boolean_quantale(), ("a",), (("a", "a", "1"),) + extra),
+     (("a", "a", "1"),), (("a", "a", "0"),), "distance table lists ('a', 'a') with two values"),
+    (lambda extra: hm.VFunctor(_boolean_vgraph("a"), _boolean_vgraph("pq"), (("a", "p"),) + extra),
+     (("a", "p"),), (("a", "q"),), "mapping sends 'a' to two points"),
+], ids=["tensor", "distances", "mapping"])
+def test_a_key_listed_with_two_values_is_refused(make, repeat, conflict, message):
+    assert make(repeat) == make(())  # an exact repeat is the same entry
+    with pytest.raises(hm.QuantaleError) as error:
+        make(conflict)
+    assert str(error.value) == message
+
+
 def unit_below_top_quantale():
     """Three-element chain whose tensor unit sits strictly below the top."""
     return hm.Quantale(

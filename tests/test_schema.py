@@ -82,6 +82,39 @@ def test_a_schema_refuses_shape_edges_that_are_not_over_a_tuple_of_names():
             hm.AxiomSchema("bad", 2, (premise,), conclusion, PremiseProjection(0))
 
 
+def _shape(*args):
+    return Edge(PLACEHOLDER, args)
+
+
+def _one_premise(combine, premise=_shape("x", "y")):
+    return hm.AxiomSchema("s", 2, (premise,), _shape("x", "y"), combine)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: _one_premise(PremiseProjection(0), Edge("R", ("x", "y"))),
+     "schema shapes must use the placeholder symbol"),
+    (lambda: _one_premise(PremiseProjection(0), _shape("x", "y", "z")),
+     "schema shape has an edge of the wrong arity"),
+    (lambda: _one_premise(PremiseProjection(1)), "projection index out of range"),
+    (lambda: _one_premise(ExplicitTable(((("~0", "~1"), "~0"),))),
+     "table entry has the wrong number of labels"),
+    (lambda: _one_premise(ConstantSymbol("P")).check_signature(
+        hm.Signature((hm.RelationSymbol("R", 2), hm.RelationSymbol("P", 1)))),
+     "schema 's' combines to 'P', which is not a symbol of arity 2"),
+    (lambda: apply_combine(hm.symmetry_schema(), hm.signature_of(hm.boolean_quantale()),
+                           ("~0", "~1")),
+     "one label per premise is required"),
+    (lambda: apply_combine(_one_premise(ExplicitTable(((("~0",), "~0"),))),
+                           hm.signature_of(hm.boolean_quantale()), ("~1",)),
+     "table has no entry for labels ('~1',)"),
+], ids=["placeholder", "shape-arity", "projection-index", "table-label-count",
+        "combined-symbol-arity", "label-count", "table-no-entry"])
+def test_schemas_refuse_with_their_messages(refused, message):
+    with pytest.raises(SchemaError) as error:
+        refused()
+    assert str(error.value) == message
+
+
 def test_identity_is_schema_convex():
     v = hm.chain_meet_quantale(3)
     theory = hm.theory_vcat(v)

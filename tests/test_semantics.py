@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import hornmod as hm
 from hornmod import semantics
 from hornmod.families import all_structures
-from hornmod.semantics import _value_tuples, check_model
+from hornmod.semantics import _checks, _run, check_model
 
 from conftest import (
     HORN_SIGNATURE,
@@ -260,7 +260,7 @@ KERNEL_STRUCTURE = hm.Structure(TRUST_SIGNATURE, ["a0", "a1"], [
           [hm.edge("P", "u"), hm.edge("R", "u", "u"), hm.edge("T", "u", "v", "w")]))
 def test_value_tuples_match_product_filter(case):
     x, variables, domains, edges = case
-    assert list(_value_tuples(x, variables, domains, edges)) == reference_value_tuples(
+    assert list(_run(_checks(variables, edges, x), domains)) == reference_value_tuples(
         x, variables, domains, edges)
 
 
@@ -275,7 +275,7 @@ def test_value_tuples_match_product_filter(case):
 @example((KERNEL_STRUCTURE, ("u",), [["a1", "a0"]], [hm.edge("R", "u", "u")]))
 def test_count_matches_the_run(case):
     x, variables, domains, edges = case
-    checks = semantics._checks(variables, ((x.tuples(s), args) for s, args in edges))
+    checks = _checks(variables, edges, x)
     assert semantics._count(checks, domains) == sum(1 for _ in semantics._run(checks, domains))
 
 

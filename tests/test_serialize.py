@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornmod as hm
-from hornmod.schema import ConstantSymbol, ExplicitTable, PremiseProjection, TensorComposite
+from hornmod.schema import (
+    PLACEHOLDER,
+    ConstantSymbol,
+    ExplicitTable,
+    PremiseProjection,
+    SchemaError,
+    TensorComposite,
+)
 from hornmod.serialize import (
     ParseError,
     dumps,
@@ -14,6 +21,7 @@ from hornmod.serialize import (
     parse_formula,
     parse_morphism,
     parse_quantale,
+    parse_schema,
     parse_signature,
     parse_structure,
     parse_theory,
@@ -83,6 +91,88 @@ def test_theory_roundtrip(preord, pos):
 def test_quantale_roundtrip():
     for v in (hm.boolean_quantale(), hm.chain_meet_quantale(3), hm.lukasiewicz_quantale()):
         assert parse_quantale(quantale_to_jsonable(v)) == v
+
+
+def _comma_quantale():
+    elements = ("a,b", "c")
+    return hm.Quantale(elements, (("c", "a,b"),),
+                       tuple((x, y, "c") for x in elements for y in elements), "c")
+
+
+def _comma_table_theory():
+    names = ("a,b", "c", "d")
+    sig = hm.Signature(tuple(hm.RelationSymbol(n, 2) for n in names), hm.EXPLICIT,
+                       (("a,b", "c"), ("c", "d")))
+    table = ExplicitTable(tuple(((n,), n) for n in names))
+    schema = hm.AxiomSchema("t", 2, (hm.Edge(PLACEHOLDER, ("x", "y")),),
+                            hm.Edge(PLACEHOLDER, ("y", "x")), table)
+    return hm.Theory(sig, (), (schema,))
+
+
+@pytest.mark.parametrize("write, error, message", [
+    (lambda: quantale_to_jsonable(_comma_quantale()), hm.QuantaleError,
+     "quantale element 'a,b' contains a comma, the separator of its written key"),
+    (lambda: theory_to_jsonable(_comma_table_theory()), SchemaError,
+     "table label 'a,b' contains a comma, the separator of its written key"),
+], ids=["tensor-key", "table-key"])
+def test_a_name_with_a_comma_is_refused_at_a_written_key(write, error, message):
+    # parsing splits these keys on commas, so the document would not read back
+    with pytest.raises(error) as info:
+        write()
+    assert str(info.value) == message
+
+
+QUANTALE_DOC = quantale_to_jsonable(hm.boolean_quantale())
+FORMULA_DOC = {"premises": [{"symbol": "R", "args": ["x", "y"]}],
+               "conclusion": {"edge": {"symbol": "R", "args": ["y", "x"]}}}
+SCHEMA_BODY = {"name": "s", "arity": 2, "premises": [["x", "y"]], "conclusion": ["y", "x"],
+               "combine": {"constant": "~1"}, "monotone": True}
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (parse_quantale, {**QUANTALE_DOC, "tensor": {"0,0,0": "0"}},
+     "tensor key '0,0,0' is not of the form 'a,b'"),
+    (parse_quantale, {**QUANTALE_DOC, "tensor": {"0,0": 0}},
+     "tensor entry '0,0' must be a string, got an integer"),
+    (parse_quantale, {**QUANTALE_DOC, "tensor": []},
+     "quantale field 'tensor' must be an object, got a list"),
+    (parse_quantale, {k: v for k, v in QUANTALE_DOC.items() if k != "unit"},
+     "quantale document is missing the 'unit' field"),
+    (parse_quantale, {**QUANTALE_DOC, "leq": [["0"]]},
+     "each entry of quantale field 'leq' must be a pair, got 1 items"),
+    (parse_quantale, {**QUANTALE_DOC, "elements": "01"},
+     "quantale field 'elements' must be a list, got a string"),
+    (parse_formula, [], "formula document must be an object, got a list"),
+    (parse_formula, {"conclusion": FORMULA_DOC["conclusion"]},
+     "formula document is missing the 'premises' field"),
+    (parse_formula, {**FORMULA_DOC, "conclusion": {"equal": ["x"]}},
+     "conclusion field 'equal' must name two variables, got 1"),
+    (parse_formula, {**FORMULA_DOC, "conclusion": {"nope": 1}},
+     "formula conclusion must be an 'edge' or an 'equal' pair"),
+    (parse_formula, {**FORMULA_DOC, "premises": [{"symbol": "R", "args": "xy"}]},
+     "edge field 'args' must be a list, got a string"),
+    (parse_schema, {"schema": "nope"}, "unknown builtin schema 'nope'"),
+    (parse_schema, {"schema": 1}, "schema field 'schema' must be an object, got an integer"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "combine": {"other": 1}}},
+     "schema combine must be tensor/projection/constant/table"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "combine": {"table": {"~0": 1}}}},
+     "table entry '~0' must be a string, got an integer"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "combine": {"projection": "0"}}},
+     "combine field 'projection' must be an integer, got a string"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "premises": ["xy"]}},
+     "each schema premise must be a list, got a string"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "name": 3}},
+     "schema field 'name' must be a string, got an integer"),
+    (parse_schema, {"schema": {**SCHEMA_BODY, "monotone": "yes"}},
+     "schema field 'monotone' must be a boolean, got a string"),
+], ids=["tensor-key", "tensor-entry", "tensor-type", "unit-missing", "leq-pair",
+        "elements-type", "formula-type", "premises-missing", "equal-count", "conclusion-kind",
+        "edge-args", "builtin", "schema-type", "combine-kind", "table-entry", "projection-type",
+        "schema-premise", "name-type", "monotone-type"])
+def test_malformed_fields_are_refused_with_their_messages(parse, doc, message):
+    with pytest.raises(ParseError) as info:
+        parse(doc)
+    assert str(info.value) == message
 
 
 def test_dumps_is_stable(chain2):
