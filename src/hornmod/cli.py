@@ -81,7 +81,7 @@ def _verification_payload(report: VerificationReport) -> dict:
         "tests": [
             {
                 "carrier_size": len(e.test_object.carrier),
-                "edge_count": len(e.test_object.edges),
+                "edge_count": sum(map(len, e.test_object._by_symbol.values())),
                 "checked": e.checked,
                 "ok": e.ok,
                 "detail": e.detail,

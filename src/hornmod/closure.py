@@ -18,15 +18,17 @@ universal-property check replays P*'s over a family of test objects Q,
 without the builder or anything it keeps, and decides each q : Q -> Z by
 counting: the maps Q x_Z X -> Y are counted over the same join, of Q and X,
 with no pair id rendered, and the pair ids of the whole of Q x X are
-rendered once per Q, to raise when two collide.  Two facts are checked once per candidate: the evaluation is a
-morphism on exactly P x_Z X, so every transpose eval . (h x_Z X) of a map
-h : Q -> P over q is a map g : Q x_Z X -> Y; and the points of P over each
-point of Z have pairwise distinct evaluation tables, so h is read back off
-its transpose.  Then h -> transpose is injective, and every g is hit exactly
-once iff the h over q are as many as the g.  When the tables collide or the
-counts differ, every h is counted at its transpose and the g are walked over
-the same join, its pairs in the order of their ids, to the first one not hit
-exactly once.  The exponential's check is this one along X -> 1, where
+rendered once per Q, to raise when two collide.  Two facts are checked
+once per candidate: the evaluation is a morphism on exactly P x_Z X, which
+the verifier joins itself and compares with the domain's tuple sets symbol
+by symbol, never building the domain's ``Edge`` set, so every transpose
+eval . (h x_Z X) of a map h : Q -> P over q is a map g : Q x_Z X -> Y; and
+the points of P over each point of Z have pairwise distinct evaluation
+tables, so h is read back off its transpose.  Then h -> transpose is
+injective, and every g is hit exactly once iff the h over q are as many as
+the g.  When the tables collide or the counts differ, every h is counted at
+its transpose and the g are walked over the same join, its pairs in the
+order of their ids, to the first one not hit exactly once.  The exponential's check is this one along X -> 1, where
 Q x_1 X is Q x X.
 """
 from __future__ import annotations
@@ -295,10 +297,16 @@ def _rejected(struct: Structure, detail: str) -> VerificationReport:
 def _joined_ids(
     domain: Structure, a: Structure, b: Structure, pairs: list[tuple[str, str]]
 ) -> Optional[dict[tuple[str, str], str]]:
-    """The ids of ``pairs`` when ``domain`` is a and b joined over them, else None."""
+    """The ids of ``pairs`` when ``domain`` is a and b joined over them, else None.
+
+    The join is grouped by symbol and compared with the domain's tuple sets, so
+    the domain's ``Edge`` set is never built."""
     ids = _pair_ids(pairs)
-    joined = (a.signature, set(ids.values()), set(_pair_edges(a.signature, ids, a, b)))
-    return ids if (domain.signature, domain.carrier, domain.edges) == joined else None
+    joined: dict[str, set] = {name: set() for name in a._by_symbol}
+    for name, labels in _pair_edges(a.signature, ids, a, b):
+        joined[name].add(labels)
+    same = domain.signature == a.signature and domain.carrier == set(ids.values())
+    return ids if same and domain._by_symbol == joined else None
 
 
 def _transposer(cells: list[tuple[int, str]], ev_at: dict) -> Callable[[tuple], tuple]:

@@ -380,37 +380,57 @@ def _as_edge(e: object) -> Edge:
 class Structure:
     """A finite carrier with a set of edges over a signature, checked in one pass.
 
-    Besides the compared fields it keeps derived data: the edges filed by
-    symbol, set at construction; the hash and the sorted carrier, computed when
-    first asked for; and the hom-search plan of :func:`semantics._hom_checks`,
-    whose slot is set only when a search first needs it.  Pickling and copying
-    carry the compared fields alone and construct the copy from them, so
-    nothing kept crosses into another process, whose string hashes differ.
+    The edges are kept as what the constructor files them into: per symbol,
+    the set of its argument tuples.  ``edges``, the ``frozenset`` of ``Edge``s,
+    is built from these on first read and kept; a structure whose edges are
+    only searched, counted or compared never builds it.  Besides, it keeps the
+    hash and the sorted carrier, computed when first asked for, and the
+    hom-search plan of :func:`semantics._hom_checks`, whose slot is set only
+    when a search first needs it.  Pickling and copying carry the compared
+    fields alone and construct the copy from them, so nothing kept crosses
+    into another process, whose string hashes differ.
     """
 
-    __slots__ = ("signature", "carrier", "edges", "_by_symbol", "_hash", "_sorted_carrier",
+    __slots__ = ("signature", "carrier", "_edges", "_by_symbol", "_hash", "_sorted_carrier",
                  "_plan")
 
     def __init__(self, signature: Signature, carrier: Iterable[str], edges: Iterable[Edge]):
         self.signature = signature
         self.carrier = carrier = frozenset(carrier)
-        self.edges = frozenset(e if type(e) is Edge and type(e[1]) is tuple
-                               else _as_edge(e) for e in edges)
         arities = signature._arities
         by_symbol: dict[str, set[tuple[str, ...]]] = {name: set() for name in arities}
-        for e in self.edges:
+        refusal = None  # the first misplaced edge's, raised only once no edge is malformed
+        for e in edges:
+            # an Edge, or a plain pair of a symbol and a tuple, is taken as it is
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is str or type(e) is Edge):
+                e = _as_edge(e)
             name, args = e
+            if type(args) is not tuple:
+                name, args = _as_edge(e)
             tuples = by_symbol.get(name)
             if tuples is None:
-                raise StructureError(f"edge uses unknown symbol {name!r}")
-            if len(args) != arities[name]:
-                raise StructureError(f"edge {e} has wrong arity for {name!r}")
-            if not carrier.issuperset(args):
-                raise StructureError(f"edge {e} mentions elements outside the carrier")
-            tuples.add(args)
+                refusal = refusal or f"edge uses unknown symbol {name!r}"
+            elif len(args) != arities[name]:
+                refusal = refusal or f"edge {Edge(name, args)} has wrong arity for {name!r}"
+            elif not carrier.issuperset(args):
+                refusal = refusal or (
+                    f"edge {Edge(name, args)} mentions elements outside the carrier")
+            else:
+                tuples.add(args)
+        if refusal:
+            raise StructureError(refusal)
         self._by_symbol = {s: frozenset(ts) for s, ts in by_symbol.items()}
+        self._edges: Optional[frozenset[Edge]] = None
         self._hash: Optional[int] = None
         self._sorted_carrier: Optional[tuple[str, ...]] = None
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as ``Edge``s, built from the tuple sets on first read and kept."""
+        if self._edges is None:
+            self._edges = frozenset(Edge(name, args)
+                                    for name, ts in self._by_symbol.items() for args in ts)
+        return self._edges
 
     def __getstate__(self) -> tuple:
         return (self.signature, self.carrier, self.edges)
@@ -423,7 +443,7 @@ class Structure:
             isinstance(other, Structure)
             and self.signature == other.signature
             and self.carrier == other.carrier
-            and self.edges == other.edges
+            and self._by_symbol == other._by_symbol
         )
 
     def __hash__(self) -> int:

@@ -21,7 +21,7 @@ import random
 from typing import Iterator, Optional
 
 from .core import DEFAULT_CAP, Edge, HornmodError, Signature, SignatureError, Structure, Theory
-from .semantics import ground_axioms
+from .semantics import _pairs, ground_axioms
 
 
 # The most edge slots on the largest carrier of a default test family.  Over the
@@ -79,7 +79,8 @@ def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
     same-size structures have equal keys iff they are isomorphic.
     """
     profile: dict[str, list[tuple[str, int]]] = {a: [] for a in x.carrier}
-    for s, args in x.edges:
+    edges = list(_pairs(x._by_symbol))
+    for s, args in edges:
         for i, b in enumerate(args):
             profile[b].append((s, i))
     for occurrences in profile.values():
@@ -89,7 +90,7 @@ def _canonical_labelling(x: Structure) -> tuple[tuple, tuple[str, ...]]:
 
     def relabelled(parts: tuple[tuple[str, ...], ...]) -> tuple[tuple, tuple[str, ...]]:
         label = {a: i for i, a in enumerate(itertools.chain.from_iterable(parts))}
-        key = tuple(sorted((s, tuple(map(label.__getitem__, args))) for s, args in x.edges))
+        key = tuple(sorted((s, tuple(map(label.__getitem__, args))) for s, args in edges))
         return key, tuple(label)  # a dict keeps insertion order
 
     orders = itertools.product(*map(itertools.permutations, groups))

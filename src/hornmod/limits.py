@@ -2,12 +2,14 @@
 
 Carriers of limits are the underlying set-level limits.  Edges of products
 and pullbacks are the componentwise join of the two factors' edges, kept
-when every component pair is a point.  Product elements get readable pair
-ids; a collision guard rejects carrier names that would make the rendering
-ambiguous.  Hom-sets are image tuples over the sorted source carrier, found
-by the valuation search of :mod:`hornmod.semantics` with the source's points
-as variables and its edges as premises; ``Morphism`` objects are built only
-at the public boundary.
+when every component pair is a point, as plain ``(symbol, labels)`` pairs
+that the ``Structure`` constructor files by symbol without an ``Edge``.
+Product elements get readable pair ids; a collision guard rejects carrier
+names that would make the rendering ambiguous.  Hom-sets are image tuples
+over the sorted source carrier, found by the valuation search of
+:mod:`hornmod.semantics` with the source's points as variables and its
+edges as premises; ``Morphism`` objects are built only at the public
+boundary.
 """
 from __future__ import annotations
 
@@ -26,9 +28,6 @@ from .families import _canonical_labelling
 from .semantics import _hom_checks, _run, is_model
 
 TERMINAL_ELEMENT = "*"
-
-# builds an Edge as its own constructor does, without that constructor's Python frame
-_new_tuple = tuple.__new__
 
 
 class ProductResult(NamedTuple):
@@ -73,10 +72,12 @@ def _pair_ids(pairs: list[tuple[str, str]]) -> dict[tuple[str, str], str]:
 
 def _pair_edges(
     sig: Signature, ids: dict[tuple[str, str], Hashable], x: Structure, y: Structure
-) -> list[Edge]:
+) -> list[tuple[str, tuple]]:
     """The edge join over the pairs of ``ids``: each s-edge of x zipped with each
     s-edge of y, kept when every component pair is a point, and labelled by
     ``ids``: rendered pair ids for a structure, or positions for a search plan.
+    Each joined edge is a plain ``(symbol, labels)`` pair, which ``Structure``
+    and :func:`semantics._plan` take as they are, so no ``Edge`` is built.
 
     A symbol with no edge on one side is skipped.  Otherwise the loop runs
     over the side with fewer edges, and the other side is read a column at a
@@ -106,8 +107,7 @@ def _pair_edges(
             row = [rows.get(a) for a in args]
             if None in row:  # some point of args is paired with nothing
                 continue
-            edges += [_new_tuple(Edge, (name, joined))
-                      for joined in zip(*map(map, [r.get for r in row], columns))
+            edges += [(name, joined) for joined in zip(*map(map, [r.get for r in row], columns))
                       if None not in joined]
     return edges
 

@@ -97,7 +97,7 @@ def _hom_checks(x: Structure, y: Structure) -> list[list[tuple[Container, Callab
     plan = getattr(x, "_plan", None)
     if plan is None:
         position = {a: k for k, a in enumerate(x.sorted_carrier())}.__getitem__
-        edges = ((symbol, tuple(map(position, args))) for symbol, args in x.edges)
+        edges = ((symbol, tuple(map(position, args))) for symbol, args in _pairs(x._by_symbol))
         names = {name: name for name in x._by_symbol}
         plan = x._plan = tuple(map(tuple, _plan(len(x.carrier), edges, names)))
     tuples = y._by_symbol
@@ -385,7 +385,7 @@ def free_model(theory: Theory, x: Structure) -> FreeModelResult:
         raise SignatureError("structure and theory use different signatures")
     uf = _UnionFind(x.sorted_carrier())
     carrier = x.sorted_carrier()
-    edges = _add({}, x.edges)
+    edges = _add({}, _pairs(x._by_symbol))
     old, delta = {}, edges
     while True:
         merges: list[tuple[str, str]] = []

@@ -67,13 +67,18 @@ MUTANTS: tuple[Mutant, ...] = (
     # The universal-property verifier: one check for partial products and,
     # along X -> 1, for exponentials.
     _m("verifier: no domain comparison", "closure.py",
-       "    return ids if (domain.signature, domain.carrier, domain.edges) == joined else None",
+       "    return ids if same and domain._by_symbol == joined else None",
        "    return ids",
        f"{CLOSURE}::test_verify_partial_product_matches_reference"),
     _m("verifier: carrier-only domain comparison", "closure.py",
-       "    return ids if (domain.signature, domain.carrier, domain.edges) == joined else None",
-       "    return ids if domain.carrier == joined[1] else None",
+       "    return ids if same and domain._by_symbol == joined else None",
+       "    return ids if domain.carrier == set(ids.values()) else None",
        f"{CLOSURE}::test_verify_partial_product_matches_reference"),
+    _m("verifier: one symbol skipped in the domain comparison", "closure.py",
+       "    return ids if same and domain._by_symbol == joined else None",
+       "    return ids if same and all(domain._by_symbol[s] == joined[s]\n"
+       "                               for s in list(joined)[1:]) else None",
+       f"{CLOSURE}::test_verify_exponential_matches_reference"),
     _m("verifier: no anchor-codomain check", "closure.py",
        "    ids = _joined_ids(ev.source, struct, x, pairs) if p.target == z else None",
        "    ids = _joined_ids(ev.source, struct, x, pairs)",
@@ -448,20 +453,36 @@ MUTANTS: tuple[Mutant, ...] = (
        "            if False:",
        f"{CORE}::test_explicit_pairs_across_arities_rejected"),
     _m("structure: arity unchecked", "core.py",
-       "            if len(args) != arities[name]:",
-       "            if False:",
+       "            elif len(args) != arities[name]:",
+       "            elif False:",
        f"{CORE}::test_structure_against_the_reference_constructor"),
     _m("structure: carrier unchecked", "core.py",
-       "            if not carrier.issuperset(args):",
-       "            if False:",
+       "            elif not carrier.issuperset(args):",
+       "            elif False:",
        f"{CORE}::test_structure_against_the_reference_constructor"),
     _m("structure: an Edge over a list kept", "core.py",
-       "        self.edges = frozenset(e if type(e) is Edge and type(e[1]) is tuple",
-       "        self.edges = frozenset(e if type(e) is Edge",
+       """            if type(args) is not tuple:
+                name, args = _as_edge(e)
+""",
+       "",
+       f"{CORE}::test_structure_against_the_reference_constructor"),
+    _m("structure: a plain pair's symbol unchecked", "core.py",
+       "            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is str or type(e) is Edge):",
+       "            if not (type(e) is tuple and len(e) == 2 or type(e) is Edge):",
+       f"{CORE}::test_structures_refuse_edges_that_are_not_symbol_argument_pairs"),
+    _m("structure: a misplaced edge refused before a malformed one", "core.py",
+       '                refusal = refusal or f"edge uses unknown symbol {name!r}"',
+       '                raise StructureError(f"edge uses unknown symbol {name!r}")',
+       f"{CORE}::test_structures_refuse_edges_that_are_not_symbol_argument_pairs"),
+    _m("structure: the lazy edge set drops an edge", "core.py",
+       "            self._edges = frozenset(Edge(name, args)\n"
+       "                                    for name, ts in self._by_symbol.items() for args in ts)",
+       "            self._edges = frozenset(list(Edge(name, args)\n"
+       "                                    for name, ts in self._by_symbol.items() for args in ts)[1:])",
        f"{CORE}::test_structure_against_the_reference_constructor"),
     _m("hom search: each edge checked at its first point", "semantics.py",
-       "        edges = ((symbol, tuple(map(position, args))) for symbol, args in x.edges)",
-       "        edges = ((symbol, tuple(map(position, args[:1]))) for symbol, args in x.edges)",
+       "        edges = ((symbol, tuple(map(position, args))) for symbol, args in _pairs(x._by_symbol))",
+       "        edges = ((symbol, tuple(map(position, args[:1]))) for symbol, args in _pairs(x._by_symbol))",
        f"{LIMITS}::test_hom_tuples_against_the_product_filter"),
     _m("search plan: each constraint laid out at its least position", "semantics.py",
        "        plan[max(at)].append((tuple_sets[key], _reader(at)))",

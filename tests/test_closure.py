@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -8,8 +9,10 @@ from hornmod import closure
 from hornmod.closure import ExponentialResult, VerificationEntry, VerificationReport
 from hornmod.families import all_models, all_structures, dedup_by_iso, edge_slots
 from hornmod.limits import _pair_ids
+from hornmod.serialize import parse_morphism, parse_structure, parse_theory
 
 from conftest import (
+    CORPUS,
     HORN_SIGNATURE,
     TRUST_SIGNATURE,
     count_chases,
@@ -212,6 +215,23 @@ def test_verify_exponential_chain_family(preord, chain2):
     report = hm.verify_exponential(chain2, chain2, exp, family)
     assert report.passed
     assert len(report.entries) == 5
+
+
+def test_the_evaluation_domain_builds_no_edge_set():
+    # P x_Z X is built, searched and compared by symbol; its Edge set is never read
+    def load(name):
+        return json.loads((CORPUS / name).read_text(encoding="utf-8"))
+
+    theory = parse_theory(load("preord.theory.json"))
+    chain2 = parse_structure(load("chain2.structure.json"))
+    f = parse_morphism(load("interp-fail.morphism.json"))
+    family = hm.default_test_family(theory.signature, 2, theory=theory)
+    exp = hm.exponential_object(chain2, chain2)
+    assert hm.verify_exponential(chain2, chain2, exp, family).passed
+    pp = hm.partial_product_refl(chain2, f)
+    assert hm.verify_partial_product(f, chain2, pp, family).passed
+    assert exp.eval.source._edges is None and pp.eval.source._edges is None
+    assert exp.eval.source.edges  # and is built when read
 
 
 def test_verify_exponential_terminal_object_counts(preord, chain2):

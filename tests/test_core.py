@@ -202,9 +202,12 @@ def test_signatures_refuse_symbols_that_are_not_relation_symbols(symbol):
     (2, ("a", "b")), None,
 ])
 def test_structures_refuse_edges_that_are_not_symbol_argument_pairs(bad):
-    with pytest.raises(hm.StructureError) as refused:
-        hm.Structure(TRUST_SIGNATURE, ["a", "b"], [Edge("P", ("a",)), bad])
-    assert str(refused.value) == f"edge {bad!r} is not a (symbol, argument tuple) pair"
+    # after a good edge, and after one with an unknown symbol: a malformed edge
+    # is refused first, wherever it stands
+    for first in (Edge("P", ("a",)), Edge("Q", ("a",))):
+        with pytest.raises(hm.StructureError) as refused:
+            hm.Structure(TRUST_SIGNATURE, ["a", "b"], [first, bad])
+        assert str(refused.value) == f"edge {bad!r} is not a (symbol, argument tuple) pair"
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -291,6 +294,37 @@ def test_structure_against_the_reference_constructor(inputs):
     # sorted once, on first use, and kept
     assert got.sorted_carrier() == tuple(sorted(carrier))
     assert got.sorted_carrier() is got.sorted_carrier()
+
+
+EDGE_FORMS = {
+    "Edge": lambda e: e,
+    "pair": lambda e: (e.symbol, e.args),
+    "pair over a list": lambda e: (e.symbol, list(e.args)),
+    "list": lambda e: [e.symbol, list(e.args)],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(trust_structures("a"), st.sampled_from(sorted(EDGE_FORMS)))
+def test_the_edge_set_is_built_on_first_read(x, form):
+    carrier = x.sorted_carrier()
+    raw = [EDGE_FORMS[form](e) for e in x.sorted_edges()]
+    errors, expected = reference_structure(carrier, raw)
+    assert not errors
+    read, unread = (hm.Structure(TRUST_SIGNATURE, carrier, raw) for _ in range(2))
+    assert read._edges is None and unread._edges is None  # unset until the first read
+    assert read == unread and unread._edges is None  # equality reads the tuple sets
+    edges = read.edges
+    assert edges == expected and read.edges is edges  # built once and kept
+    assert all(type(e) is Edge and type(e.args) is tuple for e in edges)
+    assert unread._edges is None and read == unread and unread == read
+    assert hash(read) == hash(unread) == hash((TRUST_SIGNATURE, frozenset(carrier),
+                                               frozenset(expected)))
+    for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        for original in (read, hm.Structure(TRUST_SIGNATURE, carrier, raw)):
+            clone = round_trip(original)
+            assert clone._edges is None and clone == original
+            assert clone.edges == expected and hash(clone) == hash(read)
 
 
 def test_edge_sets_deduplicate(preord):
